@@ -1,505 +1,104 @@
-//! CI benchmark-regression gate (throughput + scale + service modes).
+//! CI benchmark gate: one binary, one mode per gated experiment.
 //!
 //! ```text
 //! throughput_gate [options]
 //!
-//! options:
 //!   --mode <m>         throughput (default) | scale | service | store | queries | churn
-//!   --baseline <path>  committed baseline JSON
-//!                      (default BENCH_throughput.json / BENCH_scale.json
-//!                       / BENCH_service.json / BENCH_store.json
-//!                       / BENCH_queries.json / BENCH_churn.json)
-//!
-//! throughput mode:
-//!   --scale <f>        dataset scale fraction (default 0.05, matching the baseline)
-//!   --queries <n>      workload size (default 100, matching the baseline)
-//!   --dataset <d>      de|arg|ind|na (default de)
-//!   --seed <n>         master seed (default 42)
-//!
-//! scale mode:
-//!   --smoke-nodes <n>  live smoke size (default 50000)
-//!   --seed <n>         master seed (default 42)
-//!
-//! service mode:
-//!   --seed <n>         master seed (default 42)
-//!
-//! store mode:
-//!   --smoke-nodes <n>  live smoke size (default 50000)
-//!   --seed <n>         master seed (default 42)
-//!
-//! queries mode:
-//!   --smoke-nodes <n>  live smoke size (default 50000; rounded to a
-//!                      square lattice — the queries smoke wants a few
-//!                      hundred nodes, pass e.g. 400)
-//!   --seed <n>         master seed (default 42)
-//!
-//! churn mode:
-//!   --smoke-nodes <n>  live smoke size (default 50000; rounded to a
-//!                      square lattice — the churn smoke wants a few
-//!                      hundred nodes, pass e.g. 400)
-//!   --seed <n>         master seed (default 42)
-//!
-//! env:
-//!   SPNET_GATE_TOLERANCE  allowed regression fraction (default 0.15)
+//!   --baseline <path>  committed artifact (default BENCH_<mode>.json)
+//!   --seed <n>         master seed of the live smoke (default 42)
+//!   --smoke-nodes <n>  smoke size of the scale / store / queries / churn
+//!                      modes (default 50000; queries and churn round it
+//!                      to a square lattice and want a few hundred)
+//!   --scale <f> --queries <n> --dataset <de|arg|ind|na>
+//!                      throughput mode's workload (defaults 0.05 / 100 /
+//!                      de: the settings the baseline was recorded at)
 //! ```
 //!
-//! **Throughput mode** re-measures the serving workload and compares
-//! every qps column against the committed `BENCH_throughput.json`,
-//! normalized by each run's reference probe (see `spnet_bench::gate`).
-//!
-//! **Scale mode** validates the committed `BENCH_scale.json`
-//! structurally (≥1M-node row, all families/methods present and
-//! positive, road bucket-queue speedup ≥ 2×) and runs a reduced-size
-//! live smoke of the scale experiment, failing if any column
-//! degenerates or the bucket queue falls behind the heap beyond the
-//! tolerance.
-//!
-//! **Service mode** validates the committed `BENCH_service.json`
-//! (mixed-method traffic on all four shards, scheduler engaged,
-//! concurrent answers bit-identical to sequential serving, speedup ≥ 2×
-//! when measured on ≥ 4 cores) and runs a reduced live smoke of the
-//! load generator, comparing its probe-normalized session throughput
-//! against the committed baseline.
-//!
-//! **Store mode** validates the committed `BENCH_store.json`
-//! structurally (≥1M-node row, zero signing operations during the load
-//! window, lazy snapshot load ≥ 1.25× faster than rebuild-and-resign) and
-//! runs a reduced-size live save→load smoke, failing if the round trip
-//! breaks, the cold start signs, or the lazy load falls behind the
-//! rebuild beyond the tolerance.
-//!
-//! **Queries mode** validates the committed `BENCH_queries.json` (the
-//! verified range / k-NN / matrix operator experiment) structurally —
-//! all four methods, non-empty certificates, a non-trivial range
-//! member set, pooled matrix certificate smaller than per-pair
-//! answers, k-NN completeness certificate within 5× of the plain
-//! batch — and runs a reduced-size live smoke of all three operators,
-//! re-checking the same machine-independent invariants (the overhead
-//! bar widened by the tolerance).
-//!
-//! **Churn mode** validates the committed `BENCH_churn.json` (the
-//! dynamic-update experiment) structurally — all four methods
-//! sustaining edge re-weights with verified serving interleaved, at
-//! most 2 RSA signatures per update, pinned sessions surviving
-//! updates, the post-churn snapshot refresh in place — and runs a
-//! reduced-size live smoke, comparing its probe-normalized sustained
-//! update rate against the committed baseline.
+//! Every mode does the same three things: parse the committed artifact
+//! and hold it to the mode's rules (`Scope::Committed`), re-run the
+//! experiment at smoke size, and hold that record to the same table
+//! (`Scope::Smoke`, with the artifact as the regression baseline). The
+//! rules themselves are data in `spnet_bench::gate`; PERFORMANCE.md
+//! lists them per mode.
 
-use spnet_bench::gate;
-use spnet_bench::{
-    run_churn, run_loadgen, run_queries, run_scale, run_store, run_throughput, ChurnConfig,
-    HarnessConfig, LoadgenConfig, QueriesConfig, ScaleConfig, StoreConfig,
-};
+use spnet_bench::gate::{self, Mode, Scope, MODES};
+use spnet_bench::{json, HarnessConfig};
 use spnet_graph::gen::Dataset;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().is_some_and(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "see module docs: throughput_gate [--mode throughput|scale|service|store|queries|churn] \
-             [--baseline p] [--scale f] [--queries n] [--dataset d] [--seed n] [--smoke-nodes n]"
-        );
-        return ExitCode::SUCCESS;
-    }
-    let mut cfg = HarnessConfig::default();
-    let mut mode = String::from("throughput");
-    let mut baseline_path: Option<String> = None;
-    let mut smoke_nodes = 50_000usize;
-    let mut i = 0;
-    while i < args.len() {
-        let take_value = |i: &mut usize| -> Option<String> {
-            *i += 1;
-            args.get(*i).cloned()
-        };
-        match args[i].as_str() {
-            "--mode" => match take_value(&mut i) {
-                Some(v)
-                    if matches!(
-                        v.as_str(),
-                        "throughput" | "scale" | "service" | "store" | "queries" | "churn"
-                    ) =>
-                {
-                    mode = v
-                }
-                _ => return bad_usage("--mode needs throughput|scale|service|store|queries|churn"),
-            },
-            "--baseline" => match take_value(&mut i) {
-                Some(v) => baseline_path = Some(v),
-                None => return bad_usage("--baseline needs a path"),
-            },
-            "--scale" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.scale = v,
-                None => return bad_usage("--scale needs a float"),
-            },
-            "--queries" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.queries = v,
-                None => return bad_usage("--queries needs an integer"),
-            },
-            "--dataset" => match take_value(&mut i).and_then(|v| Dataset::parse(&v)) {
-                Some(d) => cfg.dataset = d,
-                None => return bad_usage("--dataset needs de|arg|ind|na"),
-            },
-            "--seed" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.seed = v,
-                None => return bad_usage("--seed needs an integer"),
-            },
-            "--smoke-nodes" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(v) => smoke_nodes = v,
-                None => return bad_usage("--smoke-nodes needs an integer"),
-            },
-            other => return bad_usage(&format!("unknown option {other}")),
-        }
-        i += 1;
-    }
-
-    let tolerance = match gate::tolerance_from_env() {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline_path = baseline_path.unwrap_or_else(|| match mode.as_str() {
-        "scale" => "BENCH_scale.json".into(),
-        "service" => "BENCH_service.json".into(),
-        "store" => "BENCH_store.json".into(),
-        "queries" => "BENCH_queries.json".into(),
-        "churn" => "BENCH_churn.json".into(),
-        _ => "BENCH_throughput.json".into(),
-    });
-    let baseline_json = match std::fs::read_to_string(&baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot read baseline {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if mode == "scale" {
-        return scale_gate(
-            &baseline_json,
-            &baseline_path,
-            smoke_nodes,
-            cfg.seed,
-            tolerance,
-        );
-    }
-    if mode == "service" {
-        return service_gate(&baseline_json, &baseline_path, cfg.seed, tolerance);
-    }
-    if mode == "store" {
-        return store_gate(
-            &baseline_json,
-            &baseline_path,
-            smoke_nodes,
-            cfg.seed,
-            tolerance,
-        );
-    }
-    if mode == "queries" {
-        return queries_gate(
-            &baseline_json,
-            &baseline_path,
-            smoke_nodes,
-            cfg.seed,
-            tolerance,
-        );
-    }
-    if mode == "churn" {
-        return churn_gate(
-            &baseline_json,
-            &baseline_path,
-            smoke_nodes,
-            cfg.seed,
-            tolerance,
-        );
-    }
-
-    eprintln!(
-        "[gate] baseline {baseline_path}, tolerance {:.0}%, scale {}, {} queries",
-        tolerance * 100.0,
-        cfg.scale,
-        cfg.queries
-    );
-    let current = run_throughput(&cfg);
-    match gate::gate_report(&baseline_json, &current, tolerance) {
-        Err(e) => {
-            eprintln!("error: {e}");
+    match run(std::env::args().skip(1).collect()) {
+        Ok(0) => ExitCode::SUCCESS,
+        Ok(broken) => {
+            eprintln!("[gate] FAILED: {broken} violation(s)");
             ExitCode::FAILURE
         }
-        Ok((lines, violations)) => {
-            for l in &lines {
-                println!("{}", l.render());
-            }
-            for v in &violations {
-                println!("SCHEMA {v}");
-            }
-            let failed = violations.len() + lines.iter().filter(|l| !l.ok).count();
-            if failed > 0 {
-                eprintln!("[gate] FAILED: {failed} violation(s)");
-                ExitCode::FAILURE
-            } else {
-                eprintln!("[gate] ok: {} metrics within tolerance", lines.len());
-                ExitCode::SUCCESS
-            }
+        Err(usage) => {
+            eprintln!("error: {usage}");
+            ExitCode::FAILURE
         }
     }
 }
 
-/// Scale mode: committed-schema validation + reduced live smoke.
-fn scale_gate(
-    baseline_json: &str,
-    baseline_path: &str,
-    smoke_nodes: usize,
-    seed: u64,
-    tolerance: f64,
-) -> ExitCode {
-    eprintln!(
-        "[gate] scale baseline {baseline_path}, tolerance {:.0}%, smoke at {smoke_nodes} nodes",
-        tolerance * 100.0
-    );
-    let rows = match gate::parse_scale_baseline(baseline_json) {
-        Ok(rows) => rows,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+/// Runs the gate; `Ok(n)` is the number of broken rules.
+fn run(args: Vec<String>) -> Result<usize, String> {
+    let mut cfg = HarnessConfig::default();
+    let mut mode = &MODES[0];
+    let mut baseline_path = None;
+    let mut smoke_nodes = 50_000usize;
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
+        if flag == "--help" || flag == "-h" {
+            eprintln!("see the module docs of crates/bench/src/bin/throughput_gate.rs");
+            return Ok(0);
         }
-    };
-    let mut violations = gate::scale_schema_violations(&rows);
-    for row in &rows {
-        for f in &row.sssp {
-            println!(
-                "baseline {:5} {:10} heap {:>9.1}ms bucket {:>9.1}ms ({:.2}x)",
-                row.label,
-                f.family,
-                f.heap_ms,
-                f.bucket_ms,
-                f.speedup()
-            );
+        let value = args.next().ok_or(format!("{flag} needs a value"))?;
+        let bad = || format!("{flag} cannot take {value:?}");
+        match flag.as_str() {
+            "--mode" => mode = Mode::named(&value).ok_or_else(bad)?,
+            "--baseline" => baseline_path = Some(value),
+            "--scale" => cfg.scale = value.parse().map_err(|_| bad())?,
+            "--queries" => cfg.queries = value.parse().map_err(|_| bad())?,
+            "--dataset" => cfg.dataset = Dataset::parse(&value).ok_or_else(bad)?,
+            "--seed" => cfg.seed = value.parse().map_err(|_| bad())?,
+            "--smoke-nodes" => smoke_nodes = value.parse().map_err(|_| bad())?,
+            _ => return Err(format!("unknown option {flag}")),
         }
     }
-    let smoke = run_scale(&ScaleConfig::smoke(smoke_nodes, seed));
-    violations.extend(gate::scale_smoke_violations(&smoke, tolerance));
-    for v in &violations {
-        println!("SCHEMA {v}");
-    }
-    if violations.is_empty() {
-        eprintln!("[gate] ok: scale baseline + smoke clean");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("[gate] FAILED: {} violation(s)", violations.len());
-        ExitCode::FAILURE
-    }
-}
 
-/// Store mode: committed-baseline validation + reduced live save→load
-/// smoke of the snapshot cold-start path.
-fn store_gate(
-    baseline_json: &str,
-    baseline_path: &str,
-    smoke_nodes: usize,
-    seed: u64,
-    tolerance: f64,
-) -> ExitCode {
+    let path = baseline_path.unwrap_or_else(|| format!("BENCH_{}.json", mode.name));
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let baseline = json::parse(&text).map_err(|e| format!("{path} is not JSON: {e}"))?;
     eprintln!(
-        "[gate] store baseline {baseline_path}, tolerance {:.0}%, smoke at {smoke_nodes} nodes",
-        tolerance * 100.0
+        "[gate] {} against {path}, tolerance {:.0}%",
+        mode.name,
+        gate::TOLERANCE * 100.0
     );
-    let rows = match gate::parse_store_baseline(baseline_json) {
-        Ok(rows) => rows,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut violations = gate::store_schema_violations(&rows);
-    for r in &rows {
-        println!(
-            "baseline {:5} build+sign {:>8.2}s save {:>7.2}s load mem {:>7.3}s file {:>8.4}s \
-             ({:.1}x) {} MB, {} sign ops at build / {} at load",
-            r.label,
-            r.build_sign_s,
-            r.save_s,
-            r.load_mem_s,
-            r.load_file_s,
-            r.file_speedup(),
-            r.snapshot_bytes / 1_000_000,
-            r.sign_ops_build,
-            r.sign_ops_load,
+    if let Some(host) = baseline.get("host") {
+        eprintln!(
+            "[gate] recorded on {}",
+            json::write(host).replace(['\n', ' '], "")
         );
     }
-    let smoke = run_store(&StoreConfig::smoke(smoke_nodes, seed));
-    violations.extend(gate::store_smoke_violations(&smoke, tolerance));
-    for v in &violations {
-        println!("SCHEMA {v}");
-    }
-    if violations.is_empty() {
-        eprintln!("[gate] ok: store baseline + smoke clean");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("[gate] FAILED: {} violation(s)", violations.len());
-        ExitCode::FAILURE
-    }
-}
 
-/// Queries mode: committed-baseline validation + reduced live smoke of
-/// the verified range / k-NN / matrix operators.
-fn queries_gate(
-    baseline_json: &str,
-    baseline_path: &str,
-    smoke_nodes: usize,
-    seed: u64,
-    tolerance: f64,
-) -> ExitCode {
-    eprintln!(
-        "[gate] queries baseline {baseline_path}, tolerance {:.0}%, smoke at {smoke_nodes} nodes",
-        tolerance * 100.0
-    );
-    let rows = match gate::parse_queries_baseline(baseline_json) {
-        Ok(rows) => rows,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut violations = gate::queries_schema_violations(&rows, gate::QUERIES_KNN_OVERHEAD);
-    for r in &rows {
-        println!(
-            "baseline {:5} range {:>8.1}/s ({} members, {} B) knn {:>8.1}/s ({} B, {:.2}x plain) \
-             matrix {:>9.1} cells/s ({} B pooled / {} B separate)",
-            r.method,
-            r.range_verify_qps,
-            r.range_members,
-            r.range_cert_bytes,
-            r.knn_verify_qps,
-            r.knn_cert_bytes,
-            r.knn_overhead(),
-            r.matrix_verify_qps,
-            r.matrix_cert_bytes,
-            r.matrix_separate_bytes,
+    let committed = gate::check(mode, Scope::Committed, &baseline, None)?;
+    let smoke = (mode.smoke)(&cfg, smoke_nodes);
+    let live = gate::check(mode, Scope::Smoke, &smoke, Some(&baseline))?;
+    for line in &live.lines {
+        println!("{line}");
+    }
+    for v in &committed.violations {
+        println!("BROKEN {path}: {v}");
+    }
+    for v in &live.violations {
+        println!("BROKEN smoke: {v}");
+    }
+    let broken = committed.violations.len() + live.violations.len();
+    if broken == 0 {
+        eprintln!(
+            "[gate] ok: {path} and a live smoke meet the {} rules",
+            mode.name
         );
     }
-    let smoke = run_queries(&QueriesConfig::smoke(smoke_nodes, seed));
-    violations.extend(gate::queries_smoke_violations(&smoke, tolerance));
-    for v in &violations {
-        println!("SCHEMA {v}");
-    }
-    if violations.is_empty() {
-        eprintln!("[gate] ok: queries baseline + smoke clean");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("[gate] FAILED: {} violation(s)", violations.len());
-        ExitCode::FAILURE
-    }
-}
-
-/// Churn mode: committed-baseline validation + reduced live smoke of
-/// the dynamic-update loop.
-fn churn_gate(
-    baseline_json: &str,
-    baseline_path: &str,
-    smoke_nodes: usize,
-    seed: u64,
-    tolerance: f64,
-) -> ExitCode {
-    eprintln!(
-        "[gate] churn baseline {baseline_path}, tolerance {:.0}%, smoke at {smoke_nodes} nodes",
-        tolerance * 100.0
-    );
-    let (baseline_ref, rows) = match gate::parse_churn_baseline(baseline_json) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut violations = gate::churn_schema_violations(&rows);
-    for r in &rows {
-        println!(
-            "baseline {:5} {:>8.1} updates/s ({:>8.1} verified q/s interleaved), \
-             {:.1} signs/update, {:.1} dirty tuples, sessions {}, snapshot {} \
-             ({}/{} pages, {} B)",
-            r.method,
-            r.updates_per_sec,
-            r.query_qps,
-            r.signs_per_update,
-            r.avg_dirty_tuples,
-            if r.sessions_survive {
-                "survive"
-            } else {
-                "DROP"
-            },
-            if r.snapshot_in_place {
-                "in-place"
-            } else {
-                "rewrite"
-            },
-            r.snapshot_pages_rewritten,
-            r.snapshot_pages_total,
-            r.snapshot_bytes_written,
-        );
-    }
-    let smoke = run_churn(&ChurnConfig::smoke(smoke_nodes, seed));
-    violations.extend(gate::churn_smoke_violations(
-        baseline_ref,
-        &rows,
-        &smoke,
-        tolerance,
-    ));
-    for v in &violations {
-        println!("SCHEMA {v}");
-    }
-    if violations.is_empty() {
-        eprintln!("[gate] ok: churn baseline + smoke clean");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("[gate] FAILED: {} violation(s)", violations.len());
-        ExitCode::FAILURE
-    }
-}
-
-/// Service mode: committed-baseline validation + reduced live smoke of
-/// the mixed-traffic load generator.
-fn service_gate(baseline_json: &str, baseline_path: &str, seed: u64, tolerance: f64) -> ExitCode {
-    eprintln!(
-        "[gate] service baseline {baseline_path}, tolerance {:.0}%",
-        tolerance * 100.0
-    );
-    let baseline = match gate::parse_service_baseline(baseline_json) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "baseline {} cores, {} sessions x {} queries: single {:.1} q/s, service {:.1} q/s ({:.2}x), pool {} executed / {} stolen",
-        baseline.cores,
-        baseline.sessions,
-        baseline.queries_per_session,
-        baseline.single_qps,
-        baseline.service_qps,
-        baseline.speedup,
-        baseline.executed,
-        baseline.stolen,
-    );
-    let mut violations = gate::service_schema_violations(&baseline);
-    let smoke = run_loadgen(&LoadgenConfig::smoke(seed));
-    violations.extend(gate::service_smoke_violations(&baseline, &smoke, tolerance));
-    for v in &violations {
-        println!("SCHEMA {v}");
-    }
-    if violations.is_empty() {
-        eprintln!("[gate] ok: service baseline + smoke clean");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("[gate] FAILED: {} violation(s)", violations.len());
-        ExitCode::FAILURE
-    }
-}
-
-fn bad_usage(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}");
-    ExitCode::FAILURE
+    Ok(broken)
 }

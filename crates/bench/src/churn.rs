@@ -14,10 +14,12 @@
 //!   session verifying a burst of queries against the new epoch. The
 //!   loop's wall time yields `updates_per_sec` (sustained, *including*
 //!   the interleaved verified serving) and `query_qps`.
-//! * **re-sign discipline** — [`spnet_crypto::rsa::signing_ops`]
-//!   deltas across the loop pin `signs_per_update`: incremental repair
-//!   re-signs only the network root plus at most one auxiliary root,
-//!   never O(|V|) signatures. The gate bounds it at
+//! * **re-sign discipline** — the owner key's own
+//!   [`RsaKeyPair::signing_ops`] delta across the loop pins
+//!   `signs_per_update` (the process-wide counter would also count
+//!   whoever else signs meanwhile): incremental repair re-signs only
+//!   the network root plus at most one auxiliary root, never O(|V|)
+//!   signatures. The gate bounds it at
 //!   [`crate::gate::CHURN_MAX_SIGNS_PER_UPDATE`].
 //! * **dirty-set size** — a package-level probe over the same kind of
 //!   update sequence reports the average number of extended tuples a
@@ -33,27 +35,18 @@
 //! ```text
 //! cargo run --release -p spnet-bench --bin figures -- churn
 //! ```
-//!
-//! `SPNET_CHURN_SIDE` (lattice side, default 30 → 900 nodes) overrides
-//! the committed-artifact size — the CI smoke uses a reduced size
-//! through [`ChurnConfig::smoke`] instead of this env.
 
+use crate::json::Value;
 use crate::report::{fmt_f, Table};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use spnet_core::methods::{LdmConfig, MethodConfig};
 use spnet_core::owner::{DataOwner, SetupConfig};
 use spnet_core::snapshot::SnapshotRefresh;
 use spnet_core::{Client, SpService, StoreBackend};
-use spnet_crypto::rsa::{signing_ops, RsaKeyPair};
+use spnet_crypto::rsa::RsaKeyPair;
 use spnet_graph::gen::grid_network;
-use spnet_graph::landmark::{CompressionStrategy, LandmarkStrategy};
 use spnet_graph::NodeId;
-use std::fmt::Write as _;
 use std::time::Instant;
-
-/// Environment variable overriding the committed-artifact lattice side.
-pub const SIDE_ENV: &str = "SPNET_CHURN_SIDE";
 
 /// Configuration of one churn run.
 #[derive(Debug, Clone)]
@@ -76,17 +69,12 @@ pub struct ChurnConfig {
 }
 
 impl ChurnConfig {
-    /// The committed-artifact configuration: side from [`SIDE_ENV`]
-    /// (default 30 → 900 nodes; FULL repairs rows with per-row
-    /// Dijkstra, so the artifact stays minutes, not hours).
-    pub fn from_env(seed: u64) -> Self {
-        let side = std::env::var(SIDE_ENV)
-            .ok()
-            .and_then(|raw| raw.trim().parse().ok())
-            .filter(|&s| s >= 4)
-            .unwrap_or(30);
+    /// The committed-artifact configuration: side 30 → 900 nodes (FULL
+    /// repairs rows with per-row Dijkstra, so the artifact stays
+    /// minutes, not hours).
+    pub fn committed(seed: u64) -> Self {
         ChurnConfig {
-            side,
+            side: 30,
             updates: 40,
             queries_per_epoch: 8,
             probe_updates: 8,
@@ -109,25 +97,6 @@ impl ChurnConfig {
             cells: 9,
             seed,
         }
-    }
-
-    /// The four methods at the configured hint sizes, in the paper's
-    /// presentation order.
-    fn methods(&self) -> Vec<MethodConfig> {
-        vec![
-            MethodConfig::Dij,
-            MethodConfig::Full {
-                use_floyd_warshall: false,
-            },
-            MethodConfig::Ldm(LdmConfig {
-                landmarks: self.landmarks,
-                bits: 12,
-                xi: 50.0,
-                strategy: LandmarkStrategy::Farthest,
-                compression: CompressionStrategy::HilbertSweep,
-            }),
-            MethodConfig::Hyp { cells: self.cells },
-        ]
     }
 }
 
@@ -164,10 +133,6 @@ pub struct ChurnRow {
 /// The full experiment output.
 #[derive(Debug, Clone)]
 pub struct ChurnReport {
-    /// Whether the `parallel` feature was compiled in.
-    pub parallel: bool,
-    /// Worker threads available.
-    pub threads: usize,
     /// Master seed.
     pub seed: u64,
     /// |V| of the measured lattice.
@@ -209,7 +174,7 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
         .collect();
 
     let mut rows = Vec::new();
-    for method in cfg.methods() {
+    for method in crate::HarnessConfig::methods_at(cfg.landmarks, cfg.cells) {
         let setup = SetupConfig {
             seed: cfg.seed,
             ..SetupConfig::default()
@@ -269,7 +234,7 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
         // Timed mixed loop: update, then serve a verified burst on the
         // new epoch. Sessions only verify (no signing), so the signing
         // delta is exactly the repairs' re-sign cost.
-        let sign0 = signing_ops();
+        let sign0 = keypair.signing_ops();
         let t0 = Instant::now();
         for i in 0..cfg.updates {
             let (u, v, _) = edges[rng_u.random_range(0..edges.len())];
@@ -284,7 +249,7 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
             }
         }
         let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
-        let signs = signing_ops() - sign0;
+        let signs = keypair.signing_ops() - sign0;
         let updates_per_sec = cfg.updates as f64 / elapsed;
         let query_qps = (cfg.updates * cfg.queries_per_epoch) as f64 / elapsed;
         let signs_per_update = signs as f64 / cfg.updates.max(1) as f64;
@@ -338,10 +303,6 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
         rows.push(row);
     }
     ChurnReport {
-        parallel: spnet_core::PARALLEL_ENABLED,
-        threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
         seed: cfg.seed,
         num_nodes: n,
         num_edges: g.num_edges(),
@@ -393,88 +354,42 @@ impl ChurnReport {
         vec![("churn".into(), t)]
     }
 
-    /// Serializes the report as pretty JSON (hand-rolled; no serde in
-    /// the offline environment).
-    pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.2}")
-            } else {
-                "null".into()
-            }
-        }
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"schema\": \"spnet-churn/v1\",");
-        let _ = writeln!(s, "  \"parallel\": {},", self.parallel);
-        let _ = writeln!(s, "  \"threads\": {},", self.threads);
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"num_nodes\": {},", self.num_nodes);
-        let _ = writeln!(s, "  \"num_edges\": {},", self.num_edges);
-        let _ = writeln!(s, "  \"ref_qps\": {},", num(self.ref_qps));
-        let _ = writeln!(s, "  \"rows\": [");
-        for (i, r) in self.rows.iter().enumerate() {
-            let comma = if i + 1 < self.rows.len() { "," } else { "" };
-            let _ = writeln!(s, "    {{");
-            let _ = writeln!(s, "      \"method\": \"{}\",", r.method);
-            let _ = writeln!(s, "      \"updates\": {},", r.updates);
-            let _ = writeln!(s, "      \"updates_per_sec\": {},", num(r.updates_per_sec));
-            let _ = writeln!(s, "      \"query_qps\": {},", num(r.query_qps));
-            let _ = writeln!(
-                s,
-                "      \"signs_per_update\": {},",
-                num(r.signs_per_update)
-            );
-            let _ = writeln!(
-                s,
-                "      \"avg_dirty_tuples\": {},",
-                num(r.avg_dirty_tuples)
-            );
-            let _ = writeln!(s, "      \"sessions_survive\": {},", r.sessions_survive);
-            let _ = writeln!(s, "      \"snapshot_in_place\": {},", r.snapshot_in_place);
-            let _ = writeln!(
-                s,
-                "      \"snapshot_pages_total\": {},",
-                r.snapshot_pages_total
-            );
-            let _ = writeln!(
-                s,
-                "      \"snapshot_pages_rewritten\": {},",
-                r.snapshot_pages_rewritten
-            );
-            let _ = writeln!(
-                s,
-                "      \"snapshot_bytes_written\": {}",
-                r.snapshot_bytes_written
-            );
-            let _ = writeln!(s, "    }}{comma}");
-        }
-        let _ = writeln!(s, "  ]");
-        let _ = writeln!(s, "}}");
-        s
-    }
-
-    /// Writes `BENCH_churn.json` into `dir`.
-    pub fn save_json(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
-        let path = dir.join("BENCH_churn.json");
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
+    /// The report as a `spnet-churn/v1` record.
+    pub fn record(&self) -> Value {
+        let row = |r: &ChurnRow| {
+            Value::obj([
+                ("method", r.method.as_str().into()),
+                ("updates", r.updates.into()),
+                ("updates_per_sec", Value::measured(r.updates_per_sec)),
+                ("query_qps", Value::measured(r.query_qps)),
+                ("signs_per_update", Value::measured(r.signs_per_update)),
+                ("avg_dirty_tuples", Value::measured(r.avg_dirty_tuples)),
+                ("sessions_survive", r.sessions_survive.into()),
+                ("snapshot_in_place", r.snapshot_in_place.into()),
+                ("snapshot_pages_total", r.snapshot_pages_total.into()),
+                (
+                    "snapshot_pages_rewritten",
+                    r.snapshot_pages_rewritten.into(),
+                ),
+                ("snapshot_bytes_written", r.snapshot_bytes_written.into()),
+            ])
+        };
+        Value::obj([
+            ("schema", "spnet-churn/v1".into()),
+            ("seed", self.seed.into()),
+            ("num_nodes", self.num_nodes.into()),
+            ("num_edges", self.num_edges.into()),
+            ("ref_qps", Value::measured(self.ref_qps)),
+            ("rows", self.rows.iter().map(row).collect()),
+        ])
     }
 }
 
 /// Experiment entry point used by the `figures` binary: prints the
 /// table and writes `BENCH_churn.json` to the current directory.
 pub fn churn(cfg: &crate::config::HarnessConfig) -> Vec<(String, Table)> {
-    let report = run_churn(&ChurnConfig::from_env(cfg.seed));
-    let tables = report.tables();
-    for (_, t) in &tables {
-        t.print();
-    }
-    match report.save_json(std::path::Path::new(".")) {
-        Ok(path) => eprintln!("[churn] wrote {}", path.display()),
-        Err(e) => eprintln!("[churn] could not write BENCH_churn.json: {e}"),
-    }
-    tables
+    let report = run_churn(&ChurnConfig::committed(cfg.seed));
+    crate::report::publish("churn", report.record(), report.tables())
 }
 
 #[cfg(test)]
@@ -504,9 +419,9 @@ mod tests {
                 r.method
             );
         }
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"spnet-churn/v1\""));
-        assert!(json.contains("\"signs_per_update\""));
-        assert!(json.contains("\"HYP\""));
+        assert_eq!(
+            crate::gate::structural_violations("churn", &report.record()),
+            Vec::<String>::new()
+        );
     }
 }

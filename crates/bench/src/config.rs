@@ -86,6 +86,18 @@ impl HarnessConfig {
         ]
     }
 
+    /// The four methods at the paper's LDM settings, with only the hint
+    /// sizes chosen: what the reduced-size experiments (service,
+    /// queries, churn) run.
+    pub fn methods_at(landmarks: usize, cells: usize) -> Vec<MethodConfig> {
+        let sized = HarnessConfig {
+            landmarks,
+            cells,
+            ..HarnessConfig::default()
+        };
+        sized.all_methods()
+    }
+
     /// The hint-based methods (construction-time figures omit DIJ).
     pub fn hint_methods(&self) -> Vec<MethodConfig> {
         self.all_methods().into_iter().skip(1).collect()

@@ -560,10 +560,10 @@ pub fn run(id: &str, cfg: &HarnessConfig) -> Option<Vec<(String, Table)>> {
         // million-node publish.
         "store" => Some(crate::store::store(cfg)),
         // Also outside `all`: rewrites the committed BENCH_queries.json
-        // query-operator baseline the queries-gate checks against.
+        // query-operator baseline the `queries` gate checks against.
         "queries" => Some(crate::queries::queries(cfg)),
         // Also outside `all`: rewrites the committed BENCH_churn.json
-        // dynamic-update baseline the churn-gate checks against.
+        // dynamic-update baseline the `churn` gate checks against.
         "churn" => Some(crate::churn::churn(cfg)),
         "all" => {
             let mut out = Vec::new();

@@ -1,1755 +1,870 @@
-//! Benchmark-regression gates: compares fresh measurement passes
-//! against the committed `BENCH_throughput.json` / `BENCH_scale.json`
-//! / `BENCH_service.json` / `BENCH_store.json` / `BENCH_queries.json`
-//! / `BENCH_churn.json` baselines.
+//! Benchmark gates: one rule evaluator over [`Value`] records plus one
+//! `const` rule table per experiment.
 //!
-//! Used by the CI `throughput-gate`, `scale-gate`, `service-gate`,
-//! `store-gate`, `queries-gate` and `churn-gate` jobs (see
-//! `.github/workflows/ci.yml` and the `throughput_gate` binary).
+//! Every experiment emits a record (`record()` on its report) and
+//! commits one as `BENCH_<mode>.json`. A [`Mode`] names the artifact's
+//! schema tag, how to re-run the experiment at smoke size, and the
+//! rules that hold of its records. A [`Rule`] selects rows — the record
+//! itself (`""`), the elements of an array member (`"rows"`), or of an
+//! array inside each of those (`"rows/sssp"`) — keeps the ones its
+//! `when` conditions accept, and applies one [`Check`]:
 //!
-//! ## Throughput gate
+//! * `Keys(col, names)` — each name is some row's `col` (per parent),
+//! * `Any` — at least one row is selected,
+//! * `Positive(cols)` — finite and `> 0`, so neither `null` nor absent,
+//! * `Between(col, lo, hi)` — `lo ≤ col ≤ hi`,
+//! * `True(col)` / `Zero(col)` — `col == true` / `col == 0`,
+//! * `Rel(a, op, k, b)` — `a ≥ k·b`, `a ≤ k·b` or `a < k·b`,
+//! * `Regress(key, cols)` — against the committed row with the same
+//!   `key`, after scaling by the two records' `ref_qps` machine-speed
+//!   probes: `current · (baseline_ref / current_ref) ≥ baseline · (1 −
+//!   TOLERANCE)`.
 //!
-//! 1. **Schema** — the baseline must report all four methods
-//!    (DIJ/FULL/LDM/HYP) with non-null `batch_prove_qps` /
-//!    `batch_verify_qps` **and** a non-null `stream_verify_qps`
-//!    (every method must stream), plus the batch-amortization
-//!    invariant this repo tracks: FULL and HYP batch verify at least
-//!    their sequential verify rate.
-//! 2. **Regression** — every qps column of the current run must stay
-//!    within a tolerance of the committed baseline **after
-//!    normalizing by the in-run reference probe**: both the baseline
-//!    and the current report carry `ref_qps` (textbook
-//!    `reference::sssp` runs/s on a fixed graph), and the gate
-//!    compares `current · (baseline_ref / current_ref) ≥ baseline ·
-//!    (1 − tolerance)`. Machine-speed differences cancel, so the
-//!    default tolerance is 0.15 (down from the 0.30 the absolute
-//!    comparison needed); `SPNET_GATE_TOLERANCE` still overrides it
-//!    for unpinned runners.
-//!
-//! ## Scale gate
-//!
-//! The committed `BENCH_scale.json` is validated structurally: a row
-//! at ≥ 1M nodes with non-null SSSP columns for all three families and
-//! non-null prove/verify rates for DIJ/LDM/HYP, and the headline
-//! claim — bucket-queue SSSP ≥ 2× the 4-ary heap on the 1M road
-//! network. A reduced-size live smoke re-runs the experiment and
-//! fails if any column degenerates or the bucket queue stops beating
-//! the heap within the tolerance.
-//!
-//! ## Queries gate
-//!
-//! The committed `BENCH_queries.json` (the verified query-operator
-//! experiment) is validated structurally: all four methods answering
-//! range / k-NN / matrix with positive verify rates and non-empty
-//! certificates, a non-trivial range member set, the pooled matrix
-//! certificate strictly smaller than per-pair answers, and the k-NN
-//! completeness certificate within 5× the plain pooled batch on the
-//! same pairs. A reduced-size live smoke re-runs the operators and
-//! re-checks the same machine-independent invariants.
-//!
-//! ## Churn gate
-//!
-//! The committed `BENCH_churn.json` (the dynamic-update experiment)
-//! is validated structurally: all four methods sustaining edge
-//! re-weights with verified serving interleaved, at most
-//! [`CHURN_MAX_SIGNS_PER_UPDATE`] RSA signatures per update, pinned
-//! sessions surviving updates on their epoch, and the post-churn
-//! snapshot refresh staying in place. A reduced live smoke re-runs
-//! the loop and compares its probe-normalized sustained update rate
-//! against the committed baseline.
-//!
-//! ## Service gate
-//!
-//! The committed `BENCH_service.json` (the mixed-traffic load
-//! generator's output) is validated structurally — all four methods
-//! carrying traffic, scheduler engaged, concurrent answers
-//! bit-identical to sequential serving, and the concurrent speedup ≥
-//! 2× whenever the baseline host had ≥ 4 cores. A reduced live smoke
-//! re-runs the load generator and compares its probe-normalized
-//! throughput against the committed baseline.
-//!
-//! Baseline formats are the hand-rolled JSON written by
-//! [`ThroughputReport::to_json`] / `ScaleReport::to_json`; the parsers
-//! below are their inverses for exactly those schemas (no serde in the
-//! offline environment), pinned by round-trip tests.
+//! Lists (`names`, `cols`) are space-separated words. Every comparison
+//! is written so that a NaN, `null` or absent operand fails it. A
+//! rule's [`Scope`] says whether it holds of the committed artifact, of
+//! a live smoke run, or of both; [`check`] applies the same table to
+//! either, and that is all the CI gate (`throughput_gate --mode <m>`)
+//! does.
 
-use crate::churn::{ChurnReport, ChurnRow};
-use crate::loadgen::ServiceReport;
-use crate::queries::{QueriesReport, QueriesRow};
-use crate::scale::{MethodScale, ScaleReport, ScaleRow, SsspScale};
-use crate::store::{StoreReport, StoreRow};
-use crate::throughput::{MethodThroughput, ThroughputReport};
+use crate::config::HarnessConfig;
+use crate::json::Value;
+use Check::*;
+use Op::*;
+use Scope::*;
 
-/// Environment variable overriding the regression tolerance.
-pub const TOLERANCE_ENV: &str = "SPNET_GATE_TOLERANCE";
-
-/// Default regression tolerance (fraction of the baseline rate,
-/// applied after reference-probe normalization).
-pub const DEFAULT_TOLERANCE: f64 = 0.15;
-
-/// The methods a throughput report must cover, in report order.
-pub const REQUIRED_METHODS: [&str; 4] = ["DIJ", "FULL", "LDM", "HYP"];
-
-/// The methods a scale row must cover (FULL is excluded by
-/// construction: O(|V|²) precomputation at 1M nodes).
-pub const SCALE_METHODS: [&str; 3] = ["DIJ", "LDM", "HYP"];
-
+/// Allowed regression of a live smoke against the committed baseline
+/// (fraction, after reference-probe normalisation), and the slack a
+/// smoke gets on timing ratios the committed artifact must meet exactly.
+pub const TOLERANCE: f64 = 0.15;
+/// The methods a report must cover.
+pub const REQUIRED_METHODS: &str = "DIJ FULL LDM HYP";
+/// The methods a scale row must cover (FULL is O(|V|²): excluded).
+pub const SCALE_METHODS: &str = "DIJ LDM HYP";
 /// The SSSP families a scale row must cover.
-pub const SCALE_FAMILIES: [&str; 3] = ["road", "highway", "scale_free"];
-
-/// Minimum node count the committed scale baseline must reach.
-pub const SCALE_MIN_NODES: usize = 1_000_000;
-
+pub const SCALE_FAMILIES: &str = "road highway scale_free";
+/// Node count the committed scale and store baselines must reach.
+pub const MIN_NODES: f64 = 1e6;
 /// Required bucket-over-heap SSSP speedup on the ≥1M road network.
 pub const SCALE_ROAD_SPEEDUP: f64 = 2.0;
-
-/// Reads the regression tolerance from [`TOLERANCE_ENV`], falling back
-/// to [`DEFAULT_TOLERANCE`]. Errors on unparsable or out-of-range
-/// values rather than silently gating at the wrong threshold.
-pub fn tolerance_from_env() -> Result<f64, String> {
-    match std::env::var(TOLERANCE_ENV) {
-        Err(_) => Ok(DEFAULT_TOLERANCE),
-        Ok(raw) => match raw.trim().parse::<f64>() {
-            Ok(t) if (0.0..1.0).contains(&t) => Ok(t),
-            _ => Err(format!(
-                "{TOLERANCE_ENV}={raw:?} is not a fraction in [0, 1)"
-            )),
-        },
-    }
-}
-
-/// A parsed throughput baseline: the reference probe rate plus the
-/// per-method columns.
-#[derive(Debug, Clone)]
-pub struct Baseline {
-    /// The baseline host's reference-probe rate (sssp/s).
-    pub ref_qps: f64,
-    /// Per-method committed rates.
-    pub methods: Vec<MethodThroughput>,
-}
-
-/// Parses the committed `BENCH_throughput.json` back into the baseline.
-/// Accepts exactly the schema [`ThroughputReport::to_json`] writes.
-pub fn parse_baseline(json: &str) -> Result<Baseline, String> {
-    let schema = string_field(json, "schema").ok_or("missing \"schema\" field")?;
-    if schema != "spnet-throughput/v3" {
-        return Err(format!(
-            "unsupported schema {schema:?} (v1/v2 baselines predate the \
-             reference-probe column; regenerate with `figures -- throughput`)"
-        ));
-    }
-    let ref_qps = required_num(json, "ref_qps")?;
-    if !positive(ref_qps) {
-        return Err(format!("baseline ref_qps {ref_qps} is not positive"));
-    }
-    let methods_start = json
-        .find("\"methods\"")
-        .ok_or("missing \"methods\" array")?;
-    let array = &json[methods_start..];
-    let mut methods = Vec::new();
-    let mut rest = array;
-    while let Some(open) = rest.find('{') {
-        let close = rest[open..].find('}').ok_or("unterminated method object")?;
-        let obj = &rest[open..open + close + 1];
-        methods.push(MethodThroughput {
-            method: string_field(obj, "method")
-                .ok_or("method object lacks \"method\"")?
-                .to_string(),
-            prove_qps: required_num(obj, "prove_qps")?,
-            verify_qps: required_num(obj, "verify_qps")?,
-            batch_prove_qps: optional_num(obj, "batch_prove_qps")?,
-            batch_verify_qps: optional_num(obj, "batch_verify_qps")?,
-            stream_verify_qps: optional_num(obj, "stream_verify_qps")?,
-        });
-        rest = &rest[open + close + 1..];
-    }
-    if methods.is_empty() {
-        return Err("baseline contains no methods".into());
-    }
-    Ok(Baseline { ref_qps, methods })
-}
-
-/// Raw value text of `"key": <value>` inside `obj`.
-fn raw_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = obj[start..].trim_start();
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-fn string_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    raw_field(obj, key)?.strip_prefix('"')?.strip_suffix('"')
-}
-
-fn optional_num(obj: &str, key: &str) -> Result<Option<f64>, String> {
-    match raw_field(obj, key) {
-        None => Err(format!("missing field {key:?}")),
-        Some("null") => Ok(None),
-        Some(v) => v
-            .parse::<f64>()
-            .map(Some)
-            .map_err(|_| format!("field {key:?} is not a number: {v:?}")),
-    }
-}
-
-fn required_num(obj: &str, key: &str) -> Result<f64, String> {
-    optional_num(obj, key)?.ok_or(format!("field {key:?} is null"))
-}
-
-/// Schema violations of a throughput report (empty = compliant).
-///
-/// With `require_amortization`, additionally checks the invariant the
-/// batch layer exists to provide: FULL and HYP batch verification at
-/// least as fast as their sequential verification. This is asserted on
-/// the *committed* baseline (a deliberate artifact), not on live CI
-/// runs, where it would be timing noise.
-pub fn schema_violations(methods: &[MethodThroughput], require_amortization: bool) -> Vec<String> {
-    let mut violations = Vec::new();
-    for want in REQUIRED_METHODS {
-        let Some(m) = methods.iter().find(|m| m.method == want) else {
-            violations.push(format!("method {want} missing from report"));
-            continue;
-        };
-        if !positive(m.prove_qps) || !positive(m.verify_qps) {
-            violations.push(format!("{want}: non-positive single-query qps"));
-        }
-        match (m.batch_prove_qps, m.batch_verify_qps) {
-            (Some(bp), Some(bv)) => {
-                if !positive(bp) || !positive(bv) {
-                    violations.push(format!("{want}: non-positive batch qps"));
-                } else if require_amortization
-                    && matches!(want, "FULL" | "HYP")
-                    && bv < m.verify_qps
-                {
-                    violations.push(format!(
-                        "{want}: batch verify {bv:.1}/s slower than sequential {:.1}/s",
-                        m.verify_qps
-                    ));
-                }
-            }
-            _ => violations.push(format!(
-                "{want}: null batch_prove_qps/batch_verify_qps (all methods must batch)"
-            )),
-        }
-        match m.stream_verify_qps {
-            Some(sv) if positive(sv) => {}
-            Some(_) => violations.push(format!("{want}: non-positive stream_verify_qps")),
-            None => violations.push(format!(
-                "{want}: null stream_verify_qps (all methods must stream)"
-            )),
-        }
-    }
-    violations
-}
-
-/// A finite, strictly positive rate (NaN/∞/0 all fail the schema).
-fn positive(v: f64) -> bool {
-    v.is_finite() && v > 0.0
-}
-
-/// One gated metric comparison.
-#[derive(Debug, Clone)]
-pub struct GateLine {
-    /// `"<METHOD> <column>"`.
-    pub metric: String,
-    /// Committed baseline rate.
-    pub baseline: f64,
-    /// Freshly measured rate (raw, un-normalized).
-    pub current: f64,
-    /// The current rate scaled by the reference-probe ratio — what is
-    /// actually compared against the baseline.
-    pub normalized: f64,
-    /// Whether `normalized` clears `baseline · (1 − tolerance)`.
-    pub ok: bool,
-}
-
-impl GateLine {
-    /// Human-readable verdict line.
-    pub fn render(&self) -> String {
-        format!(
-            "{:6} {:22} baseline {:>10.1}/s current {:>10.1}/s normalized {:>10.1}/s ({:+6.1}%)",
-            if self.ok { "ok" } else { "FAIL" },
-            self.metric,
-            self.baseline,
-            self.current,
-            self.normalized,
-            (self.normalized / self.baseline - 1.0) * 100.0,
-        )
-    }
-}
-
-/// Compares every qps column of `current` against `baseline`, scaling
-/// the current rates by `normalize` (the baseline-to-current
-/// reference-probe ratio; pass 1.0 for an absolute comparison).
-///
-/// A column present in the baseline but null in the current run is a
-/// failure (a method lost its batch path); columns null in the
-/// baseline are skipped (no reference to regress from).
-pub fn compare(
-    baseline: &[MethodThroughput],
-    current: &[MethodThroughput],
-    tolerance: f64,
-    normalize: f64,
-) -> Vec<GateLine> {
-    let mut lines = Vec::new();
-    for b in baseline {
-        let cur = current.iter().find(|m| m.method == b.method);
-        let columns: [(&str, Option<f64>, Option<f64>); 5] = match cur {
-            Some(c) => [
-                ("prove_qps", Some(b.prove_qps), Some(c.prove_qps)),
-                ("verify_qps", Some(b.verify_qps), Some(c.verify_qps)),
-                ("batch_prove_qps", b.batch_prove_qps, c.batch_prove_qps),
-                ("batch_verify_qps", b.batch_verify_qps, c.batch_verify_qps),
-                (
-                    "stream_verify_qps",
-                    b.stream_verify_qps,
-                    c.stream_verify_qps,
-                ),
-            ],
-            None => [
-                ("prove_qps", Some(b.prove_qps), None),
-                ("verify_qps", Some(b.verify_qps), None),
-                ("batch_prove_qps", b.batch_prove_qps, None),
-                ("batch_verify_qps", b.batch_verify_qps, None),
-                ("stream_verify_qps", b.stream_verify_qps, None),
-            ],
-        };
-        for (name, base, cur) in columns {
-            let Some(base) = base else { continue };
-            let current = cur.unwrap_or(0.0);
-            let normalized = current * normalize;
-            lines.push(GateLine {
-                metric: format!("{} {}", b.method, name),
-                baseline: base,
-                current,
-                normalized,
-                ok: normalized >= base * (1.0 - tolerance),
-            });
-        }
-    }
-    lines
-}
-
-/// Runs the full throughput gate against an in-memory report. Returns
-/// the verdict lines and schema violations.
-pub fn gate_report(
-    baseline_json: &str,
-    current: &ThroughputReport,
-    tolerance: f64,
-) -> Result<(Vec<GateLine>, Vec<String>), String> {
-    let baseline = parse_baseline(baseline_json)?;
-    let mut violations = schema_violations(&baseline.methods, true);
-    violations.extend(
-        schema_violations(&current.methods, false)
-            .into_iter()
-            .map(|v| format!("current run: {v}")),
-    );
-    let normalize = if positive(baseline.ref_qps) && positive(current.ref_qps) {
-        baseline.ref_qps / current.ref_qps
-    } else {
-        violations.push(format!(
-            "current run: non-positive ref_qps {} (falling back to absolute comparison)",
-            current.ref_qps
-        ));
-        1.0
-    };
-    let lines = compare(&baseline.methods, &current.methods, tolerance, normalize);
-    Ok((lines, violations))
-}
-
-// ---------------------------------------------------------------------
-// Scale gate
-// ---------------------------------------------------------------------
-
-/// Top-level `{...}` object chunks of the JSON array at `"key": [`,
-/// bracket-depth aware (row objects nest further arrays/objects).
-fn array_objects<'a>(json: &'a str, key: &str) -> Result<Vec<&'a str>, String> {
-    let pat = format!("\"{key}\": [");
-    let start = json.find(&pat).ok_or(format!("missing {key:?} array"))? + pat.len();
-    let bytes = &json.as_bytes()[start..];
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut obj_start = None;
-    for (i, &b) in bytes.iter().enumerate() {
-        match b {
-            b'{' => {
-                if depth == 0 {
-                    obj_start = Some(i);
-                }
-                depth += 1;
-            }
-            b'}' => {
-                depth = depth
-                    .checked_sub(1)
-                    .ok_or(format!("unbalanced braces in {key:?}"))?;
-                if depth == 0 {
-                    let s = obj_start.take().ok_or("brace scan lost object start")?;
-                    out.push(&json[start + s..start + i + 1]);
-                }
-            }
-            b']' if depth == 0 => return Ok(out),
-            _ => {}
-        }
-    }
-    Err(format!("unterminated {key:?} array"))
-}
-
-/// Parses the committed `BENCH_scale.json` back into its rows.
-/// Accepts exactly the schema `ScaleReport::to_json` writes.
-pub fn parse_scale_baseline(json: &str) -> Result<Vec<ScaleRow>, String> {
-    let schema = string_field(json, "schema").ok_or("missing \"schema\" field")?;
-    if schema != "spnet-scale/v1" {
-        return Err(format!(
-            "unsupported scale schema {schema:?} (regenerate with `figures -- scale`)"
-        ));
-    }
-    let mut rows = Vec::new();
-    for row in array_objects(json, "rows")? {
-        let mut sssp = Vec::new();
-        for f in array_objects(row, "sssp")? {
-            sssp.push(SsspScale {
-                family: string_field(f, "family")
-                    .ok_or("sssp object lacks \"family\"")?
-                    .to_string(),
-                nodes: required_num(f, "nodes")? as usize,
-                edges: required_num(f, "edges")? as usize,
-                heap_ms: required_num(f, "heap_ms")?,
-                bucket_ms: required_num(f, "bucket_ms")?,
-            });
-        }
-        let mut methods = Vec::new();
-        for m in array_objects(row, "methods")? {
-            methods.push(MethodScale {
-                method: string_field(m, "method")
-                    .ok_or("method object lacks \"method\"")?
-                    .to_string(),
-                build_s: required_num(m, "build_s")?,
-                prove_qps: required_num(m, "prove_qps")?,
-                verify_qps: required_num(m, "verify_qps")?,
-            });
-        }
-        rows.push(ScaleRow {
-            label: string_field(row, "label")
-                .ok_or("row lacks \"label\"")?
-                .to_string(),
-            nodes: required_num(row, "nodes")? as usize,
-            sssp,
-            methods,
-        });
-    }
-    if rows.is_empty() {
-        return Err("scale baseline contains no rows".into());
-    }
-    Ok(rows)
-}
-
-/// Schema violations of the **committed** scale baseline (empty =
-/// compliant): a ≥1M-node row, every family and method column present
-/// and positive in every row, and the headline bucket-queue claim on
-/// the biggest road network.
-pub fn scale_schema_violations(rows: &[ScaleRow]) -> Vec<String> {
-    let mut violations = Vec::new();
-    if !rows.iter().any(|r| r.nodes >= SCALE_MIN_NODES) {
-        violations.push(format!(
-            "no row at >= {SCALE_MIN_NODES} nodes (the baseline must prove million-node scale)"
-        ));
-    }
-    for row in rows {
-        for fam in SCALE_FAMILIES {
-            match row.sssp.iter().find(|f| f.family == fam) {
-                None => violations.push(format!("{}: family {fam} missing", row.label)),
-                Some(f) if !positive(f.heap_ms) || !positive(f.bucket_ms) => {
-                    violations.push(format!("{}: {fam} has non-positive sssp ms", row.label))
-                }
-                Some(_) => {}
-            }
-        }
-        for want in SCALE_METHODS {
-            match row.methods.iter().find(|m| m.method == want) {
-                None => violations.push(format!("{}: method {want} missing", row.label)),
-                Some(m) if !positive(m.prove_qps) || !positive(m.verify_qps) => {
-                    violations.push(format!("{}: {want} has non-positive qps", row.label))
-                }
-                Some(_) => {}
-            }
-        }
-        if row.nodes >= SCALE_MIN_NODES {
-            if let Some(road) = row.sssp.iter().find(|f| f.family == "road") {
-                let speedup = road.heap_ms / road.bucket_ms;
-                if speedup < SCALE_ROAD_SPEEDUP || speedup.is_nan() {
-                    violations.push(format!(
-                        "{}: road bucket speedup {speedup:.2}x below required {SCALE_ROAD_SPEEDUP}x",
-                        row.label
-                    ));
-                }
-            }
-        }
-    }
-    violations
-}
-
-/// Violations of a **live smoke** scale run (empty = pass): every
-/// column must be measurable, and the bucket queue must not have
-/// regressed to slower than the heap beyond the tolerance. Absolute
-/// rates are NOT compared against the committed baseline — the smoke
-/// runs at a reduced size on an unpinned runner; the frontier ratio is
-/// the machine-independent signal.
-pub fn scale_smoke_violations(report: &ScaleReport, tolerance: f64) -> Vec<String> {
-    let mut violations = Vec::new();
-    if report.rows.is_empty() {
-        violations.push("smoke run produced no rows".into());
-    }
-    for row in &report.rows {
-        for fam in SCALE_FAMILIES {
-            match row.sssp.iter().find(|f| f.family == fam) {
-                None => violations.push(format!("smoke {}: family {fam} missing", row.label)),
-                Some(f) if !positive(f.heap_ms) || !positive(f.bucket_ms) => {
-                    violations.push(format!("smoke {}: {fam} non-positive ms", row.label))
-                }
-                Some(_) => {}
-            }
-        }
-        for want in SCALE_METHODS {
-            match row.methods.iter().find(|m| m.method == want) {
-                None => violations.push(format!("smoke {}: method {want} missing", row.label)),
-                Some(m) if !positive(m.prove_qps) || !positive(m.verify_qps) => {
-                    violations.push(format!("smoke {}: {want} non-positive qps", row.label))
-                }
-                Some(_) => {}
-            }
-        }
-        if let Some(road) = row.sssp.iter().find(|f| f.family == "road") {
-            if road.bucket_ms > road.heap_ms * (1.0 + tolerance) {
-                violations.push(format!(
-                    "smoke {}: road bucket {bucket:.1}ms slower than heap {heap:.1}ms beyond tolerance",
-                    row.label,
-                    bucket = road.bucket_ms,
-                    heap = road.heap_ms,
-                ));
-            }
-        }
-    }
-    violations
-}
-
-// ---------------------------------------------------------------------
-// Store gate
-// ---------------------------------------------------------------------
-
-/// Minimum node count the committed store baseline must reach.
-pub const STORE_MIN_NODES: usize = 1_000_000;
-
-/// Required rebuild-over-lazy-load speedup on the ≥1M-node row: a lazy
-/// cold start must beat rebuild-and-resign by at least this factor.
-/// The bar is modest because the row's method is DIJ — the cheapest
-/// possible rebuild (one tree, one signature) — and both paths pay the
-/// same linear tuple decode; what the snapshot saves is the tree
-/// hashing and the signing.
+/// Required rebuild-over-lazy-load speedup at ≥1M nodes. Modest: the
+/// row's method is DIJ, the cheapest rebuild (one tree, one signature).
 pub const STORE_LOAD_SPEEDUP: f64 = 1.25;
-
-/// Parses the committed `BENCH_store.json` back into its rows.
-/// Accepts exactly the schema `StoreReport::to_json` writes.
-pub fn parse_store_baseline(json: &str) -> Result<Vec<StoreRow>, String> {
-    let schema = string_field(json, "schema").ok_or("missing \"schema\" field")?;
-    if schema != "spnet-store/v1" {
-        return Err(format!(
-            "unsupported store schema {schema:?} (regenerate with `figures -- store`)"
-        ));
-    }
-    let mut rows = Vec::new();
-    for r in array_objects(json, "rows")? {
-        rows.push(StoreRow {
-            label: string_field(r, "label")
-                .ok_or("row lacks \"label\"")?
-                .to_string(),
-            nodes: required_num(r, "nodes")? as usize,
-            edges: required_num(r, "edges")? as usize,
-            build_sign_s: required_num(r, "build_sign_s")?,
-            save_s: required_num(r, "save_s")?,
-            load_mem_s: required_num(r, "load_mem_s")?,
-            load_file_s: required_num(r, "load_file_s")?,
-            snapshot_bytes: required_num(r, "snapshot_bytes")? as u64,
-            sign_ops_build: required_num(r, "sign_ops_build")? as u64,
-            sign_ops_load: required_num(r, "sign_ops_load")? as u64,
-        });
-    }
-    if rows.is_empty() {
-        return Err("store baseline contains no rows".into());
-    }
-    Ok(rows)
-}
-
-/// Schema violations of the **committed** store baseline (empty =
-/// compliant): a ≥1M-node row, positive timings and sizes everywhere,
-/// at least one signing op at publish, **zero** signing ops during the
-/// load window, and the headline claim — lazy snapshot load at least
-/// [`STORE_LOAD_SPEEDUP`]× faster than rebuild-and-resign at ≥1M nodes.
-pub fn store_schema_violations(rows: &[StoreRow]) -> Vec<String> {
-    let mut violations = Vec::new();
-    if !rows.iter().any(|r| r.nodes >= STORE_MIN_NODES) {
-        violations.push(format!(
-            "no row at >= {STORE_MIN_NODES} nodes (the baseline must prove million-node cold start)"
-        ));
-    }
-    for r in rows {
-        if !positive(r.build_sign_s)
-            || !positive(r.save_s)
-            || !positive(r.load_mem_s)
-            || !positive(r.load_file_s)
-        {
-            violations.push(format!("{}: non-positive timing column", r.label));
-        }
-        if r.snapshot_bytes == 0 {
-            violations.push(format!("{}: empty snapshot", r.label));
-        }
-        if r.sign_ops_build == 0 {
-            violations.push(format!("{}: publish performed no signing", r.label));
-        }
-        if r.sign_ops_load != 0 {
-            violations.push(format!(
-                "{}: cold start performed {} signing op(s); restart must not re-sign",
-                r.label, r.sign_ops_load
-            ));
-        }
-        if r.nodes >= STORE_MIN_NODES {
-            let speedup = r.file_speedup();
-            if speedup < STORE_LOAD_SPEEDUP || speedup.is_nan() {
-                violations.push(format!(
-                    "{}: lazy load speedup {speedup:.2}x below required {STORE_LOAD_SPEEDUP}x",
-                    r.label
-                ));
-            }
-        }
-    }
-    violations
-}
-
-/// Violations of a **live smoke** store run (empty = pass): the
-/// save→load round trip must work at the reduced size, the load window
-/// must sign nothing (machine-independent, no tolerance), and the lazy
-/// load must not be slower than rebuild-and-resign beyond the
-/// tolerance. Absolute timings are NOT compared against the committed
-/// baseline — the smoke runs at a reduced size on an unpinned runner.
-pub fn store_smoke_violations(report: &StoreReport, tolerance: f64) -> Vec<String> {
-    let mut violations = Vec::new();
-    if report.rows.is_empty() {
-        violations.push("smoke run produced no rows".into());
-    }
-    for r in &report.rows {
-        if !positive(r.build_sign_s)
-            || !positive(r.save_s)
-            || !positive(r.load_mem_s)
-            || !positive(r.load_file_s)
-        {
-            violations.push(format!("smoke {}: non-positive timing column", r.label));
-        }
-        if r.snapshot_bytes == 0 {
-            violations.push(format!("smoke {}: empty snapshot", r.label));
-        }
-        if r.sign_ops_build == 0 {
-            violations.push(format!("smoke {}: publish performed no signing", r.label));
-        }
-        if r.sign_ops_load != 0 {
-            violations.push(format!(
-                "smoke {}: cold start performed {} signing op(s)",
-                r.label, r.sign_ops_load
-            ));
-        }
-        if r.load_file_s > r.build_sign_s * (1.0 + tolerance) {
-            violations.push(format!(
-                "smoke {}: lazy load {:.3}s slower than rebuild {:.3}s beyond tolerance",
-                r.label, r.load_file_s, r.build_sign_s
-            ));
-        }
-    }
-    violations
-}
-
-// ---------------------------------------------------------------------
-// Service gate
-// ---------------------------------------------------------------------
-
-/// Required concurrent-over-sequential session-throughput speedup for a
-/// service baseline measured on ≥ [`SERVICE_MIN_CORES`] cores.
+/// Required concurrent-over-sequential speedup on ≥ [`SERVICE_MIN_CORES`].
 pub const SERVICE_SPEEDUP: f64 = 2.0;
-
-/// Core count below which the speedup bar does not apply: with fewer
-/// cores the scheduler has nothing to parallelize onto, and the honest
-/// report simply records the host it ran on.
-pub const SERVICE_MIN_CORES: usize = 4;
-
-fn bool_field(obj: &str, key: &str) -> Result<bool, String> {
-    match raw_field(obj, key) {
-        Some("true") => Ok(true),
-        Some("false") => Ok(false),
-        Some(v) => Err(format!("field {key:?} is not a bool: {v:?}")),
-        None => Err(format!("missing field {key:?}")),
-    }
-}
-
-/// Parses the committed `BENCH_service.json` back into a report.
-/// Accepts exactly the schema `ServiceReport::to_json` writes.
-pub fn parse_service_baseline(json: &str) -> Result<ServiceReport, String> {
-    let schema = string_field(json, "schema").ok_or("missing \"schema\" field")?;
-    if schema != "spnet-service/v1" {
-        return Err(format!(
-            "unsupported service schema {schema:?} (regenerate with `figures -- service`)"
-        ));
-    }
-    let mut methods = Vec::new();
-    for m in array_objects(json, "methods")? {
-        methods.push(crate::loadgen::MethodTraffic {
-            method: string_field(m, "method")
-                .ok_or("method object lacks \"method\"")?
-                .to_string(),
-            sessions: required_num(m, "sessions")? as usize,
-            queries: required_num(m, "queries")? as usize,
-            service_qps: required_num(m, "service_qps")?,
-        });
-    }
-    Ok(ServiceReport {
-        ref_qps: required_num(json, "ref_qps")?,
-        cores: required_num(json, "cores")? as usize,
-        threads: required_num(json, "threads")? as usize,
-        sessions: required_num(json, "sessions")? as usize,
-        queries_per_session: required_num(json, "queries_per_session")? as usize,
-        chunk_len: required_num(json, "chunk_len")? as usize,
-        num_nodes: required_num(json, "num_nodes")? as usize,
-        num_edges: required_num(json, "num_edges")? as usize,
-        parallel: bool_field(json, "parallel")?,
-        bit_identical: bool_field(json, "bit_identical")?,
-        single_qps: required_num(json, "single_qps")?,
-        service_qps: required_num(json, "service_qps")?,
-        speedup: required_num(json, "speedup")?,
-        executed: required_num(json, "executed")? as u64,
-        stolen: required_num(json, "stolen")? as u64,
-        methods,
-    })
-}
-
-/// Schema violations of a service report (empty = compliant): positive
-/// probe and throughput columns, all four methods carrying traffic,
-/// scheduler engagement, bit-identity with sequential serving — and,
-/// when the report was measured on ≥ [`SERVICE_MIN_CORES`] cores, the
-/// headline concurrent speedup of ≥ [`SERVICE_SPEEDUP`]×.
-pub fn service_schema_violations(r: &ServiceReport) -> Vec<String> {
-    let mut violations = Vec::new();
-    if !positive(r.ref_qps) {
-        violations.push(format!("non-positive ref_qps {}", r.ref_qps));
-    }
-    if !positive(r.single_qps) || !positive(r.service_qps) {
-        violations.push("non-positive single_qps/service_qps".into());
-    }
-    if r.cores == 0 {
-        violations.push("cores must be >= 1".into());
-    }
-    if !r.bit_identical {
-        violations.push("concurrent serving changed an answer (bit_identical false)".into());
-    }
-    if r.executed == 0 {
-        violations.push("scheduler executed no jobs (streams did not use the pool)".into());
-    }
-    for want in REQUIRED_METHODS {
-        match r.methods.iter().find(|m| m.method == want) {
-            None => violations.push(format!("method {want} missing from traffic mix")),
-            Some(m) if m.sessions == 0 || m.queries == 0 => {
-                violations.push(format!("{want}: no traffic (sessions or queries = 0)"))
-            }
-            Some(m) if !positive(m.service_qps) => {
-                violations.push(format!("{want}: non-positive service_qps"))
-            }
-            Some(_) => {}
-        }
-    }
-    if r.cores >= SERVICE_MIN_CORES && (r.speedup < SERVICE_SPEEDUP || r.speedup.is_nan()) {
-        violations.push(format!(
-            "speedup {:.2}x below required {SERVICE_SPEEDUP}x on {} cores",
-            r.speedup, r.cores
-        ));
-    }
-    violations
-}
-
-/// Violations of a **live smoke** loadgen run against the committed
-/// baseline (empty = pass). The smoke must satisfy the structural
-/// schema (including the speedup bar with tolerance, if the CI host
-/// has the cores for it), and its probe-normalized throughput must not
-/// regress below the committed baseline beyond the tolerance.
-pub fn service_smoke_violations(
-    baseline: &ServiceReport,
-    smoke: &ServiceReport,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut violations: Vec<String> = service_schema_violations(smoke)
-        .into_iter()
-        // The hard speedup bar is asserted on the committed artifact;
-        // the live smoke gets the tolerance (re-checked below).
-        .filter(|v| !v.contains("below required"))
-        .map(|v| format!("smoke: {v}"))
-        .collect();
-    let bar = SERVICE_SPEEDUP * (1.0 - tolerance);
-    if smoke.cores >= SERVICE_MIN_CORES && (smoke.speedup < bar || smoke.speedup.is_nan()) {
-        violations.push(format!(
-            "smoke: speedup {:.2}x below {SERVICE_SPEEDUP}x (-{:.0}% tolerance) on {} cores",
-            smoke.speedup,
-            tolerance * 100.0,
-            smoke.cores
-        ));
-    }
-    if positive(baseline.ref_qps) && positive(smoke.ref_qps) {
-        let normalize = baseline.ref_qps / smoke.ref_qps;
-        // `single_qps` is compared everywhere; the concurrent
-        // `service_qps` only where the pool has real parallelism —
-        // on a 1–3 core host its wall clock is dominated by
-        // scheduler contention noise, not serving-path speed.
-        let mut columns = vec![("single_qps", baseline.single_qps, smoke.single_qps)];
-        if smoke.cores >= SERVICE_MIN_CORES {
-            columns.push(("service_qps", baseline.service_qps, smoke.service_qps));
-        }
-        for (name, base, cur) in columns {
-            let normalized = cur * normalize;
-            if normalized < base * (1.0 - tolerance) {
-                violations.push(format!(
-                    "smoke: {name} {normalized:.1}/s (normalized) regressed below \
-                     baseline {base:.1}/s beyond tolerance"
-                ));
-            }
-        }
-    } else {
-        violations.push("cannot normalize: non-positive ref_qps".into());
-    }
-    violations
-}
-
-// ---------------------------------------------------------------------
-// Queries gate
-// ---------------------------------------------------------------------
-
-/// Maximum verify-cost multiplier of the k-NN completeness certificate
-/// over the plain pooled batch on the same `(source, poi)` pairs. The
-/// certificate adds one RSA signature check plus a whole-keyspace
-/// Merkle range proof — cheap next to the batch itself; a committed
-/// baseline beyond this bar means the directory verification path has
-/// regressed structurally.
+/// Below this the pool has nothing to parallelise onto and the report
+/// just records the host it ran on.
+pub const SERVICE_MIN_CORES: f64 = 4.0;
+/// Most the k-NN completeness certificate may cost to verify, as a
+/// multiple of the plain pooled batch over the same pairs.
 pub const QUERIES_KNN_OVERHEAD: f64 = 5.0;
-
-/// Parses the committed `BENCH_queries.json` back into its rows.
-/// Accepts exactly the schema `QueriesReport::to_json` writes.
-pub fn parse_queries_baseline(json: &str) -> Result<Vec<QueriesRow>, String> {
-    let schema = string_field(json, "schema").ok_or("missing \"schema\" field")?;
-    if schema != "spnet-queries/v1" {
-        return Err(format!(
-            "unsupported queries schema {schema:?} (regenerate with `figures -- queries`)"
-        ));
-    }
-    let mut rows = Vec::new();
-    for r in array_objects(json, "rows")? {
-        rows.push(QueriesRow {
-            method: string_field(r, "method")
-                .ok_or("row lacks \"method\"")?
-                .to_string(),
-            range_members: required_num(r, "range_members")? as usize,
-            range_verify_qps: required_num(r, "range_verify_qps")?,
-            range_cert_bytes: required_num(r, "range_cert_bytes")? as u64,
-            knn_verify_qps: required_num(r, "knn_verify_qps")?,
-            knn_cert_bytes: required_num(r, "knn_cert_bytes")? as u64,
-            plain_verify_qps: required_num(r, "plain_verify_qps")?,
-            matrix_verify_qps: required_num(r, "matrix_verify_qps")?,
-            matrix_cert_bytes: required_num(r, "matrix_cert_bytes")? as u64,
-            matrix_separate_bytes: required_num(r, "matrix_separate_bytes")? as u64,
-        });
-    }
-    if rows.is_empty() {
-        return Err("queries baseline contains no rows".into());
-    }
-    Ok(rows)
-}
-
-/// Structural violations of a set of queries rows (empty = compliant):
-/// all four methods with positive verify rates and non-empty
-/// certificates, a non-trivial range member set, the pooled matrix
-/// certificate strictly smaller than per-pair answers, and the k-NN
-/// completeness-certificate cost within `overhead_bar` of the plain
-/// batch. The committed baseline is held to [`QUERIES_KNN_OVERHEAD`];
-/// live smokes widen the bar by the tolerance (timing ratios on
-/// unpinned runners are noisy, byte counts are not).
-pub fn queries_schema_violations(rows: &[QueriesRow], overhead_bar: f64) -> Vec<String> {
-    let mut violations = Vec::new();
-    for want in REQUIRED_METHODS {
-        let Some(r) = rows.iter().find(|r| r.method == want) else {
-            violations.push(format!("method {want} missing from report"));
-            continue;
-        };
-        if !positive(r.range_verify_qps)
-            || !positive(r.knn_verify_qps)
-            || !positive(r.plain_verify_qps)
-            || !positive(r.matrix_verify_qps)
-        {
-            violations.push(format!("{want}: non-positive verify qps column"));
-            continue;
-        }
-        if r.range_cert_bytes == 0 || r.knn_cert_bytes == 0 || r.matrix_cert_bytes == 0 {
-            violations.push(format!("{want}: empty certificate"));
-        }
-        if r.range_members < 2 {
-            violations.push(format!(
-                "{want}: range certified only {} member(s) — the radius must cover a \
-                 non-trivial disc for the completeness check to mean anything",
-                r.range_members
-            ));
-        }
-        let overhead = r.knn_overhead();
-        // Negated form so a NaN ratio (zero/zero rates) also trips the gate.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(overhead <= overhead_bar) {
-            violations.push(format!(
-                "{want}: knn completeness certificate costs {overhead:.2}x the plain \
-                 batch (bar {overhead_bar:.2}x)"
-            ));
-        }
-        if r.matrix_cert_bytes >= r.matrix_separate_bytes {
-            violations.push(format!(
-                "{want}: pooled matrix certificate {} B not smaller than {} B of \
-                 per-pair answers — the shared tuple pool stopped paying",
-                r.matrix_cert_bytes, r.matrix_separate_bytes
-            ));
-        }
-    }
-    violations
-}
-
-/// Violations of a **live smoke** queries run (empty = pass): the
-/// structural schema at a reduced size, with the k-NN overhead bar
-/// widened by the tolerance. Absolute rates are NOT compared against
-/// the committed baseline — the smoke runs at a reduced size on an
-/// unpinned runner; the overhead ratio and the certificate byte
-/// comparison are the machine-independent signals.
-pub fn queries_smoke_violations(report: &QueriesReport, tolerance: f64) -> Vec<String> {
-    let mut violations = Vec::new();
-    if report.rows.is_empty() {
-        violations.push("smoke run produced no rows".into());
-    }
-    violations.extend(
-        queries_schema_violations(&report.rows, QUERIES_KNN_OVERHEAD * (1.0 + tolerance))
-            .into_iter()
-            .map(|v| format!("smoke: {v}")),
-    );
-    violations
-}
-
-/// Most RSA signing operations one edge re-weight may cost: the
-/// network root plus at most one auxiliary root (FULL's top tree,
-/// HYP's hyper-edge tree). Anything above this means a repair started
-/// re-signing per-entry — the O(|V|) failure mode incremental repair
-/// exists to avoid.
+/// Most RSA signatures one edge re-weight may cost: the network root
+/// plus one auxiliary root. More means a repair re-signs per entry.
 pub const CHURN_MAX_SIGNS_PER_UPDATE: f64 = 2.0;
 
-/// Parses the committed `BENCH_churn.json` back into its rows.
-/// Accepts exactly the schema `ChurnReport::to_json` writes.
-pub fn parse_churn_baseline(json: &str) -> Result<(f64, Vec<ChurnRow>), String> {
-    let schema = string_field(json, "schema").ok_or("missing \"schema\" field")?;
-    if schema != "spnet-churn/v1" {
+/// Which records a rule holds of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scope {
+    /// The committed `BENCH_*.json` only.
+    Committed,
+    /// A live smoke run only.
+    Smoke,
+    /// Both.
+    Both,
+}
+
+/// A row condition: a rule applies to the rows all its conditions accept.
+#[derive(Debug, Clone, Copy)]
+pub enum Cond {
+    /// `column ≥ bound`.
+    AtLeast(&'static str, f64),
+    /// `column` is one of the words.
+    OneOf(&'static str, &'static str),
+}
+
+/// The comparison of a [`Check::Rel`].
+#[derive(Debug, Clone, Copy)]
+pub enum Op {
+    Ge,
+    Le,
+    Lt,
+}
+
+/// What a rule asserts of the rows it selects (see the module docs).
+#[derive(Debug, Clone, Copy)]
+pub enum Check {
+    Keys(&'static str, &'static str),
+    Any,
+    Positive(&'static str),
+    Between(&'static str, f64, f64),
+    True(&'static str),
+    Zero(&'static str),
+    Rel(&'static str, Op, f64, &'static str),
+    Regress(&'static str, &'static str),
+}
+
+/// One line of a rule table.
+#[derive(Debug, Clone, Copy)]
+pub struct Rule {
+    pub scope: Scope,
+    /// `""`, `"member"` or `"member/member"`: where the rows are.
+    pub path: &'static str,
+    pub when: &'static [Cond],
+    pub check: Check,
+}
+
+const fn rule(scope: Scope, path: &'static str, when: &'static [Cond], check: Check) -> Rule {
+    Rule {
+        scope,
+        path,
+        when,
+        check,
+    }
+}
+
+const ALL: &[Cond] = &[];
+const BIG: &[Cond] = &[Cond::AtLeast("nodes", MIN_NODES)];
+const ROAD: &[Cond] = &[Cond::OneOf("family", "road")];
+const BIG_ROAD: &[Cond] = &[BIG[0], ROAD[0]];
+const FULL_HYP: &[Cond] = &[Cond::OneOf("method", "FULL HYP")];
+const MANY_CORES: &[Cond] = &[Cond::AtLeast("cores", SERVICE_MIN_CORES)];
+
+// The tables. Checks too long for one table line are named above it.
+
+const QPS: &str = "prove_qps verify_qps batch_prove_qps batch_verify_qps stream_verify_qps";
+const AMORTIZED: Check = Rel("batch_verify_qps", Ge, 1.0, "verify_qps");
+
+/// Every method proves, verifies, batches and streams; FULL and HYP
+/// batch-verify no slower than one by one (asserted of the committed
+/// artifact — on a live run it would be timing noise); no column of a
+/// live run regresses.
+const THROUGHPUT: &[Rule] = &[
+    rule(Both, "", ALL, Positive("ref_qps")),
+    rule(Both, "methods", ALL, Keys("method", REQUIRED_METHODS)),
+    rule(Both, "methods", ALL, Positive(QPS)),
+    rule(Committed, "methods", FULL_HYP, AMORTIZED),
+    rule(Smoke, "methods", ALL, Regress("method", QPS)),
+];
+
+const BUCKET_WINS: Check = Rel("heap_ms", Ge, SCALE_ROAD_SPEEDUP, "bucket_ms");
+const BUCKET_KEEPS_UP: Check = Rel("bucket_ms", Le, 1.0 + TOLERANCE, "heap_ms");
+
+/// A ≥1M-node row; every family and method measured in every row; the
+/// bucket queue ≥ 2× the heap on the big road network, and not behind
+/// it beyond the tolerance at smoke size (absolute rates of a
+/// reduced-size smoke are not comparable to the committed rows).
+const SCALE: &[Rule] = &[
+    rule(Committed, "rows", BIG, Any),
+    rule(Smoke, "rows", ALL, Any),
+    rule(Both, "rows/sssp", ALL, Keys("family", SCALE_FAMILIES)),
+    rule(Both, "rows/sssp", ALL, Positive("heap_ms bucket_ms")),
+    rule(Both, "rows/methods", ALL, Keys("method", SCALE_METHODS)),
+    rule(Both, "rows/methods", ALL, Positive("prove_qps verify_qps")),
+    rule(Committed, "rows/sssp", BIG_ROAD, BUCKET_WINS),
+    rule(Smoke, "rows/sssp", ROAD, BUCKET_KEEPS_UP),
+];
+
+const STORE_MEASURED: &str =
+    "build_sign_s save_s load_mem_s load_file_s snapshot_bytes sign_ops_build";
+const LOAD_WINS: Check = Rel("build_sign_s", Ge, STORE_LOAD_SPEEDUP, "load_file_s");
+const LOAD_KEEPS_UP: Check = Rel("load_file_s", Le, 1.0 + TOLERANCE, "build_sign_s");
+
+/// A ≥1M-node row; the round trip works; publishing signs, loading
+/// never does; the lazy load beats rebuild-and-resign by 1.25× at ≥1M
+/// and is not behind it beyond the tolerance at smoke size.
+const STORE: &[Rule] = &[
+    rule(Committed, "rows", BIG, Any),
+    rule(Smoke, "rows", ALL, Any),
+    rule(Both, "rows", ALL, Positive(STORE_MEASURED)),
+    rule(Both, "rows", ALL, Zero("sign_ops_load")),
+    rule(Committed, "rows", BIG, LOAD_WINS),
+    rule(Smoke, "rows", ALL, LOAD_KEEPS_UP),
+];
+
+const SERVICE_MEASURED: &str = "ref_qps single_qps service_qps cores executed";
+const TRAFFIC: &str = "sessions queries service_qps";
+const SPEEDUP: Check = speedup(SERVICE_SPEEDUP);
+const SMOKE_SPEEDUP: Check = speedup(SERVICE_SPEEDUP * (1.0 - TOLERANCE));
+const fn speedup(bar: f64) -> Check {
+    Rel("service_qps", Ge, bar, "single_qps")
+}
+
+/// All four methods carry traffic through the pool; concurrent answers
+/// are bit-identical to sequential ones; ≥ 2× speedup where the host
+/// has the cores for it (the smoke gets the tolerance). `single_qps`
+/// is held to the baseline everywhere, the concurrent `service_qps`
+/// only where its wall clock is not scheduler-contention noise.
+const SERVICE: &[Rule] = &[
+    rule(Both, "", ALL, Positive(SERVICE_MEASURED)),
+    rule(Both, "", ALL, True("bit_identical")),
+    rule(Both, "methods", ALL, Keys("method", REQUIRED_METHODS)),
+    rule(Both, "methods", ALL, Positive(TRAFFIC)),
+    rule(Committed, "", MANY_CORES, SPEEDUP),
+    rule(Smoke, "", MANY_CORES, SMOKE_SPEEDUP),
+    rule(Smoke, "", ALL, Regress("", "single_qps")),
+    rule(Smoke, "", MANY_CORES, Regress("", "service_qps")),
+];
+
+const QUERIES_MEASURED: &str = "range_verify_qps knn_verify_qps plain_verify_qps \
+     matrix_verify_qps range_cert_bytes knn_cert_bytes matrix_cert_bytes";
+const REAL_DISC: Check = Between("range_members", 2.0, f64::INFINITY);
+const KNN_COST: Check = knn_cost(QUERIES_KNN_OVERHEAD);
+const SMOKE_KNN_COST: Check = knn_cost(QUERIES_KNN_OVERHEAD * (1.0 + TOLERANCE));
+const fn knn_cost(bar: f64) -> Check {
+    Rel("plain_verify_qps", Le, bar, "knn_verify_qps")
+}
+const POOLING_WINS: Check = Rel("matrix_cert_bytes", Lt, 1.0, "matrix_separate_bytes");
+
+/// All four methods answer range / k-NN / matrix with non-empty
+/// certificates; the range disc is non-trivial; the completeness
+/// certificate costs ≤ 5× the plain batch (a timing ratio: the smoke
+/// gets the tolerance); the pooled matrix is smaller than per-pair
+/// answers (byte counts: no tolerance).
+const QUERIES: &[Rule] = &[
+    rule(Both, "rows", ALL, Keys("method", REQUIRED_METHODS)),
+    rule(Both, "rows", ALL, Positive(QUERIES_MEASURED)),
+    rule(Both, "rows", ALL, REAL_DISC),
+    rule(Committed, "rows", ALL, KNN_COST),
+    rule(Smoke, "rows", ALL, SMOKE_KNN_COST),
+    rule(Both, "rows", ALL, POOLING_WINS),
+];
+
+const SIGNS: Check = Between("signs_per_update", 1.0, CHURN_MAX_SIGNS_PER_UPDATE);
+const PAGES: Check = Rel("snapshot_pages_rewritten", Le, 1.0, "snapshot_pages_total");
+
+/// All four methods sustain updates with verified serving interleaved;
+/// each repair re-signs the root and at most one auxiliary root; pinned
+/// sessions survive; the snapshot refresh stays in place; the sustained
+/// update rate of a live run does not regress.
+const CHURN: &[Rule] = &[
+    rule(Both, "", ALL, Positive("ref_qps")),
+    rule(Both, "rows", ALL, Keys("method", REQUIRED_METHODS)),
+    rule(Both, "rows", ALL, Positive("updates_per_sec query_qps")),
+    rule(Both, "rows", ALL, SIGNS),
+    rule(Both, "rows", ALL, True("sessions_survive")),
+    rule(Both, "rows", ALL, True("snapshot_in_place")),
+    rule(Both, "rows", ALL, PAGES),
+    rule(Smoke, "rows", ALL, Regress("method", "updates_per_sec")),
+];
+
+/// One gated experiment.
+pub struct Mode {
+    /// `--mode` name; the artifact is `BENCH_<name>.json`.
+    pub name: &'static str,
+    /// The `schema` tag its records carry.
+    pub schema: &'static str,
+    pub rules: &'static [Rule],
+    /// Re-runs the experiment at smoke size: `(throughput-mode
+    /// settings and seed, --smoke-nodes)` → record.
+    pub smoke: fn(&HarnessConfig, usize) -> Value,
+}
+
+impl Mode {
+    /// The gate `--mode name` selects.
+    pub fn named(name: &str) -> Option<&'static Mode> {
+        MODES.iter().find(|m| m.name == name)
+    }
+}
+
+const fn mode(
+    name: &'static str,
+    schema: &'static str,
+    rules: &'static [Rule],
+    smoke: fn(&HarnessConfig, usize) -> Value,
+) -> Mode {
+    Mode {
+        name,
+        schema,
+        rules,
+        smoke,
+    }
+}
+
+/// The six gates, `throughput` (the default mode) first.
+pub static MODES: [Mode; 6] = [
+    mode("throughput", "spnet-throughput/v3", THROUGHPUT, |cfg, _| {
+        crate::run_throughput(cfg).record()
+    }),
+    mode("scale", "spnet-scale/v1", SCALE, |cfg, nodes| {
+        crate::run_scale(&crate::ScaleConfig::smoke(nodes, cfg.seed)).record()
+    }),
+    mode("service", "spnet-service/v1", SERVICE, |cfg, _| {
+        crate::run_loadgen(&crate::LoadgenConfig::smoke(cfg.seed)).record()
+    }),
+    mode("store", "spnet-store/v1", STORE, |cfg, nodes| {
+        crate::run_store(&crate::StoreConfig::smoke(nodes, cfg.seed)).record()
+    }),
+    mode("queries", "spnet-queries/v1", QUERIES, |cfg, nodes| {
+        crate::run_queries(&crate::QueriesConfig::smoke(nodes, cfg.seed)).record()
+    }),
+    mode("churn", "spnet-churn/v1", CHURN, |cfg, nodes| {
+        crate::run_churn(&crate::ChurnConfig::smoke(nodes, cfg.seed)).record()
+    }),
+];
+
+/// A rule a record breaks: which, on which row, with what values.
+#[derive(Debug, Clone)]
+pub struct Violation {
+    pub rule: &'static Rule,
+    pub detail: String,
+}
+
+impl std::fmt::Display for Violation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} — {}", self.rule, self.detail)
+    }
+}
+
+/// What [`check`] found: the broken rules, plus one rendered line per
+/// `Regress` comparison made (passing ones too, for the CI log).
+#[derive(Debug, Default)]
+pub struct Verdict {
+    pub violations: Vec<Violation>,
+    pub lines: Vec<String>,
+}
+
+/// A numeric member; NaN when absent, `null` or not a number, so every
+/// comparison on it fails.
+fn num(row: &Value, col: &str) -> f64 {
+    row.get(col).and_then(Value::as_f64).unwrap_or(f64::NAN)
+}
+
+fn text<'a>(row: &'a Value, col: &str) -> &'a str {
+    row.get(col).and_then(Value::as_str).unwrap_or("")
+}
+
+/// How messages name a row: its `label`, `method` or `family`.
+fn label(row: &Value) -> &str {
+    let named = ["label", "method", "family"].map(|c| text(row, c));
+    named.into_iter().find(|s| !s.is_empty()).unwrap_or("")
+}
+
+/// The rows at `path`, grouped by parent: `(parent label, rows)`.
+fn groups<'a>(record: &'a Value, path: &str) -> Vec<(&'a str, Vec<&'a Value>)> {
+    let member = |v: &'a Value, key: &str| v.get(key).map_or(&[][..], Value::items).iter();
+    match path.split_once('/') {
+        _ if path.is_empty() => vec![("", vec![record])],
+        None => vec![("", member(record, path).collect())],
+        Some((outer, inner)) => member(record, outer)
+            .map(|parent| (label(parent), member(parent, inner).collect()))
+            .collect(),
+    }
+}
+
+/// The assertion in words, from the rule's data: `rows/sssp: heap_ms >=
+/// 2 * bucket_ms [nodes >= 1000000, family in road]`.
+impl std::fmt::Display for Rule {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if !self.path.is_empty() {
+            write!(f, "{}: ", self.path)?;
+        }
+        match self.check {
+            Keys(col, names) => write!(f, "every {col} of {names}"),
+            Any => write!(f, "some row"),
+            Positive(cols) => write!(f, "{cols} > 0"),
+            Between(col, lo, hi) => write!(f, "{lo} <= {col} <= {hi}"),
+            True(col) => write!(f, "{col} == true"),
+            Zero(col) => write!(f, "{col} == 0"),
+            Rel(a, Ge, k, b) => write!(f, "{a} >= {k} * {b}"),
+            Rel(a, Le, k, b) => write!(f, "{a} <= {k} * {b}"),
+            Rel(a, Lt, k, b) => write!(f, "{a} < {k} * {b}"),
+            Regress(_, cols) => write!(f, "{cols} >= baseline - {:.0}%", TOLERANCE * 100.0),
+        }?;
+        let conds = self.when.iter().map(|cond| match *cond {
+            Cond::AtLeast(col, bound) => format!("{col} >= {bound}"),
+            Cond::OneOf(col, words) => format!("{col} in {words}"),
+        });
+        match conds.collect::<Vec<_>>() {
+            conds if conds.is_empty() => Ok(()),
+            conds => write!(f, " [{}]", conds.join(", ")),
+        }
+    }
+}
+
+impl Rule {
+    /// The rows of `record` at the rule's path that `when` accepts,
+    /// each with the name messages give it.
+    fn rows<'a>(&self, record: &'a Value, when: &[Cond]) -> Vec<(String, &'a Value)> {
+        let accepts = |row: &Value| {
+            when.iter().all(|cond| match *cond {
+                Cond::AtLeast(col, bound) => num(row, col) >= bound,
+                Cond::OneOf(col, words) => words.split(' ').any(|w| w == text(row, col)),
+            })
+        };
+        let mut out = Vec::new();
+        for (parent, rows) in groups(record, self.path) {
+            for row in rows.into_iter().filter(|row| accepts(row)) {
+                let name = match format!("{parent} {}", label(row)).trim() {
+                    "" => "record".to_string(),
+                    name => name.to_string(),
+                };
+                out.push((name, row));
+            }
+        }
+        out
+    }
+
+    /// Applies the rule: one detail per broken assertion, and one
+    /// rendered line per `Regress` comparison into `lines`.
+    fn apply(
+        &self,
+        record: &Value,
+        baseline: Option<&Value>,
+        lines: &mut Vec<String>,
+    ) -> Vec<String> {
+        let rows = self.rows(record, self.when);
+        let mut broken = Vec::new();
+        // The row-by-row checks: `holds(row, column)` for each of `cols`;
+        // a broken one reports that column and, if named, `other`.
+        let mut each = |cols: &str, other: &str, holds: &dyn Fn(&Value, &str) -> bool| {
+            for (name, row) in &rows {
+                for col in cols.split(' ').filter(|col| !holds(row, col)) {
+                    let found = |c| row.get(c).map_or("absent\n".into(), crate::json::write);
+                    let mut detail = format!("{name}: {col} {}", found(col).trim_end());
+                    if !other.is_empty() {
+                        detail += &format!(", {other} {}", found(other).trim_end());
+                    }
+                    broken.push(detail);
+                }
+            }
+        };
+        match self.check {
+            Keys(col, names) => {
+                for (parent, rows) in groups(record, self.path) {
+                    for name in names.split(' ') {
+                        if !rows.iter().any(|r| text(r, col) == name) {
+                            broken.push(format!("{parent}: no {col} {name}"));
+                        }
+                    }
+                }
+            }
+            Any if rows.is_empty() => broken.push("no such row".to_string()),
+            Any => {}
+            Positive(cols) => each(cols, "", &|row, col| {
+                num(row, col) > 0.0 && num(row, col).is_finite()
+            }),
+            Between(col, lo, hi) => each(col, "", &|row, col| {
+                lo <= num(row, col) && num(row, col) <= hi
+            }),
+            True(col) => each(col, "", &|row, col| {
+                row.get(col) == Some(&Value::Bool(true))
+            }),
+            Zero(col) => each(col, "", &|row, col| num(row, col) == 0.0),
+            Rel(a, op, k, b) => each(a, b, &|row, _| match op {
+                Ge => num(row, a) >= k * num(row, b),
+                Le => num(row, a) <= k * num(row, b),
+                Lt => num(row, a) < k * num(row, b),
+            }),
+            Regress(key, cols) => {
+                let base = baseline.unwrap_or(&Value::Null);
+                let (theirs, ours) = (num(base, "ref_qps"), num(record, "ref_qps"));
+                // No probe on either side: nothing is comparable.
+                let normalize = if theirs > 0.0 && ours > 0.0 {
+                    theirs / ours
+                } else {
+                    f64::NAN
+                };
+                let base_rows = self.rows(base, ALL);
+                for (name, row) in &rows {
+                    let twin = base_rows
+                        .iter()
+                        .find(|(_, b)| text(b, key) == text(row, key));
+                    for col in cols.split(' ') {
+                        // A column the baseline never measured has
+                        // nothing to regress from; no baseline row at
+                        // all leaves nothing to hold the smoke to.
+                        let committed = match twin.map(|(_, b)| b.get(col)) {
+                            Some(Some(Value::Null)) => continue,
+                            Some(Some(v)) => v.as_f64().unwrap_or(f64::NAN),
+                            _ => f64::NAN,
+                        };
+                        let current = num(row, col);
+                        let normalized = current * normalize;
+                        let ok = normalized >= committed * (1.0 - TOLERANCE);
+                        let change = (normalized / committed - 1.0) * 100.0;
+                        lines.push(format!(
+                            "{:4} {:26} baseline {committed:>10.1} current {current:>10.1} \
+                             normalized {normalized:>10.1} ({change:+6.1}%)",
+                            if ok { "ok" } else { "FAIL" },
+                            format!("{name} {col}"),
+                        ));
+                        if !ok {
+                            broken.push(format!("{name}: {col} {change:+.1}% vs the baseline"));
+                        }
+                    }
+                }
+            }
+        }
+        broken
+    }
+}
+
+/// Applies the rules of `mode` that hold in `scope` to `record`.
+/// `baseline` is the committed record that `Regress` rules compare
+/// against; a smoke checked without one breaks them. `Err` when the
+/// record carries another schema tag and no rule can be applied.
+pub fn check(
+    mode: &'static Mode,
+    scope: Scope,
+    record: &Value,
+    baseline: Option<&Value>,
+) -> Result<Verdict, String> {
+    let found = text(record, "schema");
+    if found != mode.schema {
         return Err(format!(
-            "unsupported churn schema {schema:?} (regenerate with `figures -- churn`)"
+            "schema {found:?} is not {:?}; regenerate with `figures -- {}`",
+            mode.schema, mode.name
         ));
     }
-    let ref_qps = required_num(json, "ref_qps")?;
-    let mut rows = Vec::new();
-    for r in array_objects(json, "rows")? {
-        rows.push(ChurnRow {
-            method: string_field(r, "method")
-                .ok_or("row lacks \"method\"")?
-                .to_string(),
-            updates: required_num(r, "updates")? as usize,
-            updates_per_sec: required_num(r, "updates_per_sec")?,
-            query_qps: required_num(r, "query_qps")?,
-            signs_per_update: required_num(r, "signs_per_update")?,
-            avg_dirty_tuples: required_num(r, "avg_dirty_tuples")?,
-            sessions_survive: bool_field(r, "sessions_survive")?,
-            snapshot_in_place: bool_field(r, "snapshot_in_place")?,
-            snapshot_pages_total: required_num(r, "snapshot_pages_total")? as u64,
-            snapshot_pages_rewritten: required_num(r, "snapshot_pages_rewritten")? as u64,
-            snapshot_bytes_written: required_num(r, "snapshot_bytes_written")? as u64,
-        });
+    let mut verdict = Verdict::default();
+    let in_scope = |r: &&Rule| r.scope == Both || r.scope == scope;
+    for rule in mode.rules.iter().filter(in_scope) {
+        for detail in rule.apply(record, baseline, &mut verdict.lines) {
+            verdict.violations.push(Violation { rule, detail });
+        }
     }
-    if rows.is_empty() {
-        return Err("churn baseline contains no rows".into());
-    }
-    Ok((ref_qps, rows))
+    Ok(verdict)
 }
 
-/// Structural violations of a set of churn rows (empty = compliant):
-/// all four methods sustaining updates with verified serving
-/// interleaved, per-update re-sign cost within
-/// [`CHURN_MAX_SIGNS_PER_UPDATE`], pinned sessions surviving the
-/// update, and the post-churn snapshot refresh taking the in-place
-/// path.
-pub fn churn_schema_violations(rows: &[ChurnRow]) -> Vec<String> {
-    let mut violations = Vec::new();
-    for want in REQUIRED_METHODS {
-        let Some(r) = rows.iter().find(|r| r.method == want) else {
-            violations.push(format!("method {want} missing from report"));
-            continue;
-        };
-        if !positive(r.updates_per_sec) || !positive(r.query_qps) {
-            violations.push(format!("{want}: non-positive churn rate column"));
-            continue;
-        }
-        // Negated forms so NaN also trips the gate.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(r.signs_per_update >= 1.0) {
-            violations.push(format!(
-                "{want}: {:.2} signs/update — every repair must re-sign the network root",
-                r.signs_per_update
-            ));
-        }
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(r.signs_per_update <= CHURN_MAX_SIGNS_PER_UPDATE) {
-            violations.push(format!(
-                "{want}: {:.2} signs/update (bar {CHURN_MAX_SIGNS_PER_UPDATE:.0}) — \
-                 a repair started re-signing per entry",
-                r.signs_per_update
-            ));
-        }
-        if !r.sessions_survive {
-            violations.push(format!(
-                "{want}: a pre-update session lost its pinned epoch — updates are \
-                 nuking the service again"
-            ));
-        }
-        if !r.snapshot_in_place {
-            violations.push(format!(
-                "{want}: post-churn snapshot refresh fell back to a full rewrite"
-            ));
-        }
-        if r.snapshot_pages_rewritten > r.snapshot_pages_total {
-            violations.push(format!(
-                "{want}: rewrote {} of {} snapshot pages — stats are inconsistent",
-                r.snapshot_pages_rewritten, r.snapshot_pages_total
-            ));
-        }
-    }
-    violations
-}
-
-/// Violations of a **live smoke** churn run against the committed
-/// baseline (empty = pass): the structural schema at a reduced size,
-/// plus a probe-normalized regression check on the sustained update
-/// rate — `current · (baseline_ref / current_ref)` must stay within
-/// the tolerance of the committed `updates_per_sec` for every method.
-pub fn churn_smoke_violations(
-    baseline_ref_qps: f64,
-    baseline: &[ChurnRow],
-    smoke: &ChurnReport,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut violations: Vec<String> = churn_schema_violations(&smoke.rows)
-        .into_iter()
-        .map(|v| format!("smoke: {v}"))
-        .collect();
-    if !positive(smoke.ref_qps) || !positive(baseline_ref_qps) {
-        violations.push("smoke: missing reference probe — cannot normalize rates".into());
-        return violations;
-    }
-    let scale = baseline_ref_qps / smoke.ref_qps;
-    for b in baseline {
-        let Some(s) = smoke.rows.iter().find(|r| r.method == b.method) else {
-            continue; // the structural pass above already reported it
-        };
-        let normalized = s.updates_per_sec * scale;
-        if normalized < b.updates_per_sec * (1.0 - tolerance) {
-            violations.push(format!(
-                "smoke: {} sustained {:.1} updates/s normalized ({:.1} raw) vs \
-                 baseline {:.1} — regression beyond {:.0}% tolerance",
-                b.method,
-                normalized,
-                s.updates_per_sec,
-                b.updates_per_sec,
-                tolerance * 100.0
-            ));
-        }
-    }
-    violations
+/// For the experiments' own unit tests: `record` survives the writer
+/// and the parser, and as a smoke against itself meets every rule of
+/// its mode a tiny run can be held to — all but the timing ratios.
+/// Returns the broken rules, rendered.
+#[cfg(test)]
+pub(crate) fn structural_violations(mode: &str, record: &Value) -> Vec<String> {
+    use crate::json;
+    assert_eq!(json::parse(&json::write(record)).as_ref(), Ok(record));
+    let mode = Mode::named(mode).expect("a gated mode");
+    let verdict = check(mode, Smoke, record, Some(record)).expect("the mode's schema tag");
+    let structural = verdict
+        .violations
+        .iter()
+        .filter(|v| !matches!(v.rule.check, Rel(..)));
+    structural.map(Violation::to_string).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scale::ScaleConfig;
+    use crate::json;
 
-    fn method(name: &str, qps: [f64; 5]) -> MethodThroughput {
-        MethodThroughput {
-            method: name.to_string(),
-            prove_qps: qps[0],
-            verify_qps: qps[1],
-            batch_prove_qps: Some(qps[2]),
-            batch_verify_qps: Some(qps[3]),
-            stream_verify_qps: Some(qps[4]),
+    fn mode(name: &str) -> &'static Mode {
+        Mode::named(name).expect("a gated mode")
+    }
+
+    /// The committed artifact of `mode`, from the repository root.
+    fn committed(mode: &Mode) -> Value {
+        let path = format!(
+            "{}/../../BENCH_{}.json",
+            env!("CARGO_MANIFEST_DIR"),
+            mode.name
+        );
+        json::parse(&std::fs::read_to_string(&path).expect(&path)).expect(&path)
+    }
+
+    fn step<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+        match v {
+            Value::Arr(items) => &mut items[key.parse::<usize>().expect(key)],
+            Value::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1,
+            _ => panic!("{key} steps into a scalar"),
         }
     }
 
-    fn full_report() -> ThroughputReport {
-        ThroughputReport {
-            ref_qps: 1000.0,
-            num_nodes: 100,
-            num_edges: 110,
-            queries: 10,
-            parallel: true,
-            threads: 4,
-            methods: vec![
-                method("DIJ", [4000.0, 450.0, 4100.0, 3700.0, 2500.0]),
-                method("FULL", [600.0, 950.0, 700.0, 2000.0, 1800.0]),
-                method("LDM", [2900.0, 430.0, 3000.0, 5300.0, 3200.0]),
-                method("HYP", [8800.0, 520.0, 9000.0, 4000.0, 3300.0]),
-            ],
+    fn scale(v: &mut Value, f: f64) {
+        match v {
+            Value::Num(n) => *n *= f,
+            Value::Arr(items) => items.iter_mut().for_each(|v| scale(v, f)),
+            Value::Obj(fields) => fields.iter_mut().for_each(|(_, v)| scale(v, f)),
+            _ => {}
         }
     }
 
-    #[test]
-    fn parser_inverts_report_writer() {
-        let report = full_report();
-        let parsed = parse_baseline(&report.to_json()).unwrap();
-        assert_eq!(parsed.ref_qps, report.ref_qps);
-        assert_eq!(parsed.methods.len(), 4);
-        for (p, m) in parsed.methods.iter().zip(&report.methods) {
-            assert_eq!(p.method, m.method);
-            assert_eq!(p.prove_qps, m.prove_qps);
-            assert_eq!(p.verify_qps, m.verify_qps);
-            assert_eq!(p.batch_prove_qps, m.batch_prove_qps);
-            assert_eq!(p.batch_verify_qps, m.batch_verify_qps);
-            assert_eq!(p.stream_verify_qps, m.stream_verify_qps);
+    /// `"path: key=to key=to"` — under the value at `path` (members and
+    /// array indices), sets each `key` to the JSON text `to`, or to NaN
+    /// (`NaN`), or deletes it (`-`), or scales every number below it by
+    /// `f` (`x<f>`).
+    fn edit(record: &mut Value, edits: &str) {
+        let (path, sets) = edits.split_once(": ").expect(edits);
+        let at = path.split('/').filter(|s| !s.is_empty()).fold(record, step);
+        for (key, to) in sets.split(' ').map(|set| set.split_once('=').expect(set)) {
+            match (to, to.strip_prefix('x'), &mut *at) {
+                ("-", _, Value::Arr(items)) => drop(items.remove(key.parse().expect(key))),
+                ("-", _, Value::Obj(fields)) => fields.retain(|(k, _)| k != key),
+                ("NaN", ..) => *step(at, key) = Value::Num(f64::NAN),
+                (_, Some(f), _) => scale(step(at, key), f.parse().expect(to)),
+                _ => *step(at, key) = json::parse(to).expect(to),
+            }
         }
     }
 
-    #[test]
-    fn parser_handles_null_batch_columns() {
-        let mut report = full_report();
-        report.methods[1].batch_prove_qps = None;
-        report.methods[1].batch_verify_qps = None;
-        let parsed = parse_baseline(&report.to_json()).unwrap();
-        assert_eq!(parsed.methods[1].batch_prove_qps, None);
-        assert_eq!(parsed.methods[1].batch_verify_qps, None);
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_baseline("").is_err());
-        assert!(parse_baseline("{\"schema\": \"other/v9\"}").is_err());
-        assert!(parse_baseline("{\"schema\": \"spnet-throughput/v3\"}").is_err());
-        // Pre-probe baselines must be regenerated, not half-parsed.
-        assert!(parse_baseline("{\"schema\": \"spnet-throughput/v2\"}").is_err());
-        assert!(parse_baseline("{\"schema\": \"spnet-throughput/v1\"}").is_err());
-    }
-
-    #[test]
-    fn schema_flags_null_stream_column() {
-        let mut methods = full_report().methods;
-        methods[2].stream_verify_qps = None;
-        let v = schema_violations(&methods, false);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("LDM") && v[0].contains("stream"), "{v:?}");
-        methods[2].stream_verify_qps = Some(0.0);
-        let v = schema_violations(&methods, false);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("non-positive stream"), "{v:?}");
-    }
-
-    #[test]
-    fn schema_flags_null_batch_columns() {
-        let mut methods = full_report().methods;
-        methods[3].batch_verify_qps = None;
-        let v = schema_violations(&methods, false);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("HYP"), "{v:?}");
-    }
-
-    #[test]
-    fn schema_flags_missing_method() {
-        let mut methods = full_report().methods;
-        methods.remove(1);
-        let v = schema_violations(&methods, false);
-        assert!(v.iter().any(|l| l.contains("FULL")), "{v:?}");
-    }
-
-    #[test]
-    fn schema_flags_lost_amortization_only_when_strict() {
-        let mut methods = full_report().methods;
-        // FULL batch verify slower than sequential verify.
-        methods[1].batch_verify_qps = Some(100.0);
-        assert!(schema_violations(&methods, false).is_empty());
-        let strict = schema_violations(&methods, true);
-        assert_eq!(strict.len(), 1);
-        assert!(strict[0].contains("FULL"), "{strict:?}");
-    }
-
-    #[test]
-    fn compare_passes_within_tolerance_and_fails_beyond() {
-        let baseline = full_report().methods;
-        let mut current = full_report().methods;
-        current[0].prove_qps = 3500.0; // -12.5% of 4000: within 15%
-        current[2].verify_qps = 300.0; // -30% of 430: beyond 15%
-        let lines = compare(&baseline, &current, 0.15, 1.0);
-        assert_eq!(lines.len(), 20, "4 methods x 5 columns");
-        let failing: Vec<&GateLine> = lines.iter().filter(|l| !l.ok).collect();
-        assert_eq!(failing.len(), 1);
-        assert_eq!(failing[0].metric, "LDM verify_qps");
-        assert!(failing[0].render().contains("FAIL"));
-    }
-
-    #[test]
-    fn normalization_cancels_machine_speed() {
-        let baseline = full_report().methods;
-        let mut current = full_report().methods;
-        // A uniformly 2x-slower runner: every rate halves...
-        for m in &mut current {
-            m.prove_qps /= 2.0;
-            m.verify_qps /= 2.0;
-            m.batch_prove_qps = m.batch_prove_qps.map(|v| v / 2.0);
-            m.batch_verify_qps = m.batch_verify_qps.map(|v| v / 2.0);
-            m.stream_verify_qps = m.stream_verify_qps.map(|v| v / 2.0);
-        }
-        // ...including the reference probe, so normalize = 2.0.
-        assert!(compare(&baseline, &current, 0.15, 2.0).iter().all(|l| l.ok));
-        // Without normalization the same run fails everywhere.
-        assert!(compare(&baseline, &current, 0.15, 1.0)
+    /// The one rule of `mode` in `scope` whose text contains `words`.
+    fn the_rule(mode: &Mode, scope: Scope, words: &str) -> *const Rule {
+        let in_scope = mode
+            .rules
             .iter()
-            .all(|l| !l.ok));
+            .filter(|r| r.scope == Both || r.scope == scope);
+        let hits: Vec<&Rule> = in_scope.filter(|r| r.to_string().contains(words)).collect();
+        assert_eq!(
+            hits.len(),
+            1,
+            "{} {scope:?}: {words:?} names {hits:?}",
+            mode.name
+        );
+        hits[0]
     }
 
-    #[test]
-    fn compare_fails_when_batch_column_disappears() {
-        let baseline = full_report().methods;
-        let mut current = full_report().methods;
-        current[1].batch_verify_qps = None;
-        let lines = compare(&baseline, &current, 0.15, 1.0);
-        assert!(lines
+    /// Applies `edits` to the committed artifact of `mode` (those that
+    /// start with `@` to the baseline copy instead), checks the result
+    /// in `scope`, and requires exactly the rules `want` names to fire.
+    fn case(mode_name: &str, scope: Scope, edits: &[&str], want: &[&str]) {
+        let mode = mode(mode_name);
+        let (mut record, mut baseline) = (committed(mode), committed(mode));
+        for e in edits {
+            match e.strip_prefix('@') {
+                Some(e) => edit(&mut baseline, e),
+                None => edit(&mut record, e),
+            }
+        }
+        let baseline = (scope == Smoke).then_some(&baseline);
+        let verdict = check(mode, scope, &record, baseline).expect("schema tag");
+        let mut fired: Vec<*const Rule> = verdict.violations.iter().map(|v| v.rule as _).collect();
+        let mut want: Vec<_> = want.iter().map(|w| the_rule(mode, scope, w)).collect();
+        for set in [&mut fired, &mut want] {
+            set.sort_unstable();
+            set.dedup();
+        }
+        let said: Vec<String> = verdict
+            .violations
             .iter()
-            .any(|l| l.metric == "FULL batch_verify_qps" && !l.ok));
+            .map(Violation::to_string)
+            .collect();
+        assert_eq!(
+            fired, want,
+            "{mode_name} {scope:?} {edits:?} fired {said:#?}"
+        );
     }
 
+    /// `test name: "mode" Scope [edits] => [words naming the rules that
+    /// fire, exactly]; ...;` — every case starts from the committed
+    /// artifact, which passes, so what fires is the edits' doing.
+    macro_rules! cases {
+        ($($name:ident: $($mode:literal $scope:ident [$($edit:literal),*] => [$($want:literal),*]);+ ;)*) => {
+            $(#[test] fn $name() { $(case($mode, $scope, &[$($edit),*], &[$($want),*]);)+ })*
+            /// Every `(mode, scope, words)` some case makes fire.
+            const FIRED: &[(&str, Scope, &str)] = &[$($($(($mode, $scope, $want),)*)+)*];
+        };
+    }
+
+    cases! {
+    parser_handles_null_batch_columns:
+        "throughput" Committed ["methods/1: batch_prove_qps=null batch_verify_qps=null"] => ["stream_verify_qps > 0", ">= 1 * verify_qps"];
+    schema_flags_null_stream_column:
+        "throughput" Committed ["methods/2: stream_verify_qps=null"] => ["stream_verify_qps > 0"];
+        "throughput" Committed ["methods/2: stream_verify_qps=0"] => ["stream_verify_qps > 0"];
+        "throughput" Committed ["methods/0: prove_qps=NaN"] => ["stream_verify_qps > 0"];
+        "throughput" Committed [": ref_qps=-"] => ["ref_qps > 0"];
+    schema_flags_null_batch_columns:
+        "throughput" Smoke ["methods/0: batch_verify_qps=null"] => ["stream_verify_qps > 0", "baseline"];
+    schema_flags_missing_method:
+        "throughput" Committed ["methods: 1=-"] => ["every method"];
+        "throughput" Smoke ["methods: 1=-"] => ["every method"];
+    schema_flags_lost_amortization_only_when_strict:
+        "throughput" Committed ["methods/1: verify_qps=900 batch_verify_qps=100"] => [">= 1 * verify_qps"];
+        "throughput" Committed ["methods/2: verify_qps=900 batch_verify_qps=100"] => [];
+        "throughput" Smoke ["methods/1: verify_qps=900 batch_verify_qps=100", "@methods/1: verify_qps=900 batch_verify_qps=100"] => [];
+    compare_passes_within_tolerance_and_fails_beyond:
+        "throughput" Smoke ["@methods/0: prove_qps=4000", "methods/0: prove_qps=3500"] => [];
+        "throughput" Smoke ["@methods/2: verify_qps=430", "methods/2: verify_qps=300"] => ["baseline"];
+    normalization_cancels_machine_speed:
+        "throughput" Smoke [": methods=x0.5 ref_qps=x0.5"] => [];
+        "throughput" Smoke [": methods=x0.5"] => ["baseline"];
+        "throughput" Smoke [": ref_qps=0"] => ["ref_qps > 0", "baseline"];
+    gate_report_normalizes_by_ref_probe:
+        "service" Smoke [": ref_qps=x0.5 single_qps=x0.5 service_qps=x0.5"] => [];
+        "churn" Smoke [": ref_qps=x0.5", "rows/0: updates_per_sec=x0.5", "rows/1: updates_per_sec=x0.5",
+            "rows/2: updates_per_sec=x0.5", "rows/3: updates_per_sec=x0.5"] => [];
+        "churn" Smoke ["rows/2: updates_per_sec=x0.5"] => ["baseline"];
+        "churn" Smoke [": ref_qps=NaN"] => ["ref_qps > 0", "baseline"];
+    compare_fails_when_batch_column_disappears:
+        "throughput" Smoke ["methods/1: batch_verify_qps=-"] => ["stream_verify_qps > 0", "baseline"];
+    compare_skips_null_baseline_columns:
+        "throughput" Smoke ["@methods/1: batch_prove_qps=null"] => [];
+        "throughput" Smoke ["@methods: 1=-"] => ["baseline"];
+    scale_schema_requires_million_node_row:
+        "scale" Committed ["rows: 1=-"] => ["some row"];
+        "scale" Committed ["rows/1: nodes=null"] => ["some row"];
+    scale_schema_enforces_road_speedup_on_big_row:
+        "scale" Committed ["rows/1/sssp/0: heap_ms=180 bucket_ms=100"] => [">= 2 * bucket_ms"];
+        "scale" Committed ["rows/1/sssp/0: heap_ms=220 bucket_ms=100", "rows/0/sssp/0: heap_ms=150 bucket_ms=100",
+            "rows/1/sssp/1: heap_ms=150 bucket_ms=100"] => [];
+        "scale" Committed ["rows/1/sssp/0: bucket_ms=NaN"] => ["bucket_ms > 0", ">= 2 * bucket_ms"];
+    scale_schema_flags_missing_family_and_method:
+        "scale" Committed ["rows/1/sssp: 1=-", "rows/0/methods: 1=-"] => ["every family", "every method"];
+        "scale" Committed ["rows/0/sssp/2: heap_ms=null"] => ["heap_ms bucket_ms > 0"];
+        "scale" Smoke ["rows/0/methods/2: prove_qps=0"] => ["prove_qps verify_qps > 0"];
+    scale_smoke_flags_bucket_regression_only_beyond_tolerance:
+        "scale" Smoke ["rows/0/sssp/0: heap_ms=100 bucket_ms=105"] => [];
+        "scale" Smoke ["rows/0/sssp/0: heap_ms=100 bucket_ms=130"] => ["<= 1.15 * heap_ms"];
+    scale_smoke_flags_empty_run:
+        "scale" Smoke [": rows=[]"] => ["some row"];
+    store_schema_requires_million_node_row:
+        "store" Committed ["rows: 1=-"] => ["some row"];
+    store_schema_pins_zero_sign_cold_start:
+        "store" Committed ["rows/1: sign_ops_load=2"] => ["sign_ops_load == 0"];
+        "store" Committed ["rows/0: sign_ops_load=null"] => ["sign_ops_load == 0"];
+        "store" Committed [] => [];
+    store_schema_enforces_load_speedup_on_big_row:
+        "store" Committed ["rows/1: build_sign_s=100 load_file_s=90"] => [">= 1.25 * load_file_s"];
+        "store" Committed ["rows/0: build_sign_s=10 load_file_s=9", "rows/1: build_sign_s=100 load_file_s=3"] => [];
+    store_smoke_flags_signing_and_slow_load:
+        "store" Smoke ["rows/0: sign_ops_load=1"] => ["sign_ops_load == 0"];
+        "store" Smoke ["rows/0: build_sign_s=5 load_file_s=6.5"] => ["<= 1.15 * build_sign_s"];
+        "store" Smoke ["rows/0: build_sign_s=5 load_file_s=5.5"] => [];
+        "store" Smoke ["rows/0: load_file_s=NaN"] => ["sign_ops_build > 0", "<= 1.15 * build_sign_s"];
+        "store" Smoke ["rows/0: sign_ops_build=0"] => ["sign_ops_build > 0"];
+        "store" Smoke [": rows=[]"] => ["some row"];
+    service_schema_enforces_speedup_only_with_enough_cores: // committed on one core
+        "service" Committed [": cores=4 single_qps=1000 service_qps=1400"] => [">= 2 * single_qps"];
+        "service" Committed [": cores=4 single_qps=1000 service_qps=2300"] => [];
+        "service" Committed [": cores=1 single_qps=1000 service_qps=900"] => [];
+        "service" Committed [": cores=4 service_qps=NaN"] => ["executed > 0", ">= 2 * single_qps"];
+    service_schema_flags_broken_invariants:
+        "service" Committed [": bit_identical=false executed=0", "methods: 3=-"] => ["bit_identical == true", "executed > 0", "every method"];
+        "service" Smoke [": bit_identical=null"] => ["bit_identical == true"];
+        "service" Committed [": cores=0"] => ["executed > 0"];
+        "service" Committed ["methods/1: queries=0"] => ["sessions queries service_qps > 0"];
+    service_smoke_normalizes_by_ref_probe:
+        "service" Smoke [": cores=4 single_qps=500 service_qps=1250 ref_qps=x0.5", "@: cores=4 single_qps=1000 service_qps=2500"] => [];
+        "service" Smoke [": cores=4 single_qps=1000 service_qps=1500", "@: cores=4 single_qps=1000 service_qps=2500"]
+            => ["service_qps >= baseline", ">= 1.7 * single_qps"];
+    service_smoke_skips_concurrent_column_without_cores:
+        "service" Smoke [": cores=1 service_qps=x0.6"] => [];
+        "service" Smoke [": cores=1 single_qps=x0.5"] => ["single_qps >= baseline"];
+    service_smoke_gives_speedup_the_tolerance:
+        "service" Smoke [": cores=4 single_qps=1000 service_qps=1750", "@: single_qps=1000 service_qps=1000"] => [];
+        "service" Smoke [": cores=4 single_qps=1000 service_qps=1500", "@: single_qps=1000 service_qps=1000"] => [">= 1.7 * single_qps"];
+    queries_schema_flags_missing_method_and_trivial_range:
+        "queries" Committed ["rows/0: range_members=1", "rows: 2=-"] => ["every method", "<= range_members"];
+        "queries" Committed ["rows/0: knn_cert_bytes=0"] => ["knn_cert_bytes"];
+        "queries" Committed [] => [];
+    queries_schema_bounds_knn_overhead:
+        "queries" Committed ["rows/1: plain_verify_qps=800 knn_verify_qps=100"] => ["<= 5 * knn_verify_qps"];
+        "queries" Committed ["rows/2: knn_verify_qps=NaN"] => ["knn_cert_bytes", "<= 5 * knn_verify_qps"];
+    queries_schema_requires_pooling_win:
+        "queries" Committed ["rows/3: matrix_cert_bytes=1000 matrix_separate_bytes=1000"] => ["< 1 * matrix_separate_bytes"];
+        "queries" Smoke ["rows/3: matrix_separate_bytes=null"] => ["< 1 * matrix_separate_bytes"];
+    queries_smoke_widens_overhead_bar_by_tolerance:
+        "queries" Committed ["rows/0: plain_verify_qps=550 knn_verify_qps=100"] => ["<= 5 * knn_verify_qps"];
+        "queries" Smoke ["rows/0: plain_verify_qps=550 knn_verify_qps=100"] => [];
+        "queries" Smoke ["rows/0: plain_verify_qps=600 knn_verify_qps=100"] => ["<= 5.75 * knn_verify_qps"];
+        "queries" Smoke [": rows=[]"] => ["every method"];
+    churn_schema_bounds_signs_per_update:
+        "churn" Committed ["rows/1: signs_per_update=2.25"] => ["signs_per_update"];
+        "churn" Committed ["rows/1: signs_per_update=0.5"] => ["signs_per_update"];
+        "churn" Smoke ["rows/1: signs_per_update=NaN"] => ["signs_per_update"];
+    churn_schema_flags_broken_invariants:
+        "churn" Committed ["rows: 3=-"] => ["every method"];
+        "churn" Committed ["rows/0: query_qps=null"] => ["updates_per_sec query_qps > 0"];
+        "churn" Committed ["rows/2: sessions_survive=false"] => ["sessions_survive"];
+        "churn" Committed ["rows/2: snapshot_in_place=\"yes\""] => ["snapshot_in_place"];
+        "churn" Committed ["rows/0: snapshot_pages_rewritten=23"] => ["<= 1 * snapshot_pages_total"];
+    }
+
+    /// The other half of the table above: no rule of any mode is
+    /// without a case that makes it fire.
     #[test]
-    fn compare_skips_null_baseline_columns() {
-        let mut baseline = full_report().methods;
-        baseline[1].batch_prove_qps = None;
-        let current = full_report().methods;
-        let lines = compare(&baseline, &current, 0.15, 1.0);
-        assert!(!lines.iter().any(|l| l.metric == "FULL batch_prove_qps"));
+    fn every_rule_has_a_negative_case() {
+        for m in &MODES {
+            let fired = FIRED.iter().filter(|(name, ..)| *name == m.name);
+            let fired: Vec<_> = fired.map(|(_, scope, w)| the_rule(m, *scope, w)).collect();
+            for rule in m.rules {
+                assert!(fired.contains(&(rule as *const Rule)), "{}: {rule}", m.name);
+            }
+        }
     }
 
+    /// Every committed artifact parses and passes its own gate.
+    #[test]
+    fn committed_baselines_pass_their_gates() {
+        for m in &MODES {
+            let verdict = check(m, Committed, &committed(m), None).expect("schema tag");
+            assert!(
+                verdict.violations.is_empty(),
+                "{}: {:?}",
+                m.name,
+                verdict.violations
+            );
+        }
+    }
+
+    /// A record gated against itself is clean in the smoke scope too,
+    /// every comparison it makes renders as `ok`, and without a
+    /// baseline each of them fails.
     #[test]
     fn gate_report_end_to_end() {
-        let report = full_report();
-        let (lines, violations) = gate_report(&report.to_json(), &report, 0.15).unwrap();
-        assert!(violations.is_empty(), "{violations:?}");
-        assert!(lines.iter().all(|l| l.ok));
-    }
-
-    #[test]
-    fn gate_report_normalizes_by_ref_probe() {
-        let baseline = full_report();
-        let mut current = full_report();
-        // Same machine-relative performance on a half-speed host.
-        current.ref_qps /= 2.0;
-        for m in &mut current.methods {
-            m.prove_qps /= 2.0;
-            m.verify_qps /= 2.0;
-            m.batch_prove_qps = m.batch_prove_qps.map(|v| v / 2.0);
-            m.batch_verify_qps = m.batch_verify_qps.map(|v| v / 2.0);
-            m.stream_verify_qps = m.stream_verify_qps.map(|v| v / 2.0);
-        }
-        let (lines, violations) = gate_report(&baseline.to_json(), &current, 0.15).unwrap();
-        assert!(violations.is_empty(), "{violations:?}");
-        assert!(lines.iter().all(|l| l.ok), "normalization should cancel");
-    }
-
-    #[test]
-    fn default_tolerance_without_env() {
-        // The env var is process-global; only assert the default path
-        // when the variable is absent (CI never sets it for unit
-        // tests).
-        if std::env::var(TOLERANCE_ENV).is_err() {
-            assert_eq!(tolerance_from_env().unwrap(), DEFAULT_TOLERANCE);
+        for (m, compared) in MODES.iter().zip([20, 0, 1, 0, 0, 4]) {
+            let record = committed(m);
+            let verdict = check(m, Smoke, &record, Some(&record)).expect("schema tag");
+            assert!(
+                verdict.violations.is_empty(),
+                "{}: {:?}",
+                m.name,
+                verdict.violations
+            );
+            assert!(
+                verdict.lines.iter().all(|l| l.starts_with("ok")),
+                "{:?}",
+                verdict.lines
+            );
+            assert_eq!(verdict.lines.len(), compared, "{}", m.name);
+            let alone = check(m, Smoke, &record, None).expect("schema tag");
+            assert_eq!(alone.violations.len(), compared, "{}", m.name);
+            assert!(
+                alone.lines.iter().all(|l| l.starts_with("FAIL")),
+                "{:?}",
+                alone.lines
+            );
         }
     }
 
-    // -- scale gate --
+    // Per mode (random values and broken syntax are `json::tests`'
+    // business): the committed artifact survives parse → write → parse ...
+    fn artifact_round_trips(mode_name: &str) {
+        let record = committed(mode(mode_name));
+        assert_eq!(json::parse(&json::write(&record)), Ok(record));
+    }
 
-    fn scale_row(label: &str, nodes: usize, road_speedup: f64) -> ScaleRow {
-        let fam = |name: &str, heap: f64, bucket: f64| SsspScale {
-            family: name.to_string(),
-            nodes,
-            edges: nodes + nodes / 20,
-            heap_ms: heap,
-            bucket_ms: bucket,
+    // ... and a record that is not this mode's, or is empty, does not pass.
+    fn garbage_is_refused(mode_name: &str) {
+        let mode = mode(mode_name);
+        for schema in ["other/v9", &mode.schema.replace("/v", "/v0.")] {
+            let stranger = Value::obj([("schema", schema.into())]);
+            let refused = check(mode, Committed, &stranger, None).expect_err("another schema");
+            assert!(
+                refused.contains(&format!("figures -- {mode_name}")),
+                "{refused}"
+            );
+        }
+        let bare = Value::obj([("schema", mode.schema.into())]);
+        let empty = |key| Value::obj([("schema", mode.schema.into()), (key, Value::Arr(vec![]))]);
+        for hollow in [bare, empty("rows"), empty("methods")] {
+            let verdict = check(mode, Committed, &hollow, None).expect("schema tag");
+            assert!(!verdict.violations.is_empty(), "{mode_name}: {hollow:?}");
+        }
+    }
+
+    macro_rules! per_mode {
+        ($($round_trip:ident $garbage:ident: $mode:literal;)*) => {
+            $(#[test] fn $round_trip() { artifact_round_trips($mode) }
+              #[test] fn $garbage() { garbage_is_refused($mode) })*
         };
-        let met = |name: &str| MethodScale {
-            method: name.to_string(),
-            build_s: 1.0,
-            prove_qps: 50.0,
-            verify_qps: 60.0,
-        };
-        ScaleRow {
-            label: label.to_string(),
-            nodes,
-            sssp: vec![
-                fam("road", 100.0, 100.0 / road_speedup),
-                fam("highway", 110.0, 56.0),
-                fam("scale_free", 90.0, 61.0),
-            ],
-            methods: vec![met("DIJ"), met("LDM"), met("HYP")],
-        }
     }
 
-    fn scale_report(rows: Vec<ScaleRow>) -> ScaleReport {
-        ScaleReport {
-            parallel: true,
-            threads: 4,
-            config: ScaleConfig::smoke(50_000, 42),
-            rows,
-        }
-    }
-
-    #[test]
-    fn scale_parser_inverts_report_writer() {
-        let report = scale_report(vec![
-            scale_row("100k", 99_856, 2.1),
-            scale_row("1m", 1_000_000, 2.05),
-        ]);
-        let rows = parse_scale_baseline(&report.to_json()).unwrap();
-        assert_eq!(rows.len(), 2);
-        for (p, r) in rows.iter().zip(&report.rows) {
-            assert_eq!(p.label, r.label);
-            assert_eq!(p.nodes, r.nodes);
-            assert_eq!(p.sssp.len(), 3);
-            assert_eq!(p.methods.len(), 3);
-            for (pf, rf) in p.sssp.iter().zip(&r.sssp) {
-                assert_eq!(pf.family, rf.family);
-                assert_eq!(pf.edges, rf.edges);
-                // to_json rounds to 2 decimals; the fixture values are
-                // exact at that precision.
-                assert!((pf.heap_ms - rf.heap_ms).abs() < 1e-9);
-            }
-            for (pm, rm) in p.methods.iter().zip(&r.methods) {
-                assert_eq!(pm.method, rm.method);
-                assert!((pm.prove_qps - rm.prove_qps).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn scale_parser_rejects_garbage() {
-        assert!(parse_scale_baseline("").is_err());
-        assert!(parse_scale_baseline("{\"schema\": \"spnet-scale/v0\"}").is_err());
-        assert!(parse_scale_baseline("{\"schema\": \"spnet-scale/v1\"}").is_err());
-        assert!(
-            parse_scale_baseline("{\"schema\": \"spnet-scale/v1\",\n\"rows\": [\n]}").is_err(),
-            "empty rows must be rejected"
-        );
-    }
-
-    #[test]
-    fn scale_schema_requires_million_node_row() {
-        let rows = vec![scale_row("100k", 99_856, 2.1)];
-        let v = scale_schema_violations(&rows);
-        assert!(v.iter().any(|l| l.contains("1000000")), "{v:?}");
-    }
-
-    #[test]
-    fn scale_schema_enforces_road_speedup_on_big_row() {
-        let rows = vec![scale_row("1m", 1_000_000, 1.8)];
-        let v = scale_schema_violations(&rows);
-        assert!(v.iter().any(|l| l.contains("below required")), "{v:?}");
-        let rows = vec![scale_row("1m", 1_000_000, 2.2)];
-        assert!(scale_schema_violations(&rows).is_empty());
-        // The speedup requirement applies to the big row only.
-        let rows = vec![
-            scale_row("100k", 99_856, 1.5),
-            scale_row("1m", 1_000_000, 2.2),
-        ];
-        assert!(scale_schema_violations(&rows).is_empty());
-    }
-
-    #[test]
-    fn scale_schema_flags_missing_family_and_method() {
-        let mut row = scale_row("1m", 1_000_000, 2.2);
-        row.sssp.retain(|f| f.family != "highway");
-        row.methods.retain(|m| m.method != "LDM");
-        let v = scale_schema_violations(&[row]);
-        assert!(v.iter().any(|l| l.contains("highway")), "{v:?}");
-        assert!(v.iter().any(|l| l.contains("LDM")), "{v:?}");
-    }
-
-    #[test]
-    fn scale_smoke_flags_bucket_regression_only_beyond_tolerance() {
-        // Bucket 5% slower than heap: inside a 15% tolerance.
-        let mut row = scale_row("50k", 50_176, 1.0);
-        row.sssp[0].bucket_ms = row.sssp[0].heap_ms * 1.05;
-        assert!(scale_smoke_violations(&scale_report(vec![row]), 0.15).is_empty());
-        // Bucket 30% slower: regression.
-        let mut row = scale_row("50k", 50_176, 1.0);
-        row.sssp[0].bucket_ms = row.sssp[0].heap_ms * 1.30;
-        let v = scale_smoke_violations(&scale_report(vec![row]), 0.15);
-        assert!(v.iter().any(|l| l.contains("slower than heap")), "{v:?}");
-    }
-
-    #[test]
-    fn scale_smoke_flags_empty_run() {
-        let v = scale_smoke_violations(&scale_report(vec![]), 0.15);
-        assert!(!v.is_empty());
-    }
-
-    // -- store gate --
-
-    fn store_row(label: &str, nodes: usize, build_s: f64, load_file_s: f64) -> StoreRow {
-        StoreRow {
-            label: label.to_string(),
-            nodes,
-            edges: nodes * 2,
-            build_sign_s: build_s,
-            save_s: 1.0,
-            load_mem_s: build_s / 2.0,
-            load_file_s,
-            snapshot_bytes: nodes as u64 * 100,
-            sign_ops_build: 1,
-            sign_ops_load: 0,
-        }
-    }
-
-    fn store_report(rows: Vec<StoreRow>) -> StoreReport {
-        StoreReport {
-            parallel: true,
-            threads: 4,
-            seed: 42,
-            rows,
-        }
-    }
-
-    #[test]
-    fn store_parser_inverts_report_writer() {
-        let report = store_report(vec![
-            store_row("100k", 99_856, 10.0, 0.5),
-            store_row("1m", 1_000_000, 120.0, 3.0),
-        ]);
-        let rows = parse_store_baseline(&report.to_json()).unwrap();
-        assert_eq!(rows.len(), 2);
-        for (p, r) in rows.iter().zip(&report.rows) {
-            assert_eq!(p.label, r.label);
-            assert_eq!(p.nodes, r.nodes);
-            assert_eq!(p.edges, r.edges);
-            assert_eq!(p.snapshot_bytes, r.snapshot_bytes);
-            assert_eq!(p.sign_ops_build, r.sign_ops_build);
-            assert_eq!(p.sign_ops_load, r.sign_ops_load);
-            assert!((p.build_sign_s - r.build_sign_s).abs() < 1e-9);
-            assert!((p.load_file_s - r.load_file_s).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn store_parser_rejects_garbage() {
-        assert!(parse_store_baseline("").is_err());
-        assert!(parse_store_baseline("{\"schema\": \"spnet-store/v0\"}").is_err());
-        assert!(parse_store_baseline("{\"schema\": \"spnet-store/v1\"}").is_err());
-        assert!(
-            parse_store_baseline("{\"schema\": \"spnet-store/v1\",\n\"rows\": [\n]}").is_err(),
-            "empty rows must be rejected"
-        );
-    }
-
-    #[test]
-    fn store_schema_requires_million_node_row() {
-        let v = store_schema_violations(&[store_row("100k", 99_856, 10.0, 0.5)]);
-        assert!(v.iter().any(|l| l.contains("1000000")), "{v:?}");
-    }
-
-    #[test]
-    fn store_schema_pins_zero_sign_cold_start() {
-        let mut row = store_row("1m", 1_000_000, 120.0, 3.0);
-        row.sign_ops_load = 2;
-        let v = store_schema_violations(&[row]);
-        assert!(v.iter().any(|l| l.contains("re-sign")), "{v:?}");
-        assert!(store_schema_violations(&[store_row("1m", 1_000_000, 120.0, 3.0)]).is_empty());
-    }
-
-    #[test]
-    fn store_schema_enforces_load_speedup_on_big_row() {
-        // Lazy load barely faster than the rebuild: violation.
-        let v = store_schema_violations(&[store_row("1m", 1_000_000, 100.0, 90.0)]);
-        assert!(v.iter().any(|l| l.contains("below required")), "{v:?}");
-        // The speedup requirement applies to the big row only.
-        let rows = vec![
-            store_row("100k", 99_856, 10.0, 9.0),
-            store_row("1m", 1_000_000, 100.0, 3.0),
-        ];
-        assert!(store_schema_violations(&rows).is_empty());
-    }
-
-    #[test]
-    fn store_smoke_flags_signing_and_slow_load() {
-        let mut row = store_row("50k", 50_176, 5.0, 0.2);
-        row.sign_ops_load = 1;
-        let v = store_smoke_violations(&store_report(vec![row]), 0.15);
-        assert!(v.iter().any(|l| l.contains("signing op")), "{v:?}");
-        // Lazy load 30% slower than rebuild: regression.
-        let row = store_row("50k", 50_176, 5.0, 6.5);
-        let v = store_smoke_violations(&store_report(vec![row]), 0.15);
-        assert!(v.iter().any(|l| l.contains("slower than rebuild")), "{v:?}");
-        // Clean smoke passes; empty smoke fails.
-        let row = store_row("50k", 50_176, 5.0, 0.2);
-        assert!(store_smoke_violations(&store_report(vec![row]), 0.15).is_empty());
-        assert!(!store_smoke_violations(&store_report(vec![]), 0.15).is_empty());
-    }
-
-    // -- service gate --
-
-    fn service_report(cores: usize, speedup: f64) -> ServiceReport {
-        let traffic = |name: &str| crate::loadgen::MethodTraffic {
-            method: name.to_string(),
-            sessions: 4,
-            queries: 192,
-            service_qps: 120.0,
-        };
-        let single_qps = 240.0;
-        ServiceReport {
-            ref_qps: 900.0,
-            cores,
-            threads: cores,
-            sessions: 16,
-            queries_per_session: 48,
-            chunk_len: 8,
-            num_nodes: 256,
-            num_edges: 480,
-            parallel: true,
-            bit_identical: true,
-            single_qps,
-            service_qps: single_qps * speedup,
-            speedup,
-            executed: 96,
-            stolen: 12,
-            methods: vec![
-                traffic("DIJ"),
-                traffic("FULL"),
-                traffic("LDM"),
-                traffic("HYP"),
-            ],
-        }
-    }
-
-    #[test]
-    fn service_parser_inverts_report_writer() {
-        let report = service_report(4, 2.5);
-        let parsed = parse_service_baseline(&report.to_json()).unwrap();
-        assert_eq!(parsed.cores, report.cores);
-        assert_eq!(parsed.sessions, report.sessions);
-        assert_eq!(parsed.bit_identical, report.bit_identical);
-        assert_eq!(parsed.executed, report.executed);
-        assert_eq!(parsed.stolen, report.stolen);
-        assert!((parsed.ref_qps - report.ref_qps).abs() < 1e-9);
-        assert!((parsed.single_qps - report.single_qps).abs() < 0.1);
-        assert!((parsed.service_qps - report.service_qps).abs() < 0.1);
-        assert!((parsed.speedup - report.speedup).abs() < 1e-3);
-        assert_eq!(parsed.methods.len(), 4);
-        for (p, m) in parsed.methods.iter().zip(&report.methods) {
-            assert_eq!(p.method, m.method);
-            assert_eq!(p.sessions, m.sessions);
-            assert_eq!(p.queries, m.queries);
-        }
-    }
-
-    #[test]
-    fn service_parser_rejects_garbage() {
-        assert!(parse_service_baseline("").is_err());
-        assert!(parse_service_baseline("{\"schema\": \"spnet-service/v0\"}").is_err());
-        assert!(parse_service_baseline("{\"schema\": \"spnet-service/v1\"}").is_err());
-    }
-
-    #[test]
-    fn service_schema_enforces_speedup_only_with_enough_cores() {
-        // 4 cores below the bar: violation.
-        let v = service_schema_violations(&service_report(4, 1.4));
-        assert!(v.iter().any(|l| l.contains("below required")), "{v:?}");
-        // 4 cores above the bar: clean.
-        assert!(service_schema_violations(&service_report(4, 2.3)).is_empty());
-        // 1 core cannot parallelize; no speedup requirement.
-        assert!(service_schema_violations(&service_report(1, 0.9)).is_empty());
-    }
-
-    #[test]
-    fn service_schema_flags_broken_invariants() {
-        let mut r = service_report(4, 2.5);
-        r.bit_identical = false;
-        r.executed = 0;
-        r.methods.retain(|m| m.method != "HYP");
-        let v = service_schema_violations(&r);
-        assert!(v.iter().any(|l| l.contains("bit_identical")), "{v:?}");
-        assert!(v.iter().any(|l| l.contains("no jobs")), "{v:?}");
-        assert!(v.iter().any(|l| l.contains("HYP")), "{v:?}");
-    }
-
-    #[test]
-    fn service_smoke_normalizes_by_ref_probe() {
-        let baseline = service_report(4, 2.5);
-        // Half-speed host, same machine-relative throughput: clean.
-        let mut smoke = service_report(4, 2.5);
-        smoke.ref_qps /= 2.0;
-        smoke.single_qps /= 2.0;
-        smoke.service_qps /= 2.0;
-        assert!(service_smoke_violations(&baseline, &smoke, 0.15).is_empty());
-        // A genuine 40% service regression is caught after
-        // normalization.
-        let mut smoke = service_report(4, 2.5);
-        smoke.service_qps *= 0.6;
-        smoke.speedup = smoke.service_qps / smoke.single_qps;
-        let v = service_smoke_violations(&baseline, &smoke, 0.15);
-        assert!(v.iter().any(|l| l.contains("service_qps")), "{v:?}");
-    }
-
-    #[test]
-    fn service_smoke_skips_concurrent_column_without_cores() {
-        // On a 1-core host the concurrent pass is contention-noise
-        // dominated; only the sequential column is held to the
-        // baseline there.
-        let baseline = service_report(1, 0.95);
-        let smoke = service_report(1, 0.6);
-        assert!(service_smoke_violations(&baseline, &smoke, 0.15).is_empty());
-        // The sequential column is still compared.
-        let mut smoke = service_report(1, 0.95);
-        smoke.single_qps *= 0.5;
-        let v = service_smoke_violations(&baseline, &smoke, 0.15);
-        assert!(v.iter().any(|l| l.contains("single_qps")), "{v:?}");
-    }
-
-    #[test]
-    fn service_smoke_gives_speedup_the_tolerance() {
-        let baseline = service_report(1, 1.0);
-        // On a >= 4-core CI host, 1.75x clears 2x - 15%...
-        let mut smoke = service_report(4, 1.75);
-        smoke.single_qps = baseline.single_qps;
-        smoke.service_qps = smoke.single_qps * 1.75;
-        assert!(
-            service_smoke_violations(&baseline, &smoke, 0.15).is_empty(),
-            "within tolerance"
-        );
-        // ...but 1.5x does not.
-        let mut smoke = service_report(4, 1.5);
-        smoke.single_qps = baseline.single_qps;
-        smoke.service_qps = smoke.single_qps * 1.5;
-        let v = service_smoke_violations(&baseline, &smoke, 0.15);
-        assert!(v.iter().any(|l| l.contains("speedup")), "{v:?}");
-    }
-
-    // -- queries gate --
-
-    fn queries_row(method: &str) -> QueriesRow {
-        QueriesRow {
-            method: method.to_string(),
-            range_members: 40,
-            range_verify_qps: 800.0,
-            range_cert_bytes: 30_000,
-            knn_verify_qps: 500.0,
-            knn_cert_bytes: 12_000,
-            plain_verify_qps: 700.0,
-            matrix_verify_qps: 9_000.0,
-            matrix_cert_bytes: 50_000,
-            matrix_separate_bytes: 160_000,
-        }
-    }
-
-    fn queries_rows() -> Vec<QueriesRow> {
-        ["DIJ", "FULL", "LDM", "HYP"]
-            .iter()
-            .map(|m| queries_row(m))
-            .collect()
-    }
-
-    fn queries_report(rows: Vec<QueriesRow>) -> QueriesReport {
-        QueriesReport {
-            parallel: true,
-            threads: 4,
-            seed: 42,
-            num_nodes: 400,
-            num_edges: 760,
-            pois: 8,
-            k: 3,
-            radius: 2_500.0,
-            rows,
-        }
-    }
-
-    #[test]
-    fn queries_parser_inverts_report_writer() {
-        let report = queries_report(queries_rows());
-        let rows = parse_queries_baseline(&report.to_json()).unwrap();
-        assert_eq!(rows.len(), 4);
-        for (p, r) in rows.iter().zip(&report.rows) {
-            assert_eq!(p.method, r.method);
-            assert_eq!(p.range_members, r.range_members);
-            assert_eq!(p.range_cert_bytes, r.range_cert_bytes);
-            assert_eq!(p.knn_cert_bytes, r.knn_cert_bytes);
-            assert_eq!(p.matrix_cert_bytes, r.matrix_cert_bytes);
-            assert_eq!(p.matrix_separate_bytes, r.matrix_separate_bytes);
-            assert!((p.range_verify_qps - r.range_verify_qps).abs() < 1e-9);
-            assert!((p.knn_verify_qps - r.knn_verify_qps).abs() < 1e-9);
-            assert!((p.plain_verify_qps - r.plain_verify_qps).abs() < 1e-9);
-            assert!((p.matrix_verify_qps - r.matrix_verify_qps).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn queries_parser_rejects_garbage() {
-        assert!(parse_queries_baseline("").is_err());
-        assert!(parse_queries_baseline("{\"schema\": \"spnet-queries/v0\"}").is_err());
-        assert!(parse_queries_baseline("{\"schema\": \"spnet-queries/v1\"}").is_err());
-        assert!(
-            parse_queries_baseline("{\"schema\": \"spnet-queries/v1\",\n\"rows\": [\n]}").is_err(),
-            "empty rows must be rejected"
-        );
-    }
-
-    #[test]
-    fn queries_schema_flags_missing_method_and_trivial_range() {
-        let mut rows = queries_rows();
-        rows.retain(|r| r.method != "LDM");
-        rows[0].range_members = 1;
-        let v = queries_schema_violations(&rows, QUERIES_KNN_OVERHEAD);
-        assert!(v.iter().any(|l| l.contains("LDM")), "{v:?}");
-        assert!(v.iter().any(|l| l.contains("non-trivial disc")), "{v:?}");
-        assert!(queries_schema_violations(&queries_rows(), QUERIES_KNN_OVERHEAD).is_empty());
-    }
-
-    #[test]
-    fn queries_schema_bounds_knn_overhead() {
-        let mut rows = queries_rows();
-        // Completeness certificate 8x slower than the plain batch.
-        rows[1].knn_verify_qps = rows[1].plain_verify_qps / 8.0;
-        let v = queries_schema_violations(&rows, QUERIES_KNN_OVERHEAD);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("FULL") && v[0].contains("8.00x"), "{v:?}");
-        // A widened smoke bar lets the same ratio through.
-        assert!(queries_schema_violations(&rows, 9.0).is_empty());
-        // NaN rates never pass the bar.
-        let mut rows = queries_rows();
-        rows[2].knn_verify_qps = f64::NAN;
-        assert!(!queries_schema_violations(&rows, QUERIES_KNN_OVERHEAD).is_empty());
-    }
-
-    #[test]
-    fn queries_schema_requires_pooling_win() {
-        let mut rows = queries_rows();
-        rows[3].matrix_separate_bytes = rows[3].matrix_cert_bytes;
-        let v = queries_schema_violations(&rows, QUERIES_KNN_OVERHEAD);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("HYP") && v[0].contains("tuple pool"), "{v:?}");
-    }
-
-    #[test]
-    fn queries_smoke_widens_overhead_bar_by_tolerance() {
-        // 5.5x overhead: beyond the strict 5x bar, inside 5x + 15%.
-        let mut rows = queries_rows();
-        rows[0].knn_verify_qps = rows[0].plain_verify_qps / 5.5;
-        assert!(!queries_schema_violations(&rows, QUERIES_KNN_OVERHEAD).is_empty());
-        assert!(queries_smoke_violations(&queries_report(rows), 0.15).is_empty());
-        // Empty smoke fails.
-        assert!(!queries_smoke_violations(&queries_report(vec![]), 0.15).is_empty());
+    per_mode! {
+        parser_inverts_report_writer parser_rejects_garbage: "throughput";
+        scale_parser_inverts_report_writer scale_parser_rejects_garbage: "scale";
+        store_parser_inverts_report_writer store_parser_rejects_garbage: "store";
+        service_parser_inverts_report_writer service_parser_rejects_garbage: "service";
+        queries_parser_inverts_report_writer queries_parser_rejects_garbage: "queries";
     }
 }

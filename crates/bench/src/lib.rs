@@ -20,6 +20,7 @@ pub mod churn;
 pub mod config;
 pub mod experiments;
 pub mod gate;
+pub mod json;
 pub mod loadgen;
 pub mod model;
 pub mod queries;

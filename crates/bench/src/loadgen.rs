@@ -30,16 +30,15 @@
 //! cargo run --release -p spnet-bench --bin figures -- service
 //! ```
 
+use crate::json::Value;
 use crate::report::{fmt_f, Table};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use spnet_core::methods::{LdmConfig, MethodConfig};
 use spnet_core::owner::{DataOwner, SetupConfig};
 use spnet_core::{Client, SpService};
 use spnet_crypto::rsa::RsaKeyPair;
 use spnet_graph::gen::grid_network;
 use spnet_graph::{Graph, NodeId};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Load-generator shape: how many sessions, how much traffic each.
@@ -95,20 +94,6 @@ impl LoadgenConfig {
             seed,
             ..LoadgenConfig::default()
         }
-    }
-
-    fn methods(&self) -> Vec<MethodConfig> {
-        vec![
-            MethodConfig::Dij,
-            MethodConfig::Full {
-                use_floyd_warshall: false,
-            },
-            MethodConfig::Ldm(LdmConfig {
-                landmarks: self.landmarks,
-                ..LdmConfig::default()
-            }),
-            MethodConfig::Hyp { cells: self.cells },
-        ]
     }
 }
 
@@ -171,7 +156,7 @@ pub struct ServiceReport {
 
 fn mixed_service(g: &Graph, kp: &RsaKeyPair, cfg: &LoadgenConfig, threads: usize) -> SpService {
     let mut b = SpService::builder().threads(threads);
-    for method in cfg.methods() {
+    for method in crate::HarnessConfig::methods_at(cfg.landmarks, cfg.cells) {
         let p = DataOwner::publish_with_key(g, &method, &SetupConfig::default(), kp);
         b = b.package(p.package);
     }
@@ -331,62 +316,35 @@ impl ServiceReport {
         t
     }
 
-    /// Serializes the report as pretty JSON (hand-rolled; no serde in
-    /// the offline environment).
-    pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.1}")
-            } else {
-                "null".into()
-            }
-        }
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"schema\": \"spnet-service/v1\",");
-        let _ = writeln!(s, "  \"ref_qps\": {},", num(self.ref_qps));
-        let _ = writeln!(s, "  \"cores\": {},", self.cores);
-        let _ = writeln!(s, "  \"threads\": {},", self.threads);
-        let _ = writeln!(s, "  \"sessions\": {},", self.sessions);
-        let _ = writeln!(
-            s,
-            "  \"queries_per_session\": {},",
-            self.queries_per_session
-        );
-        let _ = writeln!(s, "  \"chunk_len\": {},", self.chunk_len);
-        let _ = writeln!(s, "  \"num_nodes\": {},", self.num_nodes);
-        let _ = writeln!(s, "  \"num_edges\": {},", self.num_edges);
-        let _ = writeln!(s, "  \"parallel\": {},", self.parallel);
-        let _ = writeln!(s, "  \"bit_identical\": {},", self.bit_identical);
-        let _ = writeln!(s, "  \"single_qps\": {},", num(self.single_qps));
-        let _ = writeln!(s, "  \"service_qps\": {},", num(self.service_qps));
-        let _ = writeln!(s, "  \"speedup\": {},", format_args!("{:.3}", self.speedup));
-        let _ = writeln!(s, "  \"executed\": {},", self.executed);
-        let _ = writeln!(s, "  \"stolen\": {},", self.stolen);
-        let _ = writeln!(s, "  \"methods\": [");
-        for (i, m) in self.methods.iter().enumerate() {
-            let comma = if i + 1 < self.methods.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{\"method\": \"{}\", \"sessions\": {}, \"queries\": {}, \
-                 \"service_qps\": {}}}{}",
-                m.method,
-                m.sessions,
-                m.queries,
-                num(m.service_qps),
-                comma
-            );
-        }
-        let _ = writeln!(s, "  ]");
-        let _ = writeln!(s, "}}");
-        s
-    }
-
-    /// Writes `BENCH_service.json` into `dir`.
-    pub fn save_json(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
-        let path = dir.join("BENCH_service.json");
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
+    /// The report as a `spnet-service/v1` record.
+    pub fn record(&self) -> Value {
+        let traffic = |m: &MethodTraffic| {
+            Value::obj([
+                ("method", m.method.as_str().into()),
+                ("sessions", m.sessions.into()),
+                ("queries", m.queries.into()),
+                ("service_qps", Value::measured(m.service_qps)),
+            ])
+        };
+        Value::obj([
+            ("schema", "spnet-service/v1".into()),
+            ("ref_qps", Value::measured(self.ref_qps)),
+            ("cores", self.cores.into()),
+            ("threads", self.threads.into()),
+            ("sessions", self.sessions.into()),
+            ("queries_per_session", self.queries_per_session.into()),
+            ("chunk_len", self.chunk_len.into()),
+            ("num_nodes", self.num_nodes.into()),
+            ("num_edges", self.num_edges.into()),
+            ("parallel", self.parallel.into()),
+            ("bit_identical", self.bit_identical.into()),
+            ("single_qps", Value::measured(self.single_qps)),
+            ("service_qps", Value::measured(self.service_qps)),
+            ("speedup", Value::measured(self.speedup)),
+            ("executed", self.executed.into()),
+            ("stolen", self.stolen.into()),
+            ("methods", self.methods.iter().map(traffic).collect()),
+        ])
     }
 }
 
@@ -397,13 +355,11 @@ pub fn service(cfg: &crate::config::HarnessConfig) -> Vec<(String, Table)> {
         seed: cfg.seed,
         ..LoadgenConfig::default()
     });
-    let t = report.table();
-    t.print();
-    match report.save_json(std::path::Path::new(".")) {
-        Ok(path) => eprintln!("[loadgen] wrote {}", path.display()),
-        Err(e) => eprintln!("[loadgen] could not write BENCH_service.json: {e}"),
-    }
-    vec![("service".into(), t)]
+    crate::report::publish(
+        "service",
+        report.record(),
+        vec![("service".into(), report.table())],
+    )
 }
 
 #[cfg(test)]
@@ -432,8 +388,9 @@ mod tests {
             report.methods.iter().map(|m| m.queries).sum::<usize>(),
             cfg.sessions * cfg.queries_per_session
         );
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"spnet-service/v1\""));
-        assert!(json.contains("\"bit_identical\": true"));
+        assert_eq!(
+            crate::gate::structural_violations("service", &report.record()),
+            Vec::<String>::new()
+        );
     }
 }

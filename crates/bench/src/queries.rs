@@ -21,29 +21,20 @@
 //! ```text
 //! cargo run --release -p spnet-bench --bin figures -- queries
 //! ```
-//!
-//! `SPNET_QUERIES_SIDE` (lattice side, default 40 → 1,600 nodes)
-//! overrides the committed-artifact size — the CI smoke uses a reduced
-//! size through [`QueriesConfig::smoke`] instead of this env.
 
+use crate::json::Value;
 use crate::report::{fmt_f, Table};
 use crate::throughput::measure_qps;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spnet_core::methods::{LdmConfig, MethodConfig};
 use spnet_core::owner::{DataOwner, SetupConfig};
 use spnet_core::provider::ServiceProvider;
 use spnet_core::wire::encode_answer;
 use spnet_core::{Client, SpService};
 use spnet_crypto::rsa::RsaKeyPair;
 use spnet_graph::gen::grid_network;
-use spnet_graph::landmark::{CompressionStrategy, LandmarkStrategy};
 use spnet_graph::NodeId;
 use spnet_queries::{PoiSet, SessionQueries};
-use std::fmt::Write as _;
-
-/// Environment variable overriding the committed-artifact lattice side.
-pub const SIDE_ENV: &str = "SPNET_QUERIES_SIDE";
 
 /// Configuration of one query-operator run.
 #[derive(Debug, Clone)]
@@ -69,17 +60,11 @@ pub struct QueriesConfig {
 }
 
 impl QueriesConfig {
-    /// The committed-artifact configuration: side from [`SIDE_ENV`]
-    /// (default 40 → 1,600 nodes, small enough for FULL's O(|V|²)
-    /// build).
-    pub fn from_env(seed: u64) -> Self {
-        let side = std::env::var(SIDE_ENV)
-            .ok()
-            .and_then(|raw| raw.trim().parse().ok())
-            .filter(|&s| s >= 4)
-            .unwrap_or(40);
+    /// The committed-artifact configuration: side 40 → 1,600 nodes,
+    /// small enough for FULL's O(|V|²) build.
+    pub fn committed(seed: u64) -> Self {
         QueriesConfig {
-            side,
+            side: 40,
             pois: 12,
             k: 3,
             radius: 2_500.0,
@@ -106,25 +91,6 @@ impl QueriesConfig {
             cells: 9,
             seed,
         }
-    }
-
-    /// The four methods at the configured hint sizes, in the paper's
-    /// presentation order.
-    fn methods(&self) -> Vec<MethodConfig> {
-        vec![
-            MethodConfig::Dij,
-            MethodConfig::Full {
-                use_floyd_warshall: false,
-            },
-            MethodConfig::Ldm(LdmConfig {
-                landmarks: self.landmarks,
-                bits: 12,
-                xi: 50.0,
-                strategy: LandmarkStrategy::Farthest,
-                compression: CompressionStrategy::HilbertSweep,
-            }),
-            MethodConfig::Hyp { cells: self.cells },
-        ]
     }
 }
 
@@ -173,10 +139,6 @@ impl QueriesRow {
 /// The full experiment output.
 #[derive(Debug, Clone)]
 pub struct QueriesReport {
-    /// Whether the `parallel` feature was compiled in.
-    pub parallel: bool,
-    /// Worker threads available.
-    pub threads: usize,
     /// Master seed.
     pub seed: u64,
     /// |V| of the measured lattice.
@@ -217,7 +179,7 @@ pub fn run_queries(cfg: &QueriesConfig) -> QueriesReport {
         .collect();
 
     let mut rows = Vec::new();
-    for method in cfg.methods() {
+    for method in crate::HarnessConfig::methods_at(cfg.landmarks, cfg.cells) {
         let setup = SetupConfig {
             seed: cfg.seed,
             ..SetupConfig::default()
@@ -311,10 +273,6 @@ pub fn run_queries(cfg: &QueriesConfig) -> QueriesReport {
         rows.push(row);
     }
     QueriesReport {
-        parallel: spnet_core::PARALLEL_ENABLED,
-        threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
         seed: cfg.seed,
         num_nodes: n,
         num_edges: g.num_edges(),
@@ -362,85 +320,40 @@ impl QueriesReport {
         vec![("queries_operators".into(), t)]
     }
 
-    /// Serializes the report as pretty JSON (hand-rolled; no serde in
-    /// the offline environment).
-    pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.2}")
-            } else {
-                "null".into()
-            }
-        }
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"schema\": \"spnet-queries/v1\",");
-        let _ = writeln!(s, "  \"parallel\": {},", self.parallel);
-        let _ = writeln!(s, "  \"threads\": {},", self.threads);
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"num_nodes\": {},", self.num_nodes);
-        let _ = writeln!(s, "  \"num_edges\": {},", self.num_edges);
-        let _ = writeln!(s, "  \"pois\": {},", self.pois);
-        let _ = writeln!(s, "  \"k\": {},", self.k);
-        let _ = writeln!(s, "  \"radius\": {},", num(self.radius));
-        let _ = writeln!(s, "  \"rows\": [");
-        for (i, r) in self.rows.iter().enumerate() {
-            let comma = if i + 1 < self.rows.len() { "," } else { "" };
-            let _ = writeln!(s, "    {{");
-            let _ = writeln!(s, "      \"method\": \"{}\",", r.method);
-            let _ = writeln!(s, "      \"range_members\": {},", r.range_members);
-            let _ = writeln!(
-                s,
-                "      \"range_verify_qps\": {},",
-                num(r.range_verify_qps)
-            );
-            let _ = writeln!(s, "      \"range_cert_bytes\": {},", r.range_cert_bytes);
-            let _ = writeln!(s, "      \"knn_verify_qps\": {},", num(r.knn_verify_qps));
-            let _ = writeln!(s, "      \"knn_cert_bytes\": {},", r.knn_cert_bytes);
-            let _ = writeln!(
-                s,
-                "      \"plain_verify_qps\": {},",
-                num(r.plain_verify_qps)
-            );
-            let _ = writeln!(
-                s,
-                "      \"matrix_verify_qps\": {},",
-                num(r.matrix_verify_qps)
-            );
-            let _ = writeln!(s, "      \"matrix_cert_bytes\": {},", r.matrix_cert_bytes);
-            let _ = writeln!(
-                s,
-                "      \"matrix_separate_bytes\": {}",
-                r.matrix_separate_bytes
-            );
-            let _ = writeln!(s, "    }}{comma}");
-        }
-        let _ = writeln!(s, "  ]");
-        let _ = writeln!(s, "}}");
-        s
-    }
-
-    /// Writes `BENCH_queries.json` into `dir`.
-    pub fn save_json(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
-        let path = dir.join("BENCH_queries.json");
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
+    /// The report as a `spnet-queries/v1` record.
+    pub fn record(&self) -> Value {
+        let row = |r: &QueriesRow| {
+            Value::obj([
+                ("method", r.method.as_str().into()),
+                ("range_members", r.range_members.into()),
+                ("range_verify_qps", Value::measured(r.range_verify_qps)),
+                ("range_cert_bytes", r.range_cert_bytes.into()),
+                ("knn_verify_qps", Value::measured(r.knn_verify_qps)),
+                ("knn_cert_bytes", r.knn_cert_bytes.into()),
+                ("plain_verify_qps", Value::measured(r.plain_verify_qps)),
+                ("matrix_verify_qps", Value::measured(r.matrix_verify_qps)),
+                ("matrix_cert_bytes", r.matrix_cert_bytes.into()),
+                ("matrix_separate_bytes", r.matrix_separate_bytes.into()),
+            ])
+        };
+        Value::obj([
+            ("schema", "spnet-queries/v1".into()),
+            ("seed", self.seed.into()),
+            ("num_nodes", self.num_nodes.into()),
+            ("num_edges", self.num_edges.into()),
+            ("pois", self.pois.into()),
+            ("k", u64::from(self.k).into()),
+            ("radius", Value::Num(self.radius)),
+            ("rows", self.rows.iter().map(row).collect()),
+        ])
     }
 }
 
 /// Experiment entry point used by the `figures` binary: prints the
 /// table and writes `BENCH_queries.json` to the current directory.
 pub fn queries(cfg: &crate::config::HarnessConfig) -> Vec<(String, Table)> {
-    let report = run_queries(&QueriesConfig::from_env(cfg.seed));
-    let tables = report.tables();
-    for (_, t) in &tables {
-        t.print();
-    }
-    match report.save_json(std::path::Path::new(".")) {
-        Ok(path) => eprintln!("[queries] wrote {}", path.display()),
-        Err(e) => eprintln!("[queries] could not write BENCH_queries.json: {e}"),
-    }
-    tables
+    let report = run_queries(&QueriesConfig::committed(cfg.seed));
+    crate::report::publish("queries", report.record(), report.tables())
 }
 
 #[cfg(test)]
@@ -468,9 +381,9 @@ mod tests {
                 r.matrix_separate_bytes
             );
         }
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"spnet-queries/v1\""));
-        assert!(json.contains("\"matrix_separate_bytes\""));
-        assert!(json.contains("\"HYP\""));
+        assert_eq!(
+            crate::gate::structural_violations("queries", &report.record()),
+            Vec::<String>::new()
+        );
     }
 }

@@ -1,5 +1,7 @@
-//! Plain-text table rendering and CSV output for the figure harness.
+//! Plain-text table rendering, CSV output and the `BENCH_*.json`
+//! artifact writer for the figure harness.
 
+use crate::json::{self, Value};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
@@ -79,6 +81,54 @@ impl Table {
         }
         Ok(())
     }
+}
+
+/// The measuring host: what a reader needs to judge whether two
+/// artifacts are comparable. `git_rev` is `"unknown"` outside a checkout.
+pub fn host() -> Value {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let parallel = spnet_core::PARALLEL_ENABLED;
+    let rev = std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok());
+    Value::obj([
+        ("cores", cores.into()),
+        ("threads", if parallel { cores } else { 1 }.into()),
+        ("parallel", parallel.into()),
+        (
+            "rsa_bits",
+            spnet_core::owner::SetupConfig::default().rsa_bits.into(),
+        ),
+        (
+            "git_rev",
+            rev.as_deref().map_or("unknown", str::trim).into(),
+        ),
+    ])
+}
+
+/// The tail of every `figures` experiment that commits an artifact:
+/// prints the tables, stamps `record` with [`host`] after its schema
+/// tag, and writes it to `BENCH_<name>.json` in the current directory.
+pub fn publish(
+    name: &str,
+    mut record: Value,
+    tables: Vec<(String, Table)>,
+) -> Vec<(String, Table)> {
+    for (_, t) in &tables {
+        t.print();
+    }
+    if let Value::Obj(fields) = &mut record {
+        fields.insert(1.min(fields.len()), ("host".into(), host()));
+    }
+    let path = format!("BENCH_{name}.json");
+    match std::fs::write(&path, json::write(&record)) {
+        Ok(()) => eprintln!("[{name}] wrote {path}"),
+        Err(e) => eprintln!("[{name}] could not write {path}: {e}"),
+    }
+    tables
 }
 
 /// Formats a float with sensible precision for table cells.

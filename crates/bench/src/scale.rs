@@ -24,9 +24,10 @@
 //! ```
 //!
 //! `SPNET_SCALE_SIZES` (comma-separated node counts, default
-//! `100000,1000000`) overrides the row sizes — the CI smoke uses a
-//! reduced size through [`ScaleConfig::smoke`] instead of this env.
+//! `100000,1000000`) overrides the row sizes, e.g. for a 100k-only run;
+//! the CI smoke uses a reduced size through [`ScaleConfig::smoke`].
 
+use crate::json::Value;
 use crate::report::{fmt_f, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,7 +39,6 @@ use spnet_graph::gen::{highway_network, road_network, scale_free};
 use spnet_graph::search::SearchWorkspace;
 use spnet_graph::workload::make_workload;
 use spnet_graph::{FrontierKind, Graph, NodeId};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Environment variable overriding the measured sizes.
@@ -163,10 +163,6 @@ pub struct ScaleRow {
 /// The full experiment output.
 #[derive(Debug, Clone)]
 pub struct ScaleReport {
-    /// Whether the `parallel` feature was compiled in.
-    pub parallel: bool,
-    /// Worker threads available.
-    pub threads: usize,
     /// The configuration the rows were measured under.
     pub config: ScaleConfig,
     /// One row per size.
@@ -174,7 +170,7 @@ pub struct ScaleReport {
 }
 
 /// Human label for a node count (`100k`, `1m`).
-fn size_label(n: usize) -> String {
+pub(crate) fn size_label(n: usize) -> String {
     if n >= 1_000_000 {
         format!("{}m", (n + 500_000) / 1_000_000)
     } else {
@@ -322,10 +318,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
         });
     }
     ScaleReport {
-        parallel: spnet_core::PARALLEL_ENABLED,
-        threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
         config: cfg.clone(),
         rows,
     }
@@ -378,84 +370,51 @@ impl ScaleReport {
         ]
     }
 
-    /// Serializes the report as pretty JSON (hand-rolled; no serde in
-    /// the offline environment).
-    pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.2}")
-            } else {
-                "null".into()
-            }
-        }
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"schema\": \"spnet-scale/v1\",");
-        let _ = writeln!(s, "  \"parallel\": {},", self.parallel);
-        let _ = writeln!(s, "  \"threads\": {},", self.threads);
-        let _ = writeln!(s, "  \"seed\": {},", self.config.seed);
-        let _ = writeln!(s, "  \"queries\": {},", self.config.queries);
-        let _ = writeln!(s, "  \"range\": {},", self.config.range);
-        let _ = writeln!(s, "  \"landmarks\": {},", self.config.landmarks);
-        let _ = writeln!(s, "  \"cells\": {},", self.config.cells);
-        let _ = writeln!(s, "  \"sssp_sources\": {},", self.config.sssp_sources);
-        let _ = writeln!(s, "  \"sssp_passes\": {},", self.config.sssp_passes);
-        let _ = writeln!(
-            s,
-            "  \"full_excluded\": \"FULL precomputes an O(|V|^2) distance \
-             matrix; at 100k+ nodes that is >= 10^10 entries and cannot be \
-             built, so scale rows track DIJ/LDM/HYP only\","
-        );
-        let _ = writeln!(s, "  \"rows\": [");
-        for (i, row) in self.rows.iter().enumerate() {
-            let _ = writeln!(s, "    {{");
-            let _ = writeln!(s, "      \"label\": \"{}\",", row.label);
-            let _ = writeln!(s, "      \"nodes\": {},", row.nodes);
-            let _ = writeln!(s, "      \"sssp\": [");
-            for (j, f) in row.sssp.iter().enumerate() {
-                let comma = if j + 1 < row.sssp.len() { "," } else { "" };
-                let _ = writeln!(
-                    s,
-                    "        {{\"family\": \"{}\", \"nodes\": {}, \"edges\": {}, \
-                     \"heap_ms\": {}, \"bucket_ms\": {}, \"speedup\": {}}}{}",
-                    f.family,
-                    f.nodes,
-                    f.edges,
-                    num(f.heap_ms),
-                    num(f.bucket_ms),
-                    num(f.speedup()),
-                    comma
-                );
-            }
-            let _ = writeln!(s, "      ],");
-            let _ = writeln!(s, "      \"methods\": [");
-            for (j, m) in row.methods.iter().enumerate() {
-                let comma = if j + 1 < row.methods.len() { "," } else { "" };
-                let _ = writeln!(
-                    s,
-                    "        {{\"method\": \"{}\", \"build_s\": {}, \
-                     \"prove_qps\": {}, \"verify_qps\": {}}}{}",
-                    m.method,
-                    num(m.build_s),
-                    num(m.prove_qps),
-                    num(m.verify_qps),
-                    comma
-                );
-            }
-            let _ = writeln!(s, "      ]");
-            let comma = if i + 1 < self.rows.len() { "," } else { "" };
-            let _ = writeln!(s, "    }}{comma}");
-        }
-        let _ = writeln!(s, "  ]");
-        let _ = writeln!(s, "}}");
-        s
-    }
-
-    /// Writes `BENCH_scale.json` into `dir`.
-    pub fn save_json(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
-        let path = dir.join("BENCH_scale.json");
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
+    /// The report as a `spnet-scale/v1` record.
+    pub fn record(&self) -> Value {
+        let family = |f: &SsspScale| {
+            Value::obj([
+                ("family", f.family.as_str().into()),
+                ("nodes", f.nodes.into()),
+                ("edges", f.edges.into()),
+                ("heap_ms", Value::measured(f.heap_ms)),
+                ("bucket_ms", Value::measured(f.bucket_ms)),
+                ("speedup", Value::measured(f.speedup())),
+            ])
+        };
+        let method = |m: &MethodScale| {
+            Value::obj([
+                ("method", m.method.as_str().into()),
+                ("build_s", Value::measured(m.build_s)),
+                ("prove_qps", Value::measured(m.prove_qps)),
+                ("verify_qps", Value::measured(m.verify_qps)),
+            ])
+        };
+        let row = |r: &ScaleRow| {
+            Value::obj([
+                ("label", r.label.as_str().into()),
+                ("nodes", r.nodes.into()),
+                ("sssp", r.sssp.iter().map(family).collect()),
+                ("methods", r.methods.iter().map(method).collect()),
+            ])
+        };
+        Value::obj([
+            ("schema", "spnet-scale/v1".into()),
+            ("seed", self.config.seed.into()),
+            ("queries", self.config.queries.into()),
+            ("range", Value::Num(self.config.range)),
+            ("landmarks", self.config.landmarks.into()),
+            ("cells", self.config.cells.into()),
+            ("sssp_sources", self.config.sssp_sources.into()),
+            ("sssp_passes", self.config.sssp_passes.into()),
+            (
+                "full_excluded",
+                "FULL precomputes an O(|V|^2) distance matrix; at 100k+ nodes that is >= 10^10 \
+                 entries and cannot be built, so scale rows track DIJ/LDM/HYP only"
+                    .into(),
+            ),
+            ("rows", self.rows.iter().map(row).collect()),
+        ])
     }
 }
 
@@ -463,15 +422,7 @@ impl ScaleReport {
 /// tables and writes `BENCH_scale.json` to the current directory.
 pub fn scale(cfg: &crate::config::HarnessConfig) -> Vec<(String, Table)> {
     let report = run_scale(&ScaleConfig::from_env(cfg.seed));
-    let tables = report.tables();
-    for (_, t) in &tables {
-        t.print();
-    }
-    match report.save_json(std::path::Path::new(".")) {
-        Ok(path) => eprintln!("[scale] wrote {}", path.display()),
-        Err(e) => eprintln!("[scale] could not write BENCH_scale.json: {e}"),
-    }
-    tables
+    crate::report::publish("scale", report.record(), report.tables())
 }
 
 #[cfg(test)]
@@ -503,10 +454,12 @@ mod tests {
             assert!(m.prove_qps > 0.0 && m.verify_qps > 0.0, "{}", m.method);
             assert_ne!(m.method, "FULL");
         }
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"spnet-scale/v1\""));
-        assert!(json.contains("\"full_excluded\""));
-        assert!(json.contains("\"scale_free\""));
+        let record = report.record();
+        assert!(record.get("full_excluded").is_some());
+        assert_eq!(
+            crate::gate::structural_violations("scale", &record),
+            Vec::<String>::new()
+        );
     }
 
     #[test]

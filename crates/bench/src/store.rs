@@ -1,7 +1,7 @@
 //! Cold-start persistence experiment: rebuild-and-resign vs
 //! snapshot-load, committed as `BENCH_store.json`.
 //!
-//! One row per network size (default road-100k and road-1M). Each row
+//! One row per network size (road-100k and road-1M). Each row
 //! times the two ways a provider can come up:
 //!
 //! * **Rebuild-and-resign** — what a restart without a snapshot costs:
@@ -24,12 +24,10 @@
 //! ```text
 //! cargo run --release -p spnet-bench --bin figures -- store
 //! ```
-//!
-//! `SPNET_STORE_SIZES` (comma-separated node counts, default
-//! `100000,1000000`) overrides the row sizes — the CI smoke uses a
-//! reduced size through [`StoreConfig::smoke`] instead of this env.
 
+use crate::json::Value;
 use crate::report::{fmt_f, Table};
+use crate::scale::size_label;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spnet_core::methods::MethodConfig;
@@ -40,11 +38,7 @@ use spnet_core::StoreBackend;
 use spnet_graph::gen::road_network;
 use spnet_graph::io::{load_graph, save_graph};
 use spnet_graph::workload::make_workload;
-use std::fmt::Write as _;
 use std::time::Instant;
-
-/// Environment variable overriding the measured sizes.
-pub const SIZES_ENV: &str = "SPNET_STORE_SIZES";
 
 /// Configuration of one store run.
 #[derive(Debug, Clone)]
@@ -59,20 +53,10 @@ pub struct StoreConfig {
 }
 
 impl StoreConfig {
-    /// The committed-artifact configuration: sizes from [`SIZES_ENV`]
-    /// (default 100k + 1M).
-    pub fn from_env(seed: u64) -> Self {
-        let sizes = std::env::var(SIZES_ENV)
-            .ok()
-            .map(|raw| {
-                raw.split(',')
-                    .filter_map(|t| t.trim().parse().ok())
-                    .collect::<Vec<usize>>()
-            })
-            .filter(|v| !v.is_empty())
-            .unwrap_or_else(|| vec![100_000, 1_000_000]);
+    /// The committed-artifact configuration: 100k + 1M nodes.
+    pub fn committed(seed: u64) -> Self {
         StoreConfig {
-            sizes,
+            sizes: vec![100_000, 1_000_000],
             range: 500.0,
             seed,
         }
@@ -124,23 +108,10 @@ impl StoreRow {
 /// The full experiment output.
 #[derive(Debug, Clone)]
 pub struct StoreReport {
-    /// Whether the `parallel` feature was compiled in.
-    pub parallel: bool,
-    /// Worker threads available.
-    pub threads: usize,
     /// Master seed the rows were measured under.
     pub seed: u64,
     /// One row per size.
     pub rows: Vec<StoreRow>,
-}
-
-/// Human label for a node count (`100k`, `1m`).
-fn size_label(n: usize) -> String {
-    if n >= 1_000_000 {
-        format!("{}m", (n + 500_000) / 1_000_000)
-    } else {
-        format!("{}k", (n + 500) / 1_000)
-    }
 }
 
 /// Runs the experiment and returns the report (temp files only).
@@ -222,10 +193,6 @@ pub fn run_store(cfg: &StoreConfig) -> StoreReport {
         rows.push(row);
     }
     StoreReport {
-        parallel: spnet_core::PARALLEL_ENABLED,
-        threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
         seed: cfg.seed,
         rows,
     }
@@ -266,65 +233,36 @@ impl StoreReport {
         vec![("store_cold_start".into(), t)]
     }
 
-    /// Serializes the report as pretty JSON (hand-rolled; no serde in
-    /// the offline environment).
-    pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.4}")
-            } else {
-                "null".into()
-            }
-        }
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"schema\": \"spnet-store/v1\",");
-        let _ = writeln!(s, "  \"parallel\": {},", self.parallel);
-        let _ = writeln!(s, "  \"threads\": {},", self.threads);
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"method\": \"DIJ\",");
-        let _ = writeln!(s, "  \"rows\": [");
-        for (i, r) in self.rows.iter().enumerate() {
-            let comma = if i + 1 < self.rows.len() { "," } else { "" };
-            let _ = writeln!(s, "    {{");
-            let _ = writeln!(s, "      \"label\": \"{}\",", r.label);
-            let _ = writeln!(s, "      \"nodes\": {},", r.nodes);
-            let _ = writeln!(s, "      \"edges\": {},", r.edges);
-            let _ = writeln!(s, "      \"build_sign_s\": {},", num(r.build_sign_s));
-            let _ = writeln!(s, "      \"save_s\": {},", num(r.save_s));
-            let _ = writeln!(s, "      \"load_mem_s\": {},", num(r.load_mem_s));
-            let _ = writeln!(s, "      \"load_file_s\": {},", num(r.load_file_s));
-            let _ = writeln!(s, "      \"snapshot_bytes\": {},", r.snapshot_bytes);
-            let _ = writeln!(s, "      \"sign_ops_build\": {},", r.sign_ops_build);
-            let _ = writeln!(s, "      \"sign_ops_load\": {}", r.sign_ops_load);
-            let _ = writeln!(s, "    }}{comma}");
-        }
-        let _ = writeln!(s, "  ]");
-        let _ = writeln!(s, "}}");
-        s
-    }
-
-    /// Writes `BENCH_store.json` into `dir`.
-    pub fn save_json(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
-        let path = dir.join("BENCH_store.json");
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
+    /// The report as a `spnet-store/v1` record.
+    pub fn record(&self) -> Value {
+        let row = |r: &StoreRow| {
+            Value::obj([
+                ("label", r.label.as_str().into()),
+                ("nodes", r.nodes.into()),
+                ("edges", r.edges.into()),
+                ("build_sign_s", Value::measured(r.build_sign_s)),
+                ("save_s", Value::measured(r.save_s)),
+                ("load_mem_s", Value::measured(r.load_mem_s)),
+                ("load_file_s", Value::measured(r.load_file_s)),
+                ("snapshot_bytes", r.snapshot_bytes.into()),
+                ("sign_ops_build", r.sign_ops_build.into()),
+                ("sign_ops_load", r.sign_ops_load.into()),
+            ])
+        };
+        Value::obj([
+            ("schema", "spnet-store/v1".into()),
+            ("seed", self.seed.into()),
+            ("method", "DIJ".into()),
+            ("rows", self.rows.iter().map(row).collect()),
+        ])
     }
 }
 
 /// Experiment entry point used by the `figures` binary: prints the
 /// table and writes `BENCH_store.json` to the current directory.
 pub fn store(cfg: &crate::config::HarnessConfig) -> Vec<(String, Table)> {
-    let report = run_store(&StoreConfig::from_env(cfg.seed));
-    let tables = report.tables();
-    for (_, t) in &tables {
-        t.print();
-    }
-    match report.save_json(std::path::Path::new(".")) {
-        Ok(path) => eprintln!("[store] wrote {}", path.display()),
-        Err(e) => eprintln!("[store] could not write BENCH_store.json: {e}"),
-    }
-    tables
+    let report = run_store(&StoreConfig::committed(cfg.seed));
+    crate::report::publish("store", report.record(), report.tables())
 }
 
 #[cfg(test)]
@@ -345,9 +283,11 @@ mod tests {
         // sign_ops_load == 0 is pinned by tests/store_persist.rs under
         // a lock; here parallel unit tests may sign concurrently, so
         // only the structural fields are asserted.
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"spnet-store/v1\""));
-        assert!(json.contains("\"sign_ops_load\""));
+        let broken = crate::gate::structural_violations("store", &report.record());
+        assert!(
+            broken.iter().all(|v| v.contains("sign_ops_load")),
+            "{broken:?}"
+        );
     }
 
     #[test]

@@ -18,13 +18,14 @@
 //!
 //! Results are printed as a table and written to
 //! `BENCH_throughput.json` so successive PRs can diff the trajectory.
-//! Regenerate with:
+//! Regenerate at the CI gate's settings with:
 //!
 //! ```text
-//! cargo run --release -p spnet-bench --bin figures -- throughput
+//! cargo run --release -p spnet-bench --bin figures -- throughput --scale 0.05 --queries 100
 //! ```
 
 use crate::config::HarnessConfig;
+use crate::json::Value;
 use crate::report::{fmt_f, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,7 +37,6 @@ use spnet_graph::algo::dijkstra::reference;
 use spnet_graph::gen::grid_network;
 use spnet_graph::workload::make_workload;
 use spnet_graph::NodeId;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Queries per pooled stream chunk in the streaming-verify
@@ -52,16 +52,13 @@ pub struct MethodThroughput {
     pub prove_qps: f64,
     /// Single-query client verifications per second.
     pub verify_qps: f64,
-    /// Batched proof generations per second (None only in historical
-    /// baselines — every method batches now).
-    pub batch_prove_qps: Option<f64>,
-    /// Batched verifications per second (None only in historical
-    /// baselines — every method batches now).
-    pub batch_verify_qps: Option<f64>,
+    /// Batched proof generations per second.
+    pub batch_prove_qps: f64,
+    /// Batched verifications per second.
+    pub batch_verify_qps: f64,
     /// Streaming verifications per second — frame decode + chunked
-    /// batch verify (None only in historical baselines — every method
-    /// streams now).
-    pub stream_verify_qps: Option<f64>,
+    /// batch verify.
+    pub stream_verify_qps: f64,
 }
 
 /// The full experiment output.
@@ -81,10 +78,6 @@ pub struct ThroughputReport {
     pub num_edges: usize,
     /// Number of distinct workload queries.
     pub queries: usize,
-    /// Whether the `parallel` feature was compiled in.
-    pub parallel: bool,
-    /// Worker threads available to the parallel paths.
-    pub threads: usize,
     /// Per-method rates.
     pub methods: Vec<MethodThroughput>,
 }
@@ -174,31 +167,25 @@ pub fn run_throughput(cfg: &HarnessConfig) -> ThroughputReport {
         let session = service
             .open_session(client.clone())
             .expect("authentic epoch");
-        let bp = measure_qps(pairs.len(), 400, || {
+        let batch_prove_qps = measure_qps(pairs.len(), 400, || {
             std::hint::black_box(session.answer_batch(&pairs).expect("batch"));
         });
         let batch = session.answer_batch(&pairs).expect("batch");
-        let bv = measure_qps(pairs.len(), 400, || {
+        let batch_verify_qps = measure_qps(pairs.len(), 400, || {
             std::hint::black_box(session.verify_batch(&pairs, &batch).expect("honest batch"));
         });
-        let (batch_prove_qps, batch_verify_qps) = (Some(bp), Some(bv));
-        let sv = measure_qps(pairs.len(), 400, || {
+        let stream_verify_qps = measure_qps(pairs.len(), 400, || {
             let mut verifier = StreamVerifier::new(&client, &pairs);
             for f in &frames {
                 std::hint::black_box(verifier.feed(f).expect("honest stream"));
             }
             verifier.finish().expect("complete stream");
         });
-        let stream_verify_qps = Some(sv);
 
         eprintln!(
-            "[throughput] {}: prove {:.0}/s verify {:.0}/s batch {:?}/{:?} stream {:?}",
+            "[throughput] {}: prove {prove_qps:.0}/s verify {verify_qps:.0}/s \
+             batch {batch_prove_qps:.0}/{batch_verify_qps:.0} stream {stream_verify_qps:.0}",
             method.name(),
-            prove_qps,
-            verify_qps,
-            batch_prove_qps.map(|v| v as u64),
-            batch_verify_qps.map(|v| v as u64),
-            stream_verify_qps.map(|v| v as u64),
         );
         methods.push(MethodThroughput {
             method: method.name().to_string(),
@@ -214,17 +201,8 @@ pub fn run_throughput(cfg: &HarnessConfig) -> ThroughputReport {
         num_nodes: g.num_nodes(),
         num_edges: g.num_edges(),
         queries: pairs.len(),
-        parallel: parallel_enabled(),
-        threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
         methods,
     }
-}
-
-/// Whether spnet-core was built with its parallel batch paths.
-fn parallel_enabled() -> bool {
-    spnet_core::PARALLEL_ENABLED
 }
 
 impl ThroughputReport {
@@ -246,60 +224,34 @@ impl ThroughputReport {
                 m.method.clone(),
                 fmt_f(m.prove_qps),
                 fmt_f(m.verify_qps),
-                m.batch_prove_qps.map_or("-".into(), fmt_f),
-                m.batch_verify_qps.map_or("-".into(), fmt_f),
-                m.stream_verify_qps.map_or("-".into(), fmt_f),
+                fmt_f(m.batch_prove_qps),
+                fmt_f(m.batch_verify_qps),
+                fmt_f(m.stream_verify_qps),
             ]);
         }
         t
     }
 
-    /// Serializes the report as pretty JSON (hand-rolled; no serde in
-    /// the offline environment).
-    pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.1}")
-            } else {
-                "null".into()
-            }
-        }
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"schema\": \"spnet-throughput/v3\",");
-        let _ = writeln!(s, "  \"ref_qps\": {},", num(self.ref_qps));
-        let _ = writeln!(s, "  \"num_nodes\": {},", self.num_nodes);
-        let _ = writeln!(s, "  \"num_edges\": {},", self.num_edges);
-        let _ = writeln!(s, "  \"queries\": {},", self.queries);
-        let _ = writeln!(s, "  \"parallel\": {},", self.parallel);
-        let _ = writeln!(s, "  \"threads\": {},", self.threads);
-        let _ = writeln!(s, "  \"methods\": [");
-        for (i, m) in self.methods.iter().enumerate() {
-            let comma = if i + 1 < self.methods.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{\"method\": \"{}\", \"prove_qps\": {}, \"verify_qps\": {}, \
-                 \"batch_prove_qps\": {}, \"batch_verify_qps\": {}, \
-                 \"stream_verify_qps\": {}}}{}",
-                m.method,
-                num(m.prove_qps),
-                num(m.verify_qps),
-                m.batch_prove_qps.map_or("null".into(), num),
-                m.batch_verify_qps.map_or("null".into(), num),
-                m.stream_verify_qps.map_or("null".into(), num),
-                comma
-            );
-        }
-        let _ = writeln!(s, "  ]");
-        let _ = writeln!(s, "}}");
-        s
-    }
-
-    /// Writes `BENCH_throughput.json` into `dir`.
-    pub fn save_json(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
-        let path = dir.join("BENCH_throughput.json");
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
+    /// The report as a `spnet-throughput/v3` record.
+    pub fn record(&self) -> Value {
+        let method = |m: &MethodThroughput| {
+            Value::obj([
+                ("method", m.method.as_str().into()),
+                ("prove_qps", Value::measured(m.prove_qps)),
+                ("verify_qps", Value::measured(m.verify_qps)),
+                ("batch_prove_qps", Value::measured(m.batch_prove_qps)),
+                ("batch_verify_qps", Value::measured(m.batch_verify_qps)),
+                ("stream_verify_qps", Value::measured(m.stream_verify_qps)),
+            ])
+        };
+        Value::obj([
+            ("schema", "spnet-throughput/v3".into()),
+            ("ref_qps", Value::measured(self.ref_qps)),
+            ("num_nodes", self.num_nodes.into()),
+            ("num_edges", self.num_edges.into()),
+            ("queries", self.queries.into()),
+            ("methods", self.methods.iter().map(method).collect()),
+        ])
     }
 }
 
@@ -307,13 +259,11 @@ impl ThroughputReport {
 /// table and writes `BENCH_throughput.json` to the current directory.
 pub fn throughput(cfg: &HarnessConfig) -> Vec<(String, Table)> {
     let report = run_throughput(cfg);
-    let t = report.table();
-    t.print();
-    match report.save_json(std::path::Path::new(".")) {
-        Ok(path) => eprintln!("[throughput] wrote {}", path.display()),
-        Err(e) => eprintln!("[throughput] could not write BENCH_throughput.json: {e}"),
-    }
-    vec![("throughput".into(), t)]
+    crate::report::publish(
+        "throughput",
+        report.record(),
+        vec![("throughput".into(), report.table())],
+    )
 }
 
 #[cfg(test)]
@@ -335,15 +285,14 @@ mod tests {
         for m in &report.methods {
             assert!(m.prove_qps > 0.0, "{}", m.method);
             assert!(m.verify_qps > 0.0, "{}", m.method);
-            assert!(m.batch_prove_qps.unwrap() > 0.0, "{}", m.method);
-            assert!(m.batch_verify_qps.unwrap() > 0.0, "{}", m.method);
-            assert!(m.stream_verify_qps.unwrap() > 0.0, "{}", m.method);
+            assert!(m.batch_prove_qps > 0.0, "{}", m.method);
+            assert!(m.batch_verify_qps > 0.0, "{}", m.method);
+            assert!(m.stream_verify_qps > 0.0, "{}", m.method);
         }
         assert!(report.ref_qps > 0.0);
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"spnet-throughput/v3\""));
-        assert!(json.contains("\"ref_qps\""));
-        assert!(json.contains("\"stream_verify_qps\""));
-        assert!(json.contains("\"DIJ\""));
+        assert_eq!(
+            crate::gate::structural_violations("throughput", &report.record()),
+            Vec::<String>::new()
+        );
     }
 }

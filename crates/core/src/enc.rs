@@ -189,6 +189,18 @@ impl<'a> Decoder<'a> {
         self.take(len as usize)
     }
 
+    /// A `u32` element count for a sequence whose elements each encode
+    /// to at least `min_elem_bytes`. Rejects counts above 2²⁴ and counts
+    /// the remaining input cannot hold, so a hostile prefix fails here
+    /// rather than in the `Vec::with_capacity` that follows it.
+    pub fn take_len(&mut self, min_elem_bytes: usize) -> Result<usize, DecodeError> {
+        let n = self.take_u32()? as usize;
+        if n > 1 << 24 || n.saturating_mul(min_elem_bytes) > self.remaining() {
+            return Err(DecodeError::LengthOverflow(n as u64));
+        }
+        Ok(n)
+    }
+
     /// Fixed-width raw bytes.
     pub fn take_raw(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         self.take(n)
@@ -266,6 +278,40 @@ mod tests {
         assert!(matches!(
             d.take_bytes(),
             Err(DecodeError::LengthOverflow(_))
+        ));
+    }
+
+    #[test]
+    fn take_len_holds_the_prefix_against_the_remaining_input() {
+        let frame = |n: u32, body: usize| {
+            let mut e = Encoder::new();
+            e.put_u32(n);
+            e.put_raw(&vec![0; body]);
+            e.into_bytes()
+        };
+        // 3 elements of 40 bytes fit exactly; the cursor sits after the prefix.
+        let bytes = frame(3, 120);
+        let mut d = Decoder::new(&bytes);
+        assert_eq!(d.take_len(40), Ok(3));
+        assert_eq!(d.remaining(), 120);
+        // One byte short, or a 16M-element claim on a 20-byte frame: typed error.
+        assert_eq!(
+            Decoder::new(&frame(3, 119)).take_len(40),
+            Err(DecodeError::LengthOverflow(3))
+        );
+        assert_eq!(
+            Decoder::new(&frame(1 << 24, 16)).take_len(40),
+            Err(DecodeError::LengthOverflow(1 << 24))
+        );
+        // The absolute cap holds whatever the element width.
+        assert_eq!(
+            Decoder::new(&frame((1 << 24) + 1, 0)).take_len(0),
+            Err(DecodeError::LengthOverflow((1 << 24) + 1))
+        );
+        assert_eq!(Decoder::new(&frame(0, 0)).take_len(40), Ok(0));
+        assert!(matches!(
+            Decoder::new(&[1, 0]).take_len(4),
+            Err(DecodeError::UnexpectedEnd { .. })
         ));
     }
 

@@ -104,6 +104,10 @@ pub struct ExtendedTuple {
 }
 
 impl ExtendedTuple {
+    /// Smallest canonical encoding: id, coordinates, an empty adjacency
+    /// list and the two absent-payload tags.
+    pub const MIN_ENCODED_LEN: usize = 4 + 8 + 8 + 4 + 1 + 1;
+
     /// The base tuple of Eq. 1 for node `v` of `g`.
     pub fn base(g: &Graph, v: NodeId) -> Self {
         let (x, y) = g.coords(v);
@@ -182,10 +186,7 @@ impl ExtendedTuple {
         let id = NodeId(d.take_u32()?);
         let x = d.take_f64()?;
         let y = d.take_f64()?;
-        let deg = d.take_u32()? as usize;
-        if deg > 1 << 24 {
-            return Err(DecodeError::LengthOverflow(deg as u64));
-        }
+        let deg = d.take_len(4 + 8)?; // neighbour id + weight
         let mut adj = Vec::with_capacity(deg);
         for _ in 0..deg {
             adj.push((NodeId(d.take_u32()?), d.take_f64()?));

@@ -31,6 +31,19 @@ use spnet_graph::{NodeId, Path};
 /// added the explicit leading version byte and the streaming frames.
 pub const WIRE_VERSION: u8 = 2;
 
+// Smallest encodings of the repeated elements: what `Decoder::take_len`
+// holds a length prefix against before anything is reserved for it.
+/// `u64` key + `f64` value.
+const KEYED_ENTRY_LEN: usize = 16;
+/// Level + index + digest.
+const PROOF_ENTRY_LEN: usize = 8 + DIGEST_LEN;
+/// A Merkle proof with no entries (leaf count, fanout, entry count).
+const MERKLE_MIN: usize = 12;
+/// An empty path (node count + distance) plus an empty member list.
+const BATCH_QUERY_MIN: usize = 12 + 4;
+/// Source + an empty entry list + an empty row proof.
+const FULL_ROW_MIN: usize = 8 + MERKLE_MIN;
+
 /// Emits the leading version byte of every top-level payload.
 fn put_version(e: &mut Encoder) {
     e.put_u8(WIRE_VERSION);
@@ -103,17 +116,11 @@ pub fn decode_batch_answer(bytes: &[u8]) -> Result<BatchAnswer, DecodeError> {
 
 /// The version-less batch payload (shared with stream chunk frames).
 fn take_batch_body(d: &mut Decoder<'_>) -> Result<BatchAnswer, DecodeError> {
-    let k = d.take_u32()? as usize;
-    if k > 1 << 24 {
-        return Err(DecodeError::LengthOverflow(k as u64));
-    }
+    let k = d.take_len(BATCH_QUERY_MIN)?;
     let mut queries = Vec::with_capacity(k);
     for _ in 0..k {
         let path = take_path(d)?;
-        let m = d.take_u32()? as usize;
-        if m > 1 << 24 {
-            return Err(DecodeError::LengthOverflow(m as u64));
-        }
+        let m = d.take_len(4)?;
         let mut members = Vec::with_capacity(m);
         for _ in 0..m {
             members.push(d.take_u32()?);
@@ -155,10 +162,7 @@ pub fn decode_range_answer(bytes: &[u8]) -> Result<RangeAnswer, DecodeError> {
     take_version(&mut d)?;
     let source = NodeId(d.take_u32()?);
     let radius = d.take_f64()?;
-    let n = d.take_u32()? as usize;
-    if n > 1 << 24 {
-        return Err(DecodeError::LengthOverflow(n as u64));
-    }
+    let n = d.take_len(4 + 8)?; // node id + distance
     let mut members = Vec::with_capacity(n);
     for _ in 0..n {
         members.push((NodeId(d.take_u32()?), d.take_f64()?));
@@ -282,10 +286,7 @@ fn put_path(e: &mut Encoder, p: &Path) {
 }
 
 fn take_path(d: &mut Decoder<'_>) -> Result<Path, DecodeError> {
-    let n = d.take_u32()? as usize;
-    if n > 1 << 24 {
-        return Err(DecodeError::LengthOverflow(n as u64));
-    }
+    let n = d.take_len(4)?;
     let mut nodes = Vec::with_capacity(n);
     for _ in 0..n {
         nodes.push(NodeId(d.take_u32()?));
@@ -323,10 +324,7 @@ fn put_merkle(e: &mut Encoder, m: &MerkleProof) {
 fn take_merkle(d: &mut Decoder<'_>) -> Result<MerkleProof, DecodeError> {
     let leaf_count = d.take_u32()?;
     let fanout = d.take_u32()?;
-    let n = d.take_u32()? as usize;
-    if n > 1 << 24 {
-        return Err(DecodeError::LengthOverflow(n as u64));
-    }
+    let n = d.take_len(PROOF_ENTRY_LEN)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
         entries.push(ProofEntry {
@@ -399,10 +397,7 @@ fn put_keyed(e: &mut Encoder, k: &KeyedProof) {
 }
 
 fn take_keyed(d: &mut Decoder<'_>) -> Result<KeyedProof, DecodeError> {
-    let n = d.take_u32()? as usize;
-    if n > 1 << 24 {
-        return Err(DecodeError::LengthOverflow(n as u64));
-    }
+    let n = d.take_len(KEYED_ENTRY_LEN + 4)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
         entries.push(KeyedEntry {
@@ -435,10 +430,7 @@ pub fn put_key_range_proof(e: &mut Encoder, k: &KeyRangeProof) {
 
 /// Consumes a key-range proof (counterpart of [`put_key_range_proof`]).
 pub fn take_key_range_proof(d: &mut Decoder<'_>) -> Result<KeyRangeProof, DecodeError> {
-    let n = d.take_u32()? as usize;
-    if n > 1 << 24 {
-        return Err(DecodeError::LengthOverflow(n as u64));
-    }
+    let n = d.take_len(KEYED_ENTRY_LEN)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
         entries.push(KeyedEntry {
@@ -464,10 +456,7 @@ fn put_tuples(e: &mut Encoder, ts: &[std::sync::Arc<ExtendedTuple>]) {
 }
 
 fn take_tuples(d: &mut Decoder<'_>) -> Result<Vec<std::sync::Arc<ExtendedTuple>>, DecodeError> {
-    let n = d.take_u32()? as usize;
-    if n > 1 << 24 {
-        return Err(DecodeError::LengthOverflow(n as u64));
-    }
+    let n = d.take_len(ExtendedTuple::MIN_ENCODED_LEN)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(std::sync::Arc::new(ExtendedTuple::decode(d)?));
@@ -596,17 +585,11 @@ fn take_batch_aux(d: &mut Decoder<'_>) -> Result<BatchAux, DecodeError> {
     match d.take_u8()? {
         1 => Ok(BatchAux::Subgraph),
         2 => {
-            let n = d.take_u32()? as usize;
-            if n > 1 << 24 {
-                return Err(DecodeError::LengthOverflow(n as u64));
-            }
+            let n = d.take_len(FULL_ROW_MIN)?;
             let mut rows = Vec::with_capacity(n);
             for _ in 0..n {
                 let source = d.take_u32()?;
-                let m = d.take_u32()? as usize;
-                if m > 1 << 24 {
-                    return Err(DecodeError::LengthOverflow(m as u64));
-                }
+                let m = d.take_len(KEYED_ENTRY_LEN)?;
                 let mut entries = Vec::with_capacity(m);
                 for _ in 0..m {
                     entries.push(KeyedEntry {
@@ -650,10 +633,7 @@ fn put_integrity(e: &mut Encoder, i: &IntegrityProof) {
 }
 
 fn take_integrity(d: &mut Decoder<'_>) -> Result<IntegrityProof, DecodeError> {
-    let n = d.take_u32()? as usize;
-    if n > 1 << 24 {
-        return Err(DecodeError::LengthOverflow(n as u64));
-    }
+    let n = d.take_len(4)?;
     let mut positions = Vec::with_capacity(n);
     for _ in 0..n {
         positions.push(d.take_u32()?);

@@ -76,17 +76,11 @@ pub fn encode_matrix_answer(a: &MatrixAnswer) -> Vec<u8> {
 pub fn decode_matrix_answer(bytes: &[u8]) -> Result<MatrixAnswer, DecodeError> {
     let mut d = Decoder::new(bytes);
     take_version(&mut d)?;
-    let ns = d.take_u32()? as usize;
-    if ns > 1 << 24 {
-        return Err(DecodeError::LengthOverflow(ns as u64));
-    }
+    let ns = d.take_len(4)?;
     let sources = (0..ns)
         .map(|_| Ok(NodeId(d.take_u32()?)))
         .collect::<Result<Vec<_>, DecodeError>>()?;
-    let nt = d.take_u32()? as usize;
-    if nt > 1 << 24 {
-        return Err(DecodeError::LengthOverflow(nt as u64));
-    }
+    let nt = d.take_len(4)?;
     let targets = (0..nt)
         .map(|_| Ok(NodeId(d.take_u32()?)))
         .collect::<Result<Vec<_>, DecodeError>>()?;
