@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the cryptographic substrate:
 //! hashing throughput, Merkle construction/proofs at the paper's
-//! fanouts, and RSA sign/verify.
+//! fanouts, and RSA sign/verify/keygen at 256, 1024 and 2048 bits.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
@@ -76,15 +76,23 @@ fn bench_merkle_prove(c: &mut Criterion) {
     });
 }
 
+/// Sign, verify and key generation at a research-scale, a current and
+/// a production modulus. Key generation time depends on how many
+/// candidates the seed goes through, so every run replays one seed.
 fn bench_rsa(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(7);
-    let kp = RsaKeyPair::generate(&mut rng, 256);
     let d = hash_bytes(b"root");
-    let sig = kp.sign(&d);
-    c.bench_function("rsa256_sign", |b| b.iter(|| kp.sign(black_box(&d))));
-    c.bench_function("rsa256_verify", |b| {
-        b.iter(|| kp.public_key().verify(black_box(&d), black_box(&sig)))
-    });
+    for bits in [256usize, 1024, 2048] {
+        let keygen = || RsaKeyPair::generate(&mut StdRng::seed_from_u64(42), bits);
+        let kp = keygen();
+        let sig = kp.sign(&d);
+        c.bench_function(format!("rsa{bits}_sign"), |b| {
+            b.iter(|| kp.sign(black_box(&d)))
+        });
+        c.bench_function(format!("rsa{bits}_verify"), |b| {
+            b.iter(|| kp.public_key().verify(black_box(&d), black_box(&sig)))
+        });
+        c.bench_function(format!("rsa{bits}_keygen"), |b| b.iter(keygen));
+    }
 }
 
 criterion_group!(

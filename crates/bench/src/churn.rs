@@ -275,7 +275,7 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
             snapshot_in_place,
             snapshot_pages_total: stats.pages_total as u64,
             snapshot_pages_rewritten: stats.pages_rewritten as u64,
-            snapshot_bytes_written: stats.bytes_written as u64,
+            snapshot_bytes_written: stats.bytes_written,
         };
         eprintln!(
             "[churn] {}: {:.1} updates/s with {:.0} verified q/s interleaved, \

@@ -6,7 +6,7 @@
 //!
 //! 1. the owner patches the weight in place on the CSR
 //!    ([`spnet_graph::Graph::set_edge_weight`], O(log deg)),
-//! 2. dispatches [`AuthMethod::repair_hints`] so the method repairs
+//! 2. dispatches [`crate::methods::AuthMethod::repair_hints`] so the method repairs
 //!    exactly the hint entries the change can have invalidated (FULL:
 //!    dirty distance rows, LDM: affected landmark vectors, HYP: dirty
 //!    border-pair hyper-edges) and re-signs the affected aux roots,

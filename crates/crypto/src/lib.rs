@@ -9,12 +9,11 @@
 //!   interchangeable in the protocol, see `DESIGN.md`).
 //! * [`digest`] — the 32-byte [`digest::Digest`] type and
 //!   convenience combinators for hashing concatenations.
-//! * [`bigint`] — arbitrary-precision unsigned integers with the modular
-//!   arithmetic needed for RSA.
-//! * [`prime`] — Miller–Rabin probabilistic primality testing and random
-//!   prime generation.
 //! * [`rsa`] — RSA key generation, signing and verification used by the
-//!   data owner to sign ADS roots.
+//!   data owner to sign ADS roots, over two private modules: `bigint`
+//!   (arbitrary-precision unsigned integers: limb-wise long division,
+//!   Montgomery exponentiation) and `prime` (Miller–Rabin primality
+//!   testing and random prime generation).
 //! * [`merkle`] — a Merkle hash tree with configurable fanout plus
 //!   multi-leaf proof generation/verification following Merkle's
 //!   subtree rule (Section III-B of the paper).
@@ -23,9 +22,13 @@
 //!
 //! # Security disclaimer
 //!
-//! This is research-grade code written for a reproduction study: the RSA
-//! implementation is not constant-time and the default modulus size is
-//! chosen for experiment throughput, not production security.
+//! This is research-grade code written for a reproduction study. RSA
+//! signing uses the CRT and checks every signature under the public
+//! exponent before releasing it, so a computation fault cannot leak a
+//! factor of the modulus; but nothing here is constant-time (window
+//! lookups, the final Montgomery subtraction and long division all
+//! branch on secret data), and the default modulus size is chosen for
+//! experiment throughput, not production security.
 //!
 //! # Example
 //!
@@ -41,13 +44,13 @@
 //! assert_eq!(root, tree.root());
 //! ```
 
-pub mod bigint;
+mod bigint;
 pub mod cache;
 pub mod digest;
 pub mod mbtree;
 pub mod merkle;
 pub mod pager;
-pub mod prime;
+mod prime;
 pub mod rsa;
 pub mod sha256;
 

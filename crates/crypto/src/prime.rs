@@ -1,7 +1,7 @@
 //! Probabilistic primality testing and random prime generation for RSA
 //! key material.
 
-use crate::bigint::BigUint;
+use crate::bigint::{BigUint, Montgomery};
 use rand::Rng;
 
 /// Small primes used for cheap trial division before Miller–Rabin.
@@ -19,47 +19,42 @@ const MR_ROUNDS: usize = 24;
 /// Deterministic for `n < 252` via the small-prime table, then trial
 /// division, then `MR_ROUNDS` (24) rounds of Miller–Rabin with random
 /// bases.
-pub fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rng: &mut R) -> bool {
+pub(crate) fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rng: &mut R) -> bool {
     if n.is_zero() || n.is_one() {
         return false;
     }
     for &p in &SMALL_PRIMES {
-        let pb = BigUint::from_u64(p as u64);
-        match n.cmp_to(&pb) {
-            std::cmp::Ordering::Equal => return true,
-            std::cmp::Ordering::Less => return false,
-            std::cmp::Ordering::Greater => {}
-        }
-        if n.rem(&pb).is_zero() {
-            return false;
+        if n.rem_u32(p) == 0 {
+            // A multiple of p is prime only if it is p itself.
+            return *n == BigUint::from_u64(p as u64);
         }
     }
     miller_rabin(n, MR_ROUNDS, rng)
 }
 
-/// Miller–Rabin with `rounds` random bases in `[2, n-2]`.
+/// Miller–Rabin with `rounds` random bases in `[2, n-2]`, for odd
+/// `n > 3`. One Montgomery context serves the candidate: the witness
+/// power and its squarings stay in Montgomery form and are compared
+/// against the residues of 1 and `n − 1`.
 fn miller_rabin<R: Rng + ?Sized>(n: &BigUint, rounds: usize, rng: &mut R) -> bool {
-    let one = BigUint::one();
     let two = BigUint::from_u64(2);
-    let n_minus_1 = n.sub(&one);
     // n - 1 = d * 2^s with d odd
-    let mut d = n_minus_1.clone();
-    let mut s = 0usize;
-    while d.is_even() {
-        d = d.shr(1);
-        s += 1;
-    }
+    let n_minus_1 = n.sub(&BigUint::one());
+    let s = n_minus_1.trailing_zeros();
+    let d = n_minus_1.shr(s);
+    let ctx = Montgomery::new(n);
+    let minus_one = ctx.minus_one();
+    let span = n.sub(&BigUint::from_u64(3));
     'witness: for _ in 0..rounds {
         // a uniform in [2, n-2]
-        let span = n.sub(&BigUint::from_u64(3));
         let a = BigUint::random_below(rng, &span).add(&two);
-        let mut x = a.modpow(&d, n);
-        if x.is_one() || x == n_minus_1 {
+        let mut x = ctx.pow_residue(&a, &d);
+        if x == ctx.one() || x == minus_one {
             continue 'witness;
         }
         for _ in 0..s - 1 {
-            x = x.modpow(&two, n);
-            if x == n_minus_1 {
+            x = ctx.square(&x);
+            if x == minus_one {
                 continue 'witness;
             }
         }
@@ -69,7 +64,7 @@ fn miller_rabin<R: Rng + ?Sized>(n: &BigUint, rounds: usize, rng: &mut R) -> boo
 }
 
 /// Generates a random probable prime with exactly `bits` bits.
-pub fn random_prime<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> BigUint {
+pub(crate) fn random_prime<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> BigUint {
     assert!(bits >= 8, "prime size too small for RSA use");
     loop {
         let mut candidate = BigUint::random_bits(rng, bits);

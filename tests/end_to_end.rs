@@ -6,7 +6,9 @@ use rand::SeedableRng;
 use spnet_core::methods::{LdmConfig, MethodConfig};
 use spnet_core::owner::{DataOwner, SetupConfig};
 use spnet_core::provider::ServiceProvider;
+use spnet_core::service::SpService;
 use spnet_core::Client;
+use spnet_crypto::rsa::RsaKeyPair;
 use spnet_graph::algo::dijkstra_path;
 use spnet_graph::gen::{grid_network, Dataset};
 use spnet_graph::order::NodeOrdering;
@@ -171,4 +173,49 @@ fn non_hilbert_default_still_sound() {
     for method in all_methods() {
         run_workload(&g, &method, &setup, 2018, 4);
     }
+}
+
+/// The owner's lifecycle at a production-strength modulus (every other
+/// integration test signs with 256-bit keys): publish, verify without
+/// a session, serve a session, re-weight an edge, reopen and verify
+/// against the re-signed root.
+#[test]
+fn dij_update_and_reopen_at_1024_bit_rsa() {
+    let g = grid_network(9, 9, 1.15, 1601);
+    let setup = SetupConfig {
+        rsa_bits: 1024,
+        ..SetupConfig::default()
+    };
+    let kp = RsaKeyPair::generate(&mut StdRng::seed_from_u64(1602), setup.rsa_bits);
+    let p = DataOwner::publish_with_key(&g, &MethodConfig::Dij, &setup, &kp);
+    assert!(p.public_key.modulus_bits() >= 1023);
+    let client = Client::new(p.public_key.clone());
+    let (s, t) = (NodeId(0), NodeId(80));
+    let path = dijkstra_path(&g, s, t).unwrap();
+
+    // Session-less: the root signature is checked on every answer.
+    let provider = ServiceProvider::new(p.package.clone());
+    let oneshot = client
+        .verify(s, t, &provider.answer(s, t).unwrap())
+        .unwrap();
+    assert_eq!(oneshot.distance.to_bits(), path.distance.to_bits());
+
+    let service = SpService::builder().package(p.package).threads(0).build();
+    let before = service.open_session(client.clone()).unwrap();
+    let a = before.query(s, t).unwrap();
+    assert_eq!(a.distance.to_bits(), path.distance.to_bits());
+
+    // One signature to publish, one to re-sign the repaired root.
+    let (u, v) = (path.nodes[0], path.nodes[1]);
+    assert_eq!(service.update_edge_weight(&kp, u, v, 500.0).unwrap(), 1);
+    assert_eq!(kp.signing_ops(), 2);
+
+    let mut g2 = g.clone();
+    g2.set_edge_weight(u, v, 500.0).unwrap();
+    let want = dijkstra_path(&g2, s, t).unwrap().distance;
+    assert!((want - path.distance).abs() > 1e-9);
+    let after = service.open_session(client).unwrap();
+    assert_eq!(after.epoch(), 1);
+    let b = after.query(s, t).unwrap();
+    assert_eq!(b.distance.to_bits(), want.to_bits());
 }

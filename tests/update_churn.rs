@@ -164,7 +164,7 @@ fn incremental_snapshot_refresh_round_trips_both_backends() {
                     .unwrap()
                     .len();
                 assert!(
-                    (stats.bytes_written as u64) < file_len,
+                    stats.bytes_written < file_len,
                     "{}: in-place refresh must write less than the \
                      whole file ({} of {} bytes)",
                     method.name(),
