@@ -4,9 +4,7 @@
 //! landmark machinery.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spnet_graph::algo::{
-    apsp_dijkstra, astar_path, bidirectional_path, dijkstra_path, floyd_warshall,
-};
+use spnet_graph::algo::{apsp_dijkstra, bidirectional_path, dijkstra_path, floyd_warshall};
 use spnet_graph::gen::grid_network;
 use spnet_graph::landmark::{
     select_landmarks, LandmarkStrategy, LandmarkVectors, QuantizedVectors,
@@ -17,17 +15,12 @@ use std::hint::black_box;
 fn bench_point_to_point(c: &mut Criterion) {
     let g = grid_network(40, 40, 1.1, 1);
     let (s, t) = (NodeId(0), NodeId(1599));
-    let lms = select_landmarks(&g, 8, LandmarkStrategy::Farthest, 2);
-    let lv = LandmarkVectors::compute(&g, &lms);
     let mut grp = c.benchmark_group("p2p_1600");
     grp.bench_function("dijkstra", |b| {
         b.iter(|| dijkstra_path(&g, black_box(s), black_box(t)).unwrap())
     });
     grp.bench_function("bidirectional", |b| {
         b.iter(|| bidirectional_path(&g, black_box(s), black_box(t)).unwrap())
-    });
-    grp.bench_function("astar_landmark", |b| {
-        b.iter(|| astar_path(&g, s, t, |v| lv.lower_bound(v, t)).unwrap())
     });
     grp.finish();
 }

@@ -73,8 +73,9 @@ impl HarnessConfig {
 
     /// The four methods in the paper's presentation order (D, F, L, H).
     ///
-    /// FULL uses the all-pairs-Dijkstra build (identical output to
-    /// Floyd–Warshall; see `DESIGN.md` §4) so the sweep stays runnable.
+    /// FULL uses the all-pairs-Dijkstra build so the sweep stays
+    /// runnable: the output is identical to Floyd–Warshall, at
+    /// O(|V|·|E| log |V|) instead of O(|V|³) on sparse road networks.
     pub fn all_methods(&self) -> Vec<MethodConfig> {
         vec![
             MethodConfig::Dij,
@@ -84,23 +85,6 @@ impl HarnessConfig {
             self.ldm(),
             MethodConfig::Hyp { cells: self.cells },
         ]
-    }
-
-    /// The four methods at the paper's LDM settings, with only the hint
-    /// sizes chosen: what the reduced-size experiments (service,
-    /// queries, churn) run.
-    pub fn methods_at(landmarks: usize, cells: usize) -> Vec<MethodConfig> {
-        let sized = HarnessConfig {
-            landmarks,
-            cells,
-            ..HarnessConfig::default()
-        };
-        sized.all_methods()
-    }
-
-    /// The hint-based methods (construction-time figures omit DIJ).
-    pub fn hint_methods(&self) -> Vec<MethodConfig> {
-        self.all_methods().into_iter().skip(1).collect()
     }
 }
 
@@ -125,9 +109,7 @@ mod tests {
     #[test]
     fn method_lists() {
         let c = HarnessConfig::default();
-        assert_eq!(c.all_methods().len(), 4);
-        assert_eq!(c.hint_methods().len(), 3);
-        assert_eq!(c.all_methods()[0].name(), "DIJ");
-        assert_eq!(c.hint_methods()[0].name(), "FULL");
+        let names: Vec<&str> = c.all_methods().iter().map(|m| m.name()).collect();
+        assert_eq!(names, ["DIJ", "FULL", "LDM", "HYP"]);
     }
 }

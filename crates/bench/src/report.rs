@@ -30,16 +30,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no data rows have been added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the aligned text form.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
@@ -156,7 +146,7 @@ mod tests {
         let s = t.render();
         assert!(s.contains("demo"));
         assert!(s.contains("DIJ"));
-        assert_eq!(t.len(), 2);
+        assert_eq!(s.lines().count(), 3 + 2);
     }
 
     #[test]

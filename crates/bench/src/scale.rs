@@ -170,7 +170,7 @@ pub struct ScaleReport {
 }
 
 /// Human label for a node count (`100k`, `1m`).
-pub(crate) fn size_label(n: usize) -> String {
+fn size_label(n: usize) -> String {
     if n >= 1_000_000 {
         format!("{}m", (n + 500_000) / 1_000_000)
     } else {

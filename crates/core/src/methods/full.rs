@@ -15,7 +15,9 @@
 //! regenerates a row on demand (one Dijkstra) when assembling a proof.
 //! Construction still performs the full all-pairs computation and hashes
 //! all |V|² tuples — exactly the cost the paper's Figures 8c/9b measure
-//! — and proof size stays O(f·log|V|). See `DESIGN.md` §4.
+//! — and proof size stays O(f·log|V|). The two-level root commits to
+//! the same |V|² tuples, so the substitution changes memory, not what
+//! the signature certifies.
 
 use crate::ads::{AdsMeta, AdsTag, SignedRoot};
 use crate::batch::{AuxContext, BatchAux, BatchVerifyState};

@@ -6,7 +6,8 @@
 //!
 //! * [`sha256`] — the SHA-256 one-way hash function (the paper uses
 //!   SHA-1; any collision-resistant hash with a fixed-width digest is
-//!   interchangeable in the protocol, see `DESIGN.md`).
+//!   interchangeable in the protocol, and SHA-1 is no longer
+//!   collision-resistant).
 //! * [`digest`] — the 32-byte [`digest::Digest`] type and
 //!   convenience combinators for hashing concatenations.
 //! * [`rsa`] — RSA key generation, signing and verification used by the

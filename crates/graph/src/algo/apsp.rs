@@ -1,11 +1,9 @@
 //! All-pairs shortest paths via repeated Dijkstra.
 //!
 //! Identical output to Floyd–Warshall but O(|V|·(|E| + |V| log |V|))
-//! on sparse road networks (|E| ≈ 1.05·|V| in the paper's datasets),
-//! which keeps the FULL baseline buildable at experiment scale. The
-//! parallel variant fans sources out over scoped OS threads; every
-//! worker reuses one [`crate::search::SearchWorkspace`] across its
-//! whole source range, so the per-source cost is pure search.
+//! on sparse road networks (|E| ≈ 1.05·|V| in the paper's datasets).
+//! One [`crate::search::SearchWorkspace`] is reused across all sources,
+//! so the per-source cost is pure search.
 
 use crate::algo::floyd_warshall::DistanceMatrix;
 use crate::graph::Graph;
@@ -25,44 +23,16 @@ pub fn apsp_dijkstra(g: &Graph) -> DistanceMatrix {
     m
 }
 
-/// Parallel all-pairs: sources are chunked over `threads` workers.
-///
-/// Falls back to the sequential path for tiny graphs or one thread.
-pub fn apsp_dijkstra_parallel(g: &Graph, threads: usize) -> DistanceMatrix {
-    let n = g.num_nodes();
-    if threads <= 1 || n < 256 {
-        return apsp_dijkstra(g);
-    }
-    let mut rows: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (worker, slot) in rows.chunks_mut(chunk).enumerate() {
-            let start = worker * chunk;
-            scope.spawn(move || {
-                let mut ws = crate::search::SearchWorkspace::new();
-                for (off, row) in slot.iter_mut().enumerate() {
-                    let r = ws.sssp(g, NodeId((start + off) as u32));
-                    *row = r.dist_vec();
-                }
-            });
-        }
-    });
-    let mut m = DistanceMatrix::new(n);
-    for (s, row) in rows.into_iter().enumerate() {
-        for (t, d) in row.into_iter().enumerate() {
-            m.set(s, t, d);
-        }
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algo::floyd_warshall::floyd_warshall;
     use crate::gen::grid_network;
 
-    fn matrices_equal(a: &DistanceMatrix, b: &DistanceMatrix) {
+    #[test]
+    fn apsp_matches_floyd_warshall() {
+        let g = grid_network(7, 7, 1.2, 30);
+        let (a, b) = (apsp_dijkstra(&g), floyd_warshall(&g));
         assert_eq!(a.len(), b.len());
         for i in 0..a.len() {
             for j in 0..a.len() {
@@ -74,23 +44,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn apsp_matches_floyd_warshall() {
-        let g = grid_network(7, 7, 1.2, 30);
-        matrices_equal(&apsp_dijkstra(&g), &floyd_warshall(&g));
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let g = grid_network(17, 17, 1.15, 31); // 289 ≥ parallel threshold
-        matrices_equal(&apsp_dijkstra_parallel(&g, 4), &apsp_dijkstra(&g));
-    }
-
-    #[test]
-    fn parallel_single_thread_fallback() {
-        let g = grid_network(5, 5, 1.1, 32);
-        matrices_equal(&apsp_dijkstra_parallel(&g, 1), &apsp_dijkstra(&g));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates on four real road networks (DE, ARG, IND, NA)
 //! downloaded from `maproom.psu.edu/dcw`, a source that no longer
-//! exists. Per `DESIGN.md` §4 we substitute synthetic networks that
+//! exists, so we substitute synthetic networks that
 //! preserve the properties proof sizes depend on: node/edge counts,
 //! sparsity (|E|/|V| ≈ 1.05), spatial locality, and the `[0..10,000]²`
 //! coordinate extent.

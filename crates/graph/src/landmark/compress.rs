@@ -18,8 +18,8 @@
 //!   nodes in Hilbert order, open a new representative whenever the
 //!   current one's error would exceed ξ. Same ε ≤ ξ guarantee (all that
 //!   Lemma 4 requires); compression ratio is close to greedy on road
-//!   networks because vector similarity tracks spatial proximity. See
-//!   `DESIGN.md` §4.
+//!   networks because vector similarity tracks spatial proximity, and
+//!   one sweep avoids greedy's O(|V|²·c) rounds.
 
 use crate::graph::Graph;
 use crate::ids::NodeId;

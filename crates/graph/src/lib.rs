@@ -8,10 +8,9 @@
 //! * [`graph`] / [`builder`] — an undirected, weighted, spatial graph
 //!   `G = (V, E, W)` in compressed sparse row form, with node
 //!   coordinates normalized to the paper's `[0..10,000]²` extent.
-//! * [`algo`] — Dijkstra (full / point-to-point / bounded-ball), A\*
-//!   with pluggable lower bounds, bidirectional Dijkstra, Floyd–Warshall,
-//!   all-pairs-shortest-paths via repeated Dijkstra, and arc-flags
-//!   (the Section II-C partial pre-computation scheme).
+//! * [`algo`] — Dijkstra (full / point-to-point / bounded-ball),
+//!   bidirectional Dijkstra, Floyd–Warshall, and
+//!   all-pairs-shortest-paths via repeated Dijkstra.
 //! * [`landmark`] — landmark selection, distance vectors Ψ(v) (Eq. 2),
 //!   the lower bound `distLB` (Eq. 3), `b`-bit quantization (Eq. 5,
 //!   Lemma 3) and greedy distance-vector compression (Lemma 4).
@@ -21,8 +20,8 @@
 //! * [`partition`] — the HiTi-style grid partitioning with border-node
 //!   classification used by the HYP method (Section V-B).
 //! * [`gen`] — synthetic spatial road networks standing in for the
-//!   paper's DE/ARG/IND/NA datasets (see `DESIGN.md` §4), plus a
-//!   random-geometric generator used in tests.
+//!   paper's DE/ARG/IND/NA datasets (their download source no longer
+//!   exists), plus a random-geometric generator used in tests.
 //! * [`workload`] — query workload generation: `(vs, vt)` pairs whose
 //!   shortest-path distance is as close as possible to a target query
 //!   range (Section VI-A).

@@ -857,8 +857,8 @@ impl SearchWorkspace {
 
     // --- manually-driven searches ------------------------------------------
     //
-    // Bidirectional Dijkstra and the arc-flag query need to drive the
-    // pop/relax loop themselves (side alternation, arc pruning). These
+    // Bidirectional Dijkstra needs to drive the pop/relax loop itself
+    // (side alternation). These
     // crate-internal hooks expose the workspace's stamped state and
     // indexed heap without giving up its invariants: state mutation
     // only ever happens through `touch`/`relax`/`pop_settle`.

@@ -7,7 +7,7 @@
 //! every invoice and quantifies the overcharge of the dishonest one.
 //!
 //! ```sh
-//! cargo run --release -p spnet-bench --example logistics_audit
+//! cargo run --release --example logistics_audit
 //! ```
 
 use rand::rngs::StdRng;

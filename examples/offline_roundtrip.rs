@@ -3,7 +3,7 @@
 //! encoded answer, the client decodes and verifies.
 //!
 //! ```sh
-//! cargo run --release -p spnet-bench --example offline_roundtrip
+//! cargo run --release --example offline_roundtrip
 //! ```
 
 use rand::rngs::StdRng;

@@ -2,7 +2,7 @@
 //! every verification method, with the client's rejection reason.
 //!
 //! ```sh
-//! cargo run --release -p spnet-bench --example tamper_detection
+//! cargo run --release --example tamper_detection
 //! ```
 
 use rand::rngs::StdRng;

@@ -8,7 +8,7 @@
 //! detours.
 //!
 //! ```sh
-//! cargo run --release -p spnet-bench --example taxi_dispatch
+//! cargo run --release --example taxi_dispatch
 //! ```
 
 use rand::rngs::StdRng;

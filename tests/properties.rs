@@ -239,17 +239,6 @@ proptest! {
         prop_assert!((verified.distance - truth).abs() <= 1e-6 * truth.max(1.0));
     }
 
-    /// Arc-flag queries are exact on random graphs and query pairs.
-    #[test]
-    fn arcflag_exact(seed in 0u64..2000, s in 0u32..49, t in 0u32..49) {
-        let g = grid_network(7, 7, 1.2, seed);
-        let part = spnet_graph::partition::GridPartition::build(&g, 3);
-        let af = spnet_graph::algo::ArcFlags::build(&g, &part);
-        let truth = dijkstra_path(&g, NodeId(s), NodeId(t)).unwrap();
-        let (got, _) = spnet_graph::algo::arcflag_path(&g, &af, NodeId(s), NodeId(t)).unwrap();
-        prop_assert!((got.distance - truth.distance).abs() <= 1e-9 * truth.distance.max(1.0));
-    }
-
     /// Snapshot persistence: a provider cold-started from disk — on
     /// either store backend — produces **byte-identical** answers to
     /// the freshly built provider, for every method and random query.
