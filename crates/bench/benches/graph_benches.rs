@@ -4,7 +4,7 @@
 //! landmark machinery.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spnet_graph::algo::{apsp_dijkstra, bidirectional_path, dijkstra_path, floyd_warshall};
+use spnet_graph::algo::{apsp_dijkstra, dijkstra_path, floyd_warshall};
 use spnet_graph::gen::grid_network;
 use spnet_graph::landmark::{
     select_landmarks, LandmarkStrategy, LandmarkVectors, QuantizedVectors,
@@ -18,9 +18,6 @@ fn bench_point_to_point(c: &mut Criterion) {
     let mut grp = c.benchmark_group("p2p_1600");
     grp.bench_function("dijkstra", |b| {
         b.iter(|| dijkstra_path(&g, black_box(s), black_box(t)).unwrap())
-    });
-    grp.bench_function("bidirectional", |b| {
-        b.iter(|| bidirectional_path(&g, black_box(s), black_box(t)).unwrap())
     });
     grp.finish();
 }

@@ -604,16 +604,13 @@ mod tests {
     use super::*;
 
     /// The range sweep finds workload pairs at every range of a tiny
-    /// network, where the paper's literal 8000 exceeds the diameter.
-    /// HYP gets 25 cells, not p = 100: at ~3 nodes per cell a short
-    /// same-cell query can touch a cell with one border node, and HYP's
-    /// provider cannot prove the resulting empty hyper-edge key set.
+    /// network, where the paper's literal 8000 exceeds the diameter,
+    /// with HYP at the paper's p = 100 cells of ~3 nodes each.
     #[test]
     fn fig11b_runs_at_tiny_scale() {
         let cfg = HarnessConfig {
             scale: 0.01,
             queries: 3,
-            cells: 25,
             ..HarnessConfig::default()
         };
         let tables = fig11b(&cfg);

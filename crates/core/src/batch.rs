@@ -27,8 +27,7 @@
 //! signature check per signed root per *batch*, not per query), then
 //! re-runs each query's verification against its slice of the pool.
 //! Per-query proving and verification fan out over threads via the
-//! crate's `par` fan-out point when the default `parallel` feature is
-//! on.
+//! crate's `par` fan-out point.
 
 use crate::ads::SignedRoot;
 use crate::client::check_reported_path;
@@ -144,9 +143,9 @@ impl ServiceProvider {
     /// ([`crate::service::Session::answer_batch`] is the public entry
     /// point — it adds the epoch guard).
     ///
-    /// Per-query search and Γ assembly fan out over threads (each
-    /// reusing its thread's search workspace) when the `parallel`
-    /// feature is on; the pooled result is identical either way.
+    /// Per-query search and Γ assembly fan out over threads, each
+    /// reusing its thread's search workspace; the pooled result does
+    /// not depend on how the queries are split.
     pub(crate) fn answer_batch_impl(
         &self,
         queries: &[(NodeId, NodeId)],

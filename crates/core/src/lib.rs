@@ -82,9 +82,9 @@ pub mod tuple;
 pub mod update;
 pub mod wire;
 
-/// True when this build includes the parallel batch-serving and
-/// hint-construction paths (the default `parallel` feature).
-pub const PARALLEL_ENABLED: bool = cfg!(feature = "parallel");
+/// Batch serving and hint construction always fan out over threads
+/// (see [`par`]); kept for reports that record it.
+pub const PARALLEL_ENABLED: bool = true;
 
 /// Convenient re-exports for typical use.
 pub mod prelude {
@@ -96,9 +96,7 @@ pub mod prelude {
     pub use crate::proof::{Answer, ProofStats};
     pub use crate::provider::ServiceProvider;
     pub use crate::queries::RangeAnswer;
-    pub use crate::service::{
-        RoutingPolicy, Session, SessionAnswer, SessionError, SpService, SpServiceBuilder,
-    };
+    pub use crate::service::{Session, SessionAnswer, SessionError, SpService, SpServiceBuilder};
     pub use crate::snapshot::{load_package, save_package, LoadedSnapshot, SnapshotError};
     pub use crate::stream::{StreamError, StreamVerifier, VerifiedItem};
     pub use spnet_store::StoreBackend;

@@ -253,7 +253,7 @@ impl DistanceAds {
     /// matter how many queries read it, every row proof is a single
     /// multi-target Merkle cover, and one shared top-tree cover spans
     /// all touched rows. Row assembly fans out over threads via the
-    /// crate's `par::map_jobs` under the default `parallel` feature.
+    /// crate's `par::map_jobs`.
     pub fn prove_batch(&self, g: &Graph, pairs: &[(NodeId, NodeId)]) -> FullBatchProof {
         let mut by_source: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
         for &(vs, vt) in pairs {
@@ -339,10 +339,10 @@ fn row_root(s: u32, row: &[f64], fanout: usize) -> Digest {
 /// One Merkle row-root per source node.
 ///
 /// The all-pairs computation + |V|² tuple hashing is the paper's FULL
-/// construction cost (Figures 8c/9b); with the `parallel` feature the
-/// sources fan out over threads, each reusing its thread's search
-/// workspace. Rows are independent deterministic functions of the
-/// graph, so the roots are identical either way.
+/// construction cost (Figures 8c/9b); the sources fan out over
+/// threads, each reusing its thread's search workspace. Rows are
+/// independent deterministic functions of the graph, so the roots do
+/// not depend on the split.
 fn build_row_roots(g: &Graph, fw: Option<&DistanceMatrix>, fanout: usize) -> Vec<Digest> {
     let sources: Vec<usize> = (0..g.num_nodes()).collect();
     crate::par::map_jobs(&sources, |&s| match fw {

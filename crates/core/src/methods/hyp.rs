@@ -64,9 +64,9 @@ impl HypHints {
     /// hyper-edge tree, cell directory.
     ///
     /// The all-pairs border distances (footnote 1) dominate this cost;
-    /// with the `parallel` feature the border sources fan out over
-    /// threads, each reusing its thread's search workspace. Entries are
-    /// sorted by key afterwards, so the tree is identical either way.
+    /// the border sources fan out over threads, each reusing its
+    /// thread's search workspace. Entries are sorted by key afterwards,
+    /// so the tree does not depend on the split.
     pub fn build(g: &Graph, cells: usize, fanout: usize) -> Self {
         let start = std::time::Instant::now();
         let partition = GridPartition::with_cells(g, cells);
@@ -750,6 +750,22 @@ impl HypMethod {
             )
             .collect()
     }
+
+    /// Hyper-edge proof for `keys`. An empty key set — the touched
+    /// cells meet at a single border node, or have none — ships the
+    /// empty proof, which the verifier accepts without a root check.
+    fn prove_hyper(
+        pkg: &ProviderPackage,
+        hints: &HypHints,
+        keys: &[u64],
+    ) -> Result<KeyedProof, ProviderError> {
+        match &hints.hyper_tree {
+            Some(t) if !keys.is_empty() => t
+                .prove_keys(keys)
+                .map_err(|e| ProviderError::ProofAssembly(e.to_string())),
+            _ => Ok(empty_keyed_proof(pkg.ads.fanout() as u32)),
+        }
+    }
 }
 
 impl AuthMethod for HypMethod {
@@ -992,13 +1008,7 @@ impl AuthMethod for HypMethod {
             coarse.iter().map(|&v| pkg.ads.tuple_shared(v)).collect();
         let path_tuples: Vec<Arc<ExtendedTuple>> =
             extra.iter().map(|&v| pkg.ads.tuple_shared(v)).collect();
-        let keys = hints.hyper_keys(vs, vt);
-        let hyper = match &hints.hyper_tree {
-            Some(t) => t
-                .prove_keys(&keys)
-                .map_err(|e| ProviderError::ProofAssembly(e.to_string()))?,
-            None => empty_keyed_proof(pkg.ads.fanout() as u32),
-        };
+        let hyper = Self::prove_hyper(pkg, hints, &hints.hyper_keys(vs, vt))?;
         let cell_dir = hints
             .cell_dir
             .prove_keys(&hints.batch_dir_keys(&[(vs, vt)]))
@@ -1034,13 +1044,7 @@ impl AuthMethod for HypMethod {
         queries: &[(NodeId, NodeId)],
     ) -> Result<BatchAux, ProviderError> {
         let (hints, hyper_signed, cell_dir_signed) = Self::hints(pkg);
-        let keys = hints.batch_hyper_keys(queries);
-        let hyper = match &hints.hyper_tree {
-            Some(t) => t
-                .prove_keys(&keys)
-                .map_err(|e| ProviderError::ProofAssembly(e.to_string()))?,
-            None => empty_keyed_proof(pkg.ads.fanout() as u32),
-        };
+        let hyper = Self::prove_hyper(pkg, hints, &hints.batch_hyper_keys(queries))?;
         let cell_dir = hints
             .cell_dir
             .prove_keys(&hints.batch_dir_keys(queries))
@@ -1438,5 +1442,78 @@ mod tests {
             dir_union.insert(hints.partition.cell_of(t) as u64);
         }
         assert_eq!(dirs, dir_union.into_iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn single_border_cell_proves_an_empty_hyper_key_set() {
+        use crate::owner::{DataOwner, SetupConfig};
+        use crate::{Client, MethodConfig, ServiceProvider, SpService};
+        use rand::{rngs::StdRng, SeedableRng};
+        use spnet_graph::GraphBuilder;
+        // 2×2 cells. The bottom-left cell {0, 1, 2} reaches the rest of
+        // the network only through node 2, so a query inside it needs
+        // no hyper-edge at all.
+        let mut b = GraphBuilder::new();
+        for (x, y) in [
+            (0.0, 0.0),
+            (1.0, 1.0),
+            (2.0, 2.0),
+            (8.0, 1.0),
+            (9.0, 2.0),
+            (1.0, 8.0),
+            (2.0, 9.0),
+            (8.0, 8.0),
+            (9.0, 9.0),
+        ] {
+            b.add_node(x, y);
+        }
+        for (u, v, w) in [
+            (0u32, 1u32, 1.5),
+            (1, 2, 1.5),
+            (0, 2, 3.5),
+            (2, 3, 6.0),
+            (2, 5, 6.5),
+            (3, 4, 1.5),
+            (3, 7, 7.0),
+            (4, 8, 7.0),
+            (5, 6, 1.5),
+            (6, 7, 7.5),
+            (7, 8, 1.5),
+        ] {
+            b.add_edge(NodeId(u), NodeId(v), w).unwrap();
+        }
+        let g = b.build();
+        let mut rng = StdRng::seed_from_u64(611);
+        let p = DataOwner::publish(
+            &g,
+            &MethodConfig::Hyp { cells: 4 },
+            &SetupConfig::default(),
+            &mut rng,
+        );
+        let MethodHints::Hyp { hints, .. } = &p.package.hints else {
+            unreachable!("published HYP");
+        };
+        assert_eq!(hints.partition.cell_borders(0), vec![NodeId(2)]);
+        assert!(hints.hyper_keys(NodeId(0), NodeId(1)).is_empty());
+        let client = Client::new(p.public_key.clone());
+        let queries = [(NodeId(0), NodeId(1)), (NodeId(1), NodeId(0))];
+
+        let provider = ServiceProvider::new(p.package.clone());
+        for &(s, t) in &queries {
+            let truth = dijkstra_path(&g, s, t).unwrap().distance;
+            let a = provider.answer(s, t).unwrap();
+            let v = client.verify(s, t, &a).unwrap();
+            assert_eq!(v.distance.to_bits(), truth.to_bits(), "({s},{t})");
+        }
+        let service = SpService::new(p.package);
+        let session = service.open_session(client).unwrap();
+        for (answer, &(s, t)) in session.query_batch(&queries).unwrap().iter().zip(&queries) {
+            let truth = dijkstra_path(&g, s, t).unwrap().distance;
+            assert_eq!(
+                answer.distance.to_bits(),
+                truth.to_bits(),
+                "batch ({s},{t})"
+            );
+        }
     }
 }

@@ -6,54 +6,47 @@
 //!   data-parallel fan-out point. Every data-parallel loop (batch
 //!   proving/verification for all four methods, FULL row hashing —
 //!   both the owner-side build and the provider's batched row proofs —
-//!   and HYP border Dijkstras) routes through them, so the `parallel`
-//!   feature flag is interpreted in exactly one place and the
-//!   sequential fallback cannot drift.
+//!   and HYP border Dijkstras) routes through them. Each call splits
+//!   its jobs into one contiguous chunk per core and maps the chunks on
+//!   scoped threads, so thread-local
+//!   [`spnet_graph::search::SearchWorkspace`] reuse holds within one
+//!   call but not across calls; results do not depend on the split.
 //!
-//! * [`Scheduler`] — a **work-stealing task pool** for the serving
-//!   layer. The offline `rayon` stand-in (`crates/compat/rayon`)
-//!   spawns chunk-per-thread scoped threads per call and offers no
-//!   stealing, so concurrent *sessions* (thousands of them, each
-//!   producing stream chunks) cannot share provider threads fairly
-//!   through it. The scheduler keeps a fixed worker pool with one
-//!   deque per worker: submissions are distributed round-robin, each
-//!   worker drains its own deque LIFO-front, and an idle worker
-//!   **steals from the back** of a victim's deque — so a burst of
-//!   chunks from one hot session is spread over every idle core
-//!   instead of serializing behind that session's queue position.
-//!   [`crate::service::SpService`] owns one pool per service and
-//!   every [`crate::service::Session`] stream prefetches its next
-//!   chunk through it (double buffering: the provider proves chunk
-//!   k+1 while the client verifies chunk k).
-//!
-//! Note on the offline `rayon` stand-in: it spawns scoped OS threads
-//! per call rather than keeping a worker pool, so thread-local
-//! [`spnet_graph::search::SearchWorkspace`] reuse holds *within* one
-//! `map_jobs` call but not across calls. With the real rayon (a
-//! persistent pool) reuse extends across the whole query stream; the
-//! results are identical either way. The [`Scheduler`]'s workers are
-//! persistent OS threads, so workspace reuse *does* extend across all
-//! chunks a worker proves.
+//! * [`Scheduler`] — a fixed pool of persistent workers sharing one job
+//!   queue, for the serving layer.
+//!   [`crate::service::SpService`] owns one pool per service and every
+//!   [`crate::service::Session`] stream prefetches its next chunk
+//!   through it (double buffering: the provider proves chunk k+1 while
+//!   the client verifies chunk k). The workers outlive the jobs, so a
+//!   worker's search workspace stays warm across every chunk it
+//!   proves.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// Maps `jobs` in input order, fanning out over threads when the
-/// `parallel` feature is on (default). The sequential fallback
-/// produces identical results — asserted by
-/// `tests/perf_equivalence.rs`, which CI builds both ways.
+/// Maps `jobs` in input order, one contiguous chunk per available core,
+/// each chunk on its own scoped thread (inline when one thread or one
+/// job suffices).
 pub(crate) fn map_jobs<T: Sync, R: Send>(jobs: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    #[cfg(feature = "parallel")]
-    {
-        use rayon::prelude::*;
-        jobs.par_iter().map(f).collect()
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(jobs.len());
+    if threads <= 1 {
+        return jobs.iter().map(f).collect();
     }
-    #[cfg(not(feature = "parallel"))]
-    {
-        jobs.iter().map(f).collect()
-    }
+    let chunk = jobs.len().div_ceil(threads);
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs
+            .chunks(chunk)
+            .map(|part| scope.spawn(move || part.iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 /// Like [`map_jobs`], but hands each job its input index — the shape
@@ -70,92 +63,54 @@ pub(crate) fn map_jobs_indexed<T: Sync, R: Send>(
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-struct SchedulerShared {
-    /// One deque per worker. Owner pops the front; thieves pop the
-    /// back, so a stolen job is the one that has waited longest.
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Wakeup coordination: submitters notify under this lock, idle
-    /// workers re-check every queue under it before parking — no
-    /// missed-wakeup window.
-    park: Mutex<()>,
-    cv: Condvar,
-    shutdown: AtomicBool,
-    /// Round-robin submission cursor.
-    next: AtomicUsize,
-    executed: AtomicU64,
-    stolen: AtomicU64,
-}
-
-impl SchedulerShared {
-    /// Next job for worker `me`: own queue first, then steal.
-    fn take(&self, me: usize) -> Option<Job> {
-        if let Some(job) = self.queues[me]
-            .lock()
-            .expect("scheduler queue poisoned")
-            .pop_front()
-        {
-            return Some(job);
-        }
-        let n = self.queues.len();
-        for off in 1..n {
-            let victim = (me + off) % n;
-            if let Some(job) = self.queues[victim]
-                .lock()
-                .expect("scheduler queue poisoned")
-                .pop_back()
-            {
-                self.stolen.fetch_add(1, Ordering::Relaxed);
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    fn any_pending(&self) -> bool {
-        self.queues
-            .iter()
-            .any(|q| !q.lock().expect("scheduler queue poisoned").is_empty())
-    }
-}
-
-/// A fixed-size work-stealing thread pool for session serving (see the
-/// module docs for why the rayon stand-in cannot play this role).
+/// A fixed-size thread pool for session serving: `threads` persistent
+/// workers taking jobs in submission order from one shared queue.
 ///
 /// Jobs are opaque `FnOnce` closures; callers that need results send
 /// them back over a channel (the pattern
 /// [`crate::service::Session::query_stream`] uses for chunk
-/// prefetching). Dropping the scheduler signals shutdown, lets the
-/// workers drain every queued job, and joins them — a submitted job
-/// always runs, so receivers never observe a silently vanished
-/// result.
+/// prefetching). Dropping the scheduler closes the queue; the workers
+/// drain every job already queued and exit, and the drop joins them —
+/// a submitted job always runs, so receivers never observe a silently
+/// vanished result.
 pub struct Scheduler {
-    shared: Arc<SchedulerShared>,
+    /// `None` only during drop: closing the queue is the shutdown
+    /// signal.
+    queue: Option<mpsc::Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
+    executed: Arc<AtomicU64>,
 }
 
 impl Scheduler {
     /// Starts a pool of `threads` workers (clamped to at least 1).
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let shared = Arc::new(SchedulerShared {
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            park: Mutex::new(()),
-            cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            next: AtomicUsize::new(0),
-            executed: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
-        });
-        let workers = (0..threads)
+        let (queue, jobs) = mpsc::channel::<Job>();
+        let jobs = Arc::new(Mutex::new(jobs));
+        let executed = Arc::new(AtomicU64::new(0));
+        let workers = (0..threads.max(1))
             .map(|me| {
-                let shared = Arc::clone(&shared);
+                let jobs = Arc::clone(&jobs);
+                let executed = Arc::clone(&executed);
                 std::thread::Builder::new()
                     .name(format!("spnet-sched-{me}"))
-                    .spawn(move || worker_loop(&shared, me))
+                    .spawn(move || loop {
+                        // The lock guard is a temporary of this
+                        // statement: it is held while waiting for a
+                        // job, never while running one.
+                        let next = jobs.lock().expect("scheduler queue poisoned").recv();
+                        // `Err` once the queue is closed and drained.
+                        let Ok(job) = next else { return };
+                        executed.fetch_add(1, Ordering::Relaxed);
+                        job();
+                    })
                     .expect("failed to spawn scheduler worker")
             })
             .collect();
-        Scheduler { shared, workers }
+        Scheduler {
+            queue: Some(queue),
+            workers,
+            executed,
+        }
     }
 
     /// Number of worker threads.
@@ -163,40 +118,27 @@ impl Scheduler {
         self.workers.len()
     }
 
-    /// Submits a job; it runs on some worker as soon as one is free.
-    /// Submission is round-robin across worker deques; idle workers
-    /// steal, so placement never serializes a burst.
+    /// Submits a job; the next free worker runs it.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        let idx = self.shared.next.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
-        self.shared.queues[idx]
-            .lock()
-            .expect("scheduler queue poisoned")
-            .push_back(Box::new(job));
-        // Notify under the park lock so a worker that just found every
-        // queue empty cannot miss this job.
-        let _guard = self.shared.park.lock().expect("scheduler park poisoned");
-        self.shared.cv.notify_all();
+        // Fails only if every worker died in a panicking job; the job
+        // is then dropped, and so is any result sender it owns, which
+        // its receiver observes as a disconnect.
+        let _ = self
+            .queue
+            .as_ref()
+            .expect("queue open until drop")
+            .send(Box::new(job));
     }
 
-    /// Total jobs executed so far (all workers).
+    /// Total jobs the workers have started (all workers).
     pub fn executed(&self) -> u64 {
-        self.shared.executed.load(Ordering::Relaxed)
-    }
-
-    /// Jobs that ran on a worker other than the one they were queued
-    /// on — direct evidence the pool balances load by stealing.
-    pub fn stolen(&self) -> u64 {
-        self.shared.stolen.load(Ordering::Relaxed)
+        self.executed.load(Ordering::Relaxed)
     }
 }
 
 impl Drop for Scheduler {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        {
-            let _guard = self.shared.park.lock().expect("scheduler park poisoned");
-            self.shared.cv.notify_all();
-        }
+        self.queue = None;
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -208,45 +150,26 @@ impl std::fmt::Debug for Scheduler {
         f.debug_struct("Scheduler")
             .field("threads", &self.workers.len())
             .field("executed", &self.executed())
-            .field("stolen", &self.stolen())
             .finish()
-    }
-}
-
-fn worker_loop(shared: &SchedulerShared, me: usize) {
-    loop {
-        if let Some(job) = shared.take(me) {
-            job();
-            shared.executed.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        let guard = shared.park.lock().expect("scheduler park poisoned");
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        // Re-check under the park lock: a submitter that enqueued
-        // since our scan is about to take (or holds) this lock, so
-        // either we see its job now or its notify wakes us.
-        if shared.any_pending() {
-            continue;
-        }
-        let _guard = shared
-            .cv
-            .wait_timeout(guard, std::time::Duration::from_millis(50))
-            .expect("scheduler park poisoned");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn map_jobs_preserves_input_order() {
         let jobs: Vec<u32> = (0..257).collect();
         let out = map_jobs(&jobs, |&x| x * 2);
         assert_eq!(out, jobs.iter().map(|&x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn map_jobs_empty_and_single() {
+        assert!(map_jobs(&[] as &[u32], |&x| x).is_empty());
+        assert_eq!(map_jobs(&[7u32], |&x| x + 1), vec![8]);
     }
 
     #[test]
@@ -275,28 +198,23 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_steal_queued_bursts() {
-        // Submit a burst while every worker is parked, all landing on
-        // round-robin deques; with more jobs than one worker can hold
-        // exclusively, some must migrate. Force skew: one long job on
-        // worker 0's deque followed by many short ones — the other
-        // workers must steal the short ones to finish quickly.
-        let pool = Scheduler::new(4);
-        let (tx, rx) = mpsc::channel();
-        for _ in 0..64 {
-            let tx = tx.clone();
-            pool.spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                tx.send(()).unwrap();
-            });
+    fn sequential_round_trips_never_lose_a_wakeup() {
+        // One job in flight at a time, so every submission finds the
+        // workers idle: a lost wakeup fails the timeout instead of
+        // hanging the test.
+        for threads in [1, 2] {
+            let pool = Scheduler::new(threads);
+            let (tx, rx) = mpsc::channel();
+            for i in 0..10_000u32 {
+                let tx = tx.clone();
+                pool.spawn(move || tx.send(i).unwrap());
+                assert_eq!(
+                    rx.recv_timeout(Duration::from_secs(1)),
+                    Ok(i),
+                    "job {i} on {threads} worker(s)"
+                );
+            }
         }
-        drop(tx);
-        assert_eq!(rx.iter().count(), 64);
-        // With 4 workers and round-robin placement, a fully serialized
-        // (no-steal) pool is possible only if every worker drained
-        // exactly its own deque; stealing is opportunistic, so only
-        // assert the counter is consistent, not a specific count.
-        assert!(pool.stolen() <= pool.executed());
     }
 
     #[test]

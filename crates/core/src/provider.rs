@@ -3,20 +3,8 @@
 use crate::error::ProviderError;
 use crate::owner::ProviderPackage;
 use crate::proof::{Answer, IntegrityProof};
-use spnet_graph::algo::{bidirectional_path, dijkstra_path};
+use spnet_graph::algo::dijkstra_path;
 use spnet_graph::NodeId;
-
-/// The provider's shortest-path algorithm `algosp` (Algorithm 1,
-/// Line 1) — the verification framework is agnostic to this choice, so
-/// a provider may pick whatever is fastest for its deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AlgoSp {
-    /// Plain Dijkstra (default).
-    #[default]
-    Dijkstra,
-    /// Bidirectional Dijkstra \[24\].
-    Bidirectional,
-}
 
 /// The service provider role: holds the owner's package and answers
 /// shortest-path queries with verification proofs.
@@ -27,28 +15,12 @@ pub enum AlgoSp {
 #[derive(Clone)]
 pub struct ServiceProvider {
     pub(crate) package: ProviderPackage,
-    algo: AlgoSp,
 }
 
 impl ServiceProvider {
-    /// Wraps an owner package (default `algosp`: Dijkstra).
+    /// Wraps an owner package.
     pub fn new(package: ProviderPackage) -> Self {
-        ServiceProvider {
-            package,
-            algo: AlgoSp::default(),
-        }
-    }
-
-    /// Selects a different `algosp`.
-    pub fn with_algorithm(mut self, algo: AlgoSp) -> Self {
-        self.algo = algo;
-        self
-    }
-
-    /// Selects a different `algosp` in place (the service facade's
-    /// runtime switch).
-    pub fn set_algorithm(&mut self, algo: AlgoSp) {
-        self.algo = algo;
+        ServiceProvider { package }
     }
 
     /// Read access to the package (used by the tamper simulator).
@@ -71,12 +43,9 @@ impl ServiceProvider {
                 return Err(ProviderError::UnknownNode(v));
             }
         }
-        // Line 1: the provider's algosp of choice.
-        let path = match self.algo {
-            AlgoSp::Dijkstra => dijkstra_path(g, vs, vt),
-            AlgoSp::Bidirectional => bidirectional_path(g, vs, vt),
-        }
-        .map_err(|_| ProviderError::Unreachable {
+        // Line 1: `algosp`. The client's check does not depend on how
+        // the path was found, so plain Dijkstra serves.
+        let path = dijkstra_path(g, vs, vt).map_err(|_| ProviderError::Unreachable {
             source: vs,
             target: vt,
         })?;
@@ -153,19 +122,6 @@ mod tests {
             let stats = a.stats();
             assert!(stats.s_bytes > 0 && stats.t_bytes > 0);
         }
-    }
-
-    #[test]
-    fn bidirectional_algosp_produces_verifiable_answers() {
-        use super::AlgoSp;
-        let g = grid_network(9, 9, 1.15, 802);
-        let mut rng = StdRng::seed_from_u64(803);
-        let p = DataOwner::publish(&g, &MethodConfig::Dij, &SetupConfig::default(), &mut rng);
-        let client = crate::Client::new(p.public_key);
-        let sp = ServiceProvider::new(p.package).with_algorithm(AlgoSp::Bidirectional);
-        let a = sp.answer(NodeId(0), NodeId(80)).unwrap();
-        let v = client.verify(NodeId(0), NodeId(80), &a).unwrap();
-        assert!((v.distance - a.path.distance).abs() <= 1e-6 * v.distance.max(1.0));
     }
 
     #[test]

@@ -31,11 +31,11 @@
 //!   while the client verifies chunk *k*.
 //! * A service built through [`SpServiceBuilder`] holds several
 //!   **shards** — one provider package per method and/or per node-id
-//!   key range — behind a routing table
+//!   key range — routed by method, then by key
 //!   ([`SpService::open_session_for`],
 //!   [`SpService::open_session_routed`]), all sharing one
-//!   work-stealing [`Scheduler`] so thousands of concurrent sessions
-//!   divide a fixed provider thread pool fairly.
+//!   [`Scheduler`]: a fixed pool of provider threads taking chunk jobs
+//!   from one queue in submission order.
 //!
 //! Every method is served through its
 //! [`AuthMethod`](crate::methods::AuthMethod) trait object — the
@@ -64,13 +64,13 @@ use crate::client::Client;
 use crate::error::{ProviderError, VerifyError};
 use crate::methods::{MethodParams, PinnedAux};
 use crate::par::Scheduler;
-use crate::provider::{AlgoSp, ServiceProvider};
-use crate::stream::{StreamError, StreamVerifier, DEFAULT_CHUNK_LEN};
+use crate::provider::ServiceProvider;
+use crate::stream::{chunk_frame, Framer, StreamError, StreamVerifier, DEFAULT_CHUNK_LEN};
 use crate::update::{self, UpdateError};
-use crate::wire::{encode_frame, StreamFrame};
 use spnet_crypto::rsa::RsaKeyPair;
 use spnet_graph::{NodeId, Path};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, OnceLock, RwLock, RwLockReadGuard};
 
@@ -138,20 +138,6 @@ impl From<StreamError> for SessionError {
     fn from(e: StreamError) -> Self {
         SessionError::Stream(e)
     }
-}
-
-/// How [`SpService::open_session_for`] / [`SpService::open_session_routed`]
-/// pick a shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutingPolicy {
-    /// Shards serving the requested method, narrowed by the query key's
-    /// node-id range when one is registered; ties (several matching
-    /// shards, or no key) break round-robin. The default.
-    #[default]
-    MethodThenKey,
-    /// Ignore method and key: plain round-robin over every shard.
-    /// Useful for replicated single-method deployments.
-    RoundRobin,
 }
 
 /// Default number of epochs each shard retains for draining sessions
@@ -232,19 +218,18 @@ struct Shard {
 
 struct ServiceInner {
     shards: Vec<Shard>,
-    policy: RoutingPolicy,
     /// Worker count for the shared scheduler; 0 disables it (sessions
     /// prove stream chunks inline).
     threads: usize,
     /// Created lazily on the first session open that wants it, so
     /// services that never stream spawn no threads.
     scheduler: OnceLock<Arc<Scheduler>>,
-    /// Round-robin cursor for shard routing.
+    /// Round-robin cursor breaking ties between matching shards.
     rr: AtomicUsize,
 }
 
-/// Builds an [`SpService`] serving one or more provider packages
-/// behind a routing table and a shared work-stealing scheduler.
+/// Builds an [`SpService`] serving one or more provider packages,
+/// routed by method then key, behind one shared [`Scheduler`].
 ///
 /// ```
 /// use spnet_core::prelude::*;
@@ -271,7 +256,6 @@ struct ServiceInner {
 #[derive(Default)]
 pub struct SpServiceBuilder {
     shards: Vec<PendingShard>,
-    policy: RoutingPolicy,
     threads: Option<usize>,
     retain: Option<usize>,
 }
@@ -295,8 +279,8 @@ impl SpServiceBuilder {
         self.provider(ServiceProvider::new(package))
     }
 
-    /// Registers a pre-configured provider (e.g. a different `algosp`)
-    /// as a shard with no key range.
+    /// Registers an already-wrapped provider as a shard with no key
+    /// range.
     pub fn provider(mut self, provider: ServiceProvider) -> Self {
         self.shards.push(PendingShard {
             provider,
@@ -366,13 +350,6 @@ impl SpServiceBuilder {
         self
     }
 
-    /// Sets the shard-routing policy (default
-    /// [`RoutingPolicy::MethodThenKey`]).
-    pub fn routing(mut self, policy: RoutingPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Number of epochs each shard retains for open sessions (MVCC).
     /// An owner update publishes a new epoch while up to `k − 1` prior
     /// epochs stay pinned, so sessions opened against them drain to
@@ -415,7 +392,6 @@ impl SpServiceBuilder {
         SpService {
             inner: Arc::new(ServiceInner {
                 shards,
-                policy: self.policy,
                 threads,
                 scheduler: OnceLock::new(),
                 rr: AtomicUsize::new(0),
@@ -425,7 +401,7 @@ impl SpServiceBuilder {
 }
 
 /// The serving facade: one or more provider shards, per-shard epoch
-/// counters, a shared work-stealing scheduler, and session handout.
+/// counters, a shared scheduler, and session handout.
 /// Cheap to clone and share across serving threads.
 #[derive(Clone)]
 pub struct SpService {
@@ -440,14 +416,6 @@ impl SpService {
     /// key range, or control the scheduler.
     pub fn new(package: crate::owner::ProviderPackage) -> Self {
         Self::builder().package(package).build()
-    }
-
-    /// Wraps a single pre-configured provider (e.g. a different
-    /// `algosp`).
-    ///
-    /// Equivalent to `SpService::builder().provider(provider).build()`.
-    pub fn with_provider(provider: ServiceProvider) -> Self {
-        Self::builder().provider(provider).build()
     }
 
     /// Starts a [`SpServiceBuilder`].
@@ -484,18 +452,6 @@ impl SpService {
         Ok(spnet_store::chunk_file(path, chunk_len)?)
     }
 
-    /// Selects a different shortest-path algorithm for future answers
-    /// (applied to every retained epoch of every shard, so draining
-    /// sessions switch too).
-    pub fn set_algorithm(&self, algo: AlgoSp) {
-        for shard in &self.inner.shards {
-            let mut st = shard.state.write().expect("service lock poisoned");
-            for e in &mut st.epochs {
-                e.provider.set_algorithm(algo);
-            }
-        }
-    }
-
     /// The current epoch of the first shard (starts at 0, +1 per owner
     /// update that targets it; [`Self::update_edge_weight`] routes by
     /// key range, so shards advance independently).
@@ -514,14 +470,12 @@ impl SpService {
             .name()
     }
 
-    /// `(executed, stolen)` job counters of the shared scheduler, if it
-    /// has started. A non-zero `stolen` is direct evidence the pool
-    /// balanced session load across workers.
+    /// Job counters of the shared scheduler, if it has started: jobs
+    /// started, and a second field that is always 0 (the single-queue
+    /// pool never moves a job between workers; the field is kept for
+    /// reports that read it).
     pub fn scheduler_stats(&self) -> Option<(u64, u64)> {
-        self.inner
-            .scheduler
-            .get()
-            .map(|s| (s.executed(), s.stolen()))
+        self.inner.scheduler.get().map(|s| (s.executed(), 0))
     }
 
     /// Opens a session on the **first** shard — the whole service for
@@ -531,8 +485,8 @@ impl SpService {
     }
 
     /// Opens a session on a shard serving the method with wire code
-    /// `method_code` (1 = DIJ, 2 = FULL, 3 = LDM, 4 = HYP), picked by
-    /// the service's [`RoutingPolicy`]. Fails with
+    /// `method_code` (1 = DIJ, 2 = FULL, 3 = LDM, 4 = HYP); ties between
+    /// several such shards break round-robin. Fails with
     /// [`SessionError::OpenRejected`] when no shard serves the method.
     pub fn open_session_for(
         &self,
@@ -559,35 +513,28 @@ impl SpService {
 
     fn route(&self, code: u8, key: Option<NodeId>) -> Result<usize, SessionError> {
         let inner = &self.inner;
-        match inner.policy {
-            RoutingPolicy::RoundRobin => {
-                Ok(inner.rr.fetch_add(1, Ordering::Relaxed) % inner.shards.len())
-            }
-            RoutingPolicy::MethodThenKey => {
-                let matching: Vec<usize> = inner
-                    .shards
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.code == code)
-                    .map(|(i, _)| i)
-                    .collect();
-                if matching.is_empty() {
-                    return Err(SessionError::OpenRejected(VerifyError::MetaMismatch(
-                        "no shard serves the requested method",
-                    )));
-                }
-                if let Some(k) = key {
-                    if let Some(&i) = matching.iter().find(|&&i| {
-                        inner.shards[i]
-                            .key_range
-                            .is_some_and(|(lo, hi)| lo <= k.0 && k.0 <= hi)
-                    }) {
-                        return Ok(i);
-                    }
-                }
-                Ok(matching[inner.rr.fetch_add(1, Ordering::Relaxed) % matching.len()])
+        let matching: Vec<usize> = inner
+            .shards
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.code == code)
+            .map(|(i, _)| i)
+            .collect();
+        if matching.is_empty() {
+            return Err(SessionError::OpenRejected(VerifyError::MetaMismatch(
+                "no shard serves the requested method",
+            )));
+        }
+        if let Some(k) = key {
+            if let Some(&i) = matching.iter().find(|&&i| {
+                inner.shards[i]
+                    .key_range
+                    .is_some_and(|(lo, hi)| lo <= k.0 && k.0 <= hi)
+            }) {
+                return Ok(i);
             }
         }
+        Ok(matching[inner.rr.fetch_add(1, Ordering::Relaxed) % matching.len()])
     }
 
     /// Opens a session on shard `idx`: authenticates that shard's
@@ -932,87 +879,96 @@ impl Session {
         chunk_len: usize,
     ) -> SessionStream<'s> {
         SessionStream {
-            session: self,
-            queries,
-            chunk_len: chunk_len.max(1),
+            framer: Framer::new(queries.len(), chunk_len, self.params.code()),
+            chunks: ChunkSource {
+                session: self,
+                queries,
+                pending: None,
+            },
             verifier: StreamVerifier::with_session_pins(
                 &self.client,
                 queries,
                 &self.root,
                 &self.pins,
             ),
-            next: 0,
-            chunks_emitted: 0,
-            stage: StreamStage::Header,
-            pending: None,
         }
     }
-}
-
-enum StreamStage {
-    Header,
-    Chunks,
-    End,
-    Done,
 }
 
 /// A lazy, incrementally verified query stream over a session (see
 /// [`Session::query_stream`]). Each `next()` ships and verifies one
 /// pooled chunk, yielding its [`SessionAnswer`]s; with a scheduler the
 /// following chunk is already being proven on a pool worker.
-///
-/// NOTE: this drives the same Header → Chunks → End framing as the
-/// raw provider-side [`crate::stream::AnswerStream`], differing only
-/// in the per-chunk epoch guards and prefetching; framing changes must
-/// be mirrored in both, and the shared [`StreamVerifier`] enforces the
-/// result.
 pub struct SessionStream<'s> {
+    framer: Framer,
+    chunks: ChunkSource<'s>,
+    verifier: StreamVerifier<'s>,
+}
+
+/// How a session stream produces each chunk frame: proven inline, or
+/// prefetched on the service scheduler; either way checked against the
+/// session's epoch when it is emitted.
+struct ChunkSource<'s> {
     session: &'s Session,
     queries: &'s [(NodeId, NodeId)],
-    chunk_len: usize,
-    verifier: StreamVerifier<'s>,
-    next: usize,
-    chunks_emitted: u32,
-    stage: StreamStage,
-    /// The in-flight prefetch of the chunk starting at `next`, if the
-    /// session has a scheduler.
+    /// The in-flight prefetch of the next chunk, if the session has a
+    /// scheduler.
     pending: Option<mpsc::Receiver<Result<Vec<u8>, SessionError>>>,
 }
 
-impl SessionStream<'_> {
-    /// Feeds one frame through the client-side verifier, translating
-    /// stream errors.
-    fn feed(&mut self, frame: Vec<u8>) -> Result<Vec<SessionAnswer>, SessionError> {
-        let items = self.verifier.feed(&frame)?;
-        Ok(items
-            .into_iter()
-            .map(|it| SessionAnswer {
-                path: it.path,
-                distance: it.distance,
-            })
-            .collect())
+impl ChunkSource<'_> {
+    /// The frame of `chunk`. With a scheduler, receives its prefetch
+    /// (or proves it on the pool now) and immediately schedules
+    /// `following`, so a worker proves that while this chunk is
+    /// verified.
+    fn produce(
+        &mut self,
+        chunk: Range<usize>,
+        following: Option<Range<usize>>,
+    ) -> Result<Vec<u8>, SessionError> {
+        let frame = match &self.session.scheduler {
+            None => self.prove_inline(chunk),
+            Some(sched) => {
+                let rx = match self.pending.take() {
+                    Some(rx) => rx,
+                    None => self.schedule(sched, chunk),
+                };
+                let received = rx
+                    .recv()
+                    .unwrap_or(Err(SessionError::Scheduler("prefetch worker lost")));
+                self.pending = following.map(|next| self.schedule(sched, next));
+                received
+            }
+        }?;
+        // Emission-time epoch check: an eviction after the prefetch
+        // proved this chunk discards it here, so an invalidated stream
+        // never emits another chunk.
+        self.session.guard().map(|_| frame)
     }
 
-    /// Submits the proving of `queries[start..end]` to the scheduler;
-    /// the returned channel delivers the encoded chunk frame. The job
-    /// resolves the session's pinned epoch **under the shard read
-    /// lock** before proving, so every chunk is proven against exactly
-    /// the epoch the session opened on (or fails if it was evicted).
-    fn schedule(&self, start: usize, end: usize) -> mpsc::Receiver<Result<Vec<u8>, SessionError>> {
-        let sched = self.session.scheduler.as_ref().expect("scheduler present");
+    /// Submits the proving of `chunk` to the scheduler; the returned
+    /// channel delivers the encoded chunk frame. The job resolves the
+    /// session's pinned epoch **under the shard read lock** before
+    /// proving, so every chunk is proven against exactly the epoch the
+    /// session opened on (or fails if it was evicted).
+    fn schedule(
+        &self,
+        sched: &Scheduler,
+        chunk: Range<usize>,
+    ) -> mpsc::Receiver<Result<Vec<u8>, SessionError>> {
         let (tx, rx) = mpsc::channel();
         let state = Arc::clone(&self.session.state);
         let epoch = self.session.epoch;
-        let chunk: Vec<(NodeId, NodeId)> = self.queries[start..end].to_vec();
+        let start = chunk.start;
+        let queries: Vec<(NodeId, NodeId)> = self.queries[chunk].to_vec();
         sched.spawn(move || {
-            let result = (|| -> Result<Vec<u8>, SessionError> {
-                let st = state.read().expect("service lock poisoned");
-                let batch = st.resolve(epoch)?.answer_batch_impl(&chunk)?;
-                Ok(encode_frame(&StreamFrame::Chunk {
-                    start: start as u32,
-                    batch: Box::new(batch),
-                }))
-            })();
+            // The read guard is a temporary of this statement: released
+            // before the result is sent.
+            let result = state
+                .read()
+                .expect("service lock poisoned")
+                .resolve(epoch)
+                .and_then(|provider| Ok(chunk_frame(provider, start, &queries)?));
             // The consumer may have bailed (stream dropped or errored);
             // a dead receiver is fine.
             let _ = tx.send(result);
@@ -1020,18 +976,13 @@ impl SessionStream<'_> {
         rx
     }
 
-    /// Proves `queries[start..end]` on the calling thread (no
-    /// scheduler), holding the epoch guard across the proving so the
-    /// chunk is consistent with the epoch.
-    fn prove_inline(&self, start: usize, end: usize) -> Result<Vec<u8>, SessionError> {
+    /// Proves `chunk` on the calling thread (no scheduler), holding the
+    /// epoch guard across the proving so the chunk is consistent with
+    /// the epoch.
+    fn prove_inline(&self, chunk: Range<usize>) -> Result<Vec<u8>, SessionError> {
         let st = self.session.guard()?;
-        let batch = st
-            .resolve(self.session.epoch)?
-            .answer_batch_impl(&self.queries[start..end])?;
-        Ok(encode_frame(&StreamFrame::Chunk {
-            start: start as u32,
-            batch: Box::new(batch),
-        }))
+        let provider = st.resolve(self.session.epoch)?;
+        Ok(chunk_frame(provider, chunk.start, &self.queries[chunk])?)
     }
 }
 
@@ -1040,86 +991,33 @@ impl Iterator for SessionStream<'_> {
     type Item = Result<Vec<SessionAnswer>, SessionError>;
 
     fn next(&mut self) -> Option<Self::Item> {
+        // Header and end frames release no answers and chunks are never
+        // empty: ship frames until one releases answers or the framer
+        // has ended.
         loop {
-            match self.stage {
-                StreamStage::Header => {
-                    self.stage = if self.queries.is_empty() {
-                        StreamStage::End
-                    } else {
-                        StreamStage::Chunks
-                    };
-                    let frame = encode_frame(&StreamFrame::Header {
-                        total_queries: self.queries.len() as u32,
-                        chunk_len: self.chunk_len as u32,
-                        method_code: self.session.params.code(),
-                    });
-                    match self.feed(frame) {
-                        Ok(_) => continue,
-                        Err(e) => {
-                            self.stage = StreamStage::Done;
-                            return Some(Err(e));
-                        }
-                    }
+            let chunks = &mut self.chunks;
+            let frame = match self
+                .framer
+                .next_frame(|chunk, following| chunks.produce(chunk, following))?
+            {
+                Ok(frame) => frame,
+                Err(e) => return Some(Err(e)),
+            };
+            match self.verifier.feed(&frame) {
+                Ok(items) if items.is_empty() => continue,
+                Ok(items) => {
+                    return Some(Ok(items
+                        .into_iter()
+                        .map(|it| SessionAnswer {
+                            path: it.path,
+                            distance: it.distance,
+                        })
+                        .collect()))
                 }
-                StreamStage::Chunks => {
-                    let start = self.next;
-                    let end = (start + self.chunk_len).min(self.queries.len());
-                    let produced = if self.session.scheduler.is_some() {
-                        // Double buffering: receive this chunk's proof,
-                        // then immediately schedule the next chunk so a
-                        // worker proves it while we verify this one.
-                        let rx = match self.pending.take() {
-                            Some(rx) => rx,
-                            None => self.schedule(start, end),
-                        };
-                        let received = rx
-                            .recv()
-                            .unwrap_or(Err(SessionError::Scheduler("prefetch worker lost")));
-                        if end < self.queries.len() {
-                            let nend = (end + self.chunk_len).min(self.queries.len());
-                            self.pending = Some(self.schedule(end, nend));
-                        }
-                        received
-                    } else {
-                        self.prove_inline(start, end)
-                    };
-                    // Emission-time epoch check: a bump after the
-                    // prefetch proved this chunk discards it here, so
-                    // an invalidated stream never emits another chunk.
-                    let frame = match produced.and_then(|f| self.session.guard().map(|_| f)) {
-                        Ok(f) => f,
-                        Err(e) => {
-                            self.stage = StreamStage::Done;
-                            return Some(Err(e));
-                        }
-                    };
-                    self.next = end;
-                    self.chunks_emitted += 1;
-                    if end == self.queries.len() {
-                        self.stage = StreamStage::End;
-                    }
-                    return match self.feed(frame) {
-                        Ok(items) => Some(Ok(items)),
-                        Err(e) => {
-                            self.stage = StreamStage::Done;
-                            Some(Err(e))
-                        }
-                    };
+                Err(e) => {
+                    self.framer.stop();
+                    return Some(Err(e.into()));
                 }
-                StreamStage::End => {
-                    self.stage = StreamStage::Done;
-                    let frame = encode_frame(&StreamFrame::End {
-                        total_chunks: self.chunks_emitted,
-                    });
-                    match self.feed(frame) {
-                        Ok(_) => {
-                            debug_assert!(self.verifier.finished());
-                            return None;
-                        }
-                        Err(e) => return Some(Err(e)),
-                    }
-                }
-                StreamStage::Done => return None,
             }
         }
     }

@@ -30,6 +30,7 @@ use crate::methods::PinnedAux;
 use crate::provider::ServiceProvider;
 use crate::wire::{decode_frame, encode_frame, StreamFrame};
 use spnet_graph::{NodeId, Path};
+use std::ops::Range;
 
 /// Default queries per pooled chunk ([`ServiceProvider::answer_stream`]
 /// callers can override).
@@ -85,29 +86,117 @@ impl From<VerifyError> for StreamError {
     }
 }
 
-/// Provider-side stage of a stream.
-enum ProduceStage {
+/// Stage of a [`Framer`].
+enum Stage {
     Header,
-    Chunks,
-    End,
+    /// Chunks while queries remain, then the end frame.
+    Body,
     Done,
+}
+
+/// The provider side of the stream framing, shared by [`AnswerStream`]
+/// and [`crate::service::SessionStream`]: it owns the header, the chunk
+/// bounds, the chunk count and the end frame, and asks its caller only
+/// for each chunk's encoded frame. [`StreamVerifier`] enforces the
+/// result.
+pub(crate) struct Framer {
+    total: usize,
+    chunk_len: usize,
+    method_code: u8,
+    next: usize,
+    chunks: u32,
+    stage: Stage,
+}
+
+impl Framer {
+    /// Framing for `total` queries in chunks of `chunk_len` (clamped to
+    /// at least 1; the last chunk may be smaller).
+    pub(crate) fn new(total: usize, chunk_len: usize, method_code: u8) -> Self {
+        Framer {
+            total,
+            chunk_len: chunk_len.max(1),
+            method_code,
+            next: 0,
+            chunks: 0,
+            stage: Stage::Header,
+        }
+    }
+
+    /// The chunk starting at query `start`, if any queries remain.
+    fn chunk_at(&self, start: usize) -> Option<Range<usize>> {
+        (start < self.total).then(|| start..(start + self.chunk_len).min(self.total))
+    }
+
+    /// The next encoded frame, `None` once the stream has ended.
+    /// `chunk_frame(chunk, following)` produces the frame of the query
+    /// range `chunk`; `following` is the chunk after it, for callers
+    /// that prefetch. An error ends the stream.
+    pub(crate) fn next_frame<E>(
+        &mut self,
+        chunk_frame: impl FnOnce(Range<usize>, Option<Range<usize>>) -> Result<Vec<u8>, E>,
+    ) -> Option<Result<Vec<u8>, E>> {
+        match self.stage {
+            Stage::Header => {
+                self.stage = Stage::Body;
+                Some(Ok(encode_frame(&StreamFrame::Header {
+                    total_queries: self.total as u32,
+                    chunk_len: self.chunk_len as u32,
+                    method_code: self.method_code,
+                })))
+            }
+            Stage::Body => match self.chunk_at(self.next) {
+                Some(chunk) => {
+                    let end = chunk.end;
+                    match chunk_frame(chunk, self.chunk_at(end)) {
+                        Ok(frame) => {
+                            self.next = end;
+                            self.chunks += 1;
+                            Some(Ok(frame))
+                        }
+                        Err(e) => {
+                            self.stop();
+                            Some(Err(e))
+                        }
+                    }
+                }
+                None => {
+                    self.stop();
+                    Some(Ok(encode_frame(&StreamFrame::End {
+                        total_chunks: self.chunks,
+                    })))
+                }
+            },
+            Stage::Done => None,
+        }
+    }
+
+    /// Ends the stream: every later step returns `None`.
+    pub(crate) fn stop(&mut self) {
+        self.stage = Stage::Done;
+    }
+}
+
+/// Proves `queries` — the chunk starting at query `start` — as one
+/// pooled batch and encodes its chunk frame.
+pub(crate) fn chunk_frame(
+    provider: &ServiceProvider,
+    start: usize,
+    queries: &[(NodeId, NodeId)],
+) -> Result<Vec<u8>, ProviderError> {
+    let batch = provider.answer_batch_impl(queries)?;
+    Ok(encode_frame(&StreamFrame::Chunk {
+        start: start as u32,
+        batch: Box::new(batch),
+    }))
 }
 
 /// A lazy iterator of encoded stream frames: chunk `i` is proven only
 /// when the consumer pulls it, so the first verified answers leave the
 /// provider after one chunk's work instead of the whole batch's.
-///
-/// NOTE: `service::SessionStream` drives the same Header → Chunks →
-/// End framing with per-chunk epoch re-checks; a framing change here
-/// (new frame kind, header field, chunking rule) must be mirrored
-/// there, and [`StreamVerifier`] enforces the result for both.
 pub struct AnswerStream<'a> {
     provider: &'a ServiceProvider,
     queries: &'a [(NodeId, NodeId)],
-    chunk_len: usize,
-    next: usize,
-    chunks_emitted: u32,
-    stage: ProduceStage,
+    framer: Framer,
 }
 
 impl ServiceProvider {
@@ -123,10 +212,7 @@ impl ServiceProvider {
         AnswerStream {
             provider: self,
             queries,
-            chunk_len: chunk_len.max(1),
-            next: 0,
-            chunks_emitted: 0,
-            stage: ProduceStage::Header,
+            framer: Framer::new(queries.len(), chunk_len, self.method_code()),
         }
     }
 }
@@ -135,47 +221,9 @@ impl Iterator for AnswerStream<'_> {
     type Item = Result<Vec<u8>, ProviderError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        match self.stage {
-            ProduceStage::Header => {
-                self.stage = if self.queries.is_empty() {
-                    ProduceStage::End
-                } else {
-                    ProduceStage::Chunks
-                };
-                Some(Ok(encode_frame(&StreamFrame::Header {
-                    total_queries: self.queries.len() as u32,
-                    chunk_len: self.chunk_len as u32,
-                    method_code: self.provider.package().hints.method().params_code(),
-                })))
-            }
-            ProduceStage::Chunks => {
-                let start = self.next;
-                let end = (start + self.chunk_len).min(self.queries.len());
-                let batch = match self.provider.answer_batch_impl(&self.queries[start..end]) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        self.stage = ProduceStage::Done;
-                        return Some(Err(e));
-                    }
-                };
-                self.next = end;
-                self.chunks_emitted += 1;
-                if end == self.queries.len() {
-                    self.stage = ProduceStage::End;
-                }
-                Some(Ok(encode_frame(&StreamFrame::Chunk {
-                    start: start as u32,
-                    batch: Box::new(batch),
-                })))
-            }
-            ProduceStage::End => {
-                self.stage = ProduceStage::Done;
-                Some(Ok(encode_frame(&StreamFrame::End {
-                    total_chunks: self.chunks_emitted,
-                })))
-            }
-            ProduceStage::Done => None,
-        }
+        let (provider, queries) = (self.provider, self.queries);
+        self.framer
+            .next_frame(|chunk, _| chunk_frame(provider, chunk.start, &queries[chunk]))
     }
 }
 
@@ -228,24 +276,12 @@ impl<'a> StreamVerifier<'a> {
         }
     }
 
-    /// A verifier pinned to an already RSA-verified network root (the
-    /// session facade's path): chunks signed for any other epoch are
-    /// rejected without a signature check.
-    pub fn with_pinned_root(
-        client: &'a Client,
-        queries: &'a [(NodeId, NodeId)],
-        root: &'a SignedRoot,
-    ) -> Self {
-        StreamVerifier {
-            pinned: Some(root),
-            ..Self::new(client, queries)
-        }
-    }
-
-    /// [`Self::with_pinned_root`] plus the session's pinned auxiliary
-    /// roots: chunks of FULL/HYP sessions skip the per-chunk RSA check
-    /// on aux roots whose bytes match a pin (Merkle reconstructions
-    /// still run). This is the [`crate::service::Session`] stream path.
+    /// A verifier pinned to an already RSA-verified network root and the
+    /// session's pinned auxiliary roots (the [`crate::service::Session`]
+    /// stream path): chunks signed for any other epoch are rejected
+    /// without a signature check, and chunks of FULL/HYP sessions skip
+    /// the per-chunk RSA check on aux roots whose bytes match a pin
+    /// (Merkle reconstructions still run).
     pub fn with_session_pins(
         client: &'a Client,
         queries: &'a [(NodeId, NodeId)],

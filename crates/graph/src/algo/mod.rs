@@ -5,8 +5,6 @@
 //! * [`dijkstra`] — single-source search in its full, point-to-point and
 //!   bounded-ball variants (Section II-C "no pre-computation"; the
 //!   bounded ball realizes Lemma 1's subgraph).
-//! * [`bidirectional`] — bidirectional Dijkstra (Section II-C), offered
-//!   as an alternative `algosp` for the service provider.
 //! * [`floyd_warshall`](mod@floyd_warshall) — the O(|V|³) all-pairs algorithm the paper's
 //!   FULL method prescribes (Section IV-B).
 //! * [`apsp`] — all-pairs via repeated Dijkstra (same output, far
@@ -17,11 +15,9 @@
 //! authenticated subgraph, in `spnet_core::methods::ldm`.
 
 pub mod apsp;
-pub mod bidirectional;
 pub mod dijkstra;
 pub mod floyd_warshall;
 
 pub use apsp::apsp_dijkstra;
-pub use bidirectional::bidirectional_path;
 pub use dijkstra::{dijkstra_ball, dijkstra_path, dijkstra_sssp, SsspResult};
 pub use floyd_warshall::floyd_warshall;

@@ -9,8 +9,8 @@
 //!   `G = (V, E, W)` in compressed sparse row form, with node
 //!   coordinates normalized to the paper's `[0..10,000]²` extent.
 //! * [`algo`] — Dijkstra (full / point-to-point / bounded-ball),
-//!   bidirectional Dijkstra, Floyd–Warshall, and
-//!   all-pairs-shortest-paths via repeated Dijkstra.
+//!   Floyd–Warshall, and all-pairs-shortest-paths via repeated
+//!   Dijkstra.
 //! * [`landmark`] — landmark selection, distance vectors Ψ(v) (Eq. 2),
 //!   the lower bound `distLB` (Eq. 3), `b`-bit quantization (Eq. 5,
 //!   Lemma 3) and greedy distance-vector compression (Lemma 4).

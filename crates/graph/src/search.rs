@@ -386,9 +386,12 @@ impl SearchWorkspace {
             }
             self.arena.clear();
             self.overflow_head = NIL_LINK;
-            self.drain.clear();
-            self.drain_sorted = true;
         }
+        // Every search reads `drain` (the lookahead in `run_with`), so
+        // residue from an early-terminated bucket search must go even
+        // when this search runs on the heap.
+        self.drain.clear();
+        self.drain_sorted = true;
         if self.generation == STAMP_MASK {
             // Once every 2³¹ queries: hard reset so stamp 0 is unused.
             self.nodes.iter_mut().for_each(|s| s.meta = 0);
@@ -668,23 +671,6 @@ impl SearchWorkspace {
         }
     }
 
-    /// Minimum live key, discarding stale entries along the way.
-    fn bucket_peek(&mut self) -> Option<f64> {
-        loop {
-            if !self.bucket_refill() {
-                return None;
-            }
-            if !self.drain_sorted {
-                self.sort_drain();
-            }
-            let e = *self.drain.last().expect("refilled");
-            if self.entry_live(e) {
-                return Some(e.key);
-            }
-            self.drain.pop();
-        }
-    }
-
     // --- frontier dispatch -------------------------------------------------
 
     /// Queues `v` at `key` (or improves it) in the active frontier.
@@ -853,76 +839,6 @@ impl SearchWorkspace {
                     .collect()
             })
             .collect()
-    }
-
-    // --- manually-driven searches ------------------------------------------
-    //
-    // Bidirectional Dijkstra needs to drive the pop/relax loop itself
-    // (side alternation). These
-    // crate-internal hooks expose the workspace's stamped state and
-    // indexed heap without giving up its invariants: state mutation
-    // only ever happens through `touch`/`relax`/`pop_settle`.
-
-    /// Starts a manually-driven search on `g` seeded at `source` with
-    /// distance 0, using the graph's calibrated frontier.
-    pub(crate) fn begin_manual(&mut self, g: &Graph, source: NodeId) {
-        self.begin(g.num_nodes(), g.calibration());
-        let s = source.index();
-        self.touch(s);
-        self.nodes[s].dist = 0.0;
-        self.frontier_push(source.0, 0.0);
-    }
-
-    /// Smallest live tentative key currently queued, if any (in bucket
-    /// mode this discards stale lazy-deletion entries, hence `&mut`).
-    pub(crate) fn peek_key(&mut self) -> Option<f64> {
-        match self.kind {
-            FrontierKind::Heap => self.heap.first().map(|e| e.key),
-            FrontierKind::Bucket => self.bucket_peek(),
-        }
-    }
-
-    /// Pops and settles the nearest queued node, returning
-    /// `(node, dist)`. Stale bucket entries are skipped internally:
-    /// every returned pop is final.
-    pub(crate) fn pop_settle(&mut self) -> Option<(u32, f64)> {
-        let e = self.frontier_pop()?;
-        self.nodes[e.node as usize].meta |= SETTLED_BIT;
-        Some((e.node, e.key))
-    }
-
-    /// Relaxes the edge `via → u` with candidate distance `nd`;
-    /// returns whether it improved `u`.
-    pub(crate) fn relax(&mut self, u: u32, via: u32, nd: f64) -> bool {
-        let ui = u as usize;
-        self.touch(ui);
-        let state = self.nodes[ui];
-        if state.settled() || nd >= state.dist {
-            return false;
-        }
-        self.nodes[ui].dist = nd;
-        self.nodes[ui].parent = via;
-        self.frontier_push(u, nd);
-        true
-    }
-
-    /// Tentative (or settled) distance of `v` in the current search;
-    /// ∞ when untouched.
-    pub(crate) fn current_dist(&self, v: usize) -> f64 {
-        if self.nodes[v].stamp() == self.generation {
-            self.nodes[v].dist
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Parent of `v` in the current search tree, if assigned.
-    pub(crate) fn current_parent(&self, v: usize) -> Option<u32> {
-        if self.nodes[v].stamp() == self.generation && self.nodes[v].parent != NO_NODE {
-            Some(self.nodes[v].parent)
-        } else {
-            None
-        }
     }
 
     /// Full single-source Dijkstra; the view borrows this workspace.
@@ -1125,8 +1041,6 @@ impl SearchView<'_> {
 
 thread_local! {
     static THREAD_WS: RefCell<SearchWorkspace> = RefCell::new(SearchWorkspace::new());
-    static THREAD_BI_WS: RefCell<(SearchWorkspace, SearchWorkspace)> =
-        RefCell::new((SearchWorkspace::new(), SearchWorkspace::new()));
 }
 
 /// Runs `f` with this thread's shared [`SearchWorkspace`].
@@ -1139,24 +1053,6 @@ pub fn with_thread_workspace<R>(f: impl FnOnce(&mut SearchWorkspace) -> R) -> R 
     THREAD_WS.with(|cell| match cell.try_borrow_mut() {
         Ok(mut ws) => f(&mut ws),
         Err(_) => f(&mut SearchWorkspace::new()),
-    })
-}
-
-/// Runs `f` with this thread's shared **pair** of workspaces — the
-/// state a two-frontier search needs (bidirectional Dijkstra expands
-/// from both endpoints at once). Distinct from
-/// [`with_thread_workspace`]'s singleton, so a bidirectional search
-/// may itself be nested inside code holding the single workspace.
-/// Re-entrant use falls back to fresh scratch workspaces.
-pub fn with_thread_bi_workspace<R>(
-    f: impl FnOnce(&mut SearchWorkspace, &mut SearchWorkspace) -> R,
-) -> R {
-    THREAD_BI_WS.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut pair) => {
-            let (a, b) = &mut *pair;
-            f(a, b)
-        }
-        Err(_) => f(&mut SearchWorkspace::new(), &mut SearchWorkspace::new()),
     })
 }
 
@@ -1386,6 +1282,30 @@ mod tests {
             }
         }
         assert!(ws.multi_sssp_rows(&g, &[]).is_empty());
+    }
+
+    #[test]
+    fn heap_search_after_early_stopped_bucket_search() {
+        // An early-terminated bucket search leaves entries in the
+        // drain; a following heap search on a smaller graph must not
+        // read them (their node ids are out of its range).
+        let big = grid_network(10, 10, 1.2, 12);
+        assert_eq!(big.frontier_kind(), FrontierKind::Bucket);
+        let mut b = GraphBuilder::new();
+        for i in 0..3 {
+            b.add_node(i as f64, 0.0);
+        }
+        b.add_edge(NodeId(0), NodeId(1), 2.0).unwrap();
+        b.add_edge(NodeId(1), NodeId(2), 3.0).unwrap();
+        let small = b.build();
+        let mut ws = SearchWorkspace::new();
+        ws.path(&big, NodeId(99), NodeId(88)).unwrap();
+        let want = reference::sssp(&small, NodeId(0));
+        let got = ws.sssp_with_frontier(&small, NodeId(0), FrontierKind::Heap);
+        for v in small.nodes() {
+            assert_eq!(got.dist(v).to_bits(), want.dist[v.index()].to_bits());
+            assert_eq!(got.parent(v), want.parent[v.index()]);
+        }
     }
 
     #[test]

@@ -4,11 +4,8 @@
 //!    parents, reconstructed paths) to the seed's fresh-allocation
 //!    reference implementation, across random geometric and grid
 //!    graphs, radii, and interleaved reuse.
-//! 2. Batched proving/verification — which fans out over threads when
-//!    the default `parallel` feature is on — agrees exactly with the
-//!    single-query protocol path. (CI additionally runs this file with
-//!    `--no-default-features`, so parallel and sequential builds are
-//!    both pinned to the same observable results.)
+//! 2. Batched proving/verification — which fans out over threads —
+//!    agrees exactly with the single-query protocol path.
 //! 3. The calibrated bucket-queue frontier introduced for million-node
 //!    scale is **bit-identical** to the 4-ary heap on distances,
 //!    parents, and settle counts — both forced explicitly, across
@@ -197,8 +194,9 @@ proptest! {
         }
     }
 
-    /// The batch path (parallel by default) proves and verifies exactly
-    /// what the single-query path does — for **all four methods**.
+    /// The batch path (fanned out over threads) proves and verifies
+    /// exactly what the single-query path does — for **all four
+    /// methods**.
     #[test]
     fn batch_agrees_with_single_query_path(seed in 0u64..400, method_idx in 0usize..4) {
         let method = match method_idx {
@@ -224,7 +222,7 @@ proptest! {
             .collect();
         // Batch halves go through the session facade — the only batch
         // entry point since the raw ones were removed.
-        let service = SpService::with_provider(provider);
+        let service = SpService::new(provider.package().clone());
         let session = service.open_session(client.clone()).unwrap();
         let b1 = session.answer_batch(&queries).unwrap();
         let b2 = session.answer_batch(&queries).unwrap();

@@ -1,9 +1,8 @@
 //! Multi-threaded stress tests for the sharded `SpService`: many
-//! concurrent sessions across mixed methods sharing one work-stealing
-//! scheduler, asserting (i) proofs bit-identical to single-threaded
-//! serving and (ii) deterministic `EpochInvalidated` — whole verified
-//! chunks only, never a partial or stale one — under a mid-run owner
-//! update.
+//! concurrent sessions across mixed methods sharing one scheduler,
+//! asserting (i) proofs bit-identical to single-threaded serving and
+//! (ii) deterministic `EpochInvalidated` — whole verified chunks only,
+//! never a partial or stale one — under a mid-run owner update.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -113,7 +112,7 @@ fn concurrent_sessions_match_single_threaded_serving() {
         assert_eq!(streamed, expected, "session {i}: stream ≡ batch");
     }
 
-    let (executed, _stolen) = service.scheduler_stats().expect("pool engaged");
+    let (executed, _) = service.scheduler_stats().expect("pool engaged");
     assert!(executed > 0, "streams went through the scheduler");
     assert!(control.scheduler_stats().is_none(), "control stayed inline");
 }

@@ -123,7 +123,7 @@ proptest! {
         verifier.finish().unwrap();
         // Batched — through the session facade, the only batch entry
         // point since the raw ones were removed.
-        let service = SpService::with_provider(provider);
+        let service = SpService::new(provider.package().clone());
         let session = service.open_session(client.clone()).unwrap();
         let batch = session.answer_batch(&qs).unwrap();
         let batched = session.verify_batch(&qs, &batch).unwrap();
@@ -308,30 +308,56 @@ fn epoch_eviction_is_loud_for_every_method() {
     }
 }
 
+/// Session streams agree with the session batch and with the raw
+/// provider stream checked by a fresh `StreamVerifier`, inline and on
+/// the pool, for an empty list and for chunk sizes of 0 (clamped to 1)
+/// up to more than the whole list.
 #[test]
 fn session_stream_matches_session_batch() {
+    let qs = as_nodes(&QUERIES);
     for method in all_methods() {
-        let (_, service, client, _) = deploy_service(&method, 4400);
-        let session = service.open_session(client).unwrap();
-        let qs = as_nodes(&QUERIES);
-        let batch = session.query_batch(&qs).unwrap();
-        for chunk_len in [1, 2, 3, 5, 16] {
-            let streamed: Vec<SessionAnswer> = session
-                .query_stream_chunked(&qs, chunk_len)
-                .collect::<Result<Vec<_>, _>>()
-                .unwrap()
-                .into_iter()
-                .flatten()
-                .collect();
-            assert_eq!(streamed.len(), batch.len(), "{}", method.name());
-            for (s, b) in streamed.iter().zip(&batch) {
-                assert_eq!(
-                    s.distance.to_bits(),
-                    b.distance.to_bits(),
-                    "{}",
-                    method.name()
-                );
-                assert_eq!(s.path, b.path, "{}", method.name());
+        let g = grid_network(8, 8, 1.2, 4400);
+        let mut rng = StdRng::seed_from_u64(4400 ^ 0x5E55);
+        let p = DataOwner::publish(&g, &method, &SetupConfig::default(), &mut rng);
+        let client = Client::new(p.public_key.clone());
+        let provider = ServiceProvider::new(p.package.clone());
+        for threads in [0, 2] {
+            let service = SpService::builder()
+                .package(p.package.clone())
+                .threads(threads)
+                .build();
+            let session = service.open_session(client.clone()).unwrap();
+            let batch = session.query_batch(&qs).unwrap();
+            for list in [&qs[..], &[]] {
+                for chunk_len in [0, 1, 2, 3, 5, 16] {
+                    let what = format!(
+                        "{} threads({threads}) {} queries chunk_len {chunk_len}",
+                        method.name(),
+                        list.len()
+                    );
+                    let streamed: Vec<SessionAnswer> = session
+                        .query_stream_chunked(list, chunk_len)
+                        .collect::<Result<Vec<_>, _>>()
+                        .unwrap()
+                        .into_iter()
+                        .flatten()
+                        .collect();
+                    let mut verifier = StreamVerifier::new(&client, list);
+                    let mut raw = Vec::new();
+                    for frame in provider.answer_stream(list, chunk_len) {
+                        raw.extend(verifier.feed(&frame.unwrap()).unwrap());
+                    }
+                    verifier.finish().unwrap();
+                    assert_eq!(streamed.len(), list.len(), "{what}");
+                    assert_eq!(raw.len(), list.len(), "{what}");
+                    for (i, (s, r)) in streamed.iter().zip(&raw).enumerate() {
+                        assert_eq!(r.index, i, "{what}");
+                        assert_eq!(s.distance.to_bits(), r.distance.to_bits(), "{what}");
+                        assert_eq!(s.path, r.path, "{what}");
+                        assert_eq!(s.distance.to_bits(), batch[i].distance.to_bits(), "{what}");
+                        assert_eq!(s.path, batch[i].path, "{what}");
+                    }
+                }
             }
         }
     }
