@@ -5,11 +5,13 @@
 //! is measured here: every `reference/*` bench is the seed code
 //! (`spnet_graph::algo::dijkstra::reference`), every `workspace/*`
 //! bench the generation-stamped 4-ary-heap implementation on one
-//! reused [`SearchWorkspace`].
+//! reused [`SearchWorkspace`]. `landmark_repair/*` times LDM's
+//! in-place row repair against the full rows it replaces.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use spnet_graph::algo::dijkstra::reference;
-use spnet_graph::gen::grid_network;
+use spnet_graph::gen::{grid_network, road_network};
+use spnet_graph::landmark::repair_row;
 use spnet_graph::search::SearchWorkspace;
 use spnet_graph::NodeId;
 use std::hint::black_box;
@@ -127,10 +129,54 @@ fn bench_balls(c: &mut Criterion) {
     grp.finish();
 }
 
+/// One edge increase on a sparse 10k-node road (|E|/|V| = 1.05, the
+/// LDM update pattern): the 16 landmark rows repaired in place against
+/// the 16 SSSP rows the repair replaces.
+fn bench_landmark_repair(c: &mut Criterion) {
+    let mut g = road_network(100, 100, 1.05, 1.0, 24);
+    let landmarks: Vec<NodeId> = (0..16u32).map(|i| NodeId(i * 625)).collect();
+    let mut ws = SearchWorkspace::with_capacity(g.num_nodes());
+    let rows: Vec<Vec<f64>> = landmarks
+        .iter()
+        .map(|&l| ws.sssp(&g, l).dist_vec())
+        .collect();
+    // An edge mid-network on the first landmark's shortest-path tree,
+    // raised by half.
+    let (u, v, w) = g
+        .edges()
+        .skip(g.num_edges() / 2)
+        .find(|&(a, b, w)| rows[0][b.index()] == rows[0][a.index()] + w)
+        .expect("a connected road has tree edges");
+    g.set_edge_weight(u, v, w * 1.5);
+    let mut grp = c.benchmark_group("landmark_repair");
+    grp.bench_function("incremental", |b| {
+        b.iter_batched(
+            || rows.clone(),
+            |mut rows| {
+                for (row, &l) in rows.iter_mut().zip(&landmarks) {
+                    repair_row(&g, l, row, u, v, w);
+                }
+                rows
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    grp.bench_function("full", |b| {
+        b.iter(|| {
+            landmarks
+                .iter()
+                .map(|&l| ws.sssp(&g, black_box(l)).dist_vec())
+                .collect::<Vec<_>>()
+        })
+    });
+    grp.finish();
+}
+
 criterion_group!(
     benches,
     bench_repeated_sssp,
     bench_short_queries,
-    bench_balls
+    bench_balls,
+    bench_landmark_repair
 );
 criterion_main!(benches);

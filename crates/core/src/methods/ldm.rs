@@ -17,10 +17,11 @@ use crate::snapshot::{self, SnapshotError};
 use crate::tuple::{ExtendedTuple, PsiPayload};
 use spnet_crypto::rsa::RsaKeyPair;
 use spnet_graph::landmark::{
-    select_landmarks, CompressedVectors, CompressionStrategy, LandmarkVectors, NodePsi,
+    repair_row, select_landmarks, CompressedVectors, CompressionStrategy, LandmarkVectors, NodePsi,
     QuantizedVectors,
 };
 use spnet_graph::ofloat::OrderedF64;
+use spnet_graph::order::hilbert_order;
 use spnet_graph::{Graph, NodeId, Path};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
@@ -82,20 +83,28 @@ impl AuthMethod for LdmMethod {
         ExtendedTuple::with_psi(g, v, &h.vectors)
     }
 
-    fn wants_change_dists(&self) -> bool {
-        true
-    }
-
-    /// LDM repair: a landmark row `dist(sᵢ, ·)` can change only if a
-    /// shortest-path tree rooted at `sᵢ` routes through the updated
-    /// edge before or after the change (undirected symmetry reads
-    /// `dist(sᵢ, u)` out of `old_dists.from_u[sᵢ]`). Affected rows are
-    /// recomputed with one Dijkstra each; quantization and compression
-    /// re-run globally because λ = Dmax/(2^b − 1) is a global scalar.
+    /// LDM repair, bounded by what the change reaches:
+    ///
+    /// 1. Each exact landmark row is repaired in place
+    ///    ([`spnet_graph::landmark::repair_row`], fanned over the
+    ///    landmarks). A row the edge does not reach costs O(1); the
+    ///    others re-settle only the entries the edge can move. The rows
+    ///    stay bit-identical to fresh Dijkstras, and no endpoint search
+    ///    is needed: the tightness inputs are entries of the rows
+    ///    themselves.
+    /// 2. If λ = Dmax/(2^b − 1) keeps its bits and the vectors were
+    ///    built by the Hilbert sweep, the sweep is re-run only over
+    ///    the windows of positions the changed nodes can reach
+    ///    ([`CompressedVectors::resweep`], in the kept
+    ///    [`LdmHints::sweep_order`]), and λ is left as signed
+    ///    (`new_params: None`).
+    /// 3. Otherwise (λ moved, greedy compression, or rows re-seeded
+    ///    after a snapshot load) everything is re-quantized and
+    ///    re-compressed, and λ is handed back for the driver to sign.
+    ///
     /// Dirty tuples are exactly the nodes whose ψ payload moved. LDM
-    /// carries no auxiliary signed root — the driver's network re-sign
-    /// is the whole crypto bill — but the repaired λ is handed back so
-    /// the driver signs it into the root metadata.
+    /// carries no auxiliary signed root: the driver's network re-sign
+    /// is the whole crypto bill.
     fn repair_hints(
         &self,
         g: &Graph,
@@ -103,53 +112,47 @@ impl AuthMethod for LdmMethod {
         hints: &mut MethodHints,
         _keypair: &RsaKeyPair,
     ) -> Result<crate::methods::DirtySet, crate::update::UpdateError> {
-        use crate::update::{edge_is_tight, UpdateError};
+        use crate::update::UpdateError;
         let MethodHints::Ldm(h) = hints else {
             return Err(UpdateError::Rebuild("LDM hints expected".into()));
         };
-        let old = change.old_dists.as_ref().ok_or_else(|| {
-            UpdateError::Rebuild("LDM repair needs pre-update endpoint distances".into())
-        })?;
         if h.landmarks.is_empty() {
             return Err(UpdateError::Rebuild(
                 "LDM landmark set unavailable for repair".into(),
             ));
         }
-        let landmarks = h.landmarks.clone();
-        let repaired = match &mut h.exact {
+        // Nodes whose row entries moved, when known.
+        let (changed, repaired) = match &mut h.exact {
             Some(exact) => {
-                let du_n = spnet_graph::search::with_thread_workspace(|ws| {
-                    ws.sssp(g, change.u).dist_vec()
+                let mut rows: Vec<(NodeId, &mut [f64])> = exact.rows_mut().collect();
+                let per_row = crate::par::map_jobs_mut(&mut rows, |(l, row)| {
+                    repair_row(g, *l, row, change.u, change.v, change.old_weight)
                 });
-                let dv_n = spnet_graph::search::with_thread_workspace(|ws| {
-                    ws.sssp(g, change.v).dist_vec()
-                });
-                let affected: Vec<usize> = (0..landmarks.len())
-                    .filter(|&i| {
-                        let l = landmarks[i].index();
-                        edge_is_tight(old.from_u[l], old.from_v[l], change.old_weight)
-                            || edge_is_tight(du_n[l], dv_n[l], change.new_weight)
-                    })
-                    .collect();
-                let rows: Vec<(usize, Vec<f64>)> = crate::par::map_jobs(&affected, |&i| {
-                    let row = spnet_graph::search::with_thread_workspace(|ws| {
-                        ws.sssp(g, landmarks[i]).dist_vec()
-                    });
-                    (i, row)
-                });
-                for (i, row) in rows {
-                    exact.set_row(i, row);
-                }
-                affected.len()
+                let repaired = per_row.iter().filter(|c| !c.is_empty()).count();
+                let mut changed: Vec<NodeId> = per_row.into_iter().flatten().collect();
+                changed.sort_unstable();
+                changed.dedup();
+                (Some(changed), repaired)
             }
             cache @ None => {
                 // Snapshot-loaded hints dropped the exact rows; re-seed
-                // the cache once, repair incrementally thereafter.
-                *cache = Some(LandmarkVectors::compute(g, &landmarks));
-                landmarks.len()
+                // them once, repair in place thereafter.
+                *cache = Some(landmark_rows(g, &h.landmarks));
+                (None, h.landmarks.len())
             }
         };
-        let exact = h.exact.as_ref().expect("exact cache ensured above");
+        let exact = h.exact.as_ref().expect("exact rows ensured above");
+        if let (Some(changed), CompressionStrategy::HilbertSweep) = (&changed, h.compression) {
+            let order = h.sweep_order.get_or_insert_with(|| hilbert_order(g));
+            if let Some(tuples) = h.vectors.resweep(exact, order, changed) {
+                return Ok(crate::methods::DirtySet {
+                    tuples,
+                    aux_repaired: repaired,
+                    aux_resigned: 0,
+                    new_params: None,
+                });
+            }
+        }
         let qv = QuantizedVectors::quantize(exact, h.vectors.bits());
         let fresh = CompressedVectors::build(g, &qv, h.vectors.xi(), h.compression);
         let lambda = fresh.lambda();
@@ -283,6 +286,7 @@ impl AuthMethod for LdmMethod {
             landmarks,
             compression,
             exact: None,
+            sweep_order: None,
             build_seconds,
         }))
     }
@@ -374,11 +378,18 @@ pub struct LdmHints {
     /// recompress identically to stay bit-compatible with a fresh
     /// publish).
     pub compression: CompressionStrategy,
-    /// Owner-side cache of the exact (unquantized) landmark rows.
-    /// `None` after a snapshot load; the first repair recomputes every
-    /// row once to re-seed it and repairs incrementally from then on.
-    /// Never persisted — it is reproducible and |V|·c floats.
+    /// Owner-side exact (unquantized) landmark rows, which every
+    /// update repairs in place and reads its changed nodes from.
+    /// `None` after a snapshot load; the first repair then recomputes
+    /// every row, one Dijkstra per landmark fanned over the cores, and
+    /// repairs in place from then on. Never persisted: it is
+    /// reproducible and |V|·c floats.
     pub exact: Option<LandmarkVectors>,
+    /// Owner-side Hilbert order of the nodes, the compression sweep's
+    /// order. It depends on coordinates only, so the first windowed
+    /// re-sweep computes it and later updates reuse it. Never
+    /// persisted.
+    pub sweep_order: Option<Vec<NodeId>>,
     /// Construction wall-clock seconds (landmark Dijkstras +
     /// quantization + compression) for Figure 12b.
     pub build_seconds: f64,
@@ -389,7 +400,7 @@ impl LdmHints {
     pub fn build(g: &Graph, cfg: &LdmConfig, seed: u64) -> Self {
         let start = std::time::Instant::now();
         let lms = select_landmarks(g, cfg.landmarks.min(g.num_nodes()), cfg.strategy, seed);
-        let exact = LandmarkVectors::compute(g, &lms);
+        let exact = landmark_rows(g, &lms);
         let qv = QuantizedVectors::quantize(&exact, cfg.bits);
         let vectors = CompressedVectors::build(g, &qv, cfg.xi, cfg.compression);
         LdmHints {
@@ -397,6 +408,7 @@ impl LdmHints {
             landmarks: lms,
             compression: cfg.compression,
             exact: Some(exact),
+            sweep_order: None,
             build_seconds: start.elapsed().as_secs_f64(),
         }
     }
@@ -406,6 +418,16 @@ impl LdmHints {
     pub fn lambda(&self) -> f64 {
         self.vectors.lambda()
     }
+}
+
+/// The exact landmark rows, one Dijkstra per landmark fanned over the
+/// cores (each row bit-identical to a sequential
+/// [`LandmarkVectors::compute`]).
+fn landmark_rows(g: &Graph, landmarks: &[NodeId]) -> LandmarkVectors {
+    let rows = crate::par::map_jobs(landmarks, |&l| {
+        spnet_graph::search::with_thread_workspace(|ws| ws.sssp(g, l).dist_vec())
+    });
+    LandmarkVectors::from_rows(landmarks.to_vec(), rows)
 }
 
 /// Provider side: the Lemma 2 node set —

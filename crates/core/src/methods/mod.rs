@@ -147,16 +147,20 @@ pub struct DirtySet {
     /// the network tree (the update driver handles the rebuild; the
     /// changed edge's endpoints are always included).
     pub tuples: Vec<NodeId>,
-    /// Auxiliary structure entries (distance rows, hyper-edges,
-    /// landmark vectors) the repair recomputed.
+    /// Auxiliary structure entries the repair recomputed: FULL distance
+    /// rows, HYP hyper-edges, and LDM landmark rows with at least one
+    /// changed cell (every row when they are re-seeded after a
+    /// snapshot load).
     pub aux_repaired: usize,
     /// Auxiliary signed roots re-signed by the repair (the network
     /// root's own re-sign is accounted by the driver).
     pub aux_resigned: usize,
-    /// Replacement public parameters, when the repair moved a signed
-    /// scalar (LDM's quantization step λ tracks `Dmax`, which an edge
-    /// change can shift). The update driver encodes them into the
-    /// network root's metadata before re-signing; `None` keeps the
+    /// Replacement public parameters, when the repair may have moved a
+    /// signed scalar (LDM's quantization step λ tracks `Dmax`, which an
+    /// edge change can shift: LDM hands λ back whenever it
+    /// re-quantized in full, and `None` when its windowed re-sweep
+    /// found λ's bits unchanged). The update driver encodes them into
+    /// the network root's metadata before re-signing; `None` keeps the
     /// previous metadata byte-for-byte.
     pub new_params: Option<MethodParams>,
 }
@@ -208,8 +212,9 @@ pub trait AuthMethod: Send + Sync {
 
     /// Whether [`AuthMethod::repair_hints`] needs pre-update distances
     /// from the changed edge's endpoints ([`EdgeChange::old_dists`]).
-    /// Methods that materialize global distance information (FULL,
-    /// LDM, HYP) use them to bound the dirty set; DIJ does not.
+    /// FULL and HYP use them to bound the dirty set. DIJ has nothing to
+    /// bound, and LDM reads the same distances out of its own exact
+    /// landmark rows.
     fn wants_change_dists(&self) -> bool {
         false
     }

@@ -2,11 +2,13 @@
 //!
 //! Two distinct concurrency tools live here:
 //!
-//! * `map_jobs` / `map_jobs_indexed` (crate-private) — the crate's single
-//!   data-parallel fan-out point. Every data-parallel loop (batch
-//!   proving/verification for all four methods, FULL row hashing —
-//!   both the owner-side build and the provider's batched row proofs —
-//!   and HYP border Dijkstras) routes through them. Each call splits
+//! * `map_jobs` / `map_jobs_indexed` / `map_jobs_mut` (crate-private) —
+//!   the crate's single data-parallel fan-out point. Every
+//!   data-parallel loop (batch proving/verification for all four
+//!   methods, FULL row hashing — both the owner-side build and the
+//!   provider's batched row proofs — HYP border Dijkstras, and LDM's
+//!   landmark rows, built or repaired in place) routes through them.
+//!   Each call splits
 //!   its jobs into one contiguous chunk per core and maps the chunks on
 //!   scoped threads, so thread-local
 //!   [`spnet_graph::search::SearchWorkspace`] reuse holds within one
@@ -29,18 +31,38 @@ use std::thread::JoinHandle;
 /// each chunk on its own scoped thread (inline when one thread or one
 /// job suffices).
 pub(crate) fn map_jobs<T: Sync, R: Send>(jobs: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let threads = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(jobs.len());
-    if threads <= 1 {
-        return jobs.iter().map(f).collect();
+    let parts: Vec<&[T]> = jobs.chunks(chunk_len(jobs.len())).collect();
+    fan_out(parts, |part| part.iter().map(&f).collect())
+}
+
+/// Like [`map_jobs`], but hands each job its input mutably — the shape
+/// of in-place repairs over independent rows.
+pub(crate) fn map_jobs_mut<T: Send, R: Send>(
+    jobs: &mut [T],
+    f: impl Fn(&mut T) -> R + Sync,
+) -> Vec<R> {
+    let len = jobs.len();
+    let parts: Vec<&mut [T]> = jobs.chunks_mut(chunk_len(len)).collect();
+    fan_out(parts, |part| part.iter_mut().map(&f).collect())
+}
+
+/// Jobs per chunk: one contiguous chunk per available core.
+fn chunk_len(jobs: usize) -> usize {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    jobs.div_ceil(threads).max(1)
+}
+
+/// Runs `run` on every part, each on its own scoped thread (inline when
+/// there is at most one), and concatenates the results in order.
+fn fan_out<P: Send, R: Send>(parts: Vec<P>, run: impl Fn(P) -> Vec<R> + Sync) -> Vec<R> {
+    if parts.len() <= 1 {
+        return parts.into_iter().flat_map(run).collect();
     }
-    let chunk = jobs.len().div_ceil(threads);
-    let f = &f;
+    let run = &run;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .chunks(chunk)
-            .map(|part| scope.spawn(move || part.iter().map(f).collect::<Vec<R>>()))
+        let handles: Vec<_> = parts
+            .into_iter()
+            .map(|part| scope.spawn(move || run(part)))
             .collect();
         handles
             .into_iter()
@@ -170,6 +192,18 @@ mod tests {
     fn map_jobs_empty_and_single() {
         assert!(map_jobs(&[] as &[u32], |&x| x).is_empty());
         assert_eq!(map_jobs(&[7u32], |&x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn map_jobs_mut_edits_every_job_in_place() {
+        let mut jobs: Vec<u32> = (0..257).collect();
+        let out = map_jobs_mut(&mut jobs, |x| {
+            *x += 1;
+            *x * 2
+        });
+        assert_eq!(jobs, (1..258).collect::<Vec<_>>());
+        assert_eq!(out, jobs.iter().map(|&x| x * 2).collect::<Vec<_>>());
+        assert!(map_jobs_mut(&mut [] as &mut [u32], |&mut x| x).is_empty());
     }
 
     #[test]

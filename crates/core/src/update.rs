@@ -8,20 +8,24 @@
 //!    ([`spnet_graph::Graph::set_edge_weight`], O(log deg)),
 //! 2. dispatches [`crate::methods::AuthMethod::repair_hints`] so the method repairs
 //!    exactly the hint entries the change can have invalidated (FULL:
-//!    dirty distance rows, LDM: affected landmark vectors, HYP: dirty
-//!    border-pair hyper-edges) and re-signs the affected aux roots,
+//!    dirty distance rows, LDM: landmark rows repaired in place and
+//!    the ψ payloads they move, HYP: dirty border-pair hyper-edges)
+//!    and re-signs the affected aux roots,
 //! 3. rebuilds the dirty extended-tuples and their O(log |V|) Merkle
 //!    paths, and
 //! 4. re-signs the network root.
 //!
-//! The dirty set is bounded by a tightness test on four single-source
-//! shortest-path trees (from both endpoints, on the pre- and
-//! post-update graph): a materialized distance `d(s, t)` can only
-//! change if some shortest `s`-tree branch crosses the updated edge,
-//! i.e. `|d(s,u) − d(s,v)|` is within ε of the edge weight, before or
-//! after the change. Everything outside that set is left bit-identical
-//! — re-verified structures and signatures are byte-for-byte the ones
-//! a fresh publish of the final graph would produce.
+//! For FULL and HYP, the dirty set is bounded by a tightness test on
+//! four single-source shortest-path trees (from both endpoints, on the
+//! pre- and post-update graph): a materialized distance `d(s, t)` can
+//! only change if some shortest `s`-tree branch crosses the updated
+//! edge, i.e. `|d(s,u) − d(s,v)|` is within ε of the edge weight,
+//! before or after the change. LDM runs no endpoint search: its exact
+//! landmark rows are shortest-path rows already, and repairing them in
+//! place reports exactly which entries moved. Everything outside the
+//! dirty set is left bit-identical — re-verified structures and
+//! signatures are byte-for-byte the ones a fresh publish of the final
+//! graph would produce.
 
 use crate::ads::SignedRoot;
 use crate::methods::{ChangeDists, DirtySet, EdgeChange};

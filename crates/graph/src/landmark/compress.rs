@@ -23,7 +23,8 @@
 
 use crate::graph::Graph;
 use crate::ids::NodeId;
-use crate::landmark::quantize::QuantizedVectors;
+use crate::landmark::quantize::{self, diff_from_indices, QuantizedVectors};
+use crate::landmark::vectors::LandmarkVectors;
 use crate::order::hilbert_order;
 
 /// How the owner compresses quantized vectors.
@@ -120,6 +121,98 @@ impl CompressedVectors {
             c,
             bits,
         })
+    }
+
+    /// Re-runs the [`CompressionStrategy::HilbertSweep`] that built
+    /// these vectors over only the positions an update can have
+    /// changed. `exact` holds the updated rows, `order` is
+    /// [`hilbert_order`] of the graph (it depends on coordinates only,
+    /// so callers keep it across updates), and `changed` names every
+    /// node whose row entries moved. Returns the nodes whose ψ changed,
+    /// sorted, or `None` when Dmax moved λ's bits: every index may then
+    /// change, and the caller re-quantizes and re-compresses in full.
+    ///
+    /// With λ fixed, a node's indices depend on its own entries alone,
+    /// and the sweep's only state is the representative leading the
+    /// current run. So the sweep restarts at each changed Hilbert
+    /// position with the representative that led the position before
+    /// it, computes indices from `exact` on the fly, and runs until,
+    /// at an unchanged node, its representative is the old sweep's and
+    /// is itself unchanged: from there the old sweep repeats up to the
+    /// next changed position. The result equals a fresh build's bit
+    /// for bit.
+    ///
+    /// Vectors built by [`CompressionStrategy::GreedyExact`] must be
+    /// rebuilt instead.
+    pub fn resweep(
+        &mut self,
+        exact: &LandmarkVectors,
+        order: &[NodeId],
+        changed: &[NodeId],
+    ) -> Option<Vec<NodeId>> {
+        let lambda = quantize::lambda_for(exact.max_distance(), self.bits);
+        if lambda.to_bits() != self.lambda.to_bits() {
+            return None;
+        }
+        let n = order.len();
+        let mut pos = vec![0u32; n];
+        for (i, v) in order.iter().enumerate() {
+            pos[v.index()] = i as u32;
+        }
+        let mut starts: Vec<usize> = changed.iter().map(|v| pos[v.index()] as usize).collect();
+        starts.sort_unstable();
+        let mut starts = starts.into_iter();
+        let mut is_changed = vec![false; n];
+        for v in changed {
+            is_changed[v.index()] = true;
+        }
+        let (c, bits) = (self.c, self.bits);
+        let indices = |v: NodeId| -> Vec<u32> {
+            (0..c)
+                .map(|i| quantize::index_of(exact.landmark_dist(i, v), lambda, bits))
+                .collect()
+        };
+        // The representative leading the old sweep after position p.
+        let old_rep = |p: usize| self.theta_eps(order[p]).0;
+        let mut window = Vec::new();
+        let (mut rep, mut rep_q) = (None, Vec::new());
+        let mut p = 0;
+        let mut in_step = true;
+        loop {
+            if in_step {
+                // The old sweep repeats up to the next changed position.
+                let Some(q) = starts.find(|&s| s >= p) else {
+                    break;
+                };
+                p = q;
+                rep = q.checked_sub(1).map(old_rep);
+                rep_q = rep.map(indices).unwrap_or_default();
+            }
+            let v = order[p];
+            let q = indices(v);
+            let psi = match rep.and_then(|r| join_run(&q, r, &rep_q, lambda, self.xi)) {
+                Some(psi) => psi,
+                None => {
+                    rep = Some(v);
+                    rep_q = q.clone();
+                    NodePsi::Full(q)
+                }
+            };
+            window.push((v, psi));
+            p += 1;
+            in_step = p >= n
+                || (!is_changed[order[p].index()]
+                    && matches!(rep, Some(r) if r == old_rep(p - 1) && !is_changed[r.index()]));
+        }
+        let mut dirty = Vec::new();
+        for (v, psi) in window {
+            if self.psi[v.index()] != psi {
+                self.psi[v.index()] = psi;
+                dirty.push(v);
+            }
+        }
+        dirty.sort_unstable();
+        Some(dirty)
     }
 
     /// Number of nodes covered by these vectors.
@@ -254,19 +347,25 @@ fn hilbert_sweep(g: &Graph, qv: &QuantizedVectors, xi: f64, psi: &mut [Option<No
     let order = hilbert_order(g);
     let mut rep: Option<NodeId> = None;
     for &v in &order {
-        match rep {
-            Some(r) if qv.quantized_diff(v, r) <= xi => {
-                psi[v.index()] = Some(NodePsi::Compressed {
-                    theta: r,
-                    eps: qv.quantized_diff(v, r),
-                });
-            }
-            _ => {
-                psi[v.index()] = Some(NodePsi::Full(qv.indices(v).to_vec()));
-                rep = Some(v);
-            }
-        }
+        let q = qv.indices(v);
+        psi[v.index()] = Some(
+            match rep.and_then(|r| join_run(q, r, qv.indices(r), qv.lambda(), xi)) {
+                Some(p) => p,
+                None => {
+                    rep = Some(v);
+                    NodePsi::Full(q.to_vec())
+                }
+            },
+        );
     }
+}
+
+/// The sweep's rule for a node with indices `q` while `rep` (indices
+/// `rep_q`) leads the current run: compressed against `rep` within ξ,
+/// else `None` (the node opens a new run).
+fn join_run(q: &[u32], rep: NodeId, rep_q: &[u32], lambda: f64, xi: f64) -> Option<NodePsi> {
+    let eps = diff_from_indices(q, rep_q, lambda);
+    (eps <= xi).then_some(NodePsi::Compressed { theta: rep, eps })
 }
 
 #[cfg(test)]
@@ -383,6 +482,60 @@ mod tests {
         let none = CompressedVectors::build(&g, &qv, -1.0, CompressionStrategy::HilbertSweep);
         let lots = CompressedVectors::build(&g, &qv, 2000.0, CompressionStrategy::HilbertSweep);
         assert!(lots.storage_bytes() < none.storage_bytes());
+    }
+
+    #[test]
+    fn resweep_matches_a_fresh_build() {
+        use crate::gen::road_network;
+        use crate::landmark::repair_row;
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        let mut g = road_network(12, 12, 1.05, 1.0, 70);
+        let lms = select_landmarks(&g, 6, LandmarkStrategy::Random, 71);
+        let mut lv = LandmarkVectors::compute(&g, &lms);
+        let build = |g: &Graph, lv: &LandmarkVectors| {
+            let qv = QuantizedVectors::quantize(lv, 10);
+            CompressedVectors::build(g, &qv, 300.0, CompressionStrategy::HilbertSweep)
+        };
+        let mut cv = build(&g, &lv);
+        let order = hilbert_order(&g);
+        let edges: Vec<(NodeId, NodeId, f64)> = g.edges().collect();
+        let mut rng = StdRng::seed_from_u64(72);
+        let mut windowed = 0;
+        for step in 0..40 {
+            let (u, v, _) = edges[rng.random_range(0..edges.len())];
+            let w_old = g.edge_weight(u, v).unwrap();
+            g.set_edge_weight(u, v, w_old * rng.random_range(0.3f64..2.5))
+                .unwrap();
+            let mut changed: Vec<NodeId> = lv
+                .rows_mut()
+                .flat_map(|(l, row)| repair_row(&g, l, row, u, v, w_old))
+                .collect();
+            changed.sort_unstable();
+            changed.dedup();
+            let fresh = build(&g, &lv);
+            let before = cv.clone();
+            match cv.resweep(&lv, &order, &changed) {
+                Some(dirty) => {
+                    windowed += 1;
+                    let want: Vec<NodeId> = g
+                        .nodes()
+                        .filter(|&x| fresh.node_psi(x) != before.node_psi(x))
+                        .collect();
+                    assert_eq!(dirty, want, "step {step}: dirty set");
+                }
+                None => {
+                    assert_ne!(fresh.lambda().to_bits(), before.lambda().to_bits());
+                    cv = fresh.clone();
+                }
+            }
+            assert_eq!(cv.lambda().to_bits(), fresh.lambda().to_bits());
+            for x in g.nodes() {
+                assert_eq!(cv.node_psi(x), fresh.node_psi(x), "step {step}: ψ({x})");
+            }
+        }
+        assert!(windowed > 0, "no update kept λ");
     }
 
     #[test]

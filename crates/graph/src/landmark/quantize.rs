@@ -37,27 +37,17 @@ impl QuantizedVectors {
     /// Panics unless `1 ≤ bits ≤ 31`.
     pub fn quantize(exact: &LandmarkVectors, bits: u8) -> Self {
         assert!((1..=31).contains(&bits), "bits must be in 1..=31");
-        let dmax = exact.max_distance();
-        let levels = (1u64 << bits) - 1;
-        // Degenerate dmax (single-node graph): λ=1 avoids div-by-zero;
-        // all quantized values are 0.
-        let lambda = if dmax > 0.0 {
-            dmax / levels as f64
-        } else {
-            1.0
-        };
+        let lambda = lambda_for(exact.max_distance(), bits);
         let c = exact.num_landmarks();
         let num_nodes = exact.num_nodes();
         let mut q = Vec::with_capacity(num_nodes * c);
         for v in 0..num_nodes {
             for i in 0..c {
-                let d = exact.landmark_dist(i, NodeId(v as u32));
-                let idx = if d.is_finite() {
-                    ((d / lambda).round() as u64).min(levels) as u32
-                } else {
-                    levels as u32
-                };
-                q.push(idx);
+                q.push(index_of(
+                    exact.landmark_dist(i, NodeId(v as u32)),
+                    lambda,
+                    bits,
+                ));
             }
         }
         QuantizedVectors {
@@ -116,6 +106,29 @@ impl QuantizedVectors {
     /// by proof-size experiments.
     pub fn bits_per_node(&self) -> usize {
         self.c * self.bits as usize
+    }
+}
+
+/// The quantization step `λ = Dmax / (2^b − 1)` of Eq. 5. A degenerate
+/// `Dmax = 0` (single-node graph) gives λ = 1, so nothing divides by
+/// zero and every index is 0.
+pub fn lambda_for(dmax: f64, bits: u8) -> f64 {
+    if dmax > 0.0 {
+        dmax / ((1u64 << bits) - 1) as f64
+    } else {
+        1.0
+    }
+}
+
+/// The `bits`-bit index of one exact distance, `round(d/λ)` capped at
+/// `2^b − 1`. Unreachable (infinite) distances saturate to the cap.
+#[inline]
+pub fn index_of(d: f64, lambda: f64, bits: u8) -> u32 {
+    let levels = (1u64 << bits) - 1;
+    if d.is_finite() {
+        ((d / lambda).round() as u64).min(levels) as u32
+    } else {
+        levels as u32
     }
 }
 

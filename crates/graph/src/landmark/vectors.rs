@@ -31,9 +31,24 @@ impl LandmarkVectors {
             .iter()
             .map(|&lm| ws.sssp(g, lm).dist_vec())
             .collect();
+        LandmarkVectors::from_rows(landmarks.to_vec(), dist)
+    }
+
+    /// Assembles vectors from rows computed elsewhere: `rows[i]` must be
+    /// the SSSP distance row of `landmarks[i]` (callers fan the
+    /// Dijkstras out over threads).
+    ///
+    /// # Panics
+    /// Panics if the counts differ or the rows differ in length.
+    pub fn from_rows(landmarks: Vec<NodeId>, rows: Vec<Vec<f64>>) -> Self {
+        assert_eq!(landmarks.len(), rows.len(), "one row per landmark");
+        assert!(
+            rows.windows(2).all(|w| w[0].len() == w[1].len()),
+            "row length mismatch"
+        );
         LandmarkVectors {
-            landmarks: landmarks.to_vec(),
-            dist,
+            landmarks,
+            dist: rows,
         }
     }
 
@@ -63,14 +78,14 @@ impl LandmarkVectors {
         self.dist[i][v.index()]
     }
 
-    /// Overwrites landmark `i`'s distance row (dynamic updates
-    /// recompute only the rows an edge change invalidated).
-    ///
-    /// # Panics
-    /// Panics if `row.len()` differs from the node count.
-    pub fn set_row(&mut self, i: usize, row: Vec<f64>) {
-        assert_eq!(row.len(), self.dist[i].len(), "row length mismatch");
-        self.dist[i] = row;
+    /// Each landmark with its distance row, mutably — the shape of an
+    /// in-place [`repair_row`](crate::landmark::repair_row) fanned over
+    /// the landmarks.
+    pub fn rows_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut [f64])> {
+        self.landmarks
+            .iter()
+            .copied()
+            .zip(self.dist.iter_mut().map(Vec::as_mut_slice))
     }
 
     /// The exact lower bound `distLB(v, v′)` of Equation 3.

@@ -14,13 +14,13 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use spnet_core::methods::{LdmConfig, MethodConfig};
-use spnet_core::owner::DataOwner;
+use spnet_core::owner::{DataOwner, MethodHints, ProviderPackage};
 use spnet_core::prelude::*;
 use spnet_core::snapshot::{load_package, update_snapshot, SnapshotRefresh};
 use spnet_core::update::update_edge_weight;
 use spnet_crypto::rsa::RsaKeyPair;
-use spnet_graph::algo::dijkstra_path;
-use spnet_graph::gen::grid_network;
+use spnet_graph::algo::{dijkstra_path, dijkstra_sssp};
+use spnet_graph::gen::{grid_network, road_network};
 use spnet_graph::landmark::LandmarkStrategy;
 use spnet_graph::{Graph, NodeId};
 use std::path::PathBuf;
@@ -123,6 +123,95 @@ fn update_sequences_match_fresh_publish_bit_for_bit() {
             }
         }
     }
+}
+
+/// LDM on the benchmark's sparse road shape (|E|/|V| = 1.05, where
+/// almost every edge lies on some landmark's shortest-path tree): 26
+/// updates mixing increases, decreases, an unchanged weight and one
+/// that moves λ, each matching a fresh publish of the graph so far,
+/// with a snapshot reload mid-sequence (the exact rows are dropped and
+/// re-seeded). Both requantise paths must run: the windowed re-sweep,
+/// which keeps the signed λ (`new_params: None`), and the full one,
+/// which hands λ back.
+#[test]
+fn ldm_updates_on_a_sparse_road_match_fresh_publish() {
+    let g = road_network(12, 12, 1.05, 1.0, 4950);
+    let kp = {
+        let mut rng = StdRng::seed_from_u64(4951);
+        RsaKeyPair::generate(&mut rng, 256)
+    };
+    let method = MethodConfig::Ldm(LdmConfig {
+        landmarks: 6,
+        strategy: LandmarkStrategy::Random,
+        ..LdmConfig::default()
+    });
+    let p = DataOwner::publish_with_key(&g, &method, &SetupConfig::default(), &kp);
+    let dir = tmpdir("ldm-sparse");
+    spnet_core::snapshot::save_package(&p, &dir).unwrap();
+    let lambda_of = |pkg: &ProviderPackage| match &pkg.hints {
+        MethodHints::Ldm(h) => h.lambda(),
+        _ => unreachable!("LDM package"),
+    };
+
+    let mut pkg = p.package;
+    let mut truth = g.clone();
+    let edges: Vec<(NodeId, NodeId, f64)> = g.edges().collect();
+    let mut rng = StdRng::seed_from_u64(4952);
+    let (mut windowed, mut full) = (0, 0);
+    for step in 0..26 {
+        if step == 13 {
+            update_snapshot(&pkg, kp.public_key(), &dir).unwrap();
+            pkg = load_package(&dir, StoreBackend::Mem).unwrap().package;
+        }
+        let (u, v, w) = if step == 8 {
+            // Raise the first edge on the longest landmark path: Dmax,
+            // and with it λ, must grow.
+            let MethodHints::Ldm(h) = &pkg.hints else {
+                unreachable!("LDM package")
+            };
+            let (_, l, t) = h
+                .landmarks
+                .iter()
+                .flat_map(|&l| {
+                    let row = dijkstra_sssp(&truth, l).dist;
+                    truth.nodes().map(move |t| (row[t.index()], l, t))
+                })
+                .max_by(|a, b| a.0.total_cmp(&b.0))
+                .unwrap();
+            let path = dijkstra_path(&truth, l, t).unwrap();
+            let (a, b) = (path.nodes[0], path.nodes[1]);
+            (a, b, truth.edge_weight(a, b).unwrap())
+        } else {
+            let (a, b, _) = edges[rng.random_range(0..edges.len())];
+            (a, b, truth.edge_weight(a, b).unwrap())
+        };
+        let w_new = match step {
+            5 => w,
+            8 => w + 5000.0,
+            _ if step % 2 == 0 => w * rng.random_range(1.2f64..3.0),
+            _ => w * rng.random_range(0.3f64..0.9),
+        };
+        let lambda_before = lambda_of(&pkg);
+        let dirty = update_edge_weight(&mut pkg, &kp, u, v, w_new).unwrap();
+        truth.set_edge_weight(u, v, w_new).unwrap();
+        match dirty.new_params {
+            None => windowed += 1,
+            Some(_) => full += 1,
+        }
+        if step == 8 {
+            assert_ne!(
+                lambda_of(&pkg).to_bits(),
+                lambda_before.to_bits(),
+                "λ must move"
+            );
+            assert!(dirty.new_params.is_some(), "a moved λ is re-signed");
+        }
+        let fresh = DataOwner::publish_with_key(&truth, &method, &SetupConfig::default(), &kp);
+        assert_signed_state_eq(&pkg, &fresh.package, &format!("LDM step {step}"));
+    }
+    assert!(windowed > 0, "the windowed re-sweep never ran");
+    assert!(full >= 2, "the full requantise ran {full} times");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Incremental snapshot refresh: updates + [`update_snapshot`] leave a
