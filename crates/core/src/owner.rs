@@ -51,9 +51,9 @@ pub struct ProviderPackage {
 
 /// Method-specific authenticated hints held by the provider.
 ///
-/// One instance lives per shard for the lifetime of the provider, so
-/// the size spread between the empty `Dij` variant and the hint-heavy
-/// ones is irrelevant in practice.
+/// One instance lives per provider package, so the size spread
+/// between the empty `Dij` variant and the hint-heavy ones is
+/// irrelevant in practice.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum MethodHints {

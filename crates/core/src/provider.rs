@@ -28,8 +28,8 @@ impl ServiceProvider {
         &self.package
     }
 
-    /// The wire code of the method this provider serves (the routing
-    /// key of a multi-shard [`crate::service::SpService`]).
+    /// The wire code of the method this provider serves (stamped into
+    /// stream frame headers).
     pub fn method_code(&self) -> u8 {
         self.package.hints.method().params_code()
     }

@@ -1,5 +1,5 @@
 //! `SpService` — the front door: epoch-bound client sessions over one
-//! or **several** served provider packages.
+//! served provider package.
 //!
 //! The raw role APIs ([`ServiceProvider`], [`Client`]) wire one query
 //! at a time and re-verify the owner's signature on every answer; they
@@ -14,31 +14,25 @@
 //!   and cell-directory trees) — and returns a [`Session`] bound to
 //!   it. Every subsequent answer is checked against those exact pinned
 //!   roots (byte equality, no per-answer RSA).
-//! * [`SpService::update_edge_weight`] applies an owner edge update,
-//!   **routed** to the shards whose key range can contain the edge,
-//!   and publishes the repaired package as a new epoch in each
-//!   targeted shard's MVCC ring. Sessions pinned to a retained epoch
-//!   keep draining on their original root
-//!   ([`SpServiceBuilder::retain_epochs`] sets the horizon); only a
-//!   session whose epoch was evicted observes an explicit
-//!   [`SessionError::EpochInvalidated`] — never a silently-accepted
-//!   stale root — and simply reopens.
+//! * [`SpService::update_edge_weight`] applies an owner edge update and
+//!   publishes the repaired package as a new epoch in the service's
+//!   MVCC ring. Sessions pinned to a retained epoch keep draining on
+//!   their original root ([`SpServiceBuilder::retain_epochs`] sets the
+//!   horizon); only a session whose epoch was evicted observes an
+//!   explicit [`SessionError::EpochInvalidated`] — never a
+//!   silently-accepted stale root — and simply reopens.
 //! * [`Session::query_stream`] serves large query lists as pooled
 //!   chunks through the versioned stream wire format, yielding
 //!   verified answers incrementally (see [`crate::stream`]). When the
-//!   service has a scheduler (the default), chunks are **double
-//!   buffered**: the provider proves chunk *k+1* on a pool worker
-//!   while the client verifies chunk *k*.
-//! * A service built through [`SpServiceBuilder`] holds several
-//!   **shards** — one provider package per method and/or per node-id
-//!   key range — routed by method, then by key
-//!   ([`SpService::open_session_for`],
-//!   [`SpService::open_session_routed`]), all sharing one
-//!   [`Scheduler`]: a fixed pool of provider threads taking chunk jobs
-//!   from one queue in submission order.
+//!   service has a [`Scheduler`] (the default: a fixed pool of provider
+//!   threads taking chunk jobs from one queue in submission order),
+//!   chunks are **double buffered**: the provider proves chunk *k+1* on
+//!   a pool worker while the client verifies chunk *k*.
 //!
-//! Every method is served through its
-//! [`AuthMethod`](crate::methods::AuthMethod) trait object — the
+//! One service serves one package, as in the paper's model: one owner
+//! signs one network and one provider serves it. Serve another network
+//! or method with another `SpService`. Every method is served through
+//! its [`AuthMethod`](crate::methods::AuthMethod) trait object — the
 //! facade itself is method-agnostic.
 //!
 //! ```
@@ -65,21 +59,22 @@ use crate::error::{ProviderError, VerifyError};
 use crate::methods::{MethodParams, PinnedAux};
 use crate::par::Scheduler;
 use crate::provider::ServiceProvider;
+use crate::snapshot::SnapshotError;
 use crate::stream::{chunk_frame, Framer, StreamError, StreamVerifier, DEFAULT_CHUNK_LEN};
 use crate::update::{self, UpdateError};
 use spnet_crypto::rsa::RsaKeyPair;
 use spnet_graph::{NodeId, Path};
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::path::PathBuf;
 use std::sync::{mpsc, Arc, OnceLock, RwLock, RwLockReadGuard};
 
 /// Why a session operation failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionError {
     /// The epoch this session bound at open was evicted from the
-    /// shard's retention ring (enough owner updates re-signed the root
-    /// to push it past the [`SpServiceBuilder::retain_epochs`]
+    /// service's retention ring (enough owner updates re-signed the
+    /// root to push it past the [`SpServiceBuilder::retain_epochs`]
     /// horizon). Reopen to continue on the current epoch.
     EpochInvalidated {
         /// The epoch the session was opened against.
@@ -89,8 +84,7 @@ pub enum SessionError {
     },
     /// The published epoch failed authentication at open (bad owner
     /// signature — on the network root or an auxiliary root — or
-    /// undecodable method params), or no shard serves the requested
-    /// method.
+    /// undecodable method params).
     OpenRejected(VerifyError),
     /// The provider could not answer (unknown node, unreachable pair).
     Provider(ProviderError),
@@ -140,7 +134,7 @@ impl From<StreamError> for SessionError {
     }
 }
 
-/// Default number of epochs each shard retains for draining sessions
+/// Default number of epochs the service retains for draining sessions
 /// (see [`SpServiceBuilder::retain_epochs`]).
 pub const DEFAULT_RETAIN_EPOCHS: usize = 4;
 
@@ -151,7 +145,7 @@ struct EpochEntry {
     provider: ServiceProvider,
 }
 
-/// A shard's MVCC epoch ring: up to `retain` provider snapshots,
+/// The service's MVCC epoch ring: up to `retain` provider snapshots,
 /// oldest first, the back being the serving epoch. Open sessions drain
 /// on their pinned entry while new sessions bind the back; an owner
 /// update pushes a new entry and evicts whatever falls past the
@@ -203,69 +197,50 @@ impl ServiceState {
     }
 }
 
-/// One served provider package: its lock-guarded state, the method it
-/// serves, and an optional node-id key range for routed opens.
-struct Shard {
-    state: Arc<RwLock<ServiceState>>,
-    code: u8,
-    key_range: Option<(u32, u32)>,
-    /// The snapshot file backing this shard, when it was registered
-    /// through [`SpServiceBuilder::snapshot`] /
-    /// [`SpServiceBuilder::snapshot_chunks`] — the source for
-    /// [`SpService::export_chunks`].
-    snapshot_path: Option<std::path::PathBuf>,
-}
-
 struct ServiceInner {
-    shards: Vec<Shard>,
-    /// Worker count for the shared scheduler; 0 disables it (sessions
-    /// prove stream chunks inline).
+    state: Arc<RwLock<ServiceState>>,
+    /// The snapshot directory the package was loaded from, when it was
+    /// registered through [`SpServiceBuilder::snapshot`] — where
+    /// [`SpService::refresh_shard_snapshot`] writes.
+    snapshot_dir: Option<PathBuf>,
+    /// Worker count for the scheduler; 0 disables it (sessions prove
+    /// stream chunks inline).
     threads: usize,
     /// Created lazily on the first session open that wants it, so
     /// services that never stream spawn no threads.
     scheduler: OnceLock<Arc<Scheduler>>,
-    /// Round-robin cursor breaking ties between matching shards.
-    rr: AtomicUsize,
 }
 
-/// Builds an [`SpService`] serving one or more provider packages,
-/// routed by method then key, behind one shared [`Scheduler`].
+/// Builds an [`SpService`] serving one provider package.
 ///
 /// ```
 /// use spnet_core::prelude::*;
-/// use spnet_graph::gen::grid_network;
+/// use spnet_graph::{gen::grid_network, NodeId};
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let g = grid_network(6, 6, 1.1, 11);
 /// let mut rng = StdRng::seed_from_u64(11);
-/// let dij = DataOwner::publish(&g, &MethodConfig::Dij, &SetupConfig::default(), &mut rng);
 /// let full = DataOwner::publish(&g, &MethodConfig::Full { use_floyd_warshall: false },
 ///                               &SetupConfig::default(), &mut rng);
 ///
 /// let service = SpService::builder()
-///     .package(dij.package)
 ///     .package(full.package)
 ///     .threads(2)
 ///     .build();
-/// assert_eq!(service.shard_count(), 2);
-/// let session = service
-///     .open_session_for(Client::new(full.public_key), 2 /* FULL */)
-///     .unwrap();
+/// let session = service.open_session(Client::new(full.public_key)).unwrap();
 /// assert_eq!(session.method_name(), "FULL");
+/// let streamed: usize = session
+///     .query_stream(&[(NodeId(0), NodeId(35)), (NodeId(35), NodeId(0))])
+///     .map(|chunk| chunk.unwrap().len())
+///     .sum();
+/// assert_eq!(streamed, 2);
 /// ```
 #[derive(Default)]
 pub struct SpServiceBuilder {
-    shards: Vec<PendingShard>,
+    provider: Option<ServiceProvider>,
+    snapshot_dir: Option<PathBuf>,
     threads: Option<usize>,
     retain: Option<usize>,
-}
-
-/// A shard registered with the builder, before the retention depth is
-/// known (`build()` turns these into [`Shard`]s).
-struct PendingShard {
-    provider: ServiceProvider,
-    key_range: Option<(u32, u32)>,
-    snapshot_path: Option<std::path::PathBuf>,
 }
 
 impl SpServiceBuilder {
@@ -274,83 +249,59 @@ impl SpServiceBuilder {
         Self::default()
     }
 
-    /// Registers a package as a shard with no key range.
+    /// Registers the package to serve.
+    ///
+    /// # Panics
+    ///
+    /// If a package was already registered.
     pub fn package(self, package: crate::owner::ProviderPackage) -> Self {
         self.provider(ServiceProvider::new(package))
     }
 
-    /// Registers an already-wrapped provider as a shard with no key
-    /// range.
+    /// Registers an already-wrapped provider to serve.
+    ///
+    /// # Panics
+    ///
+    /// If a package was already registered.
     pub fn provider(mut self, provider: ServiceProvider) -> Self {
-        self.shards.push(PendingShard {
-            provider,
-            key_range: None,
-            snapshot_path: None,
-        });
+        assert!(
+            self.provider.is_none(),
+            "SpServiceBuilder: one service serves one package; build another SpService for a second one"
+        );
+        self.provider = Some(provider);
         self
     }
 
-    /// Registers a shard **cold-started from a snapshot directory**
+    /// Registers the package **cold-started from a snapshot directory**
     /// written by [`crate::owner::Published::save_snapshot`]. Loading
     /// performs zero RSA signing; every persisted signed root is
-    /// re-verified against the persisted owner key. The shard remembers
-    /// its snapshot file, so [`SpService::export_chunks`] can stream it
-    /// to a booting replica.
+    /// re-verified against the persisted owner key. The service
+    /// remembers the directory, so [`SpService::refresh_shard_snapshot`]
+    /// can write updates back to it.
+    ///
+    /// # Panics
+    ///
+    /// If a package was already registered.
     pub fn snapshot(
         mut self,
         dir: &std::path::Path,
         backend: spnet_store::StoreBackend,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
+    ) -> Result<Self, SnapshotError> {
         let loaded = crate::snapshot::load_package(dir, backend)?;
         self = self.package(loaded.package);
-        self.shards.last_mut().expect("just pushed").snapshot_path =
-            Some(dir.join(crate::snapshot::SNAPSHOT_FILE));
+        self.snapshot_dir = Some(dir.to_path_buf());
         Ok(self)
     }
 
-    /// Registers a shard bootstrapped from **chunked snapshot frames**
-    /// exported by a live provider ([`SpService::export_chunks`]): the
-    /// frames are reassembled into `dir` (ordering and whole-file
-    /// checksum enforced), then loaded exactly like
-    /// [`Self::snapshot`].
-    pub fn snapshot_chunks(
-        self,
-        frames: &[Vec<u8>],
-        dir: &std::path::Path,
-        backend: spnet_store::StoreBackend,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        std::fs::create_dir_all(dir)?;
-        let mut asm = spnet_store::ChunkAssembler::new(dir.join(crate::snapshot::SNAPSHOT_FILE));
-        for frame in frames {
-            asm.feed(frame)
-                .map_err(crate::snapshot::SnapshotError::Store)?;
-        }
-        if !asm.is_done() {
-            return Err(crate::snapshot::SnapshotError::Corrupt(
-                "chunk transfer ended before the End frame verified",
-            ));
-        }
-        self.snapshot(dir, backend)
-    }
-
-    /// Registers a package as a shard owning the **inclusive** node-id
-    /// range `key_range` — [`SpService::open_session_routed`] prefers
-    /// it for keys inside the range.
-    pub fn shard(mut self, package: crate::owner::ProviderPackage, key_range: (u32, u32)) -> Self {
-        self = self.package(package);
-        self.shards.last_mut().expect("just pushed").key_range = Some(key_range);
-        self
-    }
-
-    /// Worker-thread count of the shared scheduler. `0` disables it:
-    /// sessions prove stream chunks inline on the calling thread.
-    /// Default: one worker per available core.
+    /// Worker-thread count of the scheduler. `0` disables it: sessions
+    /// prove stream chunks inline on the calling thread. Default: one
+    /// worker per available core.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n);
         self
     }
 
-    /// Number of epochs each shard retains for open sessions (MVCC).
+    /// Number of epochs the service retains for open sessions (MVCC).
     /// An owner update publishes a new epoch while up to `k − 1` prior
     /// epochs stay pinned, so sessions opened against them drain to
     /// completion on their original signed root instead of failing.
@@ -367,53 +318,42 @@ impl SpServiceBuilder {
     ///
     /// # Panics
     ///
-    /// If no package/provider/shard was registered.
+    /// If no package was registered.
     pub fn build(self) -> SpService {
-        assert!(
-            !self.shards.is_empty(),
-            "SpServiceBuilder: register at least one package before build()"
-        );
+        let provider = self
+            .provider
+            .expect("SpServiceBuilder: register a package before build()");
         let threads = self.threads.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
         });
-        let retain = self.retain.unwrap_or(DEFAULT_RETAIN_EPOCHS).max(1);
-        let shards = self
-            .shards
-            .into_iter()
-            .map(|p| Shard {
-                code: p.provider.method_code(),
-                state: Arc::new(RwLock::new(ServiceState::new(p.provider, retain))),
-                key_range: p.key_range,
-                snapshot_path: p.snapshot_path,
-            })
-            .collect();
+        let retain = self.retain.unwrap_or(DEFAULT_RETAIN_EPOCHS);
         SpService {
             inner: Arc::new(ServiceInner {
-                shards,
+                state: Arc::new(RwLock::new(ServiceState::new(provider, retain))),
+                snapshot_dir: self.snapshot_dir,
                 threads,
                 scheduler: OnceLock::new(),
-                rr: AtomicUsize::new(0),
             }),
         }
     }
 }
 
-/// The serving facade: one or more provider shards, per-shard epoch
-/// counters, a shared scheduler, and session handout.
-/// Cheap to clone and share across serving threads.
+/// The serving facade: one provider package, its epoch ring, a
+/// scheduler, and session handout. Cheap to clone and share across
+/// serving threads.
 #[derive(Clone)]
 pub struct SpService {
     inner: Arc<ServiceInner>,
 }
 
 impl SpService {
-    /// Wraps a single owner-published package for serving.
+    /// Wraps an owner-published package for serving.
     ///
     /// Equivalent to `SpService::builder().package(package).build()` —
-    /// reach for [`Self::builder`] to serve several methods, shard by
-    /// key range, or control the scheduler.
+    /// reach for [`Self::builder`] to cold-start from a snapshot, set
+    /// the retention horizon, or control the scheduler.
     pub fn new(package: crate::owner::ProviderPackage) -> Self {
         Self::builder().package(package).build()
     }
@@ -423,43 +363,12 @@ impl SpService {
         SpServiceBuilder::new()
     }
 
-    /// Number of registered shards.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
-    }
-
-    /// Exports shard `shard`'s backing snapshot as encoded
-    /// [`spnet_store::StoreChunk`] frames of `chunk_len` payload bytes,
-    /// ready to ship to a replica
-    /// ([`SpServiceBuilder::snapshot_chunks`]). Only shards registered
-    /// from a snapshot can export; errors typed otherwise.
-    pub fn export_chunks(
-        &self,
-        shard: usize,
-        chunk_len: usize,
-    ) -> Result<Vec<Vec<u8>>, crate::snapshot::SnapshotError> {
-        let s = self
-            .inner
-            .shards
-            .get(shard)
-            .ok_or(crate::snapshot::SnapshotError::Corrupt("no such shard"))?;
-        let path = s
-            .snapshot_path
-            .as_ref()
-            .ok_or(crate::snapshot::SnapshotError::Corrupt(
-                "shard is not snapshot-backed",
-            ))?;
-        Ok(spnet_store::chunk_file(path, chunk_len)?)
-    }
-
-    /// The current epoch of the first shard (starts at 0, +1 per owner
-    /// update that targets it; [`Self::update_edge_weight`] routes by
-    /// key range, so shards advance independently).
+    /// The current epoch (starts at 0, +1 per owner update).
     pub fn epoch(&self) -> u64 {
         self.read().current_epoch()
     }
 
-    /// The first shard's method display name.
+    /// The served method's display name.
     pub fn method_name(&self) -> &'static str {
         self.read()
             .latest()
@@ -470,80 +379,20 @@ impl SpService {
             .name()
     }
 
-    /// Job counters of the shared scheduler, if it has started: jobs
-    /// started, and a second field that is always 0 (the single-queue
-    /// pool never moves a job between workers; the field is kept for
-    /// reports that read it).
+    /// Job counters of the scheduler, if it has started: jobs started,
+    /// and a second field that is always 0 (the single-queue pool never
+    /// moves a job between workers; the field is kept for reports that
+    /// read it).
     pub fn scheduler_stats(&self) -> Option<(u64, u64)> {
         self.inner.scheduler.get().map(|s| (s.executed(), 0))
     }
 
-    /// Opens a session on the **first** shard — the whole service for
-    /// the common single-package case.
+    /// Opens a session: authenticates the signed network root and
+    /// method params **once**, RSA-verifies and pins the method's
+    /// auxiliary signed roots, and binds the session to the current
+    /// epoch.
     pub fn open_session(&self, client: Client) -> Result<Session, SessionError> {
-        self.open_session_on(0, client)
-    }
-
-    /// Opens a session on a shard serving the method with wire code
-    /// `method_code` (1 = DIJ, 2 = FULL, 3 = LDM, 4 = HYP); ties between
-    /// several such shards break round-robin. Fails with
-    /// [`SessionError::OpenRejected`] when no shard serves the method.
-    pub fn open_session_for(
-        &self,
-        client: Client,
-        method_code: u8,
-    ) -> Result<Session, SessionError> {
-        let idx = self.route(method_code, None)?;
-        self.open_session_on(idx, client)
-    }
-
-    /// Like [`Self::open_session_for`], with a query key: a shard
-    /// whose registered key range contains `key` is preferred, so
-    /// key-partitioned deployments route sessions to the shard that
-    /// owns their data.
-    pub fn open_session_routed(
-        &self,
-        client: Client,
-        method_code: u8,
-        key: NodeId,
-    ) -> Result<Session, SessionError> {
-        let idx = self.route(method_code, Some(key))?;
-        self.open_session_on(idx, client)
-    }
-
-    fn route(&self, code: u8, key: Option<NodeId>) -> Result<usize, SessionError> {
-        let inner = &self.inner;
-        let matching: Vec<usize> = inner
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.code == code)
-            .map(|(i, _)| i)
-            .collect();
-        if matching.is_empty() {
-            return Err(SessionError::OpenRejected(VerifyError::MetaMismatch(
-                "no shard serves the requested method",
-            )));
-        }
-        if let Some(k) = key {
-            if let Some(&i) = matching.iter().find(|&&i| {
-                inner.shards[i]
-                    .key_range
-                    .is_some_and(|(lo, hi)| lo <= k.0 && k.0 <= hi)
-            }) {
-                return Ok(i);
-            }
-        }
-        Ok(matching[inner.rr.fetch_add(1, Ordering::Relaxed) % matching.len()])
-    }
-
-    /// Opens a session on shard `idx`: authenticates that shard's
-    /// signed network root and method params **once**, RSA-verifies
-    /// and pins the method's auxiliary signed roots, and binds the
-    /// session to the shard's current epoch.
-    fn open_session_on(&self, idx: usize, client: Client) -> Result<Session, SessionError> {
-        let shard = &self.inner.shards[idx];
-        let st = shard.state.read().expect("service lock poisoned");
+        let st = self.read();
         let entry = st.latest();
         let root = entry.provider.package().network_root.clone();
         if !root.verify(client.public_key()) {
@@ -563,7 +412,7 @@ impl SpService {
             aux.push(r.clone());
         }
         Ok(Session {
-            state: Arc::clone(&shard.state),
+            state: Arc::clone(&self.inner.state),
             scheduler: self.scheduler(),
             client,
             epoch: entry.epoch,
@@ -574,21 +423,16 @@ impl SpService {
     }
 
     /// Owner-side: applies an edge-weight update with the owner's
-    /// retained keypair, **routed by key range**: only shards whose
-    /// registered range can contain an endpoint are touched (a shard
-    /// with no range serves the whole network and is always a target),
-    /// so a key-partitioned deployment leaves unrelated shards — their
-    /// epochs, locks, and open sessions — completely alone.
+    /// retained keypair.
     ///
-    /// Every targeted shard repairs a **clone** of its serving package
-    /// ([`crate::update::update_edge_weight`]) and publishes it as a
-    /// new epoch in its MVCC ring: sessions pinned to retained epochs
-    /// keep draining on their original signed root; a session whose
-    /// epoch falls past the [`SpServiceBuilder::retain_epochs`]
-    /// horizon observes [`SessionError::EpochInvalidated`]; new
-    /// sessions bind the fresh epoch. All-or-nothing across targets:
-    /// repairs are staged aside and nothing is published unless every
-    /// one succeeds. Returns the last targeted shard's new epoch.
+    /// Under the service's write lock, repairs a **clone** of the
+    /// serving package ([`crate::update::update_edge_weight`]) and
+    /// publishes it as a new epoch in the MVCC ring: sessions pinned to
+    /// retained epochs keep draining on their original signed root; a
+    /// session whose epoch falls past the
+    /// [`SpServiceBuilder::retain_epochs`] horizon observes
+    /// [`SessionError::EpochInvalidated`]; new sessions bind the fresh
+    /// epoch. A failed repair publishes nothing. Returns the new epoch.
     pub fn update_edge_weight(
         &self,
         keypair: &RsaKeyPair,
@@ -596,70 +440,34 @@ impl SpService {
         v: NodeId,
         new_weight: f64,
     ) -> Result<u64, UpdateError> {
-        let targets: Vec<&Shard> = self
-            .inner
-            .shards
-            .iter()
-            .filter(|s| match s.key_range {
-                None => true,
-                Some((lo, hi)) => (lo <= u.0 && u.0 <= hi) || (lo <= v.0 && v.0 <= hi),
-            })
-            .collect();
-        if targets.is_empty() {
-            return Err(UpdateError::NoSuchEdge { u, v });
-        }
-        // Write-lock the targets in registration order (consistent
-        // order, no deadlock) so sessions observe the update as one
-        // atomic step across every shard that holds the edge.
-        let mut guards: Vec<_> = targets
-            .iter()
-            .map(|s| s.state.write().expect("service lock poisoned"))
-            .collect();
-        let mut staged = Vec::with_capacity(guards.len());
-        for st in &guards {
-            let mut provider = st.latest().provider.clone();
-            update::update_edge_weight(&mut provider.package, keypair, u, v, new_weight)?;
-            staged.push(provider);
-        }
-        let mut epoch = 0;
-        for (st, provider) in guards.iter_mut().zip(staged) {
-            epoch = st.push(provider);
-        }
-        Ok(epoch)
+        let mut st = self.inner.state.write().expect("service lock poisoned");
+        let mut provider = st.latest().provider.clone();
+        update::update_edge_weight(&mut provider.package, keypair, u, v, new_weight)?;
+        Ok(st.push(provider))
     }
 
-    /// Owner-side: persists shard `shard`'s **latest** epoch back into
-    /// its snapshot file, rewriting only the dirty sections and pages
-    /// in place ([`crate::snapshot::update_snapshot`]) — after an
-    /// [`Self::update_edge_weight`], a restart picks up the updated
-    /// network without any republish. Only snapshot-backed shards
-    /// (registered through [`SpServiceBuilder::snapshot`] with the
-    /// `Mem` backend, whose trees are resident) can refresh; errors
-    /// are typed otherwise.
+    /// Owner-side: persists the **latest** epoch back into the snapshot
+    /// the service was loaded from, rewriting only the dirty sections
+    /// and pages in place ([`crate::snapshot::update_snapshot`]) — after
+    /// an [`Self::update_edge_weight`], a restart picks up the updated
+    /// network without any republish. Only a service registered through
+    /// [`SpServiceBuilder::snapshot`] with the `Mem` backend, whose
+    /// trees are resident, can refresh; errors are typed otherwise.
+    /// `shard` must be 0, the one package the service serves.
     pub fn refresh_shard_snapshot(
         &self,
         shard: usize,
         public_key: &spnet_crypto::rsa::RsaPublicKey,
-    ) -> Result<crate::snapshot::SnapshotRefresh, crate::snapshot::SnapshotError> {
-        let s = self
+    ) -> Result<crate::snapshot::SnapshotRefresh, SnapshotError> {
+        if shard != 0 {
+            return Err(SnapshotError::Corrupt("no such shard"));
+        }
+        let dir = self
             .inner
-            .shards
-            .get(shard)
-            .ok_or(crate::snapshot::SnapshotError::Corrupt("no such shard"))?;
-        let path = s
-            .snapshot_path
-            .as_ref()
-            .ok_or(crate::snapshot::SnapshotError::Corrupt(
-                "shard is not snapshot-backed",
-            ))?;
-        let dir = path
-            .parent()
-            .ok_or(crate::snapshot::SnapshotError::Corrupt(
-                "snapshot path has no parent directory",
-            ))?
-            .to_path_buf();
-        let st = s.state.read().expect("service lock poisoned");
-        crate::snapshot::update_snapshot(st.latest().provider.package(), public_key, &dir)
+            .snapshot_dir
+            .as_deref()
+            .ok_or(SnapshotError::Corrupt("service is not snapshot-backed"))?;
+        crate::snapshot::update_snapshot(self.read().latest().provider.package(), public_key, dir)
     }
 
     fn scheduler(&self) -> Option<Arc<Scheduler>> {
@@ -672,10 +480,7 @@ impl SpService {
     }
 
     fn read(&self) -> RwLockReadGuard<'_, ServiceState> {
-        self.inner.shards[0]
-            .state
-            .read()
-            .expect("service lock poisoned")
+        self.inner.state.read().expect("service lock poisoned")
     }
 }
 
@@ -689,13 +494,12 @@ pub struct SessionAnswer {
     pub distance: f64,
 }
 
-/// A client session bound to one shard's published epoch.
+/// A client session bound to one published epoch.
 ///
-/// Obtained from [`SpService::open_session`] (or the routed variants).
-/// Holds the epoch's RSA-verified signed root plus the method's pinned
+/// Obtained from [`SpService::open_session`]. Holds the epoch's RSA-verified signed root plus the method's pinned
 /// auxiliary roots; every query's answer must carry exactly those
 /// roots. An owner update publishes a *new* epoch while this session's
-/// stays pinned in the shard's MVCC ring, so in-flight queries and
+/// stays pinned in the service's MVCC ring, so in-flight queries and
 /// streams drain against their original root; only when enough
 /// updates evict the pinned epoch do queries fail with
 /// [`SessionError::EpochInvalidated`] — reopen to bind the current
@@ -734,9 +538,9 @@ impl Session {
         &self.pins
     }
 
-    /// Read-locks the shard and checks this session's epoch is still
-    /// retained; call sites resolve the pinned provider out of the
-    /// returned guard.
+    /// Read-locks the service state and checks this session's epoch is
+    /// still retained; call sites resolve the pinned provider out of
+    /// the returned guard.
     fn guard(&self) -> Result<RwLockReadGuard<'_, ServiceState>, SessionError> {
         let st = self.state.read().expect("service lock poisoned");
         st.resolve(self.epoch)?;
@@ -762,7 +566,7 @@ impl Session {
     /// session's epoch (one pooled proof — shared tuples, one Merkle
     /// cover, aux once per batch). Fails with
     /// [`SessionError::EpochInvalidated`] only once the epoch has been
-    /// evicted from the shard's retention ring.
+    /// evicted from the service's retention ring.
     ///
     /// Split from [`Self::verify_batch`] so benches and tests can
     /// measure, serialize, or tamper with the proof between the two
@@ -864,7 +668,7 @@ impl Session {
     /// is proven under the same epoch guard.
     ///
     /// An owner update mid-stream does **not** interrupt the stream:
-    /// the session's epoch stays pinned in the shard's MVCC ring, so
+    /// the session's epoch stays pinned in the service's MVCC ring, so
     /// remaining chunks keep proving against the original root. Only
     /// when the pinned epoch is evicted (more updates than the
     /// retention horizon) does the next emitted chunk surface
@@ -948,7 +752,7 @@ impl ChunkSource<'_> {
 
     /// Submits the proving of `chunk` to the scheduler; the returned
     /// channel delivers the encoded chunk frame. The job resolves the
-    /// session's pinned epoch **under the shard read lock** before
+    /// session's pinned epoch **under the service read lock** before
     /// proving, so every chunk is proven against exactly the epoch the
     /// session opened on (or fails if it was evicted).
     fn schedule(
@@ -1169,73 +973,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_routes_sessions_across_methods() {
-        let g = grid_network(9, 9, 1.15, 2210);
-        let mut rng = StdRng::seed_from_u64(2211);
-        let kp = RsaKeyPair::generate(&mut rng, 256);
-        let mut builder = SpService::builder().threads(0);
-        for method in all_methods() {
-            let p = DataOwner::publish_with_key(&g, &method, &SetupConfig::default(), &kp);
-            builder = builder.package(p.package);
-        }
-        let service = builder.build();
-        assert_eq!(service.shard_count(), 4);
-        let client = Client::new(kp.public_key().clone());
-        for (code, name) in [(1u8, "DIJ"), (2, "FULL"), (3, "LDM"), (4, "HYP")] {
-            let session = service.open_session_for(client.clone(), code).unwrap();
-            assert_eq!(session.method_name(), name);
-            let truth = dijkstra_path(&g, NodeId(0), NodeId(80)).unwrap().distance;
-            let a = session.query(NodeId(0), NodeId(80)).unwrap();
-            assert!(
-                (a.distance - truth).abs() <= 1e-6 * truth.max(1.0),
-                "{name}"
-            );
-        }
-        // A method nobody serves is rejected at open.
-        assert_eq!(
-            service.open_session_for(client, 9).err().unwrap(),
-            SessionError::OpenRejected(VerifyError::MetaMismatch(
-                "no shard serves the requested method"
-            ))
-        );
-    }
-
-    #[test]
-    fn key_ranges_route_to_the_owning_shard() {
-        // Two DIJ shards over *different* networks: the key decides
-        // which network answers, observable through the distances.
-        let ga = grid_network(9, 9, 1.15, 2220);
-        let gb = grid_network(9, 9, 1.45, 2221);
-        let mut rng = StdRng::seed_from_u64(2222);
-        let kp = RsaKeyPair::generate(&mut rng, 256);
-        let pa = DataOwner::publish_with_key(&ga, &MethodConfig::Dij, &SetupConfig::default(), &kp);
-        let pb = DataOwner::publish_with_key(&gb, &MethodConfig::Dij, &SetupConfig::default(), &kp);
-        let service = SpService::builder()
-            .shard(pa.package, (0, 40))
-            .shard(pb.package, (41, 80))
-            .threads(0)
-            .build();
-        let client = Client::new(kp.public_key().clone());
-        let ta = dijkstra_path(&ga, NodeId(0), NodeId(80)).unwrap().distance;
-        let tb = dijkstra_path(&gb, NodeId(0), NodeId(80)).unwrap().distance;
-        assert!((ta - tb).abs() > 1e-9, "networks must differ for this test");
-        let sa = service
-            .open_session_routed(client.clone(), 1, NodeId(7))
-            .unwrap();
-        assert_eq!(
-            sa.query(NodeId(0), NodeId(80)).unwrap().distance.to_bits(),
-            ta.to_bits(),
-            "key 7 routes to the (0,40) shard"
-        );
-        let sb = service.open_session_routed(client, 1, NodeId(55)).unwrap();
-        assert_eq!(
-            sb.query(NodeId(0), NodeId(80)).unwrap().distance.to_bits(),
-            tb.to_bits(),
-            "key 55 routes to the (41,80) shard"
-        );
-    }
-
-    #[test]
     fn scheduled_streams_match_inline_serving() {
         // The double-buffered (scheduler) stream must produce answers
         // bit-identical to inline proving.
@@ -1422,89 +1159,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_method_service_updates_every_shard() {
-        // One DIJ shard + one HYP shard over the same network: a single
-        // owner update repairs both hint sets and bumps both epochs
-        // atomically.
-        let g = grid_network(9, 9, 1.15, 2240);
-        let mut rng = StdRng::seed_from_u64(2241);
-        let kp = RsaKeyPair::generate(&mut rng, 256);
-        let dij = DataOwner::publish_with_key(&g, &MethodConfig::Dij, &SetupConfig::default(), &kp);
-        let hyp = DataOwner::publish_with_key(
-            &g,
-            &MethodConfig::Hyp { cells: 9 },
-            &SetupConfig::default(),
-            &kp,
-        );
-        let service = SpService::builder()
-            .package(dij.package)
-            .package(hyp.package)
-            .threads(0)
-            .build();
-        let path = dijkstra_path(&g, NodeId(0), NodeId(80)).unwrap();
-        let (u, v) = (path.nodes[0], path.nodes[1]);
-        assert_eq!(service.update_edge_weight(&kp, u, v, 500.0).unwrap(), 1);
-        assert_eq!(service.epoch(), 1);
-        let truth = dijkstra_path(&reweighted(&g, u, v, 500.0), NodeId(0), NodeId(80))
-            .unwrap()
-            .distance;
-        let client = Client::new(kp.public_key().clone());
-        for code in [1u8, 4] {
-            let session = service.open_session_for(client.clone(), code).unwrap();
-            assert_eq!(session.epoch(), 1);
-            let a = session.query(NodeId(0), NodeId(80)).unwrap();
-            assert!(
-                (a.distance - truth).abs() <= 1e-6 * truth.max(1.0),
-                "method code {code}"
-            );
-        }
-    }
-
-    #[test]
-    fn routed_update_leaves_unrelated_shards_alone() {
-        // The update edge lives inside the (0,40) shard's key range, so
-        // the (41,80) shard must keep its epoch — and its open sessions
-        // — completely untouched, even at retain_epochs(1).
-        let ga = grid_network(9, 9, 1.15, 2250);
-        let gb = grid_network(9, 9, 1.45, 2251);
-        let mut rng = StdRng::seed_from_u64(2252);
-        let kp = RsaKeyPair::generate(&mut rng, 256);
-        let pa = DataOwner::publish_with_key(&ga, &MethodConfig::Dij, &SetupConfig::default(), &kp);
-        let pb = DataOwner::publish_with_key(&gb, &MethodConfig::Dij, &SetupConfig::default(), &kp);
-        let service = SpService::builder()
-            .shard(pa.package, (0, 40))
-            .shard(pb.package, (41, 80))
-            .threads(0)
-            .retain_epochs(1)
-            .build();
-        let client = Client::new(kp.public_key().clone());
-        let session_a = service
-            .open_session_routed(client.clone(), 1, NodeId(7))
-            .unwrap();
-        let session_b = service
-            .open_session_routed(client.clone(), 1, NodeId(55))
-            .unwrap();
-        let (u, v, w) = ga
-            .edges()
-            .find(|&(u, v, _)| u.0 <= 40 && v.0 <= 40)
-            .unwrap();
-        assert_eq!(service.update_edge_weight(&kp, u, v, w * 2.0).unwrap(), 1);
-        // Shard A bumped; with retain 1 its pre-update session is gone.
-        assert!(matches!(
-            session_a.query(NodeId(0), NodeId(80)),
-            Err(SessionError::EpochInvalidated { .. })
-        ));
-        let fresh_a = service
-            .open_session_routed(client.clone(), 1, NodeId(7))
-            .unwrap();
-        assert_eq!(fresh_a.epoch(), 1);
-        // Shard B never saw the update: epoch 0, session still alive.
-        session_b.query(NodeId(0), NodeId(80)).unwrap();
-        let fresh_b = service.open_session_routed(client, 1, NodeId(55)).unwrap();
-        assert_eq!(fresh_b.epoch(), 0);
-    }
-
-    #[test]
     fn service_clones_share_state() {
         let (g, service, client, kp) = deploy_retain(MethodConfig::Dij, 1);
         let clone = service.clone();
@@ -1516,5 +1170,18 @@ mod tests {
             session.query(NodeId(0), NodeId(80)),
             Err(SessionError::EpochInvalidated { .. })
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "one service serves one package")]
+    fn second_package_registration_panics() {
+        let g = grid_network(4, 4, 1.1, 2260);
+        let mut rng = StdRng::seed_from_u64(2261);
+        let kp = RsaKeyPair::generate(&mut rng, 256);
+        let publish =
+            || DataOwner::publish_with_key(&g, &MethodConfig::Dij, &SetupConfig::default(), &kp);
+        let _ = SpService::builder()
+            .package(publish().package)
+            .package(publish().package);
     }
 }

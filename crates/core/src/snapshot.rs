@@ -478,7 +478,7 @@ pub fn update_snapshot(
 
 /// A provider package reconstructed from a snapshot — plus the
 /// persisted owner public key and the backing store (kept for fault
-/// accounting and chunk export).
+/// accounting).
 pub struct LoadedSnapshot {
     /// Serving-ready package, signature-verified against `public_key`.
     pub package: ProviderPackage,

@@ -14,8 +14,6 @@
 //!   path). [`TreePager`]/[`EntryPageSource`] adapt a store section to
 //!   the `spnet-crypto` pager traits that back
 //!   `MerkleTree::open_paged`/`MerkleBTree::open_paged`.
-//! * [`chunk`] — framed chunked transfer of a snapshot file for
-//!   replica bootstrap from a live provider (merk state-sync shape).
 //!
 //! Integrity layering: the store checks *storage* integrity (digests
 //! over bytes); the core crate re-verifies the owner's RSA-signed
@@ -23,12 +21,10 @@
 //! never serve verifying proofs even if its internal digests are
 //! recomputed consistently.
 
-pub mod chunk;
 pub mod error;
 pub mod node_store;
 pub mod snapshot;
 
-pub use chunk::{chunk_bytes, chunk_file, ChunkAssembler, StoreChunk, CHUNK_VERSION};
 pub use error::StoreError;
 pub use node_store::{
     EntryPageSource, FileStore, MemStore, NodeStore, PageSource, StoreBackend, TreePager,

@@ -1,8 +1,9 @@
-//! Multi-threaded stress tests for the sharded `SpService`: many
-//! concurrent sessions across mixed methods sharing one scheduler,
-//! asserting (i) proofs bit-identical to single-threaded serving and
-//! (ii) deterministic `EpochInvalidated` — whole verified chunks only,
-//! never a partial or stale one — under a mid-run owner update.
+//! Multi-threaded stress tests for `SpService`: many concurrent
+//! sessions per service sharing its scheduler, asserting (i) proofs
+//! bit-identical to single-threaded serving, for every method, and
+//! (ii) under an owner update between chunks, either a clean drain on
+//! the pinned epoch or a deterministic `EpochInvalidated` — whole
+//! verified chunks only, never a partial or stale one.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -29,16 +30,20 @@ fn all_methods() -> Vec<MethodConfig> {
     ]
 }
 
-/// One shard per method, all signed by the same owner key. Identical
-/// inputs produce identical shards, so two calls give a concurrent
-/// service and a sequential control over the *same* deployment.
-fn mixed_service(g: &Graph, kp: &RsaKeyPair, threads: usize) -> SpService {
-    let mut b = SpService::builder().threads(threads);
-    for method in all_methods() {
-        let p = DataOwner::publish_with_key(g, &method, &SetupConfig::default(), kp);
-        b = b.package(p.package);
-    }
-    b.build()
+/// One service per method, all signed by the same owner key. Identical
+/// inputs produce identical packages, so two calls give concurrent
+/// services and sequential controls over the *same* deployments.
+fn method_services(g: &Graph, kp: &RsaKeyPair, threads: usize) -> Vec<SpService> {
+    all_methods()
+        .iter()
+        .map(|method| {
+            let p = DataOwner::publish_with_key(g, method, &SetupConfig::default(), kp);
+            SpService::builder()
+                .package(p.package)
+                .threads(threads)
+                .build()
+        })
+        .collect()
 }
 
 fn queries_for(salt: u64, n: usize) -> Vec<(NodeId, NodeId)> {
@@ -54,27 +59,26 @@ fn queries_for(salt: u64, n: usize) -> Vec<(NodeId, NodeId)> {
         .collect()
 }
 
-/// N sessions × 4 methods race on the shared pool; every proof batch
-/// must be byte-identical to what an inline (no scheduler) service
-/// serves for the same session, and every streamed distance must match
-/// the batched one bit for bit.
+/// N sessions spread over the four methods' services race on their
+/// pools; every proof batch must be byte-identical to what an inline
+/// (no scheduler) service serves for the same session, and every
+/// streamed distance must match the batched one bit for bit.
 #[test]
 fn concurrent_sessions_match_single_threaded_serving() {
     let g = grid_network(8, 8, 1.2, 9100);
     let mut rng = StdRng::seed_from_u64(9101);
     let kp = RsaKeyPair::generate(&mut rng, 256);
-    let service = mixed_service(&g, &kp, 2);
-    let control = mixed_service(&g, &kp, 0);
+    let services = method_services(&g, &kp, 2);
+    let controls = method_services(&g, &kp, 0);
     let client = Client::new(kp.public_key().clone());
 
     let results: Vec<(usize, Vec<u8>, Vec<u64>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..SESSIONS)
             .map(|i| {
-                let service = service.clone();
+                let service = services[i % services.len()].clone();
                 let client = client.clone();
                 scope.spawn(move || {
-                    let code = (i % 4) as u8 + 1;
-                    let session = service.open_session_for(client, code).unwrap();
+                    let session = service.open_session(client).unwrap();
                     let qs = queries_for(i as u64, 12);
                     let batch = session.answer_batch(&qs).unwrap();
                     session.verify_batch(&qs, &batch).unwrap();
@@ -94,8 +98,8 @@ fn concurrent_sessions_match_single_threaded_serving() {
     });
 
     for (i, proof_bytes, streamed) in results {
-        let code = (i % 4) as u8 + 1;
-        let session = control.open_session_for(client.clone(), code).unwrap();
+        let control = &controls[i % controls.len()];
+        let session = control.open_session(client.clone()).unwrap();
         let qs = queries_for(i as u64, 12);
         let batch = session.answer_batch(&qs).unwrap();
         assert_eq!(
@@ -112,28 +116,36 @@ fn concurrent_sessions_match_single_threaded_serving() {
         assert_eq!(streamed, expected, "session {i}: stream ≡ batch");
     }
 
-    let (executed, _) = service.scheduler_stats().expect("pool engaged");
-    assert!(executed > 0, "streams went through the scheduler");
-    assert!(control.scheduler_stats().is_none(), "control stayed inline");
+    for (service, control) in services.iter().zip(&controls) {
+        let (executed, _) = service.scheduler_stats().expect("pool engaged");
+        assert!(
+            executed > 0,
+            "{}: streams went through the scheduler",
+            service.method_name()
+        );
+        assert!(control.scheduler_stats().is_none(), "control stayed inline");
+    }
 }
 
-/// An owner update racing N streaming sessions: each session either
-/// completes in full or observes `EpochInvalidated` — and up to that
-/// point it received only whole chunks of pre-update answers, verified
-/// against its pinned epoch-0 root. No partial chunk, no stale root,
-/// no other error.
-#[test]
-fn mid_run_update_invalidates_streams_deterministically() {
-    const CHUNK: usize = 2;
+const CHUNK: usize = 2;
+const STREAM_LEN: usize = 24;
+
+/// What one streaming session saw: the distances of the chunks it
+/// received, and the error that ended its stream, if any.
+type Drained = (Vec<u64>, Option<SessionError>);
+
+/// N sessions stream on one DIJ service with a two-worker pool, in a
+/// fixed order: every session pulls its first chunk; barrier; the owner
+/// updates one edge; barrier; every session drains. Returns what each
+/// session saw and the pre-update truth for its queries, served by an
+/// inline control.
+fn update_between_chunks(builder: SpServiceBuilder) -> Vec<(Drained, Vec<u64>)> {
     let g = grid_network(8, 8, 1.2, 9200);
     let mut rng = StdRng::seed_from_u64(9201);
     let kp = RsaKeyPair::generate(&mut rng, 256);
     let publish =
         || DataOwner::publish_with_key(&g, &MethodConfig::Dij, &SetupConfig::default(), &kp);
-    let service = SpService::builder()
-        .package(publish().package)
-        .threads(2)
-        .build();
+    let service = builder.package(publish().package).threads(2).build();
     let control = SpService::builder()
         .package(publish().package)
         .threads(0)
@@ -141,7 +153,7 @@ fn mid_run_update_invalidates_streams_deterministically() {
     let client = Client::new(kp.public_key().clone());
 
     let barrier = std::sync::Barrier::new(SESSIONS + 1);
-    let results: Vec<(usize, Vec<u64>, bool)> = std::thread::scope(|scope| {
+    let drained: Vec<Drained> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..SESSIONS)
             .map(|i| {
                 let service = service.clone();
@@ -150,65 +162,106 @@ fn mid_run_update_invalidates_streams_deterministically() {
                 scope.spawn(move || {
                     let session = service.open_session(client).unwrap();
                     assert_eq!(session.epoch(), 0);
-                    let qs = queries_for(100 + i as u64, 24);
-                    barrier.wait();
+                    let qs = queries_for(100 + i as u64, STREAM_LEN);
+                    let mut stream = session.query_stream_chunked(&qs, CHUNK);
                     let mut got: Vec<u64> = Vec::new();
-                    let mut invalidated = false;
-                    for step in session.query_stream_chunked(&qs, CHUNK) {
+                    let mut take = |items: Vec<SessionAnswer>| {
+                        assert_eq!(items.len(), CHUNK, "whole chunks only");
+                        got.extend(items.iter().map(|a| a.distance.to_bits()));
+                    };
+                    take(
+                        stream
+                            .next()
+                            .unwrap()
+                            .expect("first chunk before the update"),
+                    );
+                    barrier.wait();
+                    barrier.wait();
+                    let mut error = None;
+                    for step in stream.by_ref() {
                         match step {
-                            Ok(items) => {
-                                assert_eq!(items.len(), CHUNK, "whole chunks only");
-                                got.extend(items.iter().map(|a| a.distance.to_bits()));
-                            }
-                            Err(SessionError::EpochInvalidated { opened, current }) => {
-                                assert_eq!(opened, 0);
-                                assert_eq!(current, 1);
-                                invalidated = true;
+                            Ok(items) => take(items),
+                            Err(e) => {
+                                error = Some(e);
                                 break;
                             }
-                            Err(e) => panic!("only EpochInvalidated is acceptable: {e}"),
                         }
                     }
-                    (i, got, invalidated)
+                    assert!(stream.next().is_none(), "nothing after the end or an error");
+                    (got, error)
                 })
             })
             .collect();
         barrier.wait();
-        // Let some streams make progress, then update mid-flight.
-        std::thread::sleep(std::time::Duration::from_millis(2));
         let (u, v, w) = g.edges().next().unwrap();
-        service.update_edge_weight(&kp, u, v, w * 2.0).unwrap();
+        assert_eq!(service.update_edge_weight(&kp, u, v, w * 2.0).unwrap(), 1);
+        barrier.wait();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
     assert_eq!(service.epoch(), 1);
     let reopened = service.open_session(client.clone()).unwrap();
     assert_eq!(reopened.epoch(), 1, "sessions reopen onto the new epoch");
-
-    for (i, got, invalidated) in results {
-        let qs = queries_for(100 + i as u64, 24);
-        let truth: Vec<u64> = control
-            .open_session(client.clone())
-            .unwrap()
-            .query_batch(&qs)
+    let truth = control.open_session(client).unwrap();
+    let distances = |session: &Session, qs: &[(NodeId, NodeId)]| -> Vec<u64> {
+        session
+            .query_batch(qs)
             .unwrap()
             .iter()
             .map(|a| a.distance.to_bits())
-            .collect();
-        if invalidated {
-            assert!(got.len() < qs.len(), "session {i}: invalidated mid-run");
-            assert_eq!(got.len() % CHUNK, 0, "session {i}: no partial chunk");
-        } else {
-            assert_eq!(
-                got.len(),
-                qs.len(),
-                "session {i}: completed before the bump"
-            );
-        }
+            .collect()
+    };
+    let mut update_visible = false;
+    let out = drained
+        .into_iter()
+        .enumerate()
+        .map(|(i, d)| {
+            let qs = queries_for(100 + i as u64, STREAM_LEN);
+            let before = distances(&truth, &qs);
+            update_visible |= distances(&reopened, &qs) != before;
+            (d, before)
+        })
+        .collect();
+    assert!(update_visible, "the update must change some answer");
+    out
+}
+
+/// With one retained epoch, the update evicts every session's epoch:
+/// each observes `EpochInvalidated { opened: 0, current: 1 }` on its
+/// next chunk — including a chunk the pool prefetched before the
+/// update — after receiving only its whole pre-update first chunk.
+#[test]
+fn mid_run_update_invalidates_streams_deterministically() {
+    for (i, ((got, error), truth)) in update_between_chunks(SpService::builder().retain_epochs(1))
+        .into_iter()
+        .enumerate()
+    {
         assert_eq!(
-            &got[..],
-            &truth[..got.len()],
-            "session {i}: every served chunk is pre-update truth"
+            error,
+            Some(SessionError::EpochInvalidated {
+                opened: 0,
+                current: 1
+            }),
+            "session {i}: invalidated on the chunk after the update"
         );
+        assert_eq!(
+            got,
+            truth[..CHUNK],
+            "session {i}: only the pre-update chunk"
+        );
+    }
+}
+
+/// With the default retention the update evicts nothing: every stream
+/// drains to completion on its pinned epoch-0 root, serving pre-update
+/// answers only.
+#[test]
+fn mid_run_update_drains_streams_on_pinned_epoch() {
+    for (i, ((got, error), truth)) in update_between_chunks(SpService::builder())
+        .into_iter()
+        .enumerate()
+    {
+        assert_eq!(error, None, "session {i}: drained without error");
+        assert_eq!(got, truth, "session {i}: every answer is pre-update truth");
     }
 }

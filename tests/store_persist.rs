@@ -1,6 +1,6 @@
 //! Persistence integration tests: restart-without-resign, backend
-//! proof equivalence, corruption robustness, and chunked replica
-//! bootstrap.
+//! proof equivalence, corruption robustness, and the typed refusals of
+//! a service's snapshot refresh.
 //!
 //! The tests in this file share one process-global RSA signing
 //! counter ([`spnet_crypto::rsa::signing_ops`]), so every test takes
@@ -172,65 +172,34 @@ fn version_bump_fails_typed() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A replica bootstraps from a live provider's chunked snapshot export
-/// and serves bit-identical verified answers; tampered or incomplete
-/// transfers are rejected before anything is served.
+/// Only a snapshot-backed service can refresh its snapshot, and only
+/// its one package, index 0; both refusals are typed.
 #[test]
-fn replica_bootstraps_from_chunked_snapshot() {
+fn refresh_rejects_services_without_a_snapshot() {
     let _g = sign_lock();
-    let p = publish(&MethodConfig::Hyp { cells: 9 }, 940);
-    let dir = tmpdir("chunk-src");
+    let p = publish(&MethodConfig::Dij, 940);
+    let dir = tmpdir("refresh-errors");
     p.save_snapshot(&dir).unwrap();
-
-    let service = SpService::builder()
+    let backed = SpService::builder()
         .snapshot(&dir, StoreBackend::Mem)
         .unwrap()
         .threads(0)
         .build();
-    let frames = service.export_chunks(0, 4096).unwrap();
-    assert!(frames.len() > 3, "multi-frame transfer expected");
-
-    let replica_dir = tmpdir("chunk-replica");
-    let replica = SpService::builder()
-        .snapshot_chunks(&frames, &replica_dir, StoreBackend::File)
-        .unwrap()
-        .threads(0)
-        .build();
-
-    let s1 = service
-        .open_session(Client::new(p.public_key.clone()))
-        .unwrap();
-    let s2 = replica
-        .open_session(Client::new(p.public_key.clone()))
-        .unwrap();
-    let a = s1.query(NodeId(0), NodeId(80)).unwrap();
-    let b = s2.query(NodeId(0), NodeId(80)).unwrap();
-    assert_eq!(a.distance.to_bits(), b.distance.to_bits());
-
-    // A flipped payload byte fails the whole-file checksum at End.
-    let mut bad = frames.clone();
-    let last = bad[1].len() - 1;
-    bad[1][last] ^= 0x10;
-    let bad_dir = tmpdir("chunk-bad");
-    assert!(SpService::builder()
-        .snapshot_chunks(&bad, &bad_dir, StoreBackend::Mem)
-        .is_err());
-
-    // A transfer missing its End frame never loads.
-    let partial = &frames[..frames.len() - 1];
-    let partial_dir = tmpdir("chunk-partial");
-    assert!(SpService::builder()
-        .snapshot_chunks(partial, &partial_dir, StoreBackend::Mem)
-        .is_err());
-
-    // Shards not built from a snapshot have nothing to export.
     let plain = SpService::new(publish(&MethodConfig::Dij, 941).package);
-    assert!(plain.export_chunks(0, 4096).is_err());
-    assert!(service.export_chunks(7, 4096).is_err(), "no such shard");
 
-    for d in [dir, replica_dir, bad_dir, partial_dir] {
-        std::fs::remove_dir_all(&d).ok();
-    }
+    assert!(matches!(
+        plain.refresh_shard_snapshot(0, &p.public_key),
+        Err(SnapshotError::Corrupt("service is not snapshot-backed"))
+    ));
+    assert!(matches!(
+        backed.refresh_shard_snapshot(1, &p.public_key),
+        Err(SnapshotError::Corrupt("no such shard"))
+    ));
+    assert!(
+        backed.refresh_shard_snapshot(0, &p.public_key).is_ok(),
+        "index 0 is the served package"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Fixture for the bit-flip fuzz: one pristine DIJ snapshot, its

@@ -367,7 +367,7 @@ fn sessions_survive_updates_on_their_pinned_epoch() {
     assert_eq!(b.distance.to_bits(), new_truth.to_bits());
 }
 
-/// A snapshot-backed service shard refreshes its file in place after a
+/// A snapshot-backed service refreshes its file in place after a
 /// service-level update, and a cold restart from that file serves the
 /// updated network.
 #[test]
