@@ -28,6 +28,7 @@ use crate::owner::{MethodHints, ProviderPackage, SetupConfig};
 use crate::proof::SpProof;
 use crate::snapshot::{self, SnapshotError};
 use crate::tuple::ExtendedTuple;
+use spnet_crypto::cache::{PageCache, PageCacheCfg};
 use spnet_crypto::digest::{Digest, DIGEST_LEN};
 use spnet_crypto::mbtree::{composite_key, split_key, KeyedEntry};
 use spnet_crypto::merkle::{MerkleProof, MerkleTree};
@@ -38,7 +39,7 @@ use spnet_graph::path::close;
 use spnet_graph::search::with_thread_workspace;
 use spnet_graph::{Graph, NodeId, Path};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The FULL method's authenticated distance structure.
 #[derive(Debug, Clone)]
@@ -57,7 +58,7 @@ pub struct DistanceAds {
     /// Dijkstra (Dijkstra mode) plus |V| leaf hashes either way, so
     /// repeated-source batches reuse the regenerated row tree instead
     /// of rebuilding it per batch.
-    row_cache: RowCache,
+    row_cache: PageCache<RowEntry>,
 }
 
 /// One cached source row: its distance values and rebuilt row tree.
@@ -67,66 +68,15 @@ struct RowEntry {
     tree: MerkleTree,
 }
 
-/// A small thread-safe LRU (MRU-front vector; capacities this small
-/// make linear scans cheaper than any linked structure). The cache is
-/// pure memoization of a deterministic function of the immutable
-/// graph, so cloning a [`DistanceAds`] starts a fresh empty cache and
-/// hits/misses never change proof bytes.
-struct RowCache {
-    capacity: usize,
-    inner: Mutex<Vec<(u32, Arc<RowEntry>)>>,
-}
-
 /// Default number of hot source rows a provider retains.
 const ROW_CACHE_CAPACITY: usize = 64;
 
-impl RowCache {
-    fn new(capacity: usize) -> Self {
-        RowCache {
-            capacity,
-            inner: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Looks up a source row, refreshing its recency on hit.
-    fn get(&self, source: u32) -> Option<Arc<RowEntry>> {
-        let mut inner = self.inner.lock().expect("row cache poisoned");
-        let pos = inner.iter().position(|(s, _)| *s == source)?;
-        let hit = inner.remove(pos);
-        let entry = Arc::clone(&hit.1);
-        inner.insert(0, hit);
-        Some(entry)
-    }
-
-    /// Inserts a computed row, evicting the least recently used one
-    /// beyond capacity. Racing inserts of the same source keep the
-    /// first (both are identical by determinism).
-    fn insert(&self, source: u32, entry: Arc<RowEntry>) {
-        let mut inner = self.inner.lock().expect("row cache poisoned");
-        if inner.iter().any(|(s, _)| *s == source) {
-            return;
-        }
-        inner.insert(0, (source, entry));
-        inner.truncate(self.capacity);
-    }
-
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.inner.lock().expect("row cache poisoned").len()
-    }
-}
-
-impl Clone for RowCache {
-    fn clone(&self) -> Self {
-        RowCache::new(self.capacity)
-    }
-}
-
-impl std::fmt::Debug for RowCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let len = self.inner.lock().map(|v| v.len()).unwrap_or(0);
-        write!(f, "RowCache({len}/{})", self.capacity)
-    }
+/// An empty hot-source LRU. The cache is pure memoization of a
+/// deterministic function of the immutable graph, so hits and misses
+/// never change proof bytes, and a cloned [`DistanceAds`] starts with an
+/// empty one ([`PageCache`]'s `Clone`).
+fn row_cache() -> PageCache<RowEntry> {
+    PageCache::new(PageCacheCfg::with_capacity(ROW_CACHE_CAPACITY))
 }
 
 /// Construction statistics (reported by the benchmark harness).
@@ -161,7 +111,7 @@ impl DistanceAds {
                 row_roots,
                 top,
                 matrix: fw,
-                row_cache: RowCache::new(ROW_CACHE_CAPACITY),
+                row_cache: row_cache(),
             },
             stats,
         )
@@ -212,14 +162,13 @@ impl DistanceAds {
     /// LRU: a repeated source costs a cache lookup instead of a
     /// Dijkstra + |V| leaf hashes.
     fn cached_row(&self, g: &Graph, vs: NodeId) -> Arc<RowEntry> {
-        if let Some(hit) = self.row_cache.get(vs.0) {
+        if let Some(hit) = self.row_cache.get(vs.0 as u64) {
             return hit;
         }
         let values = self.row_values(g, vs);
         let tree = self.row_tree(vs, &values);
-        let fresh = Arc::new(RowEntry { values, tree });
-        self.row_cache.insert(vs.0, Arc::clone(&fresh));
-        fresh
+        self.row_cache
+            .insert(vs.0 as u64, Arc::new(RowEntry { values, tree }))
     }
 
     /// Provider side: assembles the distance proof for `(vs, vt)`.
@@ -319,7 +268,7 @@ impl DistanceAds {
                 .update_leaf(s as usize, root)
                 .map_err(|e| crate::update::UpdateError::Rebuild(e.to_string()))?;
         }
-        self.row_cache = RowCache::new(ROW_CACHE_CAPACITY);
+        self.row_cache = row_cache();
         Ok(rows.len())
     }
 }
@@ -687,7 +636,7 @@ impl AuthMethod for FullMethod {
             row_roots,
             top,
             matrix,
-            row_cache: RowCache::new(ROW_CACHE_CAPACITY),
+            row_cache: row_cache(),
         };
         if signed_root.root != ads.root() || signed_root.meta != ads.meta() {
             return Err(SnapshotError::Corrupt(
@@ -1063,7 +1012,7 @@ mod tests {
                 tree: MerkleTree::build(vec![Digest::ZERO], 2).unwrap(),
             })
         };
-        let rc = RowCache::new(2);
+        let rc = PageCache::new(PageCacheCfg::with_capacity(2));
         rc.insert(1, mk(1));
         rc.insert(2, mk(2));
         assert!(rc.get(1).is_some()); // refresh 1 → LRU is 2

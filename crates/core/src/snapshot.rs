@@ -10,14 +10,17 @@
 //! their persisted bytes and re-verified against the loaded
 //! structures.
 //!
-//! Two load backends (see [`StoreBackend`]):
+//! Two load backends over one [`NodeStore`] (see [`StoreBackend`]):
 //!
-//! * `Mem` — every section read and integrity-verified at open; the
-//!   dense in-memory trees are rebuilt from their persisted leaves, so
-//!   the result is bit-identical to a freshly built provider.
-//! * `File` — Merkle levels and B-tree entry arrays stay on disk and
-//!   fault in page by page; a proof touches only the pages on its
-//!   path. Proof bytes are identical to the `Mem` backend.
+//! * `Mem` — the store verifies every section at open, including the
+//!   tree levels the dense loaders never read; the dense in-memory
+//!   trees are then rebuilt from their persisted leaves, so the result
+//!   is bit-identical to a freshly built provider.
+//! * `File` — Merkle levels and B-tree entry arrays stay on disk: each
+//!   section's [`spnet_store::PagedReader`] is the pager of one tree
+//!   level or entry array, and pages fault in on demand, so a proof
+//!   touches only the pages on its path. Proof bytes are identical to
+//!   the `Mem` backend.
 //!
 //! Trust layering: the store verifies *storage* integrity (per-section
 //! and per-page digests). This module then (i) checks every loaded
@@ -36,13 +39,11 @@ use spnet_crypto::cache::PageCacheCfg;
 use spnet_crypto::digest::{Digest, DIGEST_LEN};
 use spnet_crypto::mbtree::{KeyedEntry, MbTreeError, MerkleBTree};
 use spnet_crypto::merkle::{MerkleError, MerkleTree};
-use spnet_crypto::pager::{DigestPager, EntryPager};
+use spnet_crypto::pager::Pager;
 use spnet_crypto::rsa::RsaPublicKey;
 use spnet_graph::io::{graph_from_bytes, graph_to_bytes, IoError};
 use spnet_graph::NodeId;
-use spnet_store::{
-    EntryPageSource, NodeStore, PageSource, SnapshotWriter, StoreBackend, StoreError, TreePager,
-};
+use spnet_store::{NodeStore, SnapshotWriter, StoreBackend, StoreError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -68,7 +69,7 @@ pub const PAGE_CACHE_PAGES: usize = 512;
 fn store_cache_cfg(store: &NodeStore) -> PageCacheCfg {
     PageCacheCfg {
         capacity: PAGE_CACHE_PAGES,
-        evictions: store.eviction_counter(),
+        evictions: Some(store.eviction_counter()),
     }
 }
 
@@ -295,14 +296,11 @@ pub(crate) fn load_tree_paged(
     leaf_count: usize,
     fanout: usize,
 ) -> Result<MerkleTree, SnapshotError> {
-    let height = tree_height(leaf_count, fanout);
-    let mut levels: Vec<PageSource> = Vec::with_capacity(height);
-    for l in 0..height {
-        levels.push(store.page_source(base + l as u16)?);
-    }
-    let pager = Arc::new(TreePager::new(levels)) as Arc<dyn DigestPager>;
-    Ok(MerkleTree::open_paged_with_cache(
-        pager,
+    let pagers = (0..tree_height(leaf_count, fanout))
+        .map(|l| Ok(Arc::new(store.paged(base + l as u16)?) as Arc<dyn Pager>))
+        .collect::<Result<Vec<_>, StoreError>>()?;
+    Ok(MerkleTree::open_paged(
+        pagers,
         leaf_count,
         fanout,
         PAGE_DIGESTS,
@@ -353,10 +351,8 @@ pub(crate) fn load_btree(
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("chunk is 8 bytes")))
             .collect();
-        let pager =
-            Arc::new(EntryPageSource(store.page_source(entries_id)?)) as Arc<dyn EntryPager>;
-        Ok(MerkleBTree::open_paged_with_cache(
-            pager,
+        Ok(MerkleBTree::open_paged(
+            Arc::new(store.paged(entries_id)?),
             len,
             PAGE_ENTRIES,
             first_keys,
@@ -484,7 +480,10 @@ pub struct LoadedSnapshot {
     pub package: ProviderPackage,
     /// The owner public key persisted at save time.
     pub public_key: RsaPublicKey,
-    /// The open store (fault counters live here on the `File` backend).
+    /// The open store: its fault counter counts every verified page
+    /// read (on `Mem` the pages verified at open, on `File` the pages
+    /// proofs fault in) and its eviction counter the page-cache
+    /// evictions of the `File` backend's paged structures.
     pub store: NodeStore,
 }
 
@@ -608,7 +607,7 @@ pub struct LoadedPoiSet {
     pub signed: SignedRoot,
     /// The POI B-tree (paged on the `File` backend).
     pub tree: MerkleBTree,
-    /// The open store (fault/eviction counters on the `File` backend).
+    /// The open store and its counters (see [`LoadedSnapshot::store`]).
     pub store: NodeStore,
 }
 

@@ -1,15 +1,13 @@
-//! Bounded LRU cache for pages faulted in from a backing store.
+//! The one bounded LRU of the workspace.
 //!
 //! The paged [`crate::merkle::MerkleTree`] and
-//! [`crate::mbtree::MerkleBTree`] representations resolve digest and
-//! entry pages lazily through a pager. Before this module they pinned
-//! every faulted page forever (a `OnceLock` per page), so a long-lived
-//! provider serving scattered queries would eventually pull the whole
-//! snapshot into memory. A [`PageCache`] bounds residency: at most
-//! `capacity` pages stay resident and the least-recently-used page is
-//! dropped on overflow. Evicted pages are simply re-faulted (and
-//! re-validated) on the next touch — correctness never depends on cache
-//! contents.
+//! [`crate::mbtree::MerkleBTree`] representations fault digest and
+//! entry pages in through a [`crate::pager::Pager`]; a [`PageCache`]
+//! bounds how many stay resident: at most `capacity` pages, the
+//! least-recently-used one dropped on overflow. Evicted pages are
+//! simply re-faulted (and re-validated) on the next touch — correctness
+//! never depends on cache contents. The FULL method keeps its hot
+//! source rows in the same type.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,6 +69,17 @@ impl<T> std::fmt::Debug for PageCache<T> {
             .field("capacity", &self.capacity)
             .field("resident", &self.len())
             .finish()
+    }
+}
+
+/// A clone starts empty, with the same capacity and eviction counter:
+/// a cache is memoization private to the structure that owns it.
+impl<T> Clone for PageCache<T> {
+    fn clone(&self) -> Self {
+        PageCache::new(PageCacheCfg {
+            capacity: self.capacity,
+            evictions: self.evictions.clone(),
+        })
     }
 }
 
@@ -200,6 +209,19 @@ mod tests {
         assert_eq!(*a, 70);
         assert_eq!(*b, 70, "second insert observes the resident page");
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn clone_starts_empty_with_same_bound_and_counter() {
+        let (cache, evictions) = counted(1);
+        cache.insert(1, Arc::new(1));
+        let copy = cache.clone();
+        assert!(copy.is_empty());
+        assert_eq!(copy.capacity(), 1);
+        copy.insert(2, Arc::new(2));
+        copy.insert(3, Arc::new(3));
+        assert_eq!(evictions.load(Ordering::Relaxed), 1);
+        assert_eq!(cache.len(), 1, "the original keeps its pages");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::cache::{PageCache, PageCacheCfg};
 use crate::digest::{hash_bytes, Digest};
 use crate::merkle::{MerkleError, MerkleProof, MerkleTree};
-use crate::pager::EntryPager;
+use crate::pager::{self, Pager};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -244,7 +244,7 @@ enum EntryRepr {
     /// key of each page is kept resident so a lookup binary-searches
     /// the sparse index first and faults exactly one page.
     Paged {
-        pager: Arc<dyn EntryPager>,
+        pager: Arc<dyn Pager>,
         len: usize,
         page_entries: usize,
         first_keys: Vec<u64>,
@@ -278,32 +278,13 @@ impl MerkleBTree {
     }
 
     /// Opens a read-only tree whose entry array and digest levels live
-    /// in a paged backing store. `first_keys[p]` must be the key of the
-    /// first entry of page `p` (saved by the snapshot writer — deriving
-    /// it here would fault every page and defeat laziness). `tree` is
-    /// typically a [`MerkleTree::open_paged`] tree over the entry
-    /// digests.
+    /// in a paged backing store, with the entry-page cache `cache_cfg`.
+    /// `first_keys[p]` must be the key of the first entry of page `p`
+    /// (saved by the snapshot writer — deriving it here would fault
+    /// every page and defeat laziness). `tree` is typically a
+    /// [`MerkleTree::open_paged`] tree over the entry digests.
     pub fn open_paged(
-        pager: Arc<dyn EntryPager>,
-        len: usize,
-        page_entries: usize,
-        first_keys: Vec<u64>,
-        tree: MerkleTree,
-    ) -> Result<Self, MbTreeError> {
-        Self::open_paged_with_cache(
-            pager,
-            len,
-            page_entries,
-            first_keys,
-            tree,
-            PageCacheCfg::default(),
-        )
-    }
-
-    /// [`MerkleBTree::open_paged`] with an explicit entry-page cache
-    /// bound and optional shared eviction counter.
-    pub fn open_paged_with_cache(
-        pager: Arc<dyn EntryPager>,
+        pager: Arc<dyn Pager>,
         len: usize,
         page_entries: usize,
         first_keys: Vec<u64>,
@@ -409,35 +390,6 @@ impl MerkleBTree {
         }
     }
 
-    /// Faults in one entry page (paged repr only).
-    fn entry_page(
-        pager: &Arc<dyn EntryPager>,
-        cache: &PageCache<Vec<KeyedEntry>>,
-        len: usize,
-        page_entries: usize,
-        page: usize,
-    ) -> Result<Arc<Vec<KeyedEntry>>, MbTreeError> {
-        if let Some(run) = cache.get(page as u64) {
-            return Ok(run);
-        }
-        if page >= len.div_ceil(page_entries) {
-            return Err(MbTreeError::Merkle(MerkleError::Page(format!(
-                "entry page {page} outside the tree shape"
-            ))));
-        }
-        let run = pager
-            .load_entries(page as u32)
-            .map_err(|e| MbTreeError::Merkle(MerkleError::Page(e.to_string())))?;
-        let expected = (len - page * page_entries).min(page_entries);
-        if run.len() != expected {
-            return Err(MbTreeError::Merkle(MerkleError::Page(format!(
-                "entry page {page}: expected {expected} entries, got {}",
-                run.len()
-            ))));
-        }
-        Ok(cache.insert(page as u64, Arc::new(run)))
-    }
-
     /// Locates `key`, faulting at most one page: returns the global
     /// position and the entry.
     fn locate(&self, key: u64) -> Result<(usize, KeyedEntry), MbTreeError> {
@@ -462,7 +414,7 @@ impl MerkleBTree {
                     return Err(MbTreeError::KeyNotFound(key));
                 }
                 let page = p - 1;
-                let run = Self::entry_page(pager, cache, *len, *page_entries, page)?;
+                let run = pager::fault(cache, page as u64, &**pager, *len, *page_entries, page)?;
                 let idx = run
                     .binary_search_by_key(&key, |e| e.key)
                     .map_err(|_| MbTreeError::KeyNotFound(key))?;
@@ -507,7 +459,8 @@ impl MerkleBTree {
                 cache,
                 ..
             } => {
-                let run = Self::entry_page(pager, cache, *len, *page_entries, idx / page_entries)?;
+                let page = idx / page_entries;
+                let run = pager::fault(cache, page as u64, &**pager, *len, *page_entries, page)?;
                 Ok(run[idx % page_entries])
             }
         }
@@ -692,55 +645,46 @@ mod tests {
         assert_eq!(KeyedEntry::decode(nan.encode()).encode(), nan.encode());
     }
 
-    /// Test pager over a dense entry array.
-    #[derive(Debug)]
-    struct VecEntryPager {
-        entries: Vec<KeyedEntry>,
-        page_entries: usize,
-        faults: std::sync::atomic::AtomicU64,
-    }
+    use crate::pager::testing::BytePager;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
-    impl EntryPager for VecEntryPager {
-        fn load_entries(&self, page: u32) -> Result<Vec<KeyedEntry>, crate::pager::PageError> {
-            let start = page as usize * self.page_entries;
-            if start >= self.entries.len() {
-                return Err(crate::pager::PageError::OutOfRange { level: 0, page });
-            }
-            self.faults
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let end = (start + self.page_entries).min(self.entries.len());
-            Ok(self.entries[start..end].to_vec())
-        }
-    }
-
+    /// A paged tree over `dense`'s entries, served `page_entries` to a
+    /// page, with the page cache `cfg`. Reuses the dense digest tree:
+    /// proof bytes must be identical regardless of where entries
+    /// physically live.
     fn paged_from_dense(
         dense: &MerkleBTree,
         page_entries: usize,
-    ) -> (MerkleBTree, Arc<VecEntryPager>) {
-        let entries = dense.dense_entries().unwrap().to_vec();
+        cfg: PageCacheCfg,
+    ) -> (MerkleBTree, Arc<BytePager>) {
+        let entries = dense.dense_entries().unwrap();
         let first_keys: Vec<u64> = entries.chunks(page_entries).map(|c| c[0].key).collect();
-        let pager = Arc::new(VecEntryPager {
-            entries,
-            page_entries,
-            faults: std::sync::atomic::AtomicU64::new(0),
+        let pager = Arc::new(BytePager {
+            bytes: entries.iter().flat_map(|e| e.encode()).collect(),
+            page_len: page_entries * 16,
+            clip: usize::MAX,
+            faults: Arc::new(AtomicU64::new(0)),
         });
-        // Reuse the dense digest tree: proof bytes must be identical
-        // regardless of where entries physically live.
         let paged = MerkleBTree::open_paged(
-            Arc::clone(&pager) as Arc<dyn EntryPager>,
-            pager.entries.len(),
+            Arc::clone(&pager) as Arc<dyn Pager>,
+            entries.len(),
             page_entries,
             first_keys,
             dense.tree().clone(),
+            cfg,
         )
         .unwrap();
         (paged, pager)
     }
 
+    fn paged(dense: &MerkleBTree, page_entries: usize) -> (MerkleBTree, Arc<BytePager>) {
+        paged_from_dense(dense, page_entries, PageCacheCfg::default())
+    }
+
     #[test]
     fn paged_btree_matches_dense() {
         let dense = MerkleBTree::build(sample_entries(200), 8).unwrap();
-        let (paged, pager) = paged_from_dense(&dense, 16);
+        let (paged, pager) = paged(&dense, 16);
         assert!(paged.is_paged());
         assert_eq!(paged.root(), dense.root());
         assert_eq!(paged.len(), dense.len());
@@ -753,7 +697,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(b.reconstruct_root().unwrap(), dense.root());
         // Lookups touched a strict subset of the 13 entry pages.
-        let faults = pager.faults.load(std::sync::atomic::Ordering::Relaxed);
+        let faults = pager.faults.load(Ordering::Relaxed);
         assert!(faults < 13, "faulted {faults} entry pages");
         assert!(matches!(
             paged.prove_keys(&[1]),
@@ -764,32 +708,23 @@ mod tests {
     #[test]
     fn paged_btree_rejects_bad_geometry() {
         let dense = MerkleBTree::build(sample_entries(20), 4).unwrap();
-        let entries = dense.dense_entries().unwrap().to_vec();
-        let pager = Arc::new(VecEntryPager {
-            entries,
-            page_entries: 8,
-            faults: std::sync::atomic::AtomicU64::new(0),
-        });
+        let (_, pager) = paged(&dense, 8);
+        let open = |first_keys: Vec<u64>| {
+            MerkleBTree::open_paged(
+                Arc::clone(&pager) as Arc<dyn Pager>,
+                20,
+                8,
+                first_keys,
+                dense.tree().clone(),
+                PageCacheCfg::default(),
+            )
+            .unwrap_err()
+        };
         // Wrong first-key count for the geometry.
-        let err = MerkleBTree::open_paged(
-            Arc::clone(&pager) as Arc<dyn EntryPager>,
-            20,
-            8,
-            vec![0],
-            dense.tree().clone(),
-        )
-        .unwrap_err();
+        let err = open(vec![0]);
         assert!(matches!(err, MbTreeError::Merkle(MerkleError::Page(_))));
         // Unsorted sparse index.
-        let err = MerkleBTree::open_paged(
-            Arc::clone(&pager) as Arc<dyn EntryPager>,
-            20,
-            8,
-            vec![9, 3, 50],
-            dense.tree().clone(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, MbTreeError::UnsortedKeys));
+        assert!(matches!(open(vec![9, 3, 50]), MbTreeError::UnsortedKeys));
     }
 
     #[test]
@@ -872,7 +807,7 @@ mod tests {
     #[test]
     fn key_range_proof_paged_matches_dense() {
         let dense = MerkleBTree::build(sample_entries(200), 8).unwrap();
-        let (paged, pager) = paged_from_dense(&dense, 16);
+        let (paged, pager) = paged(&dense, 16);
         for (lo, hi) in [(0u64, 597u64), (90, 210), (91, 92), (600, 700)] {
             let a = dense.prove_key_range(lo, hi).unwrap();
             let b = paged.prove_key_range(lo, hi).unwrap();
@@ -883,34 +818,19 @@ mod tests {
             );
         }
         // A narrow range must not fault every entry page.
-        let faults = pager.faults.load(std::sync::atomic::Ordering::Relaxed);
+        let faults = pager.faults.load(Ordering::Relaxed);
         assert!(faults < 4 * 13, "faulted {faults} entry pages");
     }
 
     #[test]
     fn paged_btree_entry_cache_is_bounded() {
-        use std::sync::atomic::{AtomicU64, Ordering};
         let dense = MerkleBTree::build(sample_entries(200), 8).unwrap();
-        let entries = dense.dense_entries().unwrap().to_vec();
-        let first_keys: Vec<u64> = entries.chunks(8).map(|c| c[0].key).collect();
-        let pager = Arc::new(VecEntryPager {
-            entries,
-            page_entries: 8,
-            faults: AtomicU64::new(0),
-        });
         let evictions = Arc::new(AtomicU64::new(0));
-        let paged = MerkleBTree::open_paged_with_cache(
-            Arc::clone(&pager) as Arc<dyn EntryPager>,
-            200,
-            8,
-            first_keys,
-            dense.tree().clone(),
-            crate::cache::PageCacheCfg {
-                capacity: 3,
-                evictions: Some(Arc::clone(&evictions)),
-            },
-        )
-        .unwrap();
+        let cfg = PageCacheCfg {
+            capacity: 3,
+            evictions: Some(Arc::clone(&evictions)),
+        };
+        let (paged, pager) = paged_from_dense(&dense, 8, cfg);
         for key in (0..200u64).map(|i| i * 3) {
             assert_eq!(paged.get(key), dense.get(key), "key {key}");
         }
@@ -942,7 +862,7 @@ mod tests {
     #[test]
     fn paged_btree_is_read_only_but_densifiable() {
         let dense = MerkleBTree::build(sample_entries(50), 4).unwrap();
-        let (mut paged, _) = paged_from_dense(&dense, 8);
+        let (mut paged, _) = paged(&dense, 8);
         assert!(matches!(
             paged.update_value(0, 9.0),
             Err(MbTreeError::Merkle(MerkleError::ReadOnly))

@@ -15,7 +15,7 @@
 
 use crate::cache::{PageCache, PageCacheCfg};
 use crate::digest::{hash_digests, Digest};
-use crate::pager::DigestPager;
+use crate::pager::{self, Pager};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -258,14 +258,15 @@ fn level_sizes(leaf_count: usize, fanout: usize) -> Vec<usize> {
     sizes
 }
 
-/// Lazily paged tree levels: digests resolve on demand from a
-/// [`DigestPager`], merk-`Link` style — a page is either resident (in
-/// the bounded LRU [`PageCache`]) or a stub to be faulted from the
+/// Lazily paged tree levels: digests resolve on demand from one
+/// [`Pager`] per level, merk-`Link` style — a page is either resident
+/// (in the bounded LRU [`PageCache`]) or a stub to be faulted from the
 /// backing store. The root is loaded eagerly at open so `root()` stays
 /// infallible.
 #[derive(Debug, Clone)]
 struct PagedLevels {
-    pager: Arc<dyn DigestPager>,
+    /// One pager per level, leaf level first.
+    pagers: Vec<Arc<dyn Pager>>,
     /// Logical size of each level, leaf level first.
     sizes: Vec<usize>,
     /// Digests per page (all levels; last page of a level may be short).
@@ -277,41 +278,18 @@ struct PagedLevels {
 }
 
 impl PagedLevels {
-    fn page(&self, level: usize, page: usize) -> Result<Arc<Vec<Digest>>, MerkleError> {
-        let key = ((level as u64) << 32) | page as u64;
-        if let Some(run) = self.cache.get(key) {
-            return Ok(run);
-        }
-        if page >= self.sizes[level].div_ceil(self.page_digests) {
-            return Err(MerkleError::Page(format!(
-                "level {level} page {page} outside the tree shape"
-            )));
-        }
-        let run = self
-            .pager
-            .load_page(level as u32, page as u32)
-            .map_err(|e| MerkleError::Page(e.to_string()))?;
-        let expected = page_len(self.sizes[level], self.page_digests, page);
-        if run.len() != expected {
-            return Err(MerkleError::Page(format!(
-                "level {level} page {page}: expected {expected} digests, got {}",
-                run.len()
-            )));
-        }
-        // A concurrent fault may have won the race; either value is the
-        // same verified page, so keep whichever landed first.
-        Ok(self.cache.insert(key, Arc::new(run)))
-    }
-
     fn digest_at(&self, level: usize, index: usize) -> Result<Digest, MerkleError> {
-        let run = self.page(level, index / self.page_digests)?;
+        let page = index / self.page_digests;
+        let run = pager::fault(
+            &self.cache,
+            ((level as u64) << 32) | page as u64,
+            &*self.pagers[level],
+            self.sizes[level],
+            self.page_digests,
+            page,
+        )?;
         Ok(run[index % self.page_digests])
     }
-}
-
-/// Number of digests in `page` of a level holding `size` digests.
-fn page_len(size: usize, page_digests: usize, page: usize) -> usize {
-    (size - page * page_digests).min(page_digests)
 }
 
 /// Physical representation of the tree levels.
@@ -361,27 +339,11 @@ impl MerkleTree {
     }
 
     /// Opens a read-only tree whose levels live in a paged backing
-    /// store, with the default residency bound. Only the root page is
+    /// store, one pager per level (leaf level first), with the page
+    /// cache `cache_cfg` shared by every level. Only the root page is
     /// faulted eagerly; `prove` faults the pages its proof paths touch.
     pub fn open_paged(
-        pager: Arc<dyn DigestPager>,
-        leaf_count: usize,
-        fanout: usize,
-        page_digests: usize,
-    ) -> Result<Self, MerkleError> {
-        Self::open_paged_with_cache(
-            pager,
-            leaf_count,
-            fanout,
-            page_digests,
-            PageCacheCfg::default(),
-        )
-    }
-
-    /// [`MerkleTree::open_paged`] with an explicit page-cache bound and
-    /// optional shared eviction counter.
-    pub fn open_paged_with_cache(
-        pager: Arc<dyn DigestPager>,
+        pagers: Vec<Arc<dyn Pager>>,
         leaf_count: usize,
         fanout: usize,
         page_digests: usize,
@@ -397,8 +359,15 @@ impl MerkleTree {
             return Err(MerkleError::Page("page_digests must be ≥ 1".into()));
         }
         let sizes = level_sizes(leaf_count, fanout);
+        if pagers.len() != sizes.len() {
+            return Err(MerkleError::Page(format!(
+                "{} level pagers for a tree of height {}",
+                pagers.len(),
+                sizes.len()
+            )));
+        }
         let mut paged = PagedLevels {
-            pager,
+            pagers,
             sizes,
             page_digests,
             cache: Arc::new(PageCache::new(cache_cfg)),
@@ -864,39 +833,39 @@ mod tests {
         assert_eq!(tree.total_digests(), 8 + 4 + 2 + 1);
     }
 
-    /// Test pager over a dense tree's levels, with a fault counter.
-    #[derive(Debug)]
-    struct VecPager {
-        levels: Vec<Vec<Digest>>,
-        page_digests: usize,
-        faults: std::sync::atomic::AtomicU64,
+    use crate::mbtree::{KeyedEntry, MbTreeError, MerkleBTree};
+    use crate::pager::testing::BytePager;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// One byte pager per level of a dense tree, all counting faults
+    /// into one counter; `clip` caps the bytes each page serves.
+    fn level_pagers(tree: &MerkleTree, page_digests: usize, clip: usize) -> Vec<Arc<BytePager>> {
+        let faults = Arc::new(AtomicU64::new(0));
+        tree.dense_levels()
+            .unwrap()
+            .iter()
+            .map(|level| {
+                Arc::new(BytePager {
+                    bytes: level.iter().flat_map(|d| *d.as_bytes()).collect(),
+                    page_len: page_digests * 32,
+                    clip,
+                    faults: Arc::clone(&faults),
+                })
+            })
+            .collect()
     }
 
-    impl VecPager {
-        fn new(tree: &MerkleTree, page_digests: usize) -> Self {
-            VecPager {
-                levels: tree.dense_levels().unwrap().to_vec(),
-                page_digests,
-                faults: std::sync::atomic::AtomicU64::new(0),
-            }
-        }
-    }
-
-    impl DigestPager for VecPager {
-        fn load_page(&self, level: u32, page: u32) -> Result<Vec<Digest>, crate::pager::PageError> {
-            let lvl = self
-                .levels
-                .get(level as usize)
-                .ok_or(crate::pager::PageError::OutOfRange { level, page })?;
-            let start = page as usize * self.page_digests;
-            if start >= lvl.len() {
-                return Err(crate::pager::PageError::OutOfRange { level, page });
-            }
-            self.faults
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let end = (start + self.page_digests).min(lvl.len());
-            Ok(lvl[start..end].to_vec())
-        }
+    fn open(
+        pagers: &[Arc<BytePager>],
+        dense: &MerkleTree,
+        pd: usize,
+        cfg: PageCacheCfg,
+    ) -> MerkleTree {
+        let pagers = pagers
+            .iter()
+            .map(|p| Arc::clone(p) as Arc<dyn Pager>)
+            .collect();
+        MerkleTree::open_paged(pagers, dense.leaf_count(), dense.fanout(), pd, cfg).unwrap()
     }
 
     #[test]
@@ -909,8 +878,8 @@ mod tests {
         ] {
             let ls = leaves(n);
             let dense = MerkleTree::build(ls.clone(), f).unwrap();
-            let pager = Arc::new(VecPager::new(&dense, pd));
-            let paged = MerkleTree::open_paged(pager, n, f, pd).unwrap();
+            let pagers = level_pagers(&dense, pd, usize::MAX);
+            let paged = open(&pagers, &dense, pd, PageCacheCfg::default());
             assert!(paged.is_paged());
             assert_eq!(paged.root(), dense.root());
             assert_eq!(paged.height(), dense.height());
@@ -933,13 +902,13 @@ mod tests {
         // must not fault every leaf page.
         let ls = leaves(256);
         let dense = MerkleTree::build(ls, 2).unwrap();
-        let pager = Arc::new(VecPager::new(&dense, 8));
-        let paged =
-            MerkleTree::open_paged(Arc::clone(&pager) as Arc<dyn DigestPager>, 256, 2, 8).unwrap();
-        let after_open = pager.faults.load(std::sync::atomic::Ordering::Relaxed);
+        let pagers = level_pagers(&dense, 8, usize::MAX);
+        let faults = Arc::clone(&pagers[0].faults);
+        let paged = open(&pagers, &dense, 8, PageCacheCfg::default());
+        let after_open = faults.load(Ordering::Relaxed);
         assert_eq!(after_open, 1, "open faults only the root page");
         paged.prove([3usize].into_iter().collect()).unwrap();
-        let after_prove = pager.faults.load(std::sync::atomic::Ordering::Relaxed);
+        let after_prove = faults.load(Ordering::Relaxed);
         let total_pages: usize = dense
             .dense_levels()
             .unwrap()
@@ -954,35 +923,25 @@ mod tests {
         );
         // Re-proving the same leaf hits the cache: no new faults.
         paged.prove([3usize].into_iter().collect()).unwrap();
-        assert_eq!(
-            pager.faults.load(std::sync::atomic::Ordering::Relaxed),
-            after_prove
-        );
+        assert_eq!(faults.load(Ordering::Relaxed), after_prove);
     }
 
     #[test]
     fn paged_tree_cache_is_bounded() {
-        use std::sync::atomic::{AtomicU64, Ordering};
         let ls = leaves(256);
         let dense = MerkleTree::build(ls, 2).unwrap();
-        let pager = Arc::new(VecPager::new(&dense, 4));
+        let pagers = level_pagers(&dense, 4, usize::MAX);
         let evictions = Arc::new(AtomicU64::new(0));
-        let paged = MerkleTree::open_paged_with_cache(
-            Arc::clone(&pager) as Arc<dyn DigestPager>,
-            256,
-            2,
-            4,
-            crate::cache::PageCacheCfg {
-                capacity: 8,
-                evictions: Some(Arc::clone(&evictions)),
-            },
-        )
-        .unwrap();
+        let cfg = PageCacheCfg {
+            capacity: 8,
+            evictions: Some(Arc::clone(&evictions)),
+        };
+        let paged = open(&pagers, &dense, 4, cfg);
         // Sweep every leaf page — far more pages than the bound.
         for i in 0..256 {
             assert!(paged.leaf(i).is_some());
         }
-        let faults = pager.faults.load(Ordering::Relaxed);
+        let faults = pagers[0].faults.load(Ordering::Relaxed);
         let evicted = evictions.load(Ordering::Relaxed);
         assert!(evicted > 0, "sweep must overflow an 8-page cache");
         assert!(
@@ -999,8 +958,8 @@ mod tests {
     #[test]
     fn paged_tree_is_read_only() {
         let dense = MerkleTree::build(leaves(16), 2).unwrap();
-        let pager = Arc::new(VecPager::new(&dense, 4));
-        let mut paged = MerkleTree::open_paged(pager, 16, 2, 4).unwrap();
+        let pagers = level_pagers(&dense, 4, usize::MAX);
+        let mut paged = open(&pagers, &dense, 4, PageCacheCfg::default());
         assert!(matches!(
             paged.update_leaf(0, hash_bytes(b"x")),
             Err(MerkleError::ReadOnly)
@@ -1009,26 +968,48 @@ mod tests {
 
     #[test]
     fn paged_tree_rejects_short_page() {
-        /// Pager that truncates every page to one digest.
-        #[derive(Debug)]
-        struct Truncating(VecPager);
-        impl DigestPager for Truncating {
-            fn load_page(
-                &self,
-                level: u32,
-                page: u32,
-            ) -> Result<Vec<Digest>, crate::pager::PageError> {
-                let mut run = self.0.load_page(level, page)?;
-                run.truncate(1);
-                Ok(run)
-            }
-        }
         let dense = MerkleTree::build(leaves(16), 2).unwrap();
-        let pager = Arc::new(Truncating(VecPager::new(&dense, 4)));
-        // The root page (size 1) passes, so open succeeds; the first
-        // leaf-page fault then reports the short page.
-        let paged = MerkleTree::open_paged(pager, 16, 2, 4).unwrap();
-        let err = paged.prove([0usize].into_iter().collect()).unwrap_err();
+        // Pages cut to one digest, then to a digest and a byte. The
+        // root page (one digest) passes either way, so open succeeds;
+        // the first leaf-page fault reports the bad page.
+        for (clip, why) in [(32, "expected 4 records"), (33, "not a multiple of 32")] {
+            let pagers = level_pagers(&dense, 4, clip);
+            let paged = open(&pagers, &dense, 4, PageCacheCfg::default());
+            let err = paged.prove([0usize].into_iter().collect()).unwrap_err();
+            assert!(
+                matches!(&err, MerkleError::Page(m) if m.contains(why)),
+                "{err:?}"
+            );
+        }
+        // Entry pages cut the same way fail the B-tree lookup, typed.
+        let entries: Vec<KeyedEntry> = (0..20u64)
+            .map(|key| KeyedEntry { key, value: 0.5 })
+            .collect();
+        let bt = MerkleBTree::build(entries.clone(), 4).unwrap();
+        for (clip, why) in [(16, "expected 8 records"), (17, "not a multiple of 16")] {
+            let pager = Arc::new(BytePager {
+                bytes: entries.iter().flat_map(|e| e.encode()).collect(),
+                page_len: 8 * 16,
+                clip,
+                faults: Arc::new(AtomicU64::new(0)),
+            });
+            let first_keys = entries.chunks(8).map(|c| c[0].key).collect();
+            let cfg = PageCacheCfg::default();
+            let paged =
+                MerkleBTree::open_paged(pager, 20, 8, first_keys, bt.tree().clone(), cfg).unwrap();
+            let err = paged.prove_keys(&[0]).unwrap_err();
+            assert!(
+                matches!(&err, MbTreeError::Merkle(MerkleError::Page(m)) if m.contains(why)),
+                "{err:?}"
+            );
+        }
+        // A pager list that does not match the tree height is refused.
+        let pagers = level_pagers(&dense, 4, usize::MAX);
+        let short = pagers[1..]
+            .iter()
+            .map(|p| Arc::clone(p) as Arc<dyn Pager>)
+            .collect();
+        let err = MerkleTree::open_paged(short, 16, 2, 4, PageCacheCfg::default()).unwrap_err();
         assert!(matches!(err, MerkleError::Page(_)), "{err:?}");
     }
 }

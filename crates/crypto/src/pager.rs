@@ -1,37 +1,37 @@
-//! Backing-store pager traits for lazily materialized trees.
+//! The backing-store pager trait and the one routine that faults a
+//! page into a tree.
 //!
 //! A persistent snapshot (see the `spnet-store` crate) stores each tree
 //! level as fixed-size pages of digests and each Merkle B-tree's entry
 //! array as fixed-size pages of [`crate::mbtree::KeyedEntry`] records.
 //! The tree types in this crate stay storage-agnostic: a paged
-//! [`crate::merkle::MerkleTree`] or [`crate::mbtree::MerkleBTree`]
-//! resolves missing pages through these traits — the merk `Link` idea
-//! (resolved node vs. on-disk stub), with the page as the granularity
-//! of a fault.
+//! [`crate::merkle::MerkleTree`] holds one [`Pager`] per level and a
+//! paged [`crate::mbtree::MerkleBTree`] one for its entry array — the
+//! merk `Link` idea (resolved node vs. on-disk stub), with the page as
+//! the granularity of a fault.
 //!
+//! A pager serves one section and returns the raw bytes of one page.
 //! Implementations must verify page integrity themselves (the snapshot
 //! format checks every page against a signed-into-the-root digest
 //! array) and return a typed [`PageError`] instead of panicking on
-//! corrupt or truncated input.
+//! corrupt or truncated input. Decoding, the shape checks and
+//! residency are the trees' job, done once in one crate-private
+//! routine that serves both record kinds.
 
-use crate::digest::Digest;
+use crate::cache::PageCache;
+use crate::digest::{Digest, DIGEST_LEN};
 use crate::mbtree::KeyedEntry;
+use crate::merkle::MerkleError;
+use std::sync::Arc;
 
 /// Errors raised while faulting a page from a backing store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PageError {
     /// Underlying I/O failure (message carries the OS error).
     Io(String),
-    /// The page bytes did not match their recorded digest, or the
-    /// section layout is inconsistent.
+    /// The page bytes did not match their recorded digest, the page
+    /// does not exist, or the section layout is inconsistent.
     Corrupt(String),
-    /// The requested page does not exist in the store.
-    OutOfRange {
-        /// Tree level of the request (0 for entry pagers).
-        level: u32,
-        /// Requested page index within the level.
-        page: u32,
-    },
 }
 
 impl std::fmt::Display for PageError {
@@ -39,29 +39,113 @@ impl std::fmt::Display for PageError {
         match self {
             PageError::Io(e) => write!(f, "page io error: {e}"),
             PageError::Corrupt(m) => write!(f, "corrupt page: {m}"),
-            PageError::OutOfRange { level, page } => {
-                write!(f, "page {page} at level {level} out of range")
-            }
         }
     }
 }
 
 impl std::error::Error for PageError {}
 
-/// Loads pages of tree-level digests: `level` 0 is the leaf level,
-/// increasing towards the root. Every level uses the same page length
-/// (digests per page); the last page of a level may be short.
-pub trait DigestPager: Send + Sync + std::fmt::Debug {
-    /// Faults in one page of digests.
-    fn load_page(&self, level: u32, page: u32) -> Result<Vec<Digest>, PageError>;
+/// Loads the verified bytes of one page of one section. Every page has
+/// the same length except possibly the last, which may be short.
+pub trait Pager: Send + Sync + std::fmt::Debug {
+    /// Faults in page `page`.
+    fn read_page(&self, page: u32) -> Result<Vec<u8>, PageError>;
 }
 
-/// Loads pages of sorted [`KeyedEntry`] records backing a
-/// [`crate::mbtree::MerkleBTree`]'s entry array. The last page may be
-/// short.
-pub trait EntryPager: Send + Sync + std::fmt::Debug {
-    /// Faults in one page of entries.
-    fn load_entries(&self, page: u32) -> Result<Vec<KeyedEntry>, PageError>;
+/// A fixed-size record packed into pages: a tree digest or a B-tree
+/// entry.
+pub(crate) trait Record: Sized {
+    /// Encoded length in bytes.
+    const LEN: usize;
+    /// Decodes one `LEN`-byte record.
+    fn decode(bytes: &[u8]) -> Self;
+}
+
+impl Record for Digest {
+    const LEN: usize = DIGEST_LEN;
+    fn decode(bytes: &[u8]) -> Self {
+        Digest(bytes.try_into().expect("record is digest-sized"))
+    }
+}
+
+impl Record for KeyedEntry {
+    const LEN: usize = 16;
+    fn decode(bytes: &[u8]) -> Self {
+        KeyedEntry::decode(bytes.try_into().expect("record is 16 bytes"))
+    }
+}
+
+/// Resolves page `page` of a section holding `len` records,
+/// `per_page` to a page: from `cache` under `key` if resident, else
+/// faulted through `pager`, checked against the section's shape,
+/// decoded and inserted.
+pub(crate) fn fault<T: Record>(
+    cache: &PageCache<Vec<T>>,
+    key: u64,
+    pager: &dyn Pager,
+    len: usize,
+    per_page: usize,
+    page: usize,
+) -> Result<Arc<Vec<T>>, MerkleError> {
+    if let Some(run) = cache.get(key) {
+        return Ok(run);
+    }
+    if page >= len.div_ceil(per_page) {
+        return Err(MerkleError::Page(format!(
+            "page {page} outside the tree shape ({len} records)"
+        )));
+    }
+    let bytes = pager
+        .read_page(page as u32)
+        .map_err(|e| MerkleError::Page(e.to_string()))?;
+    if !bytes.len().is_multiple_of(T::LEN) {
+        return Err(MerkleError::Page(format!(
+            "page {page} holds {} bytes (not a multiple of {})",
+            bytes.len(),
+            T::LEN
+        )));
+    }
+    let expected = (len - page * per_page).min(per_page);
+    if bytes.len() / T::LEN != expected {
+        return Err(MerkleError::Page(format!(
+            "page {page}: expected {expected} records, got {}",
+            bytes.len() / T::LEN
+        )));
+    }
+    let run = bytes.chunks_exact(T::LEN).map(T::decode).collect();
+    // A concurrent fault may have won the race; either value is the
+    // same verified page, so keep whichever landed first.
+    Ok(cache.insert(key, Arc::new(run)))
+}
+
+/// A test pager over one section's bytes.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::{PageError, Pager};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// Serves `bytes` in pages of `page_len` bytes, cut to at most
+    /// `clip` bytes each, and counts every page it serves in `faults`.
+    #[derive(Debug)]
+    pub(crate) struct BytePager {
+        pub bytes: Vec<u8>,
+        pub page_len: usize,
+        pub clip: usize,
+        pub faults: Arc<AtomicU64>,
+    }
+
+    impl Pager for BytePager {
+        fn read_page(&self, page: u32) -> Result<Vec<u8>, PageError> {
+            let start = page as usize * self.page_len;
+            if start >= self.bytes.len() {
+                return Err(PageError::Corrupt(format!("page {page} out of range")));
+            }
+            self.faults.fetch_add(1, Ordering::Relaxed);
+            let end = (start + self.page_len.min(self.clip)).min(self.bytes.len());
+            Ok(self.bytes[start..end].to_vec())
+        }
+    }
 }
 
 #[cfg(test)]
@@ -74,8 +158,5 @@ mod tests {
         assert!(PageError::Corrupt("bad digest".into())
             .to_string()
             .contains("bad digest"));
-        assert!(PageError::OutOfRange { level: 2, page: 9 }
-            .to_string()
-            .contains("level 2"));
     }
 }

@@ -7,13 +7,14 @@
 //! * [`snapshot`] — a single page-aligned snapshot file of typed
 //!   sections (versioned header, per-section and per-page integrity
 //!   digests, typed [`StoreError`]s for every corruption mode).
-//! * [`node_store`] — the [`NodeStore`] abstraction with two backends:
-//!   [`MemStore`] (everything resident and verified at open — the
-//!   default; no existing caller changes behavior) and [`FileStore`]
-//!   (lazy page faults, so a proof touches only the pages on its
-//!   path). [`TreePager`]/[`EntryPageSource`] adapt a store section to
-//!   the `spnet-crypto` pager traits that back
-//!   `MerkleTree::open_paged`/`MerkleBTree::open_paged`.
+//! * [`node_store`] — the [`NodeStore`]: one open snapshot plus its
+//!   fault and eviction counters. Its [`PagedReader`]s are the
+//!   `spnet-crypto` pagers behind `MerkleTree::open_paged` and
+//!   `MerkleBTree::open_paged`, so a proof touches only the pages on
+//!   its path. The [`StoreBackend`] it was opened with picks what the
+//!   loaders build: `Mem` verifies every section at open and builds
+//!   dense structures (the default; no existing caller changes
+//!   behavior), `File` builds paged ones.
 //!
 //! Integrity layering: the store checks *storage* integrity (digests
 //! over bytes); the core crate re-verifies the owner's RSA-signed
@@ -26,9 +27,7 @@ pub mod node_store;
 pub mod snapshot;
 
 pub use error::StoreError;
-pub use node_store::{
-    EntryPageSource, FileStore, MemStore, NodeStore, PageSource, StoreBackend, TreePager,
-};
+pub use node_store::{NodeStore, StoreBackend};
 pub use snapshot::{
     PagedReader, SectionUpdate, Snapshot, SnapshotUpdater, SnapshotWriter, UpdateStats,
     SECTION_ALIGN, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

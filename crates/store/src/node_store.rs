@@ -1,355 +1,135 @@
-//! The `NodeStore` abstraction: one snapshot file, two backends.
+//! The `NodeStore`: one snapshot file and its page counters.
 //!
-//! * [`MemStore`] — eagerly reads and verifies every section at open;
-//!   all subsequent access is resident. This is the default backend:
-//!   consumers that load through it end up with exactly the dense
-//!   in-memory structures the owner built, so no existing caller
-//!   changes behavior.
-//! * [`FileStore`] — parses the header/table at open and faults
-//!   section pages in on demand through [`crate::PagedReader`], so a
-//!   proof touches only the pages on its path.
+//! A store opens the snapshot's header and section table and hands out
+//! verified section readers: [`NodeStore::blob`] for blob sections and
+//! [`NodeStore::paged`] for paged ones. A [`PagedReader`] is the
+//! `spnet-crypto` [`Pager`] of its section, so a paged `MerkleTree` or
+//! `MerkleBTree` faults its pages straight from the file. Every
+//! verified page read counts in [`NodeStore::fault_count`]; the page
+//! caches layered over the store count their evictions in
+//! [`NodeStore::evict_count`].
 //!
-//! The adapters [`TreePager`] and [`EntryPageSource`] bridge a
-//! [`PageSource`] to the `spnet-crypto` pager traits, letting
-//! `MerkleTree::open_paged`/`MerkleBTree::open_paged` resolve nodes
-//! from either backend.
+//! The [`StoreBackend`] a store was opened with tells loaders what to
+//! build: `Mem` verifies the whole file at open and asks for dense,
+//! resident structures; `File` asks for paged ones that fault on
+//! demand.
 
 use crate::error::StoreError;
 use crate::snapshot::{PagedReader, Snapshot};
-use spnet_crypto::digest::{Digest, DIGEST_LEN};
-use spnet_crypto::mbtree::KeyedEntry;
-use spnet_crypto::pager::{DigestPager, EntryPager, PageError};
+use spnet_crypto::pager::{PageError, Pager};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Which backend to open a snapshot with.
+/// How a snapshot is loaded.
 ///
-/// [`StoreBackend::Mem`] is the default: it reproduces exactly the
-/// dense in-memory structures the owner built and verifies every
-/// stored digest at open, so callers that do not opt into lazy paging
-/// get eager corruption detection and unchanged serving behavior.
+/// [`StoreBackend::Mem`] is the default: every section is verified at
+/// open, and loaders rebuild exactly the dense in-memory structures the
+/// owner built, so callers that do not opt into lazy paging get eager
+/// corruption detection and unchanged serving behavior.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreBackend {
-    /// Everything resident and verified at open (the default).
+    /// Every section verified at open; loaders build resident
+    /// structures and keep no page reader (the default).
     #[default]
     Mem,
     /// Lazy page faults from the snapshot file.
     File,
 }
 
-#[derive(Debug, Clone)]
-enum MemSection {
-    Blob(Arc<Vec<u8>>),
-    Paged { data: Arc<Vec<u8>>, page_len: usize },
-}
-
-/// Fully resident backend: every section read and verified at open.
+/// An open snapshot file with its fault and eviction counters.
 #[derive(Debug)]
-pub struct MemStore {
-    sections: Vec<(u16, MemSection)>,
-}
-
-impl MemStore {
-    fn open(path: &Path) -> Result<Self, StoreError> {
-        let snap = Snapshot::open(path)?;
-        let faults = Arc::new(AtomicU64::new(0));
-        let mut sections = Vec::new();
-        for id in snap.section_ids() {
-            let section = match snap.blob(id) {
-                Ok(bytes) => MemSection::Blob(Arc::new(bytes)),
-                Err(StoreError::WrongKind { .. }) => {
-                    let r = snap.paged(id, Arc::clone(&faults))?;
-                    MemSection::Paged {
-                        page_len: r.page_len(),
-                        data: Arc::new(r.read_all()?),
-                    }
-                }
-                Err(e) => return Err(e),
-            };
-            sections.push((id, section));
-        }
-        Ok(MemStore { sections })
-    }
-
-    fn section(&self, id: u16) -> Result<&MemSection, StoreError> {
-        self.sections
-            .iter()
-            .find(|&&(eid, _)| eid == id)
-            .map(|(_, s)| s)
-            .ok_or(StoreError::MissingSection(id))
-    }
-}
-
-/// Lazy backend over an open snapshot file.
-#[derive(Debug)]
-pub struct FileStore {
+pub struct NodeStore {
     snap: Snapshot,
+    backend: StoreBackend,
     faults: Arc<AtomicU64>,
     /// Pages dropped by the bounded page caches layered over this
     /// store (the paged `MerkleTree`/`MerkleBTree` structures share
-    /// this counter), so resident pages = faults − evictions.
+    /// this counter), so resident pages ≤ faults − evictions.
     evictions: Arc<AtomicU64>,
 }
 
-/// A page-granular view of one paged section, backend-independent.
-///
-/// Cloning is cheap (both variants are `Arc`-backed); faults through a
-/// `File` source count toward the owning store's fault counter.
-#[derive(Debug, Clone)]
-pub enum PageSource {
-    /// Resident pages sliced from a verified payload.
-    Mem { data: Arc<Vec<u8>>, page_len: usize },
-    /// Pages faulted and verified on demand.
-    File(Arc<PagedReader>),
-}
-
-impl PageSource {
-    /// Total payload length in bytes.
-    pub fn data_len(&self) -> usize {
-        match self {
-            PageSource::Mem { data, .. } => data.len(),
-            PageSource::File(r) => r.data_len() as usize,
-        }
-    }
-
-    /// Page length in bytes (last page may be short).
-    pub fn page_len(&self) -> usize {
-        match self {
-            PageSource::Mem { page_len, .. } => *page_len,
-            PageSource::File(r) => r.page_len(),
-        }
-    }
-
-    /// Number of pages.
-    pub fn num_pages(&self) -> usize {
-        let pl = self.page_len();
-        if pl == 0 {
-            0
-        } else {
-            self.data_len().div_ceil(pl)
-        }
-    }
-
-    /// Reads one page (verified against the snapshot's digest array on
-    /// the `File` backend; `Mem` verified everything at open).
-    pub fn load_page(&self, page: usize) -> Result<Vec<u8>, StoreError> {
-        match self {
-            PageSource::Mem { data, page_len } => {
-                let start = page * page_len;
-                if *page_len == 0 || start >= data.len() {
-                    return Err(StoreError::Corrupt(format!(
-                        "page {page} out of range ({} bytes resident)",
-                        data.len()
-                    )));
-                }
-                let end = (start + page_len).min(data.len());
-                Ok(data[start..end].to_vec())
-            }
-            PageSource::File(r) => r.load_page(page),
-        }
-    }
-}
-
-/// A snapshot opened through one of the two backends.
-#[derive(Debug)]
-pub enum NodeStore {
-    /// Fully resident (default).
-    Mem(MemStore),
-    /// Lazily paged.
-    File(FileStore),
-}
-
 impl NodeStore {
-    /// Opens with the requested backend.
+    /// Opens `path` for `backend`. On [`StoreBackend::Mem`] every
+    /// section is read and verified before this returns (and none of
+    /// its bytes kept), so corruption anywhere in the file fails here —
+    /// also in sections the dense loaders never read.
     pub fn open(path: &Path, backend: StoreBackend) -> Result<Self, StoreError> {
-        match backend {
-            StoreBackend::Mem => Self::open_mem(path),
-            StoreBackend::File => Self::open_file(path),
-        }
-    }
-
-    /// Opens fully resident: every section is read and verified now.
-    pub fn open_mem(path: &Path) -> Result<Self, StoreError> {
-        Ok(NodeStore::Mem(MemStore::open(path)?))
-    }
-
-    /// Opens lazily: header and table now, pages on fault.
-    pub fn open_file(path: &Path) -> Result<Self, StoreError> {
-        Ok(NodeStore::File(FileStore {
+        let store = NodeStore {
             snap: Snapshot::open(path)?,
+            backend,
             faults: Arc::new(AtomicU64::new(0)),
             evictions: Arc::new(AtomicU64::new(0)),
-        }))
-    }
-
-    /// Backend name, for diagnostics and bench labels.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            NodeStore::Mem(_) => "mem",
-            NodeStore::File(_) => "file",
+        };
+        if backend == StoreBackend::Mem {
+            for id in store.snap.section_ids() {
+                match store.snap.blob(id) {
+                    Ok(_) => {}
+                    Err(StoreError::WrongKind { .. }) => {
+                        let reader = store.paged(id)?;
+                        for page in 0..reader.num_pages() {
+                            reader.load_page(page)?;
+                        }
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
         }
+        Ok(store)
     }
 
     /// True when consumers should materialize lazy (paged) structures
     /// instead of dense ones.
     pub fn is_lazy(&self) -> bool {
-        matches!(self, NodeStore::File(_))
-    }
-
-    /// Whether a section exists.
-    pub fn has(&self, id: u16) -> bool {
-        match self {
-            NodeStore::Mem(m) => m.sections.iter().any(|&(eid, _)| eid == id),
-            NodeStore::File(f) => f.snap.has(id),
-        }
+        self.backend == StoreBackend::File
     }
 
     /// Reads a blob section (verified).
     pub fn blob(&self, id: u16) -> Result<Vec<u8>, StoreError> {
-        match self {
-            NodeStore::Mem(m) => match m.section(id)? {
-                MemSection::Blob(data) => Ok(data.as_ref().clone()),
-                MemSection::Paged { .. } => Err(StoreError::WrongKind {
-                    id,
-                    expected: "blob",
-                }),
-            },
-            NodeStore::File(f) => f.snap.blob(id),
-        }
+        self.snap.blob(id)
+    }
+
+    /// A verified lazy reader over a paged section; its page reads
+    /// count toward [`NodeStore::fault_count`].
+    pub fn paged(&self, id: u16) -> Result<PagedReader, StoreError> {
+        self.snap.paged(id, Arc::clone(&self.faults))
     }
 
     /// Reads a paged section's entire payload (verified) — used by
     /// eager loaders that rebuild dense structures.
     pub fn paged_all(&self, id: u16) -> Result<Vec<u8>, StoreError> {
-        match self {
-            NodeStore::Mem(m) => match m.section(id)? {
-                MemSection::Paged { data, .. } => Ok(data.as_ref().clone()),
-                MemSection::Blob(_) => Err(StoreError::WrongKind {
-                    id,
-                    expected: "paged",
-                }),
-            },
-            NodeStore::File(f) => f.snap.paged(id, Arc::clone(&f.faults))?.read_all(),
-        }
+        self.paged(id)?.read_all()
     }
 
-    /// A page-granular view of a paged section.
-    pub fn page_source(&self, id: u16) -> Result<PageSource, StoreError> {
-        match self {
-            NodeStore::Mem(m) => match m.section(id)? {
-                MemSection::Paged { data, page_len } => Ok(PageSource::Mem {
-                    data: Arc::clone(data),
-                    page_len: *page_len,
-                }),
-                MemSection::Blob(_) => Err(StoreError::WrongKind {
-                    id,
-                    expected: "paged",
-                }),
-            },
-            NodeStore::File(f) => Ok(PageSource::File(Arc::new(
-                f.snap.paged(id, Arc::clone(&f.faults))?,
-            ))),
-        }
-    }
-
-    /// Pages faulted from disk so far (0 on the `Mem` backend, which
-    /// pays all its reads at open).
+    /// Verified page reads so far, on either backend: a `Mem` store
+    /// counts every page it verified at open and every page its dense
+    /// loaders read; a `File` store counts the pages its paged
+    /// structures fault in.
     pub fn fault_count(&self) -> u64 {
-        match self {
-            NodeStore::Mem(_) => 0,
-            NodeStore::File(f) => f.faults.load(Ordering::Relaxed),
-        }
+        self.faults.load(Ordering::Relaxed)
     }
 
     /// Pages evicted from the bounded page caches layered over this
-    /// store so far (0 on the `Mem` backend). `fault_count() -
-    /// evict_count()` bounds the pages currently resident in those
-    /// caches.
+    /// store so far (always 0 on `Mem`, which builds no paged
+    /// structure). `fault_count() - evict_count()` bounds the pages
+    /// currently resident in those caches.
     pub fn evict_count(&self) -> u64 {
-        match self {
-            NodeStore::Mem(_) => 0,
-            NodeStore::File(f) => f.evictions.load(Ordering::Relaxed),
-        }
+        self.evictions.load(Ordering::Relaxed)
     }
 
-    /// The shared eviction counter for cache plumbing, present only on
-    /// the `File` backend. Loaders hand this to
-    /// `open_paged_with_cache` so evictions across every paged
-    /// structure aggregate here.
-    pub fn eviction_counter(&self) -> Option<Arc<AtomicU64>> {
-        match self {
-            NodeStore::Mem(_) => None,
-            NodeStore::File(f) => Some(Arc::clone(&f.evictions)),
-        }
+    /// The shared eviction counter that loaders hand to the page caches
+    /// of the paged structures they open over this store.
+    pub fn eviction_counter(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.evictions)
     }
 }
 
-fn page_error(e: StoreError) -> PageError {
-    match e {
-        StoreError::Io(m) => PageError::Io(m),
-        other => PageError::Corrupt(other.to_string()),
-    }
-}
-
-/// [`DigestPager`] over one [`PageSource`] per tree level (level 0 =
-/// leaves). Page bytes are interpreted as a packed digest array.
-#[derive(Debug)]
-pub struct TreePager {
-    levels: Vec<PageSource>,
-}
-
-impl TreePager {
-    /// `levels[0]` must be the leaf level.
-    pub fn new(levels: Vec<PageSource>) -> Self {
-        TreePager { levels }
-    }
-}
-
-impl DigestPager for TreePager {
-    fn load_page(&self, level: u32, page: u32) -> Result<Vec<Digest>, PageError> {
-        let src = self
-            .levels
-            .get(level as usize)
-            .ok_or(PageError::OutOfRange { level, page })?;
-        if page as usize >= src.num_pages() {
-            return Err(PageError::OutOfRange { level, page });
-        }
-        let bytes = src.load_page(page as usize).map_err(page_error)?;
-        if bytes.len() % DIGEST_LEN != 0 {
-            return Err(PageError::Corrupt(format!(
-                "digest page holds {} bytes (not a multiple of {DIGEST_LEN})",
-                bytes.len()
-            )));
-        }
-        Ok(bytes
-            .chunks_exact(DIGEST_LEN)
-            .map(|c| Digest(c.try_into().unwrap()))
-            .collect())
-    }
-}
-
-/// [`EntryPager`] over a [`PageSource`] of packed 16-byte
-/// [`KeyedEntry`] records.
-#[derive(Debug)]
-pub struct EntryPageSource(pub PageSource);
-
-impl EntryPager for EntryPageSource {
-    fn load_entries(&self, page: u32) -> Result<Vec<KeyedEntry>, PageError> {
-        if page as usize >= self.0.num_pages() {
-            return Err(PageError::OutOfRange { level: 0, page });
-        }
-        let bytes = self.0.load_page(page as usize).map_err(page_error)?;
-        if bytes.len() % 16 != 0 {
-            return Err(PageError::Corrupt(format!(
-                "entry page holds {} bytes (not a multiple of 16)",
-                bytes.len()
-            )));
-        }
-        Ok(bytes
-            .chunks_exact(16)
-            .map(|c| KeyedEntry::decode(c.try_into().unwrap()))
-            .collect())
+impl Pager for PagedReader {
+    fn read_page(&self, page: u32) -> Result<Vec<u8>, PageError> {
+        self.load_page(page as usize).map_err(|e| match e {
+            StoreError::Io(m) => PageError::Io(m),
+            other => PageError::Corrupt(other.to_string()),
+        })
     }
 }
 
@@ -357,8 +137,9 @@ impl EntryPager for EntryPageSource {
 mod tests {
     use super::*;
     use crate::snapshot::SnapshotWriter;
-    use spnet_crypto::digest::hash_bytes;
-    use spnet_crypto::mbtree::MerkleBTree;
+    use spnet_crypto::cache::PageCacheCfg;
+    use spnet_crypto::digest::{hash_bytes, Digest, DIGEST_LEN};
+    use spnet_crypto::mbtree::{KeyedEntry, MerkleBTree};
     use spnet_crypto::merkle::MerkleTree;
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -367,22 +148,33 @@ mod tests {
         dir
     }
 
-    /// Writes a snapshot holding a Merkle tree (one paged section per
-    /// level) and a Merkle B-tree entry array + its tree levels.
-    fn write_tree_snapshot(path: &Path, tree: &MerkleTree, page_digests: usize) {
-        let mut w = SnapshotWriter::create(path).unwrap();
+    /// Writes a dense tree as one paged section per level at `base`.
+    fn write_levels(w: &mut SnapshotWriter, base: u16, tree: &MerkleTree, page_digests: usize) {
         for (l, level) in tree.dense_levels().unwrap().iter().enumerate() {
             let bytes: Vec<u8> = level.iter().flat_map(|d| *d.as_bytes()).collect();
-            w.paged(0x0100 + l as u16, &bytes, page_digests * DIGEST_LEN)
+            w.paged(base + l as u16, &bytes, page_digests * DIGEST_LEN)
                 .unwrap();
         }
-        w.finish().unwrap();
     }
 
-    fn tree_sources(store: &NodeStore, height: usize) -> Vec<PageSource> {
-        (0..height)
-            .map(|l| store.page_source(0x0100 + l as u16).unwrap())
-            .collect()
+    /// A paged tree over the level sections at `base`.
+    fn open_levels(
+        store: &NodeStore,
+        base: u16,
+        dense: &MerkleTree,
+        page_digests: usize,
+    ) -> MerkleTree {
+        let pagers = (0..dense.height())
+            .map(|l| Arc::new(store.paged(base + l as u16).unwrap()) as Arc<dyn Pager>)
+            .collect();
+        MerkleTree::open_paged(
+            pagers,
+            dense.leaf_count(),
+            dense.fanout(),
+            page_digests,
+            PageCacheCfg::default(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -392,38 +184,38 @@ mod tests {
         let leaves: Vec<Digest> = (0u64..300).map(|i| hash_bytes(&i.to_le_bytes())).collect();
         let dense = MerkleTree::build(leaves, 4).unwrap();
         let pd = 16usize;
-        write_tree_snapshot(&path, &dense, pd);
+        let mut w = SnapshotWriter::create(&path).unwrap();
+        write_levels(&mut w, 0x0100, &dense, pd);
+        w.finish().unwrap();
+        let total_pages: u64 = dense
+            .dense_levels()
+            .unwrap()
+            .iter()
+            .map(|l| l.len().div_ceil(pd) as u64)
+            .sum();
 
         for backend in [StoreBackend::Mem, StoreBackend::File] {
             let store = NodeStore::open(&path, backend).unwrap();
             assert_eq!(store.is_lazy(), backend == StoreBackend::File);
-            let pager = Arc::new(TreePager::new(tree_sources(&store, dense.height())));
-            let paged = MerkleTree::open_paged(
-                pager as Arc<dyn DigestPager>,
-                dense.leaf_count(),
-                dense.fanout(),
-                pd,
-            )
-            .unwrap();
+            // Mem verified every page at open; File read none yet.
+            let at_open = store.fault_count();
+            let want_at_open = if backend == StoreBackend::Mem {
+                total_pages
+            } else {
+                0
+            };
+            assert_eq!(at_open, want_at_open, "backend {backend:?}");
+            let paged = open_levels(&store, 0x0100, &dense, pd);
             assert_eq!(paged.root(), dense.root());
             let set: std::collections::BTreeSet<usize> = [0usize, 150, 299].into_iter().collect();
             assert_eq!(
                 paged.prove(set.clone()).unwrap(),
                 dense.prove(set).unwrap(),
-                "backend {:?}",
-                backend
+                "backend {backend:?}"
             );
-            if backend == StoreBackend::File {
-                let before = store.fault_count();
-                assert!(before > 0, "proof faulted pages");
-                // Fault count is a strict subset of all pages.
-                let total: usize = (0..dense.height())
-                    .map(|l| store.page_source(0x0100 + l as u16).unwrap().num_pages())
-                    .sum();
-                assert!((before as usize) < total + dense.height());
-            } else {
-                assert_eq!(store.fault_count(), 0);
-            }
+            // The proof faulted pages, a strict subset of all of them.
+            let faulted = store.fault_count() - at_open;
+            assert!(faulted > 0 && faulted < total_pages, "faulted {faulted}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -444,33 +236,19 @@ mod tests {
         let mut w = SnapshotWriter::create(&path).unwrap();
         let entry_bytes: Vec<u8> = entries.iter().flat_map(|e| e.encode()).collect();
         w.paged(0x0035, &entry_bytes, page_entries * 16).unwrap();
-        for (l, level) in dense.tree().dense_levels().unwrap().iter().enumerate() {
-            let bytes: Vec<u8> = level.iter().flat_map(|d| *d.as_bytes()).collect();
-            w.paged(0x0300 + l as u16, &bytes, 16 * DIGEST_LEN).unwrap();
-        }
+        write_levels(&mut w, 0x0300, dense.tree(), 16);
         w.finish().unwrap();
 
-        let store = NodeStore::open_file(&path).unwrap();
-        let tree_pager = Arc::new(TreePager::new(
-            (0..dense.tree().height())
-                .map(|l| store.page_source(0x0300 + l as u16).unwrap())
-                .collect(),
-        ));
-        let tree = MerkleTree::open_paged(
-            tree_pager as Arc<dyn DigestPager>,
-            dense.len(),
-            dense.tree().fanout(),
-            16,
-        )
-        .unwrap();
+        let store = NodeStore::open(&path, StoreBackend::File).unwrap();
+        let tree = open_levels(&store, 0x0300, dense.tree(), 16);
         let first_keys: Vec<u64> = entries.chunks(page_entries).map(|c| c[0].key).collect();
-        let entry_pager = Arc::new(EntryPageSource(store.page_source(0x0035).unwrap()));
         let paged = MerkleBTree::open_paged(
-            entry_pager as Arc<dyn EntryPager>,
+            Arc::new(store.paged(0x0035).unwrap()),
             entries.len(),
             page_entries,
             first_keys,
             tree,
+            PageCacheCfg::default(),
         )
         .unwrap();
         assert_eq!(paged.root(), dense.root());
@@ -499,9 +277,12 @@ mod tests {
         let pos = 4096 + 10 * 32 + 5000;
         bytes[pos] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(NodeStore::open_mem(&path).is_err());
+        assert!(matches!(
+            NodeStore::open(&path, StoreBackend::Mem),
+            Err(StoreError::ChecksumMismatch(_))
+        ));
         // The File backend opens (header/table intact)…
-        let store = NodeStore::open_file(&path).unwrap();
+        let store = NodeStore::open(&path, StoreBackend::File).unwrap();
         // …but the faulted page read reports the mismatch.
         assert!(matches!(
             store.paged_all(5),

@@ -334,20 +334,9 @@ impl PagedReader {
         self.digests.len()
     }
 
-    /// Page length in bytes (last page may be short).
-    pub fn page_len(&self) -> usize {
-        self.page_len as usize
-    }
-
     /// Total payload length in bytes.
     pub fn data_len(&self) -> u64 {
         self.data_len
-    }
-
-    /// Pages faulted through the shared counter this reader was opened
-    /// with.
-    pub fn fault_count(&self) -> u64 {
-        self.faults.load(Ordering::Relaxed)
     }
 
     /// Reads and verifies one page.

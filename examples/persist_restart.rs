@@ -58,7 +58,7 @@ fn main() {
     );
     assert_eq!(loaded.public_key, published.public_key);
     println!(
-        "provider: cold start from FileStore — 0 signing ops, lazy={}, {} pages faulted at open",
+        "provider: cold start from the snapshot file (File backend) — 0 signing ops, lazy={}, {} pages faulted at open",
         loaded.store.is_lazy(),
         loaded.store.fault_count()
     );

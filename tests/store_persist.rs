@@ -120,6 +120,86 @@ fn file_backend_faults_pages_lazily() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Byte offset of the first page of paged section `id`, read from the
+/// snapshot's section table: the header holds the section count (bytes
+/// 12..16) and the table offset (16..24); a 64-byte table entry holds
+/// the id (0..2), the section offset (8..16), its length (16..24) and
+/// its page-payload length (24..32), behind the page digest array.
+fn first_page_at(bytes: &[u8], id: u16) -> usize {
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let table = word(16);
+    let entry = (0..count)
+        .map(|i| table + 64 * i)
+        .find(|&e| u16::from_le_bytes([bytes[e], bytes[e + 1]]) == id)
+        .expect("section present");
+    word(entry + 8) + word(entry + 16) - word(entry + 24)
+}
+
+/// `Mem` verifies every section at open, also the tree pages its dense
+/// loaders never read: a byte flipped in a network-tree level above the
+/// leaves, or in a HYP hyper-edge tree level, fails the `Mem` load with
+/// a typed checksum mismatch. `File` opens the same file, and only the
+/// proofs that fault the page fail; every other answer is byte-equal
+/// to a fresh provider's.
+#[test]
+fn mem_load_verifies_pages_no_dense_loader_reads() {
+    use spnet_core::snapshot::{SnapshotError, SEC_HYP_HYPER_TREE, SEC_NET_TREE};
+    use spnet_store::StoreError;
+
+    let _g = sign_lock();
+    let g = grid_network(24, 24, 1.15, 940);
+    for (method, section) in [
+        (MethodConfig::Dij, SEC_NET_TREE + 1),
+        (MethodConfig::Hyp { cells: 9 }, SEC_HYP_HYPER_TREE),
+    ] {
+        let mut rng = StdRng::seed_from_u64(941);
+        let p = DataOwner::publish(&g, &method, &SetupConfig::default(), &mut rng);
+        let dir = tmpdir("unread-page");
+        let path = p.save_snapshot(&dir).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = first_page_at(&bytes, section) + 5;
+        bytes[at] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let err = ProviderPackage::load_snapshot(&dir, StoreBackend::Mem).err();
+        assert!(
+            matches!(
+                err,
+                Some(SnapshotError::Store(StoreError::ChecksumMismatch(_)))
+            ),
+            "{method:?}: {err:?}"
+        );
+        let loaded = ProviderPackage::load_snapshot(&dir, StoreBackend::File).unwrap();
+        let cold = ServiceProvider::new(loaded.package);
+        let fresh = ServiceProvider::new(p.package);
+        let (mut served, mut refused) = (0, 0);
+        for s in (0..576u32).step_by(23) {
+            let (vs, vt) = (NodeId(s), NodeId((s * 37 + 11) % 576));
+            match cold.answer(vs, vt) {
+                Ok(a) => {
+                    let want = fresh.answer(vs, vt).unwrap();
+                    assert_eq!(
+                        spnet_core::wire::encode_answer(&a),
+                        spnet_core::wire::encode_answer(&want),
+                        "{vs} → {vt}"
+                    );
+                    served += 1;
+                }
+                Err(e) => {
+                    assert!(e.to_string().contains("checksum mismatch"), "{e}");
+                    refused += 1;
+                }
+            }
+        }
+        assert!(
+            served > 0 && refused > 0,
+            "{method:?}: {served} served, {refused} refused"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// Truncations at every interesting boundary decode to typed errors —
 /// never a panic, never a serving package.
 #[test]
