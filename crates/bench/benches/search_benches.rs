@@ -6,15 +6,23 @@
 //! (`spnet_graph::algo::dijkstra::reference`), every `workspace/*`
 //! bench the generation-stamped 4-ary-heap implementation on one
 //! reused [`SearchWorkspace`]. `landmark_repair/*` times LDM's
-//! in-place row repair against the full rows it replaces.
+//! in-place row repair against the full rows it replaces, and
+//! `epoch_update/*` one owner update through the serving facade.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use spnet_core::methods::{LdmConfig, MethodConfig};
+use spnet_core::owner::{DataOwner, SetupConfig};
+use spnet_core::SpService;
+use spnet_crypto::rsa::RsaKeyPair;
 use spnet_graph::algo::dijkstra::reference;
 use spnet_graph::gen::{grid_network, road_network};
 use spnet_graph::landmark::repair_row;
 use spnet_graph::search::SearchWorkspace;
 use spnet_graph::NodeId;
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// Repeated full SSSP on a mid-size network (the FULL/HYP/landmark
 /// construction pattern).
@@ -136,9 +144,9 @@ fn bench_landmark_repair(c: &mut Criterion) {
     let mut g = road_network(100, 100, 1.05, 1.0, 24);
     let landmarks: Vec<NodeId> = (0..16u32).map(|i| NodeId(i * 625)).collect();
     let mut ws = SearchWorkspace::with_capacity(g.num_nodes());
-    let rows: Vec<Vec<f64>> = landmarks
+    let rows: Vec<Arc<[f64]>> = landmarks
         .iter()
-        .map(|&l| ws.sssp(&g, l).dist_vec())
+        .map(|&l| ws.sssp(&g, l).dist_vec().into())
         .collect();
     // An edge mid-network on the first landmark's shortest-path tree,
     // raised by half.
@@ -149,9 +157,12 @@ fn bench_landmark_repair(c: &mut Criterion) {
         .expect("a connected road has tree edges");
     g.set_edge_weight(u, v, w * 1.5);
     let mut grp = c.benchmark_group("landmark_repair");
+    // Each sample repairs private copies of the rows, so this times the
+    // repair alone; `epoch_update` also pays for copying the rows an
+    // edge reaches out of the previous epoch.
     grp.bench_function("incremental", |b| {
         b.iter_batched(
-            || rows.clone(),
+            || rows.iter().map(|r| Arc::from(&r[..])).collect::<Vec<_>>(),
             |mut rows| {
                 for (row, &l) in rows.iter_mut().zip(&landmarks) {
                     repair_row(&g, l, row, u, v, w);
@@ -172,11 +183,47 @@ fn bench_landmark_repair(c: &mut Criterion) {
     grp.finish();
 }
 
+/// One owner update through `SpService::update_edge_weight` — clone
+/// the serving package, repair it, re-sign the root, publish the epoch
+/// and drop the one it evicts — for LDM with c = 8 on a 10k-node road,
+/// with the default ring of epochs. Updates cycle over edges spread
+/// across the network, raising each by half and restoring it on the
+/// next pass.
+fn bench_epoch_update(c: &mut Criterion) {
+    let g = road_network(100, 100, 1.05, 1.0, 25);
+    let mut rng = StdRng::seed_from_u64(25);
+    let keypair = RsaKeyPair::generate(&mut rng, 1024);
+    let method = MethodConfig::Ldm(LdmConfig {
+        landmarks: 8,
+        ..LdmConfig::default()
+    });
+    let published = DataOwner::publish_with_key(&g, &method, &SetupConfig::default(), &keypair);
+    let service = SpService::builder()
+        .package(published.package)
+        .threads(0)
+        .build();
+    let edges: Vec<(NodeId, NodeId, f64)> = g.edges().step_by(g.num_edges() / 64).collect();
+    let mut next = 0usize;
+    let mut grp = c.benchmark_group("epoch_update");
+    grp.bench_function("ldm_c8_10k", |b| {
+        b.iter(|| {
+            let (u, v, w) = edges[next % edges.len()];
+            let raise = (next / edges.len()).is_multiple_of(2);
+            next += 1;
+            service
+                .update_edge_weight(&keypair, u, v, if raise { w * 1.5 } else { w })
+                .expect("edge exists")
+        })
+    });
+    grp.finish();
+}
+
 criterion_group!(
     benches,
     bench_repeated_sssp,
     bench_short_queries,
     bench_balls,
-    bench_landmark_repair
+    bench_landmark_repair,
+    bench_epoch_update
 );
 criterion_main!(benches);

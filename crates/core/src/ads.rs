@@ -8,6 +8,7 @@
 
 use crate::enc::Encoder;
 use crate::tuple::ExtendedTuple;
+use spnet_crypto::blocks::Blocks;
 use spnet_crypto::digest::{hash_bytes, Digest};
 use spnet_crypto::merkle::{MerkleError, MerkleProof, MerkleTree};
 use spnet_crypto::rsa::{RsaKeyPair, RsaPublicKey, RsaSignature};
@@ -101,16 +102,19 @@ impl SignedRoot {
 /// The network ADS: ordering + Merkle tree + per-node tuples.
 ///
 /// Held by the service provider; the owner only needs it long enough to
-/// sign the root.
+/// sign the root. A clone shares everything: the ordering (no update
+/// writes it) by one reference count, the tuple handles and the tree
+/// levels by one per block, so an update copies only the blocks it
+/// writes.
 #[derive(Debug, Clone)]
 pub struct NetworkAds {
     /// Leaf position → node id.
-    order: Vec<NodeId>,
+    order: Arc<[NodeId]>,
     /// Node id → leaf position.
-    position: Vec<u32>,
+    position: Arc<[u32]>,
     /// Tuples indexed by node id, reference-counted so proofs share
     /// them instead of deep-cloning adjacency lists per query.
-    tuples: Vec<Arc<ExtendedTuple>>,
+    tuples: Blocks<Arc<ExtendedTuple>>,
     /// Merkle tree over ordered tuple digests.
     tree: MerkleTree,
 }
@@ -136,8 +140,8 @@ impl NetworkAds {
         let leaves: Vec<Digest> = order.iter().map(|v| tuples[v.index()].digest()).collect();
         let tree = MerkleTree::build(leaves, fanout).expect("non-empty network");
         NetworkAds {
-            order,
-            position,
+            order: order.into(),
+            position: position.into(),
             tuples: tuples.into_iter().map(Arc::new).collect(),
             tree,
         }
@@ -166,9 +170,9 @@ impl NetworkAds {
             *slot = i as u32;
         }
         Some(NetworkAds {
-            order,
-            position,
-            tuples,
+            order: order.into(),
+            position: position.into(),
+            tuples: tuples.into_iter().collect(),
             tree,
         })
     }
@@ -216,13 +220,26 @@ impl NetworkAds {
         self.position[v.index()]
     }
 
-    /// Replaces a node's tuple and patches its Merkle path in place
-    /// (dynamic updates; see `spnet_core::update`).
-    pub fn replace_tuple(&mut self, v: NodeId, tuple: ExtendedTuple) -> Result<(), MerkleError> {
-        let pos = self.position(v) as usize;
-        let digest = tuple.digest();
-        self.tuples[v.index()] = Arc::new(tuple);
-        self.tree.update_leaf(pos, digest)
+    /// Replaces the tuples of the nodes they name (`ExtendedTuple::id`)
+    /// and patches their Merkle paths in one batched repair
+    /// ([`MerkleTree::update_leaves`]) — the dynamic-update primitive
+    /// (see `spnet_core::update`). Only the tuple and digest blocks
+    /// holding a replaced entry are copied; a snapshot-loaded paged
+    /// tree is first rebuilt dense from the resident tuples (the same
+    /// leaves, so the same root).
+    pub fn replace_tuples(&mut self, tuples: Vec<ExtendedTuple>) -> Result<(), MerkleError> {
+        if self.tree.is_paged() {
+            let leaves = self.order.iter().map(|v| self.tuple(*v).digest()).collect();
+            self.tree = MerkleTree::build(leaves, self.fanout())?;
+        }
+        let mut leaves: Vec<(usize, Digest)> = tuples
+            .iter()
+            .map(|t| (self.position(t.id) as usize, t.digest()))
+            .collect();
+        leaves.sort_by_key(|&(pos, _)| pos);
+        self.tuples
+            .set_sorted(tuples.into_iter().map(|t| (t.id.index(), Arc::new(t))));
+        self.tree.update_leaves(&leaves)
     }
 
     /// Builds the Merkle cover proof for a set of nodes.
@@ -259,6 +276,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use spnet_crypto::blocks::PAGE_DIGESTS;
     use spnet_graph::gen::grid_network;
 
     fn ads(fanout: usize, ordering: NodeOrdering) -> (Graph, NetworkAds) {
@@ -357,6 +375,63 @@ mod tests {
             .reconstruct_root(&[(a.position(v) as usize, evil.digest())])
             .unwrap();
         assert_ne!(root, a.root());
+    }
+
+    #[test]
+    fn replace_tuples_copies_only_the_blocks_it_writes() {
+        // 2,500 nodes: 5 tuple blocks of 512 handles, 20 leaf blocks of
+        // 128 digests. Two replaced tuples write their tuple blocks and
+        // the tree blocks on their leaves' paths; the other epoch keeps
+        // every block and its own root.
+        let g = grid_network(50, 50, 1.15, 206);
+        let tuples: Vec<ExtendedTuple> = g.nodes().map(|v| ExtendedTuple::base(&g, v)).collect();
+        let old = NetworkAds::build(&g, tuples, NodeOrdering::Hilbert, 2, 207);
+        let mut new = old.clone();
+        let nodes = [NodeId(3), NodeId(2_000)];
+        let fresh: Vec<ExtendedTuple> = nodes
+            .iter()
+            .map(|&v| {
+                let mut t = old.tuple(v).clone();
+                t.adj[0].1 += 1.0;
+                t
+            })
+            .collect();
+        new.replace_tuples(fresh.clone()).unwrap();
+        assert!(Arc::ptr_eq(&old.order, &new.order));
+        assert!(Arc::ptr_eq(&old.position, &new.position));
+        let block = Blocks::<Arc<ExtendedTuple>>::BLOCK_LEN;
+        let written: Vec<usize> = nodes.iter().map(|v| v.index() / block).collect();
+        for (b, (x, y)) in old
+            .tuples
+            .blocks()
+            .iter()
+            .zip(new.tuples.blocks())
+            .enumerate()
+        {
+            assert_eq!(Arc::ptr_eq(x, y), !written.contains(&b), "tuple block {b}");
+        }
+        let mut path: Vec<usize> = nodes.iter().map(|&v| old.position(v) as usize).collect();
+        let levels = old.tree.dense_levels().unwrap().iter();
+        for (lvl, (la, lb)) in levels.zip(new.tree.dense_levels().unwrap()).enumerate() {
+            let written: Vec<usize> = path.iter().map(|&i| i / PAGE_DIGESTS).collect();
+            for (b, (x, y)) in la.blocks().iter().zip(lb.blocks()).enumerate() {
+                assert_eq!(
+                    Arc::ptr_eq(x, y),
+                    !written.contains(&b),
+                    "level {lvl} block {b}"
+                );
+            }
+            path = path.iter().map(|&i| i / 2).collect();
+        }
+        // The new epoch equals a fresh build; the old one is unchanged.
+        let mut all: Vec<ExtendedTuple> = g.nodes().map(|v| ExtendedTuple::base(&g, v)).collect();
+        for t in &fresh {
+            all[t.id.index()] = t.clone();
+        }
+        let rebuilt = NetworkAds::build(&g, all, NodeOrdering::Hilbert, 2, 207);
+        assert_eq!(new.root(), rebuilt.root());
+        assert_ne!(old.root(), new.root());
+        assert_eq!(old.tuple(nodes[0]), &ExtendedTuple::base(&g, nodes[0]));
     }
 
     #[test]

@@ -258,16 +258,19 @@ impl DistanceAds {
             let row = with_thread_workspace(|ws| ws.sssp(g, NodeId(s)).dist_vec());
             (s, row)
         });
+        let mut roots = Vec::with_capacity(fresh.len());
         for (s, row) in fresh {
             if let Some(m) = &mut self.matrix {
                 m.set_row(s as usize, &row);
             }
             let root = row_root(s, &row, self.fanout);
             self.row_roots[s as usize] = root;
-            self.top
-                .update_leaf(s as usize, root)
-                .map_err(|e| crate::update::UpdateError::Rebuild(e.to_string()))?;
+            roots.push((s as usize, root));
         }
+        roots.sort_by_key(|&(s, _)| s);
+        self.top
+            .update_leaves(&roots)
+            .map_err(|e| crate::update::UpdateError::Rebuild(e.to_string()))?;
         self.row_cache = row_cache();
         Ok(rows.len())
     }

@@ -195,9 +195,8 @@ impl HypHints {
                     .collect()
             })
         });
-        for e in fresh.into_iter().flatten() {
-            tree.update_value(e.key, e.value).map_err(rebuild)?;
-        }
+        let fresh: Vec<KeyedEntry> = fresh.into_iter().flatten().collect();
+        tree.update_values(&fresh).map_err(rebuild)?;
         Ok(repaired)
     }
 

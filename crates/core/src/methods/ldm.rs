@@ -124,7 +124,7 @@ impl AuthMethod for LdmMethod {
         // Nodes whose row entries moved, when known.
         let (changed, repaired) = match &mut h.exact {
             Some(exact) => {
-                let mut rows: Vec<(NodeId, &mut [f64])> = exact.rows_mut().collect();
+                let mut rows: Vec<(NodeId, &mut Arc<[f64]>)> = exact.rows_mut().collect();
                 let per_row = crate::par::map_jobs_mut(&mut rows, |(l, row)| {
                     repair_row(g, *l, row, change.u, change.v, change.old_weight)
                 });
@@ -143,7 +143,7 @@ impl AuthMethod for LdmMethod {
         };
         let exact = h.exact.as_ref().expect("exact rows ensured above");
         if let (Some(changed), CompressionStrategy::HilbertSweep) = (&changed, h.compression) {
-            let order = h.sweep_order.get_or_insert_with(|| hilbert_order(g));
+            let order = h.sweep_order.get_or_insert_with(|| hilbert_order(g).into());
             if let Some(tuples) = h.vectors.resweep(exact, order, changed) {
                 return Ok(crate::methods::DirtySet {
                     tuples,
@@ -189,7 +189,7 @@ impl AuthMethod for LdmMethod {
             match cv.node_psi(NodeId(v)) {
                 NodePsi::Full(q) => {
                     e.put_u8(0);
-                    for &x in q {
+                    for &x in q.iter() {
                         e.put_u32(x);
                     }
                 }
@@ -243,7 +243,7 @@ impl AuthMethod for LdmMethod {
                     for _ in 0..c {
                         q.push(d.take_u32()?);
                     }
-                    psi.push(NodePsi::Full(q));
+                    psi.push(NodePsi::Full(q.into()));
                 }
                 1 => {
                     let theta = NodeId(d.take_u32()?);
@@ -383,13 +383,15 @@ pub struct LdmHints {
     /// `None` after a snapshot load; the first repair then recomputes
     /// every row, one Dijkstra per landmark fanned over the cores, and
     /// repairs in place from then on. Never persisted: it is
-    /// reproducible and |V|·c floats.
+    /// reproducible and |V|·c floats. Each row is shared between
+    /// epochs until an update reaches it: an epoch copies only the
+    /// rows its repair writes (|V| floats each).
     pub exact: Option<LandmarkVectors>,
     /// Owner-side Hilbert order of the nodes, the compression sweep's
     /// order. It depends on coordinates only, so the first windowed
-    /// re-sweep computes it and later updates reuse it. Never
+    /// re-sweep computes it and every later epoch shares it. Never
     /// persisted.
-    pub sweep_order: Option<Vec<NodeId>>,
+    pub sweep_order: Option<Arc<[NodeId]>>,
     /// Construction wall-clock seconds (landmark Dijkstras +
     /// quantization + compression) for Figure 12b.
     pub build_seconds: f64,
@@ -694,6 +696,75 @@ mod tests {
         let tuples = proof_tuples(&g, &hints, &gamma);
         let got = verify_subgraph_astar(&as_map(&tuples), s, t, hints.lambda()).unwrap();
         assert!((got - d).abs() <= 1e-9 * d.max(1.0));
+    }
+
+    #[test]
+    fn an_epoch_copies_only_the_rows_and_vectors_its_update_writes() {
+        use crate::owner::{DataOwner, SetupConfig};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use spnet_crypto::rsa::RsaKeyPair;
+        use spnet_graph::gen::road_network;
+
+        let g = road_network(30, 30, 1.05, 1.0, 510);
+        let kp = RsaKeyPair::generate(&mut StdRng::seed_from_u64(511), 256);
+        let method = MethodConfig::Ldm(LdmConfig {
+            landmarks: 8,
+            ..LdmConfig::default()
+        });
+        let mut epoch1 =
+            DataOwner::publish_with_key(&g, &method, &SetupConfig::default(), &kp).package;
+        let hints = |p: &ProviderPackage| match &p.hints {
+            MethodHints::Ldm(h) => h.clone(),
+            _ => unreachable!(),
+        };
+        // A first update computes the sweep order, which later epochs
+        // share.
+        let (a, b, w) = g.edges().next().unwrap();
+        crate::update::update_edge_weight(&mut epoch1, &kp, a, b, w * 1.5).unwrap();
+        // Raise an edge on landmark 0's shortest-path tree and off
+        // landmark 7's: it reaches row 0, and not row 7.
+        let old = hints(&epoch1);
+        let rows = old.exact.as_ref().unwrap().rows();
+        let tight = |r: &[f64], x: NodeId, y: NodeId, w: f64| {
+            r[y.index()] == r[x.index()] + w || r[x.index()] == r[y.index()] + w
+        };
+        let (u, v, w) = g
+            .edges()
+            .find(|&(x, y, w)| tight(&rows[0], x, y, w) && !tight(&rows[7], x, y, w))
+            .expect("landmark trees differ");
+        let mut epoch2 = epoch1.clone();
+        let dirty = crate::update::update_edge_weight(&mut epoch2, &kp, u, v, w * 3.0).unwrap();
+        let new = hints(&epoch2);
+
+        let (old_rows, new_rows) = (old.exact.unwrap(), new.exact.unwrap());
+        let mut copied = 0;
+        for (l, (x, y)) in old_rows.rows().iter().zip(new_rows.rows()).enumerate() {
+            let same = x
+                .iter()
+                .zip(y.iter())
+                .all(|(p, q)| p.to_bits() == q.to_bits());
+            assert_eq!(Arc::ptr_eq(x, y), same, "row {l}");
+            copied += usize::from(!same);
+        }
+        assert!((1..8).contains(&copied), "{copied} of 8 rows copied");
+        assert!(Arc::ptr_eq(
+            old.sweep_order.as_ref().unwrap(),
+            new.sweep_order.as_ref().unwrap()
+        ));
+        // λ held, so the windowed re-sweep ran: a full vector is shared
+        // unless the re-sweep rewrote it.
+        assert!(dirty.new_params.is_none());
+        let mut shared = 0;
+        for x in g.nodes() {
+            if let (NodePsi::Full(p), NodePsi::Full(q)) =
+                (old.vectors.node_psi(x), new.vectors.node_psi(x))
+            {
+                assert_eq!(Arc::ptr_eq(p, q), p == q, "ψ({x})");
+                shared += usize::from(Arc::ptr_eq(p, q));
+            }
+        }
+        assert!(shared > 0);
     }
 
     #[test]

@@ -9,9 +9,12 @@ use spnet_graph::NodeId;
 /// The service provider role: holds the owner's package and answers
 /// shortest-path queries with verification proofs.
 ///
-/// `Clone` deep-copies the package — the service facade's MVCC epoch
-/// ring clones the serving state so an owner update repairs a private
-/// copy while pinned epochs keep draining the original.
+/// `Clone` shares the package's blocks — the service facade's MVCC
+/// epoch ring clones the serving state so an owner update repairs its
+/// own epoch while pinned epochs keep draining the original. The clone
+/// bumps reference counts on the tree levels, tuple handles, B-tree
+/// entries, landmark rows and graph topology; the repair then copies
+/// only the blocks it writes, so older epochs never see its changes.
 #[derive(Clone)]
 pub struct ServiceProvider {
     pub(crate) package: ProviderPackage,

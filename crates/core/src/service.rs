@@ -135,7 +135,12 @@ impl From<StreamError> for SessionError {
 }
 
 /// Default number of epochs the service retains for draining sessions
-/// (see [`SpServiceBuilder::retain_epochs`]).
+/// (see [`SpServiceBuilder::retain_epochs`]). Epochs share every block
+/// of the package that no update between them wrote, so each retained
+/// epoch beyond the first costs only its unshared blocks: the tree,
+/// tuple and entry blocks and the landmark rows its update copied, plus
+/// the arrays every update copies whole (the graph's edge weights,
+/// LDM's per-node ψ representations, FULL's row roots).
 pub const DEFAULT_RETAIN_EPOCHS: usize = 4;
 
 /// One retained epoch: the counter value and the provider state that
@@ -185,15 +190,16 @@ impl ServiceState {
             })
     }
 
-    /// Publishes `provider` as the next epoch, evicting entries past
-    /// the retention horizon. Returns the new epoch.
-    fn push(&mut self, provider: ServiceProvider) -> u64 {
+    /// Publishes `provider` as the next epoch and evicts the entries
+    /// past the retention horizon. Returns the new epoch and the
+    /// evicted entries, for the caller to drop once it has released
+    /// the lock: freeing an epoch's unshared blocks is work no reader
+    /// should wait for.
+    fn push(&mut self, provider: ServiceProvider) -> (u64, Vec<EpochEntry>) {
         let epoch = self.current_epoch() + 1;
         self.epochs.push_back(EpochEntry { epoch, provider });
-        while self.epochs.len() > self.retain {
-            self.epochs.pop_front();
-        }
-        epoch
+        let evict = self.epochs.len().saturating_sub(self.retain);
+        (epoch, self.epochs.drain(..evict).collect())
     }
 }
 
@@ -432,7 +438,10 @@ impl SpService {
     /// session whose epoch falls past the
     /// [`SpServiceBuilder::retain_epochs`] horizon observes
     /// [`SessionError::EpochInvalidated`]; new sessions bind the fresh
-    /// epoch. A failed repair publishes nothing. Returns the new epoch.
+    /// epoch. The clone shares every block of the serving package, so
+    /// the epoch costs only the blocks the repair writes; the evicted
+    /// epoch is freed after the lock is released. A failed repair
+    /// publishes nothing. Returns the new epoch.
     pub fn update_edge_weight(
         &self,
         keypair: &RsaKeyPair,
@@ -443,7 +452,10 @@ impl SpService {
         let mut st = self.inner.state.write().expect("service lock poisoned");
         let mut provider = st.latest().provider.clone();
         update::update_edge_weight(&mut provider.package, keypair, u, v, new_weight)?;
-        Ok(st.push(provider))
+        let (epoch, evicted) = st.push(provider);
+        drop(st);
+        drop(evicted);
+        Ok(epoch)
     }
 
     /// Owner-side: persists the **latest** epoch back into the snapshot

@@ -50,12 +50,11 @@ use std::sync::Arc;
 /// File name of the snapshot inside its directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.spnet";
 
-/// Digests per page of a persisted Merkle level (128 × 32 B = 4 KiB).
-pub const PAGE_DIGESTS: usize = 128;
-
-/// [`KeyedEntry`] records per page of a persisted B-tree entry array
-/// (256 × 16 B = 4 KiB).
-pub const PAGE_ENTRIES: usize = 256;
+/// Digests per page of a persisted Merkle level (128 × 32 B = 4 KiB),
+/// and [`KeyedEntry`] records per page of a persisted B-tree entry
+/// array (256 × 16 B = 4 KiB). A page is also the block a resident
+/// tree shares between epochs ([`spnet_crypto::blocks`]).
+pub use spnet_crypto::blocks::{PAGE_DIGESTS, PAGE_ENTRIES};
 
 /// Residency bound (in pages) of each paged structure opened over a
 /// lazy store: faulted pages beyond this are evicted LRU and simply
@@ -278,11 +277,11 @@ pub(crate) fn write_tree(
         .dense_levels()
         .ok_or(SnapshotError::Corrupt("cannot snapshot a paged tree"))?;
     for (l, level) in levels.iter().enumerate() {
-        w.paged(
-            base + l as u16,
-            &digests_to_bytes(level),
-            PAGE_DIGESTS * DIGEST_LEN,
-        )?;
+        let mut bytes = Vec::with_capacity(level.len() * DIGEST_LEN);
+        for d in level.iter() {
+            bytes.extend_from_slice(d.as_bytes());
+        }
+        w.paged(base + l as u16, &bytes, PAGE_DIGESTS * DIGEST_LEN)?;
     }
     Ok(())
 }
@@ -320,11 +319,16 @@ pub(crate) fn write_btree(
     let entries = bt
         .dense_entries()
         .ok_or(SnapshotError::Corrupt("cannot snapshot a paged B-tree"))?;
-    let entry_bytes: Vec<u8> = entries.iter().flat_map(|e| e.encode()).collect();
+    let mut entry_bytes = Vec::with_capacity(entries.len() * 16);
+    for e in entries.iter() {
+        entry_bytes.extend_from_slice(&e.encode());
+    }
     w.paged(entries_id, &entry_bytes, PAGE_ENTRIES * 16)?;
+    // One resident block is one page: its first key is the page's.
     let key_bytes: Vec<u8> = entries
-        .chunks(PAGE_ENTRIES)
-        .flat_map(|c| c[0].key.to_le_bytes())
+        .blocks()
+        .iter()
+        .flat_map(|b| b[0].key.to_le_bytes())
         .collect();
     w.blob(keys_id, &key_bytes)?;
     write_tree(w, tree_base, bt.tree())

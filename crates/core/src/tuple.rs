@@ -127,7 +127,7 @@ impl ExtendedTuple {
         t.psi = Some(match cv.node_psi(v) {
             NodePsi::Full(q) => PsiPayload::Full {
                 bits: cv.bits(),
-                q: q.clone(),
+                q: q.to_vec(),
             },
             NodePsi::Compressed { theta, eps } => PsiPayload::Ref {
                 theta: *theta,

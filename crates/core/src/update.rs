@@ -11,9 +11,19 @@
 //!    dirty distance rows, LDM: landmark rows repaired in place and
 //!    the ψ payloads they move, HYP: dirty border-pair hyper-edges)
 //!    and re-signs the affected aux roots,
-//! 3. rebuilds the dirty extended-tuples and their O(log |V|) Merkle
-//!    paths, and
+//! 3. rebuilds the dirty extended-tuples and repairs their Merkle paths
+//!    in one batch, hashing each touched tree node once, and
 //! 4. re-signs the network root.
+//!
+//! An update repairs a clone of the serving package (the service keeps
+//! the previous epochs serving), and that clone is cheap: the package's
+//! large arrays are held as reference-counted blocks or rows — tree
+//! levels, B-tree entries and tuple handles in blocks of one snapshot
+//! page ([`spnet_crypto::blocks`]), LDM's exact landmark rows one row
+//! each, the graph's topology behind one handle. A clone bumps
+//! reference counts; the repair copies only the blocks and rows it
+//! writes, so an epoch costs its repair, and two epochs share every
+//! block neither wrote.
 //!
 //! For FULL and HYP, the dirty set is bounded by a tightness test on
 //! four single-source shortest-path trees (from both endpoints, on the
@@ -30,7 +40,6 @@
 use crate::ads::SignedRoot;
 use crate::methods::{ChangeDists, DirtySet, EdgeChange};
 use crate::owner::ProviderPackage;
-use spnet_crypto::merkle::MerkleTree;
 use spnet_crypto::rsa::RsaKeyPair;
 use spnet_graph::search::with_thread_workspace;
 use spnet_graph::NodeId;
@@ -68,30 +77,6 @@ impl std::error::Error for UpdateError {}
 /// an edge `(u, v)` of weight `w` — the sufficient "dirty" condition.
 pub(crate) fn edge_is_tight(du: f64, dv: f64, w: f64) -> bool {
     du.is_finite() && dv.is_finite() && (du - dv).abs() >= w - DIRTY_EPS
-}
-
-/// Re-densifies the network tree of a snapshot-loaded package: paged
-/// Merkle levels are read-only views, so before the first in-place
-/// tuple patch the tree is rebuilt from the resident tuples (the same
-/// leaves the `Mem` backend rebuilds at load — bit-identical root).
-fn densify_network(package: &mut ProviderPackage) -> Result<(), UpdateError> {
-    if package.ads.tree().dense_levels().is_some() {
-        return Ok(());
-    }
-    let order = package.ads.order().to_vec();
-    let fanout = package.ads.fanout();
-    let leaves: Vec<_> = order
-        .iter()
-        .map(|&n| package.ads.tuple(n).digest())
-        .collect();
-    let tree =
-        MerkleTree::build(leaves, fanout).map_err(|e| UpdateError::Rebuild(e.to_string()))?;
-    let tuples = (0..order.len() as u32)
-        .map(|i| package.ads.tuple_shared(NodeId(i)))
-        .collect();
-    package.ads = crate::ads::NetworkAds::from_parts(order, tuples, tree)
-        .ok_or_else(|| UpdateError::Rebuild("inconsistent network ADS parts".into()))?;
-    Ok(())
 }
 
 /// Owner-side: changes the weight of edge `(u, v)` inside a package of
@@ -152,14 +137,15 @@ pub fn update_edge_weight(
     dirty.tuples.sort_unstable();
     dirty.tuples.dedup();
 
-    densify_network(package)?;
-    for &node in &dirty.tuples {
-        let tuple = method.make_tuple(&package.graph, node, &package.hints);
-        package
-            .ads
-            .replace_tuple(node, tuple)
-            .map_err(|e| UpdateError::Rebuild(e.to_string()))?;
-    }
+    let tuples = dirty
+        .tuples
+        .iter()
+        .map(|&node| method.make_tuple(&package.graph, node, &package.hints))
+        .collect();
+    package
+        .ads
+        .replace_tuples(tuples)
+        .map_err(|e| UpdateError::Rebuild(e.to_string()))?;
     // Re-sign the network root. Metadata is normally unchanged
     // (geometry and params survive a weight patch); a repair that moved
     // a signed parameter (LDM's λ follows Dmax) hands back the

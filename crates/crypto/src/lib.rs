@@ -20,6 +20,9 @@
 //!   subtree rule (Section III-B of the paper).
 //! * [`mbtree`] — a keyed Merkle B-tree used for materialized distance
 //!   tuples (the FULL method) and hyper-edge weights (the HYP method).
+//! * [`blocks`] — the copy-on-write block array both trees store their
+//!   resident records in, one snapshot page per block, so epochs share
+//!   every block an update does not write.
 //!
 //! # Security disclaimer
 //!
@@ -46,6 +49,7 @@
 //! ```
 
 mod bigint;
+pub mod blocks;
 pub mod cache;
 pub mod digest;
 pub mod mbtree;

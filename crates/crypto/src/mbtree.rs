@@ -10,6 +10,7 @@
 //! value together, so a lookup proof authenticates both; membership of
 //! *sets* of keys reuses the multi-leaf Merkle proof machinery.
 
+use crate::blocks::Blocks;
 use crate::cache::{PageCache, PageCacheCfg};
 use crate::digest::{hash_bytes, Digest};
 use crate::merkle::{MerkleError, MerkleProof, MerkleTree};
@@ -238,8 +239,9 @@ impl KeyRangeProof {
 /// Physical representation of the sorted entry array.
 #[derive(Debug, Clone)]
 enum EntryRepr {
-    /// All entries resident (the historical layout).
-    Dense(Vec<KeyedEntry>),
+    /// All entries resident, as copy-on-write blocks of one snapshot
+    /// page each.
+    Dense(Blocks<KeyedEntry>),
     /// Entries faulted in page-by-page from a backing store. The first
     /// key of each page is kept resident so a lookup binary-searches
     /// the sparse index first and faults exactly one page.
@@ -272,7 +274,7 @@ impl MerkleBTree {
         let leaves: Vec<Digest> = entries.iter().map(KeyedEntry::digest).collect();
         let tree = MerkleTree::build(leaves, fanout)?;
         Ok(MerkleBTree {
-            entries: EntryRepr::Dense(entries),
+            entries: EntryRepr::Dense(entries.into()),
             tree,
         })
     }
@@ -358,7 +360,7 @@ impl MerkleBTree {
 
     /// The resident entry array — present only for built trees.
     /// Snapshot writers serialize this.
-    pub fn dense_entries(&self) -> Option<&[KeyedEntry]> {
+    pub fn dense_entries(&self) -> Option<&Blocks<KeyedEntry>> {
         match &self.entries {
             EntryRepr::Dense(es) => Some(es),
             EntryRepr::Paged { .. } => None,
@@ -370,21 +372,36 @@ impl MerkleBTree {
     /// use it to densify a read-only tree before mutating it.
     pub fn all_entries(&self) -> Result<Vec<KeyedEntry>, MbTreeError> {
         match &self.entries {
-            EntryRepr::Dense(es) => Ok(es.clone()),
+            EntryRepr::Dense(es) => Ok(es.to_vec()),
             EntryRepr::Paged { .. } => (0..self.len()).map(|i| self.entry_at(i)).collect(),
         }
     }
 
     /// Replaces the value stored under an existing `key` and patches
-    /// the Merkle path of its leaf in place (O(f · log_f n)). Only
-    /// dense trees are updatable — paged trees are read-only views and
-    /// report the underlying [`MerkleError::ReadOnly`].
+    /// the Merkle path of its leaf in place (O(f · log_f n)); see
+    /// [`MerkleBTree::update_values`].
     pub fn update_value(&mut self, key: u64, value: f64) -> Result<(), MbTreeError> {
-        let (pos, _) = self.locate(key)?;
+        self.update_values(&[KeyedEntry { key, value }])
+    }
+
+    /// Replaces the values stored under existing keys and patches their
+    /// Merkle paths in one batched repair
+    /// ([`MerkleTree::update_leaves`]), copying only the entry blocks
+    /// and digest blocks it writes. Only dense trees are updatable —
+    /// paged trees are read-only views and report the underlying
+    /// [`MerkleError::ReadOnly`]. A missing key changes nothing.
+    pub fn update_values(&mut self, updates: &[KeyedEntry]) -> Result<(), MbTreeError> {
+        let mut slots = updates
+            .iter()
+            .map(|e| Ok((self.locate(e.key)?.0, *e)))
+            .collect::<Result<Vec<_>, MbTreeError>>()?;
+        slots.sort_by_key(|&(pos, _)| pos);
         match &mut self.entries {
             EntryRepr::Dense(es) => {
-                es[pos].value = value;
-                Ok(self.tree.update_leaf(pos, es[pos].digest())?)
+                let leaves: Vec<(usize, Digest)> =
+                    slots.iter().map(|&(pos, e)| (pos, e.digest())).collect();
+                es.set_sorted(slots);
+                Ok(self.tree.update_leaves(&leaves)?)
             }
             EntryRepr::Paged { .. } => Err(MbTreeError::Merkle(MerkleError::ReadOnly)),
         }
@@ -395,10 +412,11 @@ impl MerkleBTree {
     fn locate(&self, key: u64) -> Result<(usize, KeyedEntry), MbTreeError> {
         match &self.entries {
             EntryRepr::Dense(es) => {
-                let idx = es
-                    .binary_search_by_key(&key, |e| e.key)
-                    .map_err(|_| MbTreeError::KeyNotFound(key))?;
-                Ok((idx, es[idx]))
+                let idx = es.partition_point(|e| e.key < key);
+                match es.get(idx) {
+                    Some(e) if e.key == key => Ok((idx, *e)),
+                    _ => Err(MbTreeError::KeyNotFound(key)),
+                }
             }
             EntryRepr::Paged {
                 pager,
@@ -657,7 +675,7 @@ mod tests {
         page_entries: usize,
         cfg: PageCacheCfg,
     ) -> (MerkleBTree, Arc<BytePager>) {
-        let entries = dense.dense_entries().unwrap();
+        let entries = dense.dense_entries().unwrap().to_vec();
         let first_keys: Vec<u64> = entries.chunks(page_entries).map(|c| c[0].key).collect();
         let pager = Arc::new(BytePager {
             bytes: entries.iter().flat_map(|e| e.encode()).collect(),
@@ -860,6 +878,30 @@ mod tests {
     }
 
     #[test]
+    fn update_values_matches_single_updates() {
+        let mut single = MerkleBTree::build(sample_entries(1000), 4).unwrap();
+        let mut batched = single.clone();
+        let updates: Vec<KeyedEntry> = [2997u64, 30, 1500, 30]
+            .iter()
+            .enumerate()
+            .map(|(i, &key)| KeyedEntry {
+                key,
+                value: i as f64,
+            })
+            .collect();
+        for e in &updates {
+            single.update_value(e.key, e.value).unwrap();
+        }
+        batched.update_values(&updates).unwrap();
+        assert_eq!(batched.root(), single.root());
+        assert_eq!(batched.get(30), Some(3.0));
+        assert_eq!(
+            batched.all_entries().unwrap(),
+            single.all_entries().unwrap()
+        );
+    }
+
+    #[test]
     fn paged_btree_is_read_only_but_densifiable() {
         let dense = MerkleBTree::build(sample_entries(50), 4).unwrap();
         let (mut paged, _) = paged(&dense, 8);
@@ -869,7 +911,7 @@ mod tests {
         ));
         // Densify → mutate → identical to a dense rebuild.
         let entries = paged.all_entries().unwrap();
-        assert_eq!(entries, dense.dense_entries().unwrap());
+        assert_eq!(entries, dense.dense_entries().unwrap().to_vec());
         let mut densified = MerkleBTree::build(entries, 4).unwrap();
         densified.update_value(0, 9.0).unwrap();
         assert_eq!(densified.get(0), Some(9.0));

@@ -13,6 +13,7 @@
 //! digests plus the proof entries and compares it against the signed
 //! root.
 
+use crate::blocks::Blocks;
 use crate::cache::{PageCache, PageCacheCfg};
 use crate::digest::{hash_digests, Digest};
 use crate::pager::{self, Pager};
@@ -295,8 +296,10 @@ impl PagedLevels {
 /// Physical representation of the tree levels.
 #[derive(Debug, Clone)]
 enum Repr {
-    /// Every level materialized in memory (the historical layout).
-    Dense(Vec<Vec<Digest>>),
+    /// Every level materialized in memory, as copy-on-write blocks of
+    /// one snapshot page each: a clone shares every block, and an
+    /// update copies only the blocks on its leaves' paths.
+    Dense(Vec<Blocks<Digest>>),
     /// Levels faulted in page-by-page from a backing store.
     Paged(PagedLevels),
 }
@@ -323,15 +326,13 @@ impl MerkleTree {
         if fanout < 2 {
             return Err(MerkleError::BadFanout(fanout));
         }
-        let mut levels = vec![leaves];
-        while levels.last().unwrap().len() > 1 {
-            let prev = levels.last().unwrap();
-            let mut next = Vec::with_capacity(prev.len().div_ceil(fanout));
-            for chunk in prev.chunks(fanout) {
-                next.push(hash_digests(chunk));
-            }
-            levels.push(next);
+        let mut levels = Vec::new();
+        let mut prev = leaves;
+        while prev.len() > 1 {
+            let next: Vec<Digest> = prev.chunks(fanout).map(hash_digests).collect();
+            levels.push(Blocks::from(std::mem::replace(&mut prev, next)));
         }
+        levels.push(Blocks::from(prev));
         Ok(MerkleTree {
             fanout,
             repr: Repr::Dense(levels),
@@ -383,7 +384,7 @@ impl MerkleTree {
     /// The signed root digest.
     pub fn root(&self) -> Digest {
         match &self.repr {
-            Repr::Dense(levels) => *levels.last().unwrap().first().unwrap(),
+            Repr::Dense(levels) => levels.last().unwrap()[0],
             Repr::Paged(p) => p.root,
         }
     }
@@ -416,7 +417,7 @@ impl MerkleTree {
 
     /// The dense level arrays, leaf level first — present only for
     /// built trees. Snapshot writers use this to serialize levels.
-    pub fn dense_levels(&self) -> Option<&[Vec<Digest>]> {
+    pub fn dense_levels(&self) -> Option<&[Blocks<Digest>]> {
         match &self.repr {
             Repr::Dense(levels) => Some(levels),
             Repr::Paged(_) => None,
@@ -444,7 +445,7 @@ impl MerkleTree {
     /// trees) — the ADS storage-overhead metric.
     pub fn total_digests(&self) -> usize {
         match &self.repr {
-            Repr::Dense(levels) => levels.iter().map(Vec::len).sum(),
+            Repr::Dense(levels) => levels.iter().map(Blocks::len).sum(),
             Repr::Paged(p) => p.sizes.iter().sum(),
         }
     }
@@ -474,27 +475,48 @@ impl MerkleTree {
     /// Paged trees are read-only snapshots: this returns
     /// [`MerkleError::ReadOnly`] for them.
     pub fn update_leaf(&mut self, i: usize, digest: Digest) -> Result<(), MerkleError> {
+        self.update_leaves(&[(i, digest)])
+    }
+
+    /// Replaces several leaf digests and recomputes their paths to the
+    /// root, hashing each touched interior node once. `leaves` is
+    /// sorted by index; a repeated index keeps its last digest. Only
+    /// the blocks holding a written digest are copied, each once, so a
+    /// clone of the tree keeps every other block shared.
+    ///
+    /// Paged trees are read-only snapshots: this returns
+    /// [`MerkleError::ReadOnly`] for them. An out-of-range index
+    /// changes nothing.
+    pub fn update_leaves(&mut self, leaves: &[(usize, Digest)]) -> Result<(), MerkleError> {
         let fanout = self.fanout;
         let levels = match &mut self.repr {
             Repr::Dense(levels) => levels,
             Repr::Paged(_) => return Err(MerkleError::ReadOnly),
         };
         let n = levels[0].len();
-        if i >= n {
+        if let Some(&(index, _)) = leaves.iter().find(|&&(i, _)| i >= n) {
             return Err(MerkleError::LeafOutOfRange {
-                index: i,
+                index,
                 leaf_count: n,
             });
         }
-        levels[0][i] = digest;
-        let mut idx = i;
+        levels[0].set_sorted(leaves.iter().copied());
+        let mut touched: Vec<usize> = leaves.iter().map(|&(i, _)| i).collect();
+        touched.dedup();
+        let mut children = Vec::with_capacity(fanout);
         for lvl in 0..levels.len() - 1 {
-            let parent = idx / fanout;
-            let first = parent * fanout;
-            let last = (first + fanout).min(levels[lvl].len());
-            let combined = hash_digests(&levels[lvl][first..last]);
-            levels[lvl + 1][parent] = combined;
-            idx = parent;
+            touched = touched.iter().map(|&i| i / fanout).collect();
+            touched.dedup();
+            let (below, above) = levels.split_at_mut(lvl + 1);
+            let level = &below[lvl];
+            let parents = touched.iter().map(|&p| {
+                let first = p * fanout;
+                let last = (first + fanout).min(level.len());
+                children.clear();
+                children.extend((first..last).map(|c| level[c]));
+                (p, hash_digests(&children))
+            });
+            above[0].set_sorted(parents);
         }
         Ok(())
     }
@@ -558,6 +580,7 @@ impl MerkleTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocks::PAGE_DIGESTS;
     use crate::digest::hash_bytes;
 
     fn leaves(n: usize) -> Vec<Digest> {
@@ -620,7 +643,12 @@ mod tests {
     fn paper_figure3_shape_fanout3() {
         // Figure 3b: 36 leaves, fanout 3 → levels 36, 12, 4, 2, 1.
         let tree = MerkleTree::build(leaves(36), 3).unwrap();
-        let sizes: Vec<usize> = tree.dense_levels().unwrap().iter().map(Vec::len).collect();
+        let sizes: Vec<usize> = tree
+            .dense_levels()
+            .unwrap()
+            .iter()
+            .map(Blocks::len)
+            .collect();
         assert_eq!(sizes, vec![36, 12, 4, 2, 1]);
     }
 
@@ -825,6 +853,79 @@ mod tests {
         tree.update_leaf(7, ls[7]).unwrap();
         let proof = tree.prove([7usize].into_iter().collect()).unwrap();
         assert_eq!(proof.reconstruct_root(&[(7, ls[7])]).unwrap(), tree.root());
+    }
+
+    /// The dense levels as plain vectors, for whole-tree comparisons.
+    fn level_vecs(tree: &MerkleTree) -> Vec<Vec<Digest>> {
+        tree.dense_levels()
+            .unwrap()
+            .iter()
+            .map(Blocks::to_vec)
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// A batched repair of a random leaf set gives the levels of
+        /// one `update_leaf` per leaf and of a fresh build, at fanouts
+        /// 2–5 and leaf counts that leave the last group partial.
+        #[test]
+        fn update_leaves_matches_sequential_updates_and_rebuild(
+            n in 1usize..1200,
+            fanout in 2usize..6,
+            seed in 0u64..u64::MAX,
+            picks in proptest::collection::vec(0usize..usize::MAX, 1..40),
+        ) {
+            let mut ls = leaves(n);
+            let mut batched = MerkleTree::build(ls.clone(), fanout).unwrap();
+            let mut sequential = batched.clone();
+            let mut set: Vec<usize> = picks.iter().map(|p| p % n).collect();
+            set.sort_unstable();
+            set.dedup();
+            let writes: Vec<(usize, Digest)> = set
+                .iter()
+                .map(|&i| (i, hash_bytes(&(seed ^ i as u64).to_le_bytes())))
+                .collect();
+            for &(i, d) in &writes {
+                ls[i] = d;
+                sequential.update_leaf(i, d).unwrap();
+            }
+            batched.update_leaves(&writes).unwrap();
+            let fresh = MerkleTree::build(ls, fanout).unwrap();
+            proptest::prop_assert_eq!(level_vecs(&batched), level_vecs(&sequential));
+            proptest::prop_assert_eq!(level_vecs(&batched), level_vecs(&fresh));
+        }
+    }
+
+    #[test]
+    fn update_leaves_copies_only_the_blocks_it_writes() {
+        // 100k leaves, fanout 4: levels of 782, 196, 49, 13, 4, 1, ...
+        // blocks. Two leaves far apart write two leaf blocks and the
+        // blocks on their paths; every other block stays shared.
+        let old = MerkleTree::build(leaves(100_000), 4).unwrap();
+        let mut new = old.clone();
+        let writes = [(5usize, hash_bytes(b"a")), (70_000, hash_bytes(b"b"))];
+        new.update_leaves(&writes).unwrap();
+        let (a, b) = (old.dense_levels().unwrap(), new.dense_levels().unwrap());
+        let mut path: Vec<usize> = writes.iter().map(|&(i, _)| i).collect();
+        for (lvl, (la, lb)) in a.iter().zip(b).enumerate() {
+            let written: Vec<usize> = path.iter().map(|&i| i / PAGE_DIGESTS).collect();
+            for (blk, (x, y)) in la.blocks().iter().zip(lb.blocks()).enumerate() {
+                assert_eq!(
+                    Arc::ptr_eq(x, y),
+                    !written.contains(&blk),
+                    "level {lvl} block {blk}"
+                );
+            }
+            path = path.iter().map(|&i| i / 4).collect();
+        }
+        assert_ne!(old.root(), new.root());
+        assert_eq!(
+            old.leaf(5),
+            Some(leaves(6)[5]),
+            "the old epoch is untouched"
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Incremental graph construction.
 
 use crate::error::GraphError;
-use crate::graph::Graph;
+use crate::graph::{Graph, Topology};
 use crate::ids::NodeId;
+use std::sync::Arc;
 
 /// Builder for [`Graph`].
 ///
@@ -146,10 +147,12 @@ impl GraphBuilder {
             }
         }
         Ok(Graph {
-            xs: self.xs,
-            ys: self.ys,
-            offsets,
-            adj_targets: targets,
+            topo: Arc::new(Topology {
+                xs: self.xs,
+                ys: self.ys,
+                offsets,
+                adj_targets: targets,
+            }),
             adj_weights: weights,
             num_edges: self.edges.len(),
             min_weight,

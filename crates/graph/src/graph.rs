@@ -3,6 +3,7 @@
 use crate::error::GraphError;
 use crate::ids::NodeId;
 use crate::search::{Calibration, FrontierKind};
+use std::sync::Arc;
 
 /// An undirected, weighted, spatial graph in compressed sparse row
 /// (CSR) form.
@@ -13,16 +14,14 @@ use crate::search::{Calibration, FrontierKind};
 ///   lists; adjacency lists are sorted by neighbor id, which makes the
 ///   extended-tuple encoding canonical.
 ///
-/// Construct via [`crate::builder::GraphBuilder`].
+/// Construct via [`crate::builder::GraphBuilder`]. A clone shares the
+/// coordinates and the adjacency structure, which no weight update
+/// writes, and copies only the weights.
 #[derive(Debug, Clone)]
 pub struct Graph {
-    pub(crate) xs: Vec<f64>,
-    pub(crate) ys: Vec<f64>,
-    /// CSR offsets, length |V| + 1.
-    pub(crate) offsets: Vec<u32>,
-    /// Flattened adjacency targets, length 2|E|.
-    pub(crate) adj_targets: Vec<u32>,
-    /// Flattened adjacency weights, parallel to `adj_targets`.
+    /// Coordinates and CSR structure, shared by every clone.
+    pub(crate) topo: Arc<Topology>,
+    /// Flattened adjacency weights, parallel to `topo.adj_targets`.
     pub(crate) adj_weights: Vec<f64>,
     /// Number of undirected edges.
     pub(crate) num_edges: usize,
@@ -33,11 +32,22 @@ pub struct Graph {
     pub(crate) max_weight: f64,
 }
 
+/// The part of a [`Graph`] that weight updates never write.
+#[derive(Debug)]
+pub(crate) struct Topology {
+    pub(crate) xs: Vec<f64>,
+    pub(crate) ys: Vec<f64>,
+    /// CSR offsets, length |V| + 1.
+    pub(crate) offsets: Vec<u32>,
+    /// Flattened adjacency targets, length 2|E|.
+    pub(crate) adj_targets: Vec<u32>,
+}
+
 impl Graph {
     /// Number of nodes |V|.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.xs.len()
+        self.topo.xs.len()
     }
 
     /// Number of undirected edges |E|.
@@ -49,7 +59,7 @@ impl Graph {
     /// Coordinates of node `v`.
     #[inline]
     pub fn coords(&self, v: NodeId) -> (f64, f64) {
-        (self.xs[v.index()], self.ys[v.index()])
+        (self.topo.xs[v.index()], self.topo.ys[v.index()])
     }
 
     /// Iterator over all node ids.
@@ -60,9 +70,9 @@ impl Graph {
     /// Neighbors of `v` with edge weights, sorted by neighbor id.
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        let lo = self.offsets[v.index()] as usize;
-        let hi = self.offsets[v.index() + 1] as usize;
-        self.adj_targets[lo..hi]
+        let lo = self.topo.offsets[v.index()] as usize;
+        let hi = self.topo.offsets[v.index() + 1] as usize;
+        self.topo.adj_targets[lo..hi]
             .iter()
             .zip(&self.adj_weights[lo..hi])
             .map(|(&t, &w)| (NodeId(t), w))
@@ -71,14 +81,14 @@ impl Graph {
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        (self.offsets[v.index() + 1] - self.offsets[v.index()]) as usize
+        (self.topo.offsets[v.index() + 1] - self.topo.offsets[v.index()]) as usize
     }
 
     /// Weight of edge `(u, v)`, if present.
     pub fn edge_weight(&self, u: NodeId, v: NodeId) -> Option<f64> {
-        let lo = self.offsets[u.index()] as usize;
-        let hi = self.offsets[u.index() + 1] as usize;
-        let slice = &self.adj_targets[lo..hi];
+        let lo = self.topo.offsets[u.index()] as usize;
+        let hi = self.topo.offsets[u.index() + 1] as usize;
+        let slice = &self.topo.adj_targets[lo..hi];
         slice
             .binary_search(&v.0)
             .ok()
@@ -101,9 +111,9 @@ impl Graph {
     /// range is valid (both frontier kinds produce identical results).
     pub fn set_edge_weight(&mut self, u: NodeId, v: NodeId, w: f64) -> Option<f64> {
         let arc = |g: &Graph, a: NodeId, b: NodeId| -> Option<usize> {
-            let lo = g.offsets[a.index()] as usize;
-            let hi = g.offsets[a.index() + 1] as usize;
-            g.adj_targets[lo..hi]
+            let lo = g.topo.offsets[a.index()] as usize;
+            let hi = g.topo.offsets[a.index() + 1] as usize;
+            g.topo.adj_targets[lo..hi]
                 .binary_search(&b.0)
                 .ok()
                 .map(|i| lo + i)
@@ -158,10 +168,10 @@ impl Graph {
             f64::NEG_INFINITY,
         );
         for i in 0..self.num_nodes() {
-            bb.0 = bb.0.min(self.xs[i]);
-            bb.1 = bb.1.min(self.ys[i]);
-            bb.2 = bb.2.max(self.xs[i]);
-            bb.3 = bb.3.max(self.ys[i]);
+            bb.0 = bb.0.min(self.topo.xs[i]);
+            bb.1 = bb.1.min(self.topo.ys[i]);
+            bb.2 = bb.2.max(self.topo.xs[i]);
+            bb.3 = bb.3.max(self.topo.ys[i]);
         }
         Some(bb)
     }
@@ -213,15 +223,15 @@ impl Iterator for EdgeIter<'_> {
     type Item = (NodeId, NodeId, f64);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let num_arcs = self.g.adj_targets.len();
+        let num_arcs = self.g.topo.adj_targets.len();
         while self.arc < num_arcs {
             // Advance the owner cursor past empty adjacency lists.
-            while self.g.offsets[self.node as usize + 1] as usize <= self.arc {
+            while self.g.topo.offsets[self.node as usize + 1] as usize <= self.arc {
                 self.node += 1;
             }
             let arc = self.arc;
             self.arc += 1;
-            let v = self.g.adj_targets[arc];
+            let v = self.g.topo.adj_targets[arc];
             if self.node < v {
                 return Some((NodeId(self.node), NodeId(v), self.g.adj_weights[arc]));
             }
@@ -232,7 +242,7 @@ impl Iterator for EdgeIter<'_> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         // Each remaining undirected edge occupies one un-yielded arc
         // pair; at most the remaining arcs, at least half of them.
-        let remaining = self.g.adj_targets.len() - self.arc;
+        let remaining = self.g.topo.adj_targets.len() - self.arc;
         (0, Some(remaining))
     }
 }

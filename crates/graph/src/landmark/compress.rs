@@ -26,6 +26,7 @@ use crate::ids::NodeId;
 use crate::landmark::quantize::{self, diff_from_indices, QuantizedVectors};
 use crate::landmark::vectors::LandmarkVectors;
 use crate::order::hilbert_order;
+use std::sync::Arc;
 
 /// How the owner compresses quantized vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,8 +40,9 @@ pub enum CompressionStrategy {
 /// Per-node compressed representation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodePsi {
-    /// The node keeps its full quantized index vector.
-    Full(Vec<u32>),
+    /// The node keeps its full quantized index vector (shared, so a
+    /// clone of the vectors allocates nothing per node).
+    Full(Arc<[u32]>),
     /// The node is represented by `theta` with quantized error `eps`.
     Compressed {
         /// The reference node `v.θ` (always a `Full` node).
@@ -50,7 +52,8 @@ pub enum NodePsi {
     },
 }
 
-/// The compressed landmark hint set.
+/// The compressed landmark hint set. A clone copies one
+/// representation per node; full vectors are shared.
 #[derive(Debug, Clone)]
 pub struct CompressedVectors {
     /// λ of the underlying quantization.
@@ -167,7 +170,7 @@ impl CompressedVectors {
             is_changed[v.index()] = true;
         }
         let (c, bits) = (self.c, self.bits);
-        let indices = |v: NodeId| -> Vec<u32> {
+        let indices = |v: NodeId| -> Arc<[u32]> {
             (0..c)
                 .map(|i| quantize::index_of(exact.landmark_dist(i, v), lambda, bits))
                 .collect()
@@ -175,7 +178,7 @@ impl CompressedVectors {
         // The representative leading the old sweep after position p.
         let old_rep = |p: usize| self.theta_eps(order[p]).0;
         let mut window = Vec::new();
-        let (mut rep, mut rep_q) = (None, Vec::new());
+        let (mut rep, mut rep_q): (_, Arc<[u32]>) = (None, Arc::new([]));
         let mut p = 0;
         let mut in_step = true;
         loop {
@@ -186,7 +189,7 @@ impl CompressedVectors {
                 };
                 p = q;
                 rep = q.checked_sub(1).map(old_rep);
-                rep_q = rep.map(indices).unwrap_or_default();
+                rep_q = rep.map(indices).unwrap_or_else(|| Arc::new([]));
             }
             let v = order[p];
             let q = indices(v);
@@ -194,7 +197,7 @@ impl CompressedVectors {
                 Some(psi) => psi,
                 None => {
                     rep = Some(v);
-                    rep_q = q.clone();
+                    rep_q = Arc::clone(&q);
                     NodePsi::Full(q)
                 }
             };
@@ -326,11 +329,11 @@ fn greedy_exact(qv: &QuantizedVectors, xi: f64, psi: &mut [Option<NodePsi>]) {
             // No candidate covers anyone: everyone left keeps a full
             // vector.
             for &v in &remaining {
-                psi[v as usize] = Some(NodePsi::Full(qv.indices(NodeId(v)).to_vec()));
+                psi[v as usize] = Some(NodePsi::Full(qv.indices(NodeId(v)).into()));
             }
             break;
         }
-        psi[best_rep as usize] = Some(NodePsi::Full(qv.indices(NodeId(best_rep)).to_vec()));
+        psi[best_rep as usize] = Some(NodePsi::Full(qv.indices(NodeId(best_rep)).into()));
         for &v in &best_cover {
             psi[v as usize] = Some(NodePsi::Compressed {
                 theta: NodeId(best_rep),
@@ -353,7 +356,7 @@ fn hilbert_sweep(g: &Graph, qv: &QuantizedVectors, xi: f64, psi: &mut [Option<No
                 Some(p) => p,
                 None => {
                     rep = Some(v);
-                    NodePsi::Full(q.to_vec())
+                    NodePsi::Full(q.into())
                 }
             },
         );

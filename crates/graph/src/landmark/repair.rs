@@ -18,6 +18,7 @@ use crate::ids::NodeId;
 use crate::ofloat::OrderedF64;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
+use std::sync::Arc;
 
 type Frontier = BinaryHeap<Reverse<(OrderedF64, u32)>>;
 
@@ -34,7 +35,9 @@ type Frontier = BinaryHeap<Reverse<(OrderedF64, u32)>>;
 ///   Every other node keeps a tight chain that avoids the edge, so its
 ///   entry cannot move.
 ///
-/// A row the edge does not reach returns after two comparisons.
+/// A row the edge does not reach returns after two comparisons,
+/// read-only: `row` is made mutable ([`Arc::make_mut`], which copies a
+/// row shared with another clone) only when the change reaches it.
 ///
 /// # Panics
 /// Panics if `(u, v)` is not an edge of `g`, or `row` does not cover
@@ -42,20 +45,38 @@ type Frontier = BinaryHeap<Reverse<(OrderedF64, u32)>>;
 pub fn repair_row(
     g: &Graph,
     source: NodeId,
-    row: &mut [f64],
+    row: &mut Arc<[f64]>,
     u: NodeId,
     v: NodeId,
     w_old: f64,
 ) -> Vec<NodeId> {
     assert_eq!(row.len(), g.num_nodes(), "row length mismatch");
     let w_new = g.edge_weight(u, v).expect("repaired edge must exist");
+    if !reaches(source, row, u, v, w_old, w_new) {
+        return Vec::new();
+    }
+    let row = Arc::make_mut(row);
     if w_new < w_old {
         lower(g, row, u, v, w_new)
-    } else if w_new > w_old {
-        raise(g, source, row, u, v, w_old)
     } else {
-        Vec::new()
+        raise(g, source, row, u, v, w_old)
     }
+}
+
+/// Whether re-weighting `(u, v)` from `w_old` to `w_new` can move an
+/// entry of `row`: a decrease that improves an endpoint, or an
+/// increase on an edge some shortest path leaves the source through
+/// (an endpoint's entry is tight across it). The seeds [`lower`] and
+/// [`raise`] start from.
+fn reaches(source: NodeId, row: &[f64], u: NodeId, v: NodeId, w_old: f64, w_new: f64) -> bool {
+    [(u, v), (v, u)].into_iter().any(|(a, b)| {
+        let (da, db) = (row[a.index()], row[b.index()]);
+        if w_new < w_old {
+            da + w_new < db
+        } else {
+            w_new > w_old && b != source && da.is_finite() && db == da + w_old
+        }
+    })
 }
 
 /// Weight decrease: only nodes reached more cheaply through the edge
@@ -174,7 +195,7 @@ mod tests {
     /// that exactly the differing entries were reported.
     fn check_sequence(mut g: Graph, source: NodeId, updates: usize, seed: u64) {
         let mut ws = SearchWorkspace::new();
-        let mut row = ws.sssp(&g, source).dist_vec();
+        let mut row: Arc<[f64]> = ws.sssp(&g, source).dist_vec().into();
         let edges: Vec<(NodeId, NodeId)> = g.edges().map(|(a, b, _)| (a, b)).collect();
         let at_source: Vec<(NodeId, NodeId)> =
             g.neighbors(source).map(|(b, _)| (source, b)).collect();
@@ -252,9 +273,13 @@ mod tests {
     fn unreached_rows_and_unchanged_weights_report_nothing() {
         let mut g = road_network(6, 6, 1.5, 1.0, 78);
         let mut ws = SearchWorkspace::new();
-        let mut row = ws.sssp(&g, NodeId(0)).dist_vec();
+        let mut row: Arc<[f64]> = ws.sssp(&g, NodeId(0)).dist_vec().into();
         let (u, v, w) = g.edges().next().unwrap();
+        // A row the change does not reach is not copied, even when
+        // another clone shares it.
+        let shared = Arc::clone(&row);
         assert!(repair_row(&g, NodeId(0), &mut row, u, v, w).is_empty());
+        assert!(Arc::ptr_eq(&shared, &row));
         // Raising an edge no shortest path uses changes no entry.
         let (a, b, w) = g
             .edges()
@@ -264,5 +289,6 @@ mod tests {
             .expect("a 1.5-ratio grid has a non-tree edge");
         g.set_edge_weight(a, b, w * 4.0).unwrap();
         assert!(repair_row(&g, NodeId(0), &mut row, a, b, w).is_empty());
+        assert!(Arc::ptr_eq(&shared, &row));
     }
 }

@@ -8,15 +8,20 @@
 use crate::graph::Graph;
 use crate::ids::NodeId;
 use crate::search::SearchWorkspace;
+use std::sync::Arc;
 
 /// Exact landmark distance vectors for every node.
+///
+/// Each row is reference-counted: a clone shares every row, and an
+/// in-place [`repair_row`](crate::landmark::repair_row) copies only the
+/// rows an edge change reaches.
 #[derive(Debug, Clone)]
 pub struct LandmarkVectors {
     /// The landmark nodes s₁…s_c.
     landmarks: Vec<NodeId>,
     /// `dist[l][v]` = graph distance from landmark `l` to node `v`
     /// (undirected graphs: symmetric in direction).
-    dist: Vec<Vec<f64>>,
+    dist: Vec<Arc<[f64]>>,
 }
 
 impl LandmarkVectors {
@@ -48,7 +53,7 @@ impl LandmarkVectors {
         );
         LandmarkVectors {
             landmarks,
-            dist: rows,
+            dist: rows.into_iter().map(Arc::from).collect(),
         }
     }
 
@@ -59,7 +64,7 @@ impl LandmarkVectors {
 
     /// Number of nodes the vectors cover.
     pub fn num_nodes(&self) -> usize {
-        self.dist.first().map_or(0, Vec::len)
+        self.dist.first().map_or(0, |row| row.len())
     }
 
     /// The landmark nodes.
@@ -78,14 +83,18 @@ impl LandmarkVectors {
         self.dist[i][v.index()]
     }
 
-    /// Each landmark with its distance row, mutably — the shape of an
-    /// in-place [`repair_row`](crate::landmark::repair_row) fanned over
-    /// the landmarks.
-    pub fn rows_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut [f64])> {
-        self.landmarks
-            .iter()
-            .copied()
-            .zip(self.dist.iter_mut().map(Vec::as_mut_slice))
+    /// Each landmark with its shared distance row — what tests compare
+    /// with [`Arc::ptr_eq`] across clones.
+    pub fn rows(&self) -> &[Arc<[f64]>] {
+        &self.dist
+    }
+
+    /// Each landmark with its distance row handle, mutably — the shape
+    /// of an in-place [`repair_row`](crate::landmark::repair_row)
+    /// fanned over the landmarks, which copies a row shared with a
+    /// clone only if the change reaches it.
+    pub fn rows_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut Arc<[f64]>)> {
+        self.landmarks.iter().copied().zip(self.dist.iter_mut())
     }
 
     /// The exact lower bound `distLB(v, v′)` of Equation 3.
@@ -108,7 +117,7 @@ impl LandmarkVectors {
     pub fn max_distance(&self) -> f64 {
         let mut dmax: f64 = 0.0;
         for row in &self.dist {
-            for &d in row {
+            for &d in row.iter() {
                 if d.is_finite() {
                     dmax = dmax.max(d);
                 }

@@ -730,16 +730,16 @@ impl SearchWorkspace {
             let lookahead = self.drain.len().saturating_sub(3);
             for e in &self.drain[lookahead..] {
                 prefetch(&self.nodes[e.node as usize]);
-                prefetch(&g.offsets[e.node as usize]);
+                prefetch(&g.topo.offsets[e.node as usize]);
             }
             if let Some(e) = self.drain.last() {
-                let nlo = g.offsets[e.node as usize] as usize;
-                prefetch(&g.adj_targets[nlo]);
+                let nlo = g.topo.offsets[e.node as usize] as usize;
+                prefetch(&g.topo.adj_targets[nlo]);
                 prefetch(&g.adj_weights[nlo]);
             }
-            let lo = g.offsets[vi] as usize;
-            let hi = g.offsets[vi + 1] as usize;
-            let targets = &g.adj_targets[lo..hi];
+            let lo = g.topo.offsets[vi] as usize;
+            let hi = g.topo.offsets[vi + 1] as usize;
+            let targets = &g.topo.adj_targets[lo..hi];
             let weights = &g.adj_weights[lo..hi];
             // Issue the neighbors' node-state loads up front; the relax
             // pass below then hits warm lines instead of serializing one
@@ -803,9 +803,9 @@ impl SearchWorkspace {
             self.nodes[pvi].meta |= SETTLED_BIT;
             let v = pvi % n;
             let block = pvi - v;
-            let lo = g.offsets[v] as usize;
-            let hi = g.offsets[v + 1] as usize;
-            let targets = &g.adj_targets[lo..hi];
+            let lo = g.topo.offsets[v] as usize;
+            let hi = g.topo.offsets[v + 1] as usize;
+            let targets = &g.topo.adj_targets[lo..hi];
             let weights = &g.adj_weights[lo..hi];
             for &t in targets {
                 prefetch(&self.nodes[block + t as usize]);

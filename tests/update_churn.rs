@@ -408,3 +408,114 @@ fn service_refreshes_snapshot_after_update() {
     assert_eq!(a.distance.to_bits(), want.to_bits());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Copy-on-write safety: epochs share every block an update does not
+/// write, so a repair must never write through a shared block into an
+/// older epoch. For every method, a session pinned at epoch 0 answers
+/// its queries with the same bytes before and after k updates — one of
+/// them raising the edge that the most LDM landmark rows route through
+/// far enough to move λ, which repairs those rows and rewrites every
+/// tuple — and those answers still verify against the epoch-0 root.
+#[test]
+fn pinned_epochs_answer_byte_identically_after_updates() {
+    let g = road_network(16, 16, 1.05, 1.0, 4990);
+    let kp = {
+        let mut rng = StdRng::seed_from_u64(4991);
+        RsaKeyPair::generate(&mut rng, 256)
+    };
+    let ldm = all_methods()
+        .into_iter()
+        .find(|m| matches!(m, MethodConfig::Ldm(_)))
+        .unwrap();
+    let ldm_pkg = DataOwner::publish_with_key(&g, &ldm, &SetupConfig::default(), &kp).package;
+    let MethodHints::Ldm(hints) = &ldm_pkg.hints else {
+        unreachable!("LDM package")
+    };
+    let rows: Vec<Vec<f64>> = hints
+        .landmarks
+        .iter()
+        .map(|&l| dijkstra_sssp(&g, l).dist)
+        .collect();
+    let tight_rows = |&(a, b, w): &(NodeId, NodeId, f64)| {
+        rows.iter()
+            .filter(|r| r[b.index()] == r[a.index()] + w || r[a.index()] == r[b.index()] + w)
+            .count()
+    };
+    let heavy = g.edges().max_by_key(tight_rows).unwrap();
+    assert!(
+        tight_rows(&heavy) * 2 >= rows.len(),
+        "the heavy update reaches {} of {} rows",
+        tight_rows(&heavy),
+        rows.len()
+    );
+    let edges: Vec<(NodeId, NodeId, f64)> = g.edges().collect();
+    let mut rng = StdRng::seed_from_u64(4992);
+    let mut updates = vec![(heavy.0, heavy.1, heavy.2 + 5000.0)];
+    for _ in 0..3 {
+        let (u, v, w) = edges[rng.random_range(0..edges.len())];
+        updates.push((u, v, w * rng.random_range(0.3f64..3.0)));
+    }
+    let dirty =
+        update_edge_weight(&mut ldm_pkg.clone(), &kp, heavy.0, heavy.1, updates[0].2).unwrap();
+    assert!(
+        dirty.tuples.len() * 2 > g.num_nodes(),
+        "the heavy update dirties {} of {} tuples",
+        dirty.tuples.len(),
+        g.num_nodes()
+    );
+
+    let queries: Vec<(NodeId, NodeId)> = [(0u32, 255u32), (15, 240), (100, 150), (255, 0)]
+        .iter()
+        .map(|&(s, t)| (NodeId(s), NodeId(t)))
+        .chain([(heavy.0, heavy.1)])
+        .collect();
+    let client = Client::new(kp.public_key().clone());
+    for method in all_methods() {
+        let p = DataOwner::publish_with_key(&g, &method, &SetupConfig::default(), &kp);
+        let service = SpService::builder()
+            .package(p.package)
+            .retain_epochs(updates.len() + 1)
+            .threads(0)
+            .build();
+        let pinned = service.open_session(client.clone()).unwrap();
+        let answers = |s: &Session| -> Vec<Vec<u8>> {
+            queries
+                .iter()
+                .map(|&q| spnet_core::wire::encode_batch_answer(&s.answer_batch(&[q]).unwrap()))
+                .collect()
+        };
+        let before = answers(&pinned);
+        for &(u, v, w) in &updates {
+            service.update_edge_weight(&kp, u, v, w).unwrap();
+        }
+        assert_eq!(service.epoch(), updates.len() as u64);
+        assert_eq!(pinned.epoch(), 0);
+        let after = answers(&pinned);
+        for (i, (a, b)) in before.iter().zip(&after).enumerate() {
+            assert!(a == b, "{}: epoch-0 answer {i} changed", method.name());
+        }
+        for &(s, t) in &queries {
+            let got = pinned.query(s, t).unwrap().distance;
+            let want = dijkstra_path(&g, s, t).unwrap().distance;
+            assert!(
+                (got - want).abs() <= 1e-6 * want.max(1.0),
+                "{}",
+                method.name()
+            );
+        }
+        // The latest epoch serves the updated network.
+        let mut truth = g.clone();
+        for &(u, v, w) in &updates {
+            truth.set_edge_weight(u, v, w).unwrap();
+        }
+        let latest = service.open_session(client.clone()).unwrap();
+        let (s, t) = queries[0];
+        let want = dijkstra_path(&truth, s, t).unwrap().distance;
+        let got = latest.query(s, t).unwrap().distance;
+        assert!(
+            (got - want).abs() <= 1e-6 * want.max(1.0),
+            "{}",
+            method.name()
+        );
+    }
+}
