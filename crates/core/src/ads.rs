@@ -187,8 +187,8 @@ impl NetworkAds {
         &self.order
     }
 
-    /// The underlying Merkle tree (read-only; snapshot save walks its
-    /// dense levels).
+    /// The underlying Merkle tree (snapshot save pages out its
+    /// levels).
     pub fn tree(&self) -> &MerkleTree {
         &self.tree
     }
@@ -224,22 +224,17 @@ impl NetworkAds {
     /// and patches their Merkle paths in one batched repair
     /// ([`MerkleTree::update_leaves`]) — the dynamic-update primitive
     /// (see `spnet_core::update`). Only the tuple and digest blocks
-    /// holding a replaced entry are copied; a snapshot-loaded paged
-    /// tree is first rebuilt dense from the resident tuples (the same
-    /// leaves, so the same root).
+    /// holding a replaced entry are copied, and of a snapshot-loaded
+    /// tree only those digest blocks are loaded.
     pub fn replace_tuples(&mut self, tuples: Vec<ExtendedTuple>) -> Result<(), MerkleError> {
-        if self.tree.is_paged() {
-            let leaves = self.order.iter().map(|v| self.tuple(*v).digest()).collect();
-            self.tree = MerkleTree::build(leaves, self.fanout())?;
-        }
         let mut leaves: Vec<(usize, Digest)> = tuples
             .iter()
             .map(|t| (self.position(t.id) as usize, t.digest()))
             .collect();
         leaves.sort_by_key(|&(pos, _)| pos);
+        self.tree.update_leaves(&leaves)?;
         self.tuples
-            .set_sorted(tuples.into_iter().map(|t| (t.id.index(), Arc::new(t))));
-        self.tree.update_leaves(&leaves)
+            .set_sorted(tuples.into_iter().map(|t| (t.id.index(), Arc::new(t))))
     }
 
     /// Builds the Merkle cover proof for a set of nodes.
@@ -408,15 +403,16 @@ mod tests {
             .zip(new.tuples.blocks())
             .enumerate()
         {
-            assert_eq!(Arc::ptr_eq(x, y), !written.contains(&b), "tuple block {b}");
+            let shared = Arc::ptr_eq(x.as_ref().unwrap(), y.as_ref().unwrap());
+            assert_eq!(shared, !written.contains(&b), "tuple block {b}");
         }
         let mut path: Vec<usize> = nodes.iter().map(|&v| old.position(v) as usize).collect();
-        let levels = old.tree.dense_levels().unwrap().iter();
-        for (lvl, (la, lb)) in levels.zip(new.tree.dense_levels().unwrap()).enumerate() {
+        let levels = old.tree.dense_levels().iter();
+        for (lvl, (la, lb)) in levels.zip(new.tree.dense_levels()).enumerate() {
             let written: Vec<usize> = path.iter().map(|&i| i / PAGE_DIGESTS).collect();
             for (b, (x, y)) in la.blocks().iter().zip(lb.blocks()).enumerate() {
                 assert_eq!(
-                    Arc::ptr_eq(x, y),
+                    Arc::ptr_eq(x.as_ref().unwrap(), y.as_ref().unwrap()),
                     !written.contains(&b),
                     "level {lvl} block {b}"
                 );

@@ -29,7 +29,7 @@ use crate::proof::SpProof;
 use crate::snapshot::{self, SnapshotError};
 use crate::tuple::ExtendedTuple;
 use spnet_crypto::cache::{PageCache, PageCacheCfg};
-use spnet_crypto::digest::{Digest, DIGEST_LEN};
+use spnet_crypto::digest::Digest;
 use spnet_crypto::mbtree::{composite_key, split_key, KeyedEntry};
 use spnet_crypto::merkle::{MerkleProof, MerkleTree};
 use spnet_crypto::rsa::RsaKeyPair;
@@ -45,9 +45,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct DistanceAds {
     fanout: usize,
-    /// Root of each source's row tree.
-    row_roots: Vec<Digest>,
-    /// Tree over the row roots.
+    /// Tree over the row roots: its leaf `s` is the root of source
+    /// `s`'s row tree.
     top: MerkleTree,
     /// Floyd–Warshall mode retains the full matrix (the paper's FULL
     /// stores all O(|V|²) distances at the provider; it is only
@@ -99,8 +98,8 @@ impl DistanceAds {
         let n = g.num_nodes();
         assert!(n > 0, "empty graph");
         let fw = use_floyd_warshall.then(|| floyd_warshall::floyd_warshall(g));
-        let row_roots = build_row_roots(g, fw.as_ref(), fanout);
-        let top = MerkleTree::build(row_roots.clone(), fanout).expect("non-empty");
+        let top =
+            MerkleTree::build(build_row_roots(g, fw.as_ref(), fanout), fanout).expect("non-empty");
         let stats = FullBuildStats {
             tuples: (n as u64) * (n as u64),
             seconds: start.elapsed().as_secs_f64(),
@@ -108,7 +107,6 @@ impl DistanceAds {
         (
             DistanceAds {
                 fanout,
-                row_roots,
                 top,
                 matrix: fw,
                 row_cache: row_cache(),
@@ -126,7 +124,7 @@ impl DistanceAds {
     pub fn meta(&self) -> AdsMeta {
         AdsMeta {
             tag: AdsTag::Distance,
-            leaf_count: (self.row_roots.len() as u64) * (self.row_roots.len() as u64),
+            leaf_count: (self.top.leaf_count() as u64).pow(2),
             fanout: self.fanout as u32,
             params: Vec::new(),
         }
@@ -146,18 +144,6 @@ impl DistanceAds {
         }
     }
 
-    /// Rebuilds the row tree of source `vs` from its values.
-    fn row_tree(&self, vs: NodeId, row: &[f64]) -> MerkleTree {
-        let leaves: Vec<Digest> = row
-            .iter()
-            .enumerate()
-            .map(|(t, &d)| entry(vs.0, t as u32, d).digest())
-            .collect();
-        let tree = MerkleTree::build(leaves, self.fanout).expect("non-empty row");
-        debug_assert_eq!(tree.root(), self.row_roots[vs.index()]);
-        tree
-    }
-
     /// The (values, row tree) of source `vs`, through the hot-source
     /// LRU: a repeated source costs a cache lookup instead of a
     /// Dijkstra + |V| leaf hashes.
@@ -166,7 +152,8 @@ impl DistanceAds {
             return hit;
         }
         let values = self.row_values(g, vs);
-        let tree = self.row_tree(vs, &values);
+        let tree = row_tree(vs.0, &values, self.fanout);
+        debug_assert_eq!(Some(tree.root()), self.top.leaf(vs.index()));
         self.row_cache
             .insert(vs.0 as u64, Arc::new(RowEntry { values, tree }))
     }
@@ -247,13 +234,6 @@ impl DistanceAds {
         g: &Graph,
         rows: &[u32],
     ) -> Result<usize, crate::update::UpdateError> {
-        // A snapshot-loaded (File backend) top tree is paged and
-        // read-only; the resident row roots rebuild it dense so the
-        // leaf updates below can apply.
-        if self.top.dense_levels().is_none() {
-            self.top = MerkleTree::build(self.row_roots.clone(), self.fanout)
-                .map_err(|e| crate::update::UpdateError::Rebuild(e.to_string()))?;
-        }
         let fresh: Vec<(u32, Vec<f64>)> = crate::par::map_jobs(rows, |&s| {
             let row = with_thread_workspace(|ws| ws.sssp(g, NodeId(s)).dist_vec());
             (s, row)
@@ -263,9 +243,7 @@ impl DistanceAds {
             if let Some(m) = &mut self.matrix {
                 m.set_row(s as usize, &row);
             }
-            let root = row_root(s, &row, self.fanout);
-            self.row_roots[s as usize] = root;
-            roots.push((s as usize, root));
+            roots.push((s as usize, row_tree(s, &row, self.fanout).root()));
         }
         roots.sort_by_key(|&(s, _)| s);
         self.top
@@ -276,16 +254,14 @@ impl DistanceAds {
     }
 }
 
-/// Builds the Merkle root of one source row.
-fn row_root(s: u32, row: &[f64], fanout: usize) -> Digest {
+/// Builds the row tree of source `s` from its values.
+fn row_tree(s: u32, row: &[f64], fanout: usize) -> MerkleTree {
     let leaves: Vec<Digest> = row
         .iter()
         .enumerate()
         .map(|(t, &d)| entry(s, t as u32, d).digest())
         .collect();
-    MerkleTree::build(leaves, fanout)
-        .expect("non-empty row")
-        .root()
+    MerkleTree::build(leaves, fanout).expect("non-empty row")
 }
 
 /// One Merkle row-root per source node.
@@ -298,10 +274,10 @@ fn row_root(s: u32, row: &[f64], fanout: usize) -> Digest {
 fn build_row_roots(g: &Graph, fw: Option<&DistanceMatrix>, fanout: usize) -> Vec<Digest> {
     let sources: Vec<usize> = (0..g.num_nodes()).collect();
     crate::par::map_jobs(&sources, |&s| match fw {
-        Some(m) => row_root(s as u32, m.row(s), fanout),
+        Some(m) => row_tree(s as u32, m.row(s), fanout).root(),
         None => with_thread_workspace(|ws| {
             let row = ws.sssp(g, NodeId(s as u32)).dist_vec();
-            row_root(s as u32, &row, fanout)
+            row_tree(s as u32, &row, fanout).root()
         }),
     })
 }
@@ -572,15 +548,15 @@ impl AuthMethod for FullMethod {
         )?;
         let mut e = Encoder::new();
         e.put_u32(ads.fanout as u32);
-        e.put_u64(ads.row_roots.len() as u64);
+        e.put_u64(ads.top.leaf_count() as u64);
         e.put_u64(stats.tuples);
         e.put_f64(stats.seconds);
         e.put_bool(ads.matrix.is_some());
         w.blob(snapshot::SEC_FULL_CONFIG, e.bytes())?;
         w.paged(
             snapshot::SEC_FULL_ROWROOTS,
-            &snapshot::digests_to_bytes(&ads.row_roots),
-            snapshot::PAGE_DIGESTS * DIGEST_LEN,
+            &ads.top.dense_levels()[0].to_bytes()?,
+            snapshot::PAGE_BYTES,
         )?;
         // Floyd–Warshall mode must persist the matrix raw: FW and
         // Dijkstra sum in different orders, and row digests hash the
@@ -633,10 +609,9 @@ impl AuthMethod for FullMethod {
         // The top tree is O(|V|) digests — rebuilding it from the
         // persisted row roots is cheap on both backends and reproduces
         // the owner's tree bit-identically.
-        let top = MerkleTree::build(row_roots.clone(), fanout)?;
+        let top = MerkleTree::build(row_roots, fanout)?;
         let ads = DistanceAds {
             fanout,
-            row_roots,
             top,
             matrix,
             row_cache: row_cache(),

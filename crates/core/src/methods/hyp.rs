@@ -134,9 +134,12 @@ impl HypHints {
     /// border in [`GridPartition::all_borders`] order — the same SSSP
     /// source [`HypHints::build`] uses — so repaired values carry the
     /// exact bits a fresh build of the updated graph would produce,
-    /// and clean pairs keep theirs. A snapshot-loaded (paged,
-    /// read-only) tree is densified from its entries first. Returns
-    /// the number of hyper-edges recomputed.
+    /// and clean pairs keep theirs. The dirty scan reads every
+    /// hyper-edge, so the entry blocks of a snapshot-loaded tree are
+    /// made resident first (one verified read per page not yet loaded,
+    /// no re-hash); a later repair of the same package reads no entry
+    /// page.
+    /// Returns the number of hyper-edges recomputed.
     pub(crate) fn repair_hyper_edges(
         &mut self,
         g: &Graph,
@@ -148,11 +151,7 @@ impl HypHints {
         let Some(tree) = self.hyper_tree.as_mut() else {
             return Ok(0); // single cell, no borders: nothing materialized
         };
-        if tree.is_paged() {
-            let fanout = tree.tree().fanout();
-            *tree = MerkleBTree::build(tree.all_entries().map_err(rebuild)?, fanout)
-                .map_err(rebuild)?;
-        }
+        tree.load_entries().map_err(rebuild)?;
         let du_n = spnet_graph::search::with_thread_workspace(|ws| ws.sssp(g, change.u).dist_vec());
         let dv_n = spnet_graph::search::with_thread_workspace(|ws| ws.sssp(g, change.v).dist_vec());
         let borders = self.partition.all_borders();

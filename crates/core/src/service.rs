@@ -59,11 +59,12 @@ use crate::error::{ProviderError, VerifyError};
 use crate::methods::{MethodParams, PinnedAux};
 use crate::par::Scheduler;
 use crate::provider::ServiceProvider;
-use crate::snapshot::SnapshotError;
+use crate::snapshot::{self, SnapshotError, SnapshotRefresh};
 use crate::stream::{chunk_frame, Framer, StreamError, StreamVerifier, DEFAULT_CHUNK_LEN};
 use crate::update::{self, UpdateError};
 use spnet_crypto::rsa::RsaKeyPair;
 use spnet_graph::{NodeId, Path};
+use spnet_store::StoreBackend;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::path::PathBuf;
@@ -205,10 +206,11 @@ impl ServiceState {
 
 struct ServiceInner {
     state: Arc<RwLock<ServiceState>>,
-    /// The snapshot directory the package was loaded from, when it was
-    /// registered through [`SpServiceBuilder::snapshot`] — where
+    /// The snapshot directory the package was loaded from and the
+    /// backend it was loaded with, when it was registered through
+    /// [`SpServiceBuilder::snapshot`] — where and how
     /// [`SpService::refresh_shard_snapshot`] writes.
-    snapshot_dir: Option<PathBuf>,
+    snapshot: Option<(PathBuf, StoreBackend)>,
     /// Worker count for the scheduler; 0 disables it (sessions prove
     /// stream chunks inline).
     threads: usize,
@@ -244,7 +246,7 @@ struct ServiceInner {
 #[derive(Default)]
 pub struct SpServiceBuilder {
     provider: Option<ServiceProvider>,
-    snapshot_dir: Option<PathBuf>,
+    snapshot: Option<(PathBuf, StoreBackend)>,
     threads: Option<usize>,
     retain: Option<usize>,
 }
@@ -282,8 +284,9 @@ impl SpServiceBuilder {
     /// written by [`crate::owner::Published::save_snapshot`]. Loading
     /// performs zero RSA signing; every persisted signed root is
     /// re-verified against the persisted owner key. The service
-    /// remembers the directory, so [`SpService::refresh_shard_snapshot`]
-    /// can write updates back to it.
+    /// remembers the directory and the backend, so
+    /// [`SpService::refresh_shard_snapshot`] can write updates back to
+    /// it.
     ///
     /// # Panics
     ///
@@ -291,11 +294,11 @@ impl SpServiceBuilder {
     pub fn snapshot(
         mut self,
         dir: &std::path::Path,
-        backend: spnet_store::StoreBackend,
+        backend: StoreBackend,
     ) -> Result<Self, SnapshotError> {
-        let loaded = crate::snapshot::load_package(dir, backend)?;
+        let loaded = snapshot::load_package(dir, backend)?;
         self = self.package(loaded.package);
-        self.snapshot_dir = Some(dir.to_path_buf());
+        self.snapshot = Some((dir.to_path_buf(), backend));
         Ok(self)
     }
 
@@ -338,7 +341,7 @@ impl SpServiceBuilder {
         SpService {
             inner: Arc::new(ServiceInner {
                 state: Arc::new(RwLock::new(ServiceState::new(provider, retain))),
-                snapshot_dir: self.snapshot_dir,
+                snapshot: self.snapshot,
                 threads,
                 scheduler: OnceLock::new(),
             }),
@@ -459,27 +462,38 @@ impl SpService {
     }
 
     /// Owner-side: persists the **latest** epoch back into the snapshot
-    /// the service was loaded from, rewriting only the dirty sections
-    /// and pages in place ([`crate::snapshot::update_snapshot`]) — after
-    /// an [`Self::update_edge_weight`], a restart picks up the updated
+    /// the service was loaded from — after an
+    /// [`Self::update_edge_weight`], a restart picks up the updated
     /// network without any republish. Only a service registered through
-    /// [`SpServiceBuilder::snapshot`] with the `Mem` backend, whose
-    /// trees are resident, can refresh; errors are typed otherwise.
-    /// `shard` must be 0, the one package the service serves.
+    /// [`SpServiceBuilder::snapshot`] can refresh; errors are typed
+    /// otherwise. `shard` must be 0, the one package the service serves.
+    ///
+    /// A `Mem`-loaded service pages nothing from the file, so
+    /// [`snapshot::update_snapshot`] rewrites only the dirty pages in
+    /// place. The epochs of a `File`-loaded one page from the file, and
+    /// an in-place rewrite would change pages under the retained ones;
+    /// so the whole snapshot goes to a temporary file renamed over the
+    /// old one (`FullRewrite`), and every epoch keeps paging from the
+    /// old file it holds open.
     pub fn refresh_shard_snapshot(
         &self,
         shard: usize,
         public_key: &spnet_crypto::rsa::RsaPublicKey,
-    ) -> Result<crate::snapshot::SnapshotRefresh, SnapshotError> {
+    ) -> Result<SnapshotRefresh, SnapshotError> {
         if shard != 0 {
             return Err(SnapshotError::Corrupt("no such shard"));
         }
-        let dir = self
+        let (dir, backend) = self
             .inner
-            .snapshot_dir
-            .as_deref()
+            .snapshot
+            .as_ref()
             .ok_or(SnapshotError::Corrupt("service is not snapshot-backed"))?;
-        crate::snapshot::update_snapshot(self.read().latest().provider.package(), public_key, dir)
+        let st = self.read();
+        let package = st.latest().provider.package();
+        match backend {
+            StoreBackend::Mem => snapshot::update_snapshot(package, public_key, dir),
+            StoreBackend::File => snapshot::rewrite_snapshot(package, public_key, dir),
+        }
     }
 
     fn scheduler(&self) -> Option<Arc<Scheduler>> {

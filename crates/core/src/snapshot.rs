@@ -50,11 +50,12 @@ use std::sync::Arc;
 /// File name of the snapshot inside its directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.spnet";
 
-/// Digests per page of a persisted Merkle level (128 × 32 B = 4 KiB),
-/// and [`KeyedEntry`] records per page of a persisted B-tree entry
-/// array (256 × 16 B = 4 KiB). A page is also the block a resident
-/// tree shares between epochs ([`spnet_crypto::blocks`]).
-pub use spnet_crypto::blocks::{PAGE_DIGESTS, PAGE_ENTRIES};
+/// Bytes per page of a persisted Merkle level (128 digests) or B-tree
+/// entry array (256 [`KeyedEntry`] records). A page is also the block
+/// a tree holds, resident or not yet loaded
+/// ([`spnet_crypto::blocks`]).
+pub use spnet_crypto::blocks::PAGE_BYTES;
+use spnet_crypto::blocks::PAGE_ENTRIES;
 
 /// Residency bound (in pages) of each paged structure opened over a
 /// lazy store: faulted pages beyond this are evicted LRU and simply
@@ -237,12 +238,7 @@ pub(crate) fn decode_signed_root(bytes: &[u8]) -> Result<SignedRoot, SnapshotErr
     Ok(s)
 }
 
-/// Packs digests into their on-disk byte layout.
-pub(crate) fn digests_to_bytes(digests: &[Digest]) -> Vec<u8> {
-    digests.iter().flat_map(|d| *d.as_bytes()).collect()
-}
-
-/// Inverse of [`digests_to_bytes`].
+/// Unpacks digests from their on-disk byte layout.
 pub(crate) fn digests_from_bytes(bytes: &[u8]) -> Result<Vec<Digest>, SnapshotError> {
     if !bytes.len().is_multiple_of(DIGEST_LEN) {
         return Err(SnapshotError::Corrupt(
@@ -266,29 +262,23 @@ fn tree_height(leaf_count: usize, fanout: usize) -> usize {
     h
 }
 
-/// Writes a dense Merkle tree as one paged section per level
-/// (`base + level`, leaf level first).
+/// Writes a Merkle tree as one paged section per level
+/// (`base + level`, leaf level first). Unloaded blocks of a
+/// snapshot-loaded tree are paged out from their pager's verified
+/// bytes.
 pub(crate) fn write_tree(
     w: &mut SnapshotWriter,
     base: u16,
     tree: &MerkleTree,
 ) -> Result<(), SnapshotError> {
-    let levels = tree
-        .dense_levels()
-        .ok_or(SnapshotError::Corrupt("cannot snapshot a paged tree"))?;
-    for (l, level) in levels.iter().enumerate() {
-        let mut bytes = Vec::with_capacity(level.len() * DIGEST_LEN);
-        for d in level.iter() {
-            bytes.extend_from_slice(d.as_bytes());
-        }
-        w.paged(base + l as u16, &bytes, PAGE_DIGESTS * DIGEST_LEN)?;
+    for (l, level) in tree.dense_levels().iter().enumerate() {
+        w.paged(base + l as u16, &level.to_bytes()?, PAGE_BYTES)?;
     }
     Ok(())
 }
 
 /// Loads a tree written by [`write_tree`] **lazily**: pages fault in
-/// through the store on demand (the root page loads now). Use
-/// [`load_tree_dense`] for the eager path.
+/// through the store on demand (the root page loads now).
 pub(crate) fn load_tree_paged(
     store: &NodeStore,
     base: u16,
@@ -302,13 +292,12 @@ pub(crate) fn load_tree_paged(
         pagers,
         leaf_count,
         fanout,
-        PAGE_DIGESTS,
         store_cache_cfg(store),
     )?)
 }
 
-/// Writes a dense Merkle B-tree: packed entry records (paged), the
-/// per-page first keys (blob), and the digest tree levels.
+/// Writes a Merkle B-tree: packed entry records (paged), the per-page
+/// first keys (blob), and the digest tree levels.
 pub(crate) fn write_btree(
     w: &mut SnapshotWriter,
     bt: &MerkleBTree,
@@ -316,19 +305,11 @@ pub(crate) fn write_btree(
     keys_id: u16,
     tree_base: u16,
 ) -> Result<(), SnapshotError> {
-    let entries = bt
-        .dense_entries()
-        .ok_or(SnapshotError::Corrupt("cannot snapshot a paged B-tree"))?;
-    let mut entry_bytes = Vec::with_capacity(entries.len() * 16);
-    for e in entries.iter() {
-        entry_bytes.extend_from_slice(&e.encode());
-    }
-    w.paged(entries_id, &entry_bytes, PAGE_ENTRIES * 16)?;
-    // One resident block is one page: its first key is the page's.
-    let key_bytes: Vec<u8> = entries
-        .blocks()
+    w.paged(entries_id, &bt.dense_entries().to_bytes()?, PAGE_BYTES)?;
+    let key_bytes: Vec<u8> = bt
+        .first_keys()
         .iter()
-        .flat_map(|b| b[0].key.to_le_bytes())
+        .flat_map(|k| k.to_le_bytes())
         .collect();
     w.blob(keys_id, &key_bytes)?;
     write_tree(w, tree_base, bt.tree())
@@ -336,7 +317,7 @@ pub(crate) fn write_btree(
 
 /// Loads a B-tree written by [`write_btree`]. On a lazy store the
 /// entry array and tree levels stay on disk (page faults on access);
-/// on a resident store the dense B-tree is rebuilt from its entries.
+/// on a resident store the B-tree is rebuilt from its entries.
 pub(crate) fn load_btree(
     store: &NodeStore,
     len: usize,
@@ -357,8 +338,6 @@ pub(crate) fn load_btree(
             .collect();
         Ok(MerkleBTree::open_paged(
             Arc::new(store.paged(entries_id)?),
-            len,
-            PAGE_ENTRIES,
             first_keys,
             tree,
             store_cache_cfg(store),
@@ -385,12 +364,27 @@ pub(crate) fn load_btree(
 /// one snapshot file; returns its path. The owner signs **nothing**
 /// here: the signatures made at publish time are persisted as bytes.
 pub fn save_package(published: &Published, dir: &Path) -> Result<PathBuf, SnapshotError> {
+    rewrite_snapshot(&published.package, &published.public_key, dir)?;
+    Ok(dir.join(SNAPSHOT_FILE))
+}
+
+/// Writes the whole snapshot of `pkg` to a sibling temporary file,
+/// syncs it and renames it over `dir/`[`SNAPSHOT_FILE`]. Packages still
+/// paging from the old file keep reading it through the handles they
+/// hold, and a crash mid-write leaves the old snapshot loadable.
+pub(crate) fn rewrite_snapshot(
+    pkg: &ProviderPackage,
+    public_key: &RsaPublicKey,
+    dir: &Path,
+) -> Result<SnapshotRefresh, SnapshotError> {
     std::fs::create_dir_all(dir)?;
-    let path = dir.join(SNAPSHOT_FILE);
-    let mut w = SnapshotWriter::create(&path)?;
-    write_sections(&published.package, &published.public_key, &mut w)?;
+    let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp"));
+    let mut w = SnapshotWriter::create(&tmp)?;
+    write_sections(pkg, public_key, &mut w)?;
     w.finish()?;
-    Ok(path)
+    std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
+    std::fs::File::open(dir)?.sync_all()?;
+    Ok(SnapshotRefresh::FullRewrite)
 }
 
 /// Emits every snapshot section of a package into `w` — the single
@@ -430,9 +424,10 @@ fn write_sections(
 pub enum SnapshotRefresh {
     /// Only the dirty pages and sections were rewritten in place.
     InPlace(spnet_store::UpdateStats),
-    /// The whole file was rewritten — no snapshot existed yet, or the
-    /// incremental path could not apply (section set or geometry
-    /// changed beyond the in-place slack).
+    /// The whole file was rewritten into a new file renamed over the
+    /// old one — no snapshot existed yet, the incremental path could
+    /// not apply (section set or geometry changed beyond the in-place
+    /// slack), or the service pages lazily from the file.
     FullRewrite,
 }
 
@@ -445,9 +440,17 @@ pub enum SnapshotRefresh {
 /// graph/tuple blobs and the few tree pages on the dirty leaves'
 /// paths, not the O(n) snapshot. Any incremental failure (missing
 /// file, changed section set, a section outgrowing its 4 KiB slack)
-/// falls back to a full [`save_package`]-equivalent rewrite, so the
-/// call always leaves a loadable snapshot. Mid-update crashes are
-/// loud: the store zeroes the header magic until the diff commits.
+/// falls back to a whole rewrite into a temporary file renamed over
+/// the old one, so the call always leaves a loadable snapshot and never
+/// truncates a file a reader pages from. Mid-update crashes of the
+/// in-place path are loud: the store zeroes the header magic until the
+/// diff commits.
+///
+/// The in-place path rewrites pages under every reader of the file, so
+/// it must not run while packages other than `pkg` page lazily from it
+/// (a `File`-loaded package, or an older epoch of one, would fail its
+/// page checksums). `pkg` itself may: the pages it has not loaded are
+/// exactly the pages the diff leaves alone.
 pub fn update_snapshot(
     pkg: &ProviderPackage,
     public_key: &RsaPublicKey,
@@ -464,13 +467,7 @@ pub fn update_snapshot(
     })();
     match incremental {
         Ok(stats) => Ok(SnapshotRefresh::InPlace(stats)),
-        Err(_) => {
-            std::fs::create_dir_all(dir)?;
-            let mut w = SnapshotWriter::create(&path)?;
-            write_sections(pkg, public_key, &mut w)?;
-            w.finish()?;
-            Ok(SnapshotRefresh::FullRewrite)
-        }
+        Err(_) => rewrite_snapshot(pkg, public_key, dir),
     }
 }
 
@@ -478,7 +475,10 @@ pub fn update_snapshot(
 
 /// A provider package reconstructed from a snapshot — plus the
 /// persisted owner public key and the backing store (kept for fault
-/// accounting).
+/// accounting). The package takes updates and can be saved again on
+/// either backend; a `File`-loaded one keeps paging from the file it
+/// was loaded from, so refresh that file only through
+/// [`update_snapshot`]'s rules.
 pub struct LoadedSnapshot {
     /// Serving-ready package, signature-verified against `public_key`.
     pub package: ProviderPackage,
@@ -662,7 +662,9 @@ mod tests {
     #[test]
     fn digest_bytes_round_trip() {
         let ds: Vec<Digest> = (0u8..5).map(|i| Digest([i; DIGEST_LEN])).collect();
-        let bytes = digests_to_bytes(&ds);
+        let bytes = spnet_crypto::blocks::Blocks::from(&ds[..])
+            .to_bytes()
+            .unwrap();
         assert_eq!(digests_from_bytes(&bytes).unwrap(), ds);
         assert!(digests_from_bytes(&bytes[..DIGEST_LEN + 1]).is_err());
     }

@@ -1,5 +1,6 @@
 //! Copy-on-write block arrays: an array of records held as fixed
-//! blocks of one snapshot page each.
+//! blocks of one snapshot page each, each block resident or not yet
+//! loaded.
 //!
 //! The owner's structures (Merkle levels, B-tree entries, the network's
 //! tuple handles) are cloned once per published epoch, and an update
@@ -13,8 +14,18 @@
 //! digests ([`PAGE_DIGESTS`]) or 256 B-tree entries
 //! ([`PAGE_ENTRIES`]). The record count per block is a power of two, so
 //! indexing is a shift and a mask.
+//!
+//! A built array is resident. An array opened over a snapshot section
+//! starts with no block loaded, like Merk's `Link`
+//! whose child "may not be loaded in memory": a read of such a block
+//! goes through the section's [`Pager`] and a bounded [`PageCache`] and
+//! leaves the block unloaded; a write loads the block once, then copies
+//! it as above.
 
+use crate::cache::PageCache;
 use crate::digest::DIGEST_LEN;
+use crate::merkle::MerkleError;
+use crate::pager::{self, Pager, Record};
 use std::ops::Index;
 use std::sync::Arc;
 
@@ -29,21 +40,30 @@ pub const PAGE_ENTRIES: usize = PAGE_BYTES / 16;
 
 /// An array of `T` stored as reference-counted blocks of
 /// [`Blocks::BLOCK_LEN`] records (the last block may be short).
-/// `Clone` bumps one reference count per block.
-#[derive(Debug)]
+/// `Clone` bumps one reference count per resident block.
+#[derive(Debug, Clone)]
 pub struct Blocks<T> {
-    blocks: Vec<Arc<[T]>>,
+    /// One slot per block: `None` until a paged block is loaded.
+    blocks: Vec<Option<Arc<[T]>>>,
     len: usize,
+    /// Where unloaded blocks come from; `None` for a built array.
+    pages: Option<Pages<T>>,
 }
 
-impl<T> Clone for Blocks<T> {
-    fn clone(&self) -> Self {
-        Blocks {
-            blocks: self.blocks.clone(),
-            len: self.len,
-        }
-    }
+/// The source of a paged array's unloaded blocks.
+#[derive(Debug, Clone)]
+struct Pages<T> {
+    pager: Arc<dyn Pager>,
+    /// Faulted pages, shared by every clone of the array (and, for a
+    /// tree, by all its levels).
+    cache: Arc<PageCache<[T]>>,
+    /// Cache key of page 0; page `p` is cached under `key + p`.
+    key: u64,
+    /// [`pager::fault`] for the record type.
+    fault: Fault<T>,
 }
+
+type Fault<T> = fn(&PageCache<[T]>, u64, &dyn Pager, usize, usize) -> Result<Arc<[T]>, MerkleError>;
 
 impl<T> Blocks<T> {
     /// Records per block: the largest power of two whose records fit
@@ -70,45 +90,70 @@ impl<T> Blocks<T> {
         self.len == 0
     }
 
-    /// Record `i`, if in range.
-    #[inline]
-    pub fn get(&self, i: usize) -> Option<&T> {
-        (i < self.len).then(|| &self.blocks[i >> Self::SHIFT][i & Self::MASK])
-    }
-
-    /// The records in order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
-        self.blocks.iter().flat_map(|b| b.iter())
-    }
-
-    /// The blocks in order — what a snapshot writer pages out, and what
-    /// tests compare with [`Arc::ptr_eq`] across epochs.
-    pub fn blocks(&self) -> &[Arc<[T]>] {
+    /// The blocks in order, `None` for one not yet loaded — what tests
+    /// compare with [`Arc::ptr_eq`] across epochs.
+    pub fn blocks(&self) -> &[Option<Arc<[T]>>] {
         &self.blocks
     }
 
-    /// The first index whose record fails `pred`, for a `pred` that
-    /// holds on a prefix of the records (as `slice::partition_point`).
-    pub fn partition_point(&self, mut pred: impl FnMut(&T) -> bool) -> usize {
-        let full = self
-            .blocks
-            .partition_point(|b| b.last().is_some_and(&mut pred));
-        match self.blocks.get(full) {
-            Some(b) => (full << Self::SHIFT) + b.partition_point(pred),
-            None => self.len,
+    /// Applies `f` to block `b`: the resident one, else the page
+    /// through the cache. Leaves the block as it was.
+    #[inline]
+    pub(crate) fn with_block<R>(
+        &self,
+        b: usize,
+        f: impl FnOnce(&[T]) -> R,
+    ) -> Result<R, MerkleError> {
+        match &self.blocks[b] {
+            Some(block) => Ok(f(block)),
+            None => Ok(f(&self.fault(b)?)),
         }
+    }
+
+    /// The page of unloaded block `b`, through the cache.
+    fn fault(&self, b: usize) -> Result<Arc<[T]>, MerkleError> {
+        let p = self.pages.as_ref().expect("a built array has every block");
+        (p.fault)(&p.cache, p.key + b as u64, &*p.pager, self.len, b)
+    }
+
+    /// Makes block `b` resident.
+    fn load(&mut self, b: usize) -> Result<&mut Arc<[T]>, MerkleError> {
+        if self.blocks[b].is_none() {
+            self.blocks[b] = Some(self.fault(b)?);
+        }
+        Ok(self.blocks[b].as_mut().expect("loaded above"))
+    }
+
+    /// Makes every block resident: one page read each for the blocks
+    /// not yet loaded.
+    pub(crate) fn load_all(&mut self) -> Result<(), MerkleError> {
+        (0..self.blocks.len()).try_for_each(|b| self.load(b).map(drop))
     }
 }
 
 impl<T: Clone> Blocks<T> {
-    /// Writes each `(index, record)` in order, copying a block first
-    /// ([`Arc::make_mut`]) if another clone shares it. Sorted by index,
-    /// the slots make each block they touch mutable once; a repeated
-    /// index keeps its last record.
+    /// Record `i`. A record of an unloaded block is read through the
+    /// page cache; the block stays unloaded.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range.
+    #[inline]
+    pub(crate) fn read(&self, i: usize) -> Result<T, MerkleError> {
+        assert!(i < self.len, "record {i} out of range ({})", self.len);
+        self.with_block(i >> Self::SHIFT, |block| block[i & Self::MASK].clone())
+    }
+
+    /// Writes each `(index, record)` in order, loading a block that is
+    /// not resident and copying one another clone shares
+    /// ([`Arc::make_mut`]). Sorted by index, the slots make each block
+    /// they touch mutable once; a repeated index keeps its last record.
     ///
     /// # Panics
     /// Panics if an index is out of range.
-    pub fn set_sorted(&mut self, slots: impl IntoIterator<Item = (usize, T)>) {
+    pub fn set_sorted(
+        &mut self,
+        slots: impl IntoIterator<Item = (usize, T)>,
+    ) -> Result<(), MerkleError> {
         let mut slots = slots.into_iter().peekable();
         while let Some(&(first, _)) = slots.peek() {
             assert!(
@@ -117,16 +162,55 @@ impl<T: Clone> Blocks<T> {
                 self.len
             );
             let b = first >> Self::SHIFT;
-            let block = Arc::make_mut(&mut self.blocks[b]);
+            let block = Arc::make_mut(self.load(b)?);
             while let Some((i, record)) = slots.next_if(|&(i, _)| i >> Self::SHIFT == b) {
                 block[i & Self::MASK] = record;
             }
         }
+        Ok(())
     }
 
-    /// The records as one vector.
-    pub fn to_vec(&self) -> Vec<T> {
-        self.iter().cloned().collect()
+    /// The records as one vector (unloaded blocks read through the
+    /// page cache).
+    pub fn to_vec(&self) -> Result<Vec<T>, MerkleError> {
+        (0..self.len).map(|i| self.read(i)).collect()
+    }
+}
+
+impl<T: Record> Blocks<T> {
+    /// An array of `len` records over one snapshot section, one block
+    /// to a page, with no block loaded. Faulted pages are cached in
+    /// `cache` under `key + page`.
+    pub(crate) fn paged(
+        pager: Arc<dyn Pager>,
+        len: usize,
+        cache: Arc<PageCache<[T]>>,
+        key: u64,
+    ) -> Self {
+        Blocks {
+            blocks: vec![None; len.div_ceil(Self::BLOCK_LEN)],
+            len,
+            pages: Some(Pages {
+                pager,
+                cache,
+                key,
+                fault: pager::fault::<T>,
+            }),
+        }
+    }
+
+    /// The records' snapshot bytes, page after page: a resident block
+    /// encoded, an unloaded one as its pager's verified bytes.
+    pub fn to_bytes(&self) -> Result<Vec<u8>, MerkleError> {
+        let mut out = Vec::with_capacity(self.len * T::LEN);
+        for (b, block) in self.blocks.iter().enumerate() {
+            match (block, &self.pages) {
+                (Some(block), _) => block.iter().for_each(|r| r.encode(&mut out)),
+                (None, Some(p)) => out.extend(pager::page_bytes::<T>(&*p.pager, self.len, b)?),
+                (None, None) => unreachable!("a built array has every block"),
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -138,17 +222,25 @@ impl<T> FromIterator<T> for Blocks<T> {
         while iter.peek().is_some() {
             let block: Arc<[T]> = iter.by_ref().take(Self::BLOCK_LEN).collect();
             len += block.len();
-            blocks.push(block);
+            blocks.push(Some(block));
         }
-        Blocks { blocks, len }
+        Blocks {
+            blocks,
+            len,
+            pages: None,
+        }
     }
 }
 
 impl<T: Clone> From<&[T]> for Blocks<T> {
     fn from(records: &[T]) -> Self {
         Blocks {
-            blocks: records.chunks(Self::BLOCK_LEN).map(Arc::from).collect(),
+            blocks: records
+                .chunks(Self::BLOCK_LEN)
+                .map(|c| Some(Arc::from(c)))
+                .collect(),
             len: records.len(),
+            pages: None,
         }
     }
 }
@@ -159,13 +251,18 @@ impl<T: Clone> From<Vec<T>> for Blocks<T> {
     }
 }
 
+/// Indexes resident records: a built array's. A record that may not be
+/// loaded is read through the tree that holds it.
 impl<T> Index<usize> for Blocks<T> {
     type Output = T;
 
     #[inline]
     fn index(&self, i: usize) -> &T {
-        self.get(i)
-            .unwrap_or_else(|| panic!("record {i} out of range ({})", self.len))
+        assert!(i < self.len, "record {i} out of range ({})", self.len);
+        let block = self.blocks[i >> Self::SHIFT]
+            .as_ref()
+            .unwrap_or_else(|| panic!("record {i} is not loaded"));
+        &block[i & Self::MASK]
     }
 }
 
@@ -192,18 +289,13 @@ mod tests {
             let b: Blocks<u64> = v.clone().into();
             assert_eq!(b.len(), n);
             assert_eq!(b.blocks().len(), n.div_ceil(512));
-            assert_eq!(b.iter().copied().collect::<Vec<_>>(), v);
-            assert_eq!(b.to_vec(), v);
-            for i in [0, n / 2, n.saturating_sub(1)] {
-                assert_eq!(b.get(i), v.get(i));
-            }
-            assert_eq!(b.get(n), None);
-            for key in [0u64, 1, 3, 1535, 1536, 1537, u64::MAX] {
-                assert_eq!(
-                    b.partition_point(|&x| x < key),
-                    v.partition_point(|&x| x < key),
-                    "n={n} key={key}"
-                );
+            assert_eq!(b.to_vec().unwrap(), v);
+            for i in [0, n / 2, n.saturating_sub(1)]
+                .into_iter()
+                .filter(|&i| i < n)
+            {
+                assert_eq!(b[i], v[i]);
+                assert_eq!(b.read(i).unwrap(), v[i]);
             }
         }
     }
@@ -212,21 +304,73 @@ mod tests {
     fn clones_share_until_a_write_copies_one_block() {
         let a: Blocks<u64> = (0..2000u64).collect();
         let mut b = a.clone();
-        b.set_sorted([(700, 9)]);
+        b.set_sorted([(700, 9)]).unwrap();
         assert_eq!((a[700], b[700]), (700, 9));
-        for (i, (x, y)) in a.blocks().iter().zip(b.blocks()).enumerate() {
-            assert_eq!(Arc::ptr_eq(x, y), i != 1, "block {i}");
-        }
+        let shared = |x: &Blocks<u64>, y: &Blocks<u64>| -> Vec<bool> {
+            x.blocks()
+                .iter()
+                .zip(y.blocks())
+                .map(|(x, y)| Arc::ptr_eq(x.as_ref().unwrap(), y.as_ref().unwrap()))
+                .collect()
+        };
+        assert_eq!(shared(&a, &b), [true, false, true, true]);
         // A second write to the now-private block copies nothing.
-        let before = Arc::as_ptr(&b.blocks()[1]);
-        b.set_sorted([(701, 10)]);
-        assert_eq!(Arc::as_ptr(&b.blocks()[1]), before);
+        let before = Arc::as_ptr(b.blocks()[1].as_ref().unwrap());
+        b.set_sorted([(701, 10)]).unwrap();
+        assert_eq!(Arc::as_ptr(b.blocks()[1].as_ref().unwrap()), before);
         // Sorted writes across blocks 0 and 3 copy exactly those.
         let mut c = a.clone();
-        c.set_sorted([(0, 5), (2, 6), (1536, 7), (1536, 8)]);
+        c.set_sorted([(0, 5), (2, 6), (1536, 7), (1536, 8)])
+            .unwrap();
         assert_eq!((c[0], c[1], c[2], c[1536]), (5, 1, 6, 8));
-        for (i, (x, y)) in a.blocks().iter().zip(c.blocks()).enumerate() {
-            assert_eq!(Arc::ptr_eq(x, y), i == 1 || i == 2, "block {i}");
-        }
+        assert_eq!(shared(&a, &c), [false, true, true, false]);
+    }
+
+    #[test]
+    fn a_paged_array_loads_only_the_blocks_it_writes() {
+        use crate::cache::PageCacheCfg;
+        use crate::pager::testing::BytePager;
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        let records: Vec<KeyedEntry> = (0..1000u64)
+            .map(|key| KeyedEntry { key, value: 0.5 })
+            .collect();
+        let built = Blocks::from(&records[..]);
+        let pager = Arc::new(BytePager {
+            bytes: built.to_bytes().unwrap(),
+            page_len: PAGE_BYTES,
+            clip: usize::MAX,
+            faults: Arc::new(AtomicU64::new(0)),
+        });
+        let cache = Arc::new(PageCache::new(PageCacheCfg::default()));
+        let mut paged = Blocks::paged(Arc::clone(&pager) as Arc<dyn Pager>, 1000, cache, 0);
+        assert_eq!(paged.blocks().len(), 4);
+        assert!(paged.blocks().iter().all(Option::is_none));
+        // Reads fault through the cache and leave every block unloaded.
+        assert_eq!(paged.read(600).unwrap(), records[600]);
+        assert_eq!(paged.read(601).unwrap(), records[601]);
+        assert_eq!(pager.faults.load(Ordering::Relaxed), 1);
+        assert!(paged.blocks().iter().all(Option::is_none));
+        // A write loads its block (a cache hit here) and only that one.
+        let new = KeyedEntry {
+            key: 600,
+            value: 9.0,
+        };
+        paged.set_sorted([(600, new)]).unwrap();
+        let resident: Vec<bool> = paged.blocks().iter().map(Option::is_some).collect();
+        assert_eq!(resident, [false, false, true, false]);
+        assert_eq!(pager.faults.load(Ordering::Relaxed), 1);
+        assert_eq!(paged.read(600).unwrap(), new);
+        // Its bytes are the built array's with the one record changed.
+        let mut want = records.clone();
+        want[600] = new;
+        assert_eq!(paged.to_vec().unwrap(), want);
+        assert_eq!(
+            paged.to_bytes().unwrap(),
+            Blocks::from(want).to_bytes().unwrap()
+        );
+        paged.load_all().unwrap();
+        assert!(paged.blocks().iter().all(Option::is_some));
+        assert_eq!(paged[600], new);
     }
 }

@@ -1,9 +1,9 @@
 //! The one bounded LRU of the workspace.
 //!
-//! The paged [`crate::merkle::MerkleTree`] and
-//! [`crate::mbtree::MerkleBTree`] representations fault digest and
-//! entry pages in through a [`crate::pager::Pager`]; a [`PageCache`]
-//! bounds how many stay resident: at most `capacity` pages, the
+//! A snapshot-loaded [`crate::merkle::MerkleTree`] or
+//! [`crate::mbtree::MerkleBTree`] serves each block it has not loaded
+//! through a [`crate::pager::Pager`]; a [`PageCache`] bounds how many
+//! of those faulted pages stay resident: at most `capacity` pages, the
 //! least-recently-used one dropped on overflow. Evicted pages are
 //! simply re-faulted (and re-validated) on the next touch — correctness
 //! never depends on cache contents. The FULL method keeps its hot
@@ -41,12 +41,12 @@ impl PageCacheCfg {
     }
 }
 
-struct Slot<T> {
+struct Slot<T: ?Sized> {
     value: Arc<T>,
     stamp: u64,
 }
 
-struct Inner<T> {
+struct Inner<T: ?Sized> {
     map: HashMap<u64, Slot<T>>,
     clock: u64,
 }
@@ -57,13 +57,13 @@ struct Inner<T> {
 /// for the minimum stamp. The scan is O(capacity), which is fine here:
 /// eviction only happens once the cache is full, and every insertion is
 /// preceded by a backing-store fault that dwarfs the scan.
-pub struct PageCache<T> {
+pub struct PageCache<T: ?Sized> {
     capacity: usize,
     evictions: Option<Arc<AtomicU64>>,
     inner: Mutex<Inner<T>>,
 }
 
-impl<T> std::fmt::Debug for PageCache<T> {
+impl<T: ?Sized> std::fmt::Debug for PageCache<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PageCache")
             .field("capacity", &self.capacity)
@@ -74,7 +74,7 @@ impl<T> std::fmt::Debug for PageCache<T> {
 
 /// A clone starts empty, with the same capacity and eviction counter:
 /// a cache is memoization private to the structure that owns it.
-impl<T> Clone for PageCache<T> {
+impl<T: ?Sized> Clone for PageCache<T> {
     fn clone(&self) -> Self {
         PageCache::new(PageCacheCfg {
             capacity: self.capacity,
@@ -83,7 +83,7 @@ impl<T> Clone for PageCache<T> {
     }
 }
 
-impl<T> PageCache<T> {
+impl<T: ?Sized> PageCache<T> {
     /// Creates a cache from `cfg` (capacity `0` falls back to the
     /// default).
     pub fn new(cfg: PageCacheCfg) -> Self {

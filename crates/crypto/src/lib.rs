@@ -21,8 +21,8 @@
 //! * [`mbtree`] — a keyed Merkle B-tree used for materialized distance
 //!   tuples (the FULL method) and hyper-edge weights (the HYP method).
 //! * [`blocks`] — the copy-on-write block array both trees store their
-//!   resident records in, one snapshot page per block, so epochs share
-//!   every block an update does not write.
+//!   records in, one snapshot page per block, each resident or not yet
+//!   loaded, so epochs share every block an update does not write.
 //!
 //! # Security disclaimer
 //!

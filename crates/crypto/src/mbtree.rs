@@ -8,13 +8,15 @@
 //! Realisation: entries sorted by key form the leaf level of a
 //! [`MerkleTree`] with the requested fanout. Entry digests bind key and
 //! value together, so a lookup proof authenticates both; membership of
-//! *sets* of keys reuses the multi-leaf Merkle proof machinery.
+//! *sets* of keys reuses the multi-leaf Merkle proof machinery. The
+//! entries are one [`Blocks`] array, resident or served page by page
+//! from a snapshot, and updatable either way.
 
-use crate::blocks::Blocks;
+use crate::blocks::{Blocks, PAGE_ENTRIES};
 use crate::cache::{PageCache, PageCacheCfg};
 use crate::digest::{hash_bytes, Digest};
 use crate::merkle::{MerkleError, MerkleProof, MerkleTree};
-use crate::pager::{self, Pager};
+use crate::pager::Pager;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -236,29 +238,17 @@ impl KeyRangeProof {
     }
 }
 
-/// Physical representation of the sorted entry array.
-#[derive(Debug, Clone)]
-enum EntryRepr {
-    /// All entries resident, as copy-on-write blocks of one snapshot
-    /// page each.
-    Dense(Blocks<KeyedEntry>),
-    /// Entries faulted in page-by-page from a backing store. The first
-    /// key of each page is kept resident so a lookup binary-searches
-    /// the sparse index first and faults exactly one page.
-    Paged {
-        pager: Arc<dyn Pager>,
-        len: usize,
-        page_entries: usize,
-        first_keys: Vec<u64>,
-        /// Bounded LRU over resident entry pages, shared across clones.
-        cache: Arc<PageCache<Vec<KeyedEntry>>>,
-    },
-}
-
 /// The Merkle B-tree: sorted entries + Merkle tree over entry digests.
+///
+/// The entry array is one [`Blocks`] array, resident when built and
+/// served page by page when opened over a snapshot; either kind takes
+/// updates. The first key of each block stays resident, so a lookup
+/// binary-searches it first and touches exactly one block.
 #[derive(Debug, Clone)]
 pub struct MerkleBTree {
-    entries: EntryRepr,
+    entries: Blocks<KeyedEntry>,
+    /// Key of the first entry of each block (= snapshot page).
+    first_keys: Arc<[u64]>,
     tree: MerkleTree,
 }
 
@@ -273,53 +263,41 @@ impl MerkleBTree {
         }
         let leaves: Vec<Digest> = entries.iter().map(KeyedEntry::digest).collect();
         let tree = MerkleTree::build(leaves, fanout)?;
+        let first_keys = entries.chunks(PAGE_ENTRIES).map(|c| c[0].key).collect();
         Ok(MerkleBTree {
-            entries: EntryRepr::Dense(entries.into()),
+            entries: entries.into(),
+            first_keys,
             tree,
         })
     }
 
-    /// Opens a read-only tree whose entry array and digest levels live
-    /// in a paged backing store, with the entry-page cache `cache_cfg`.
-    /// `first_keys[p]` must be the key of the first entry of page `p`
-    /// (saved by the snapshot writer — deriving it here would fault
-    /// every page and defeat laziness). `tree` is typically a
-    /// [`MerkleTree::open_paged`] tree over the entry digests.
+    /// Opens a tree whose entry array lives in a paged backing store
+    /// (one block to a page), one entry per leaf of `tree`, with the
+    /// entry-page cache `cache_cfg`. `first_keys[p]` must be the key of
+    /// the first entry of page `p` (saved by the snapshot writer —
+    /// deriving it here would fault every page and defeat laziness).
+    /// `tree` is typically a [`MerkleTree::open_paged`] tree over the
+    /// entry digests.
     pub fn open_paged(
         pager: Arc<dyn Pager>,
-        len: usize,
-        page_entries: usize,
         first_keys: Vec<u64>,
         tree: MerkleTree,
         cache_cfg: PageCacheCfg,
     ) -> Result<Self, MbTreeError> {
-        if len == 0 {
-            return Err(MbTreeError::Empty);
-        }
-        if page_entries == 0 || first_keys.len() != len.div_ceil(page_entries) {
+        let len = tree.leaf_count();
+        if first_keys.len() != len.div_ceil(PAGE_ENTRIES) {
             return Err(MbTreeError::Merkle(MerkleError::Page(format!(
-                "bad page geometry: {len} entries, {page_entries} per page, {} first keys",
+                "bad page geometry: {len} entries, {} first keys",
                 first_keys.len()
             ))));
         }
         if first_keys.windows(2).any(|w| w[0] >= w[1]) {
             return Err(MbTreeError::UnsortedKeys);
         }
-        if tree.leaf_count() != len {
-            return Err(MbTreeError::Merkle(MerkleError::Page(format!(
-                "digest tree has {} leaves for {len} entries",
-                tree.leaf_count()
-            ))));
-        }
         let cache = Arc::new(PageCache::new(cache_cfg));
         Ok(MerkleBTree {
-            entries: EntryRepr::Paged {
-                pager,
-                len,
-                page_entries,
-                first_keys,
-                cache,
-            },
+            entries: Blocks::paged(pager, len, cache, 0),
+            first_keys: first_keys.into(),
             tree,
         })
     }
@@ -331,10 +309,7 @@ impl MerkleBTree {
 
     /// Number of materialized entries.
     pub fn len(&self) -> usize {
-        match &self.entries {
-            EntryRepr::Dense(es) => es.len(),
-            EntryRepr::Paged { len, .. } => *len,
-        }
+        self.entries.len()
     }
 
     /// True if the tree holds no entries (unreachable post-`build`).
@@ -353,28 +328,22 @@ impl MerkleBTree {
         &self.tree
     }
 
-    /// Whether entries resolve lazily from a backing store.
-    pub fn is_paged(&self) -> bool {
-        matches!(self.entries, EntryRepr::Paged { .. })
+    /// The entry array. Snapshot writers page it out
+    /// ([`Blocks::to_bytes`]).
+    pub fn dense_entries(&self) -> &Blocks<KeyedEntry> {
+        &self.entries
     }
 
-    /// The resident entry array — present only for built trees.
-    /// Snapshot writers serialize this.
-    pub fn dense_entries(&self) -> Option<&Blocks<KeyedEntry>> {
-        match &self.entries {
-            EntryRepr::Dense(es) => Some(es),
-            EntryRepr::Paged { .. } => None,
-        }
+    /// The key of the first entry of each page, in page order.
+    pub fn first_keys(&self) -> &[u64] {
+        &self.first_keys
     }
 
-    /// Every entry of the tree, in key order, regardless of physical
-    /// representation. On a paged tree this faults every entry page —
-    /// use it to densify a read-only tree before mutating it.
-    pub fn all_entries(&self) -> Result<Vec<KeyedEntry>, MbTreeError> {
-        match &self.entries {
-            EntryRepr::Dense(es) => Ok(es.to_vec()),
-            EntryRepr::Paged { .. } => (0..self.len()).map(|i| self.entry_at(i)).collect(),
-        }
+    /// Makes every entry block resident: one verified read per page
+    /// not yet loaded, with no hashing — for a caller about to read
+    /// every entry, and more than once.
+    pub fn load_entries(&mut self) -> Result<(), MbTreeError> {
+        Ok(self.entries.load_all()?)
     }
 
     /// Replaces the value stored under an existing `key` and patches
@@ -386,69 +355,48 @@ impl MerkleBTree {
 
     /// Replaces the values stored under existing keys and patches their
     /// Merkle paths in one batched repair
-    /// ([`MerkleTree::update_leaves`]), copying only the entry blocks
-    /// and digest blocks it writes. Only dense trees are updatable —
-    /// paged trees are read-only views and report the underlying
-    /// [`MerkleError::ReadOnly`]. A missing key changes nothing.
+    /// ([`MerkleTree::update_leaves`]), loading and copying only the
+    /// entry blocks and digest blocks it writes. A missing key changes
+    /// nothing.
     pub fn update_values(&mut self, updates: &[KeyedEntry]) -> Result<(), MbTreeError> {
         let mut slots = updates
             .iter()
             .map(|e| Ok((self.locate(e.key)?.0, *e)))
             .collect::<Result<Vec<_>, MbTreeError>>()?;
         slots.sort_by_key(|&(pos, _)| pos);
-        match &mut self.entries {
-            EntryRepr::Dense(es) => {
-                let leaves: Vec<(usize, Digest)> =
-                    slots.iter().map(|&(pos, e)| (pos, e.digest())).collect();
-                es.set_sorted(slots);
-                Ok(self.tree.update_leaves(&leaves)?)
-            }
-            EntryRepr::Paged { .. } => Err(MbTreeError::Merkle(MerkleError::ReadOnly)),
-        }
+        let leaves: Vec<(usize, Digest)> =
+            slots.iter().map(|&(pos, e)| (pos, e.digest())).collect();
+        self.entries.set_sorted(slots)?;
+        Ok(self.tree.update_leaves(&leaves)?)
     }
 
     /// Locates `key`, faulting at most one page: returns the global
     /// position and the entry.
     fn locate(&self, key: u64) -> Result<(usize, KeyedEntry), MbTreeError> {
-        match &self.entries {
-            EntryRepr::Dense(es) => {
-                let idx = es.partition_point(|e| e.key < key);
-                match es.get(idx) {
-                    Some(e) if e.key == key => Ok((idx, *e)),
-                    _ => Err(MbTreeError::KeyNotFound(key)),
-                }
-            }
-            EntryRepr::Paged {
-                pager,
-                len,
-                page_entries,
-                first_keys,
-                cache,
-            } => {
-                // Last page whose first key is ≤ key holds the only
-                // possible slot.
-                let p = first_keys.partition_point(|&k| k <= key);
-                if p == 0 {
-                    return Err(MbTreeError::KeyNotFound(key));
-                }
-                let page = p - 1;
-                let run = pager::fault(cache, page as u64, &**pager, *len, *page_entries, page)?;
-                let idx = run
-                    .binary_search_by_key(&key, |e| e.key)
-                    .map_err(|_| MbTreeError::KeyNotFound(key))?;
-                Ok((page * page_entries + idx, run[idx]))
-            }
+        // The last page whose first key is ≤ key holds the only
+        // possible slot.
+        let page = match self.first_keys.partition_point(|&k| k <= key) {
+            0 => return Err(MbTreeError::KeyNotFound(key)),
+            p => p - 1,
+        };
+        let (idx, entry) = self.entries.with_block(page, |run| {
+            let idx = run.partition_point(|e| e.key < key);
+            (idx, run.get(idx).copied())
+        })?;
+        match entry {
+            Some(e) if e.key == key => Ok((page * PAGE_ENTRIES + idx, e)),
+            _ => Err(MbTreeError::KeyNotFound(key)),
         }
     }
 
-    /// Looks up a single key. On a paged tree, a backing-store fault
-    /// failure also reports as `None`; use [`MerkleBTree::prove_keys`]
+    /// Looks up a single key. A backing-store fault failure also
+    /// reports as `None`; use [`MerkleBTree::prove_keys`]
     /// when the distinction matters.
     pub fn get(&self, key: u64) -> Option<f64> {
         self.locate(key).ok().map(|(_, e)| e.value)
     }
 
-    /// Builds a membership proof for a set of keys. On a paged tree
+    /// Builds a membership proof for a set of keys. Of unloaded blocks
     /// this faults only the entry pages and digest pages the proof
     /// touches.
     pub fn prove_keys(&self, keys: &[u64]) -> Result<KeyedProof, MbTreeError> {
@@ -465,56 +413,36 @@ impl MerkleBTree {
         })
     }
 
-    /// The entry at global position `idx`; faults at most one page on a
-    /// paged tree.
-    fn entry_at(&self, idx: usize) -> Result<KeyedEntry, MbTreeError> {
-        match &self.entries {
-            EntryRepr::Dense(es) => Ok(es[idx]),
-            EntryRepr::Paged {
-                pager,
-                len,
-                page_entries,
-                cache,
-                ..
-            } => {
-                let page = idx / page_entries;
-                let run = pager::fault(cache, page as u64, &**pager, *len, *page_entries, page)?;
-                Ok(run[idx % page_entries])
-            }
-        }
-    }
-
-    /// First global position whose key fails `pred`, by binary search.
-    /// Faults O(log pages) entry pages on a paged tree.
-    fn partition_point_global(&self, pred: impl Fn(u64) -> bool) -> Result<usize, MbTreeError> {
-        let (mut left, mut right) = (0usize, self.len());
-        while left < right {
-            let mid = left + (right - left) / 2;
-            if pred(self.entry_at(mid)?.key) {
-                left = mid + 1;
-            } else {
-                right = mid;
-            }
-        }
-        Ok(left)
+    /// First global position whose key fails `pred`, a predicate that
+    /// holds on a prefix of the keys: the first keys pick the page, one
+    /// block search the slot.
+    fn partition_point(&self, pred: impl Fn(u64) -> bool) -> Result<usize, MbTreeError> {
+        let page = match self.first_keys.partition_point(|&k| pred(k)) {
+            0 => return Ok(0),
+            p => p - 1,
+        };
+        let offset = self
+            .entries
+            .with_block(page, |run| run.partition_point(|e| pred(e.key)))?;
+        Ok(page * PAGE_ENTRIES + offset)
     }
 
     /// Builds a completeness proof for the key interval `[lo, hi]`: the
     /// contiguous leaf run holding every in-interval entry plus its
-    /// bracketing neighbours. On a paged tree this faults only the run
-    /// pages, the O(log n) pages the position search touches, and the
-    /// digest pages of the Merkle cover.
+    /// bracketing neighbours. Of unloaded blocks this faults only the
+    /// run pages, the page each bound's search touches, and the digest
+    /// pages of the Merkle cover.
     pub fn prove_key_range(&self, lo: u64, hi: u64) -> Result<KeyRangeProof, MbTreeError> {
         if lo > hi {
             return Err(MbTreeError::RangeIncomplete("interval is empty (lo > hi)"));
         }
         let len = self.len();
-        let lo_idx = self.partition_point_global(|k| k < lo)?;
-        let hi_idx = self.partition_point_global(|k| k <= hi)?;
+        let lo_idx = self.partition_point(|k| k < lo)?;
+        let hi_idx = self.partition_point(|k| k <= hi)?;
         let start = lo_idx.saturating_sub(1);
         let end = (hi_idx + 1).min(len); // exclusive
-        let entries: Result<Vec<KeyedEntry>, MbTreeError> =
-            (start..end).map(|i| self.entry_at(i)).collect();
+        let entries: Result<Vec<KeyedEntry>, MerkleError> =
+            (start..end).map(|i| self.entries.read(i)).collect();
         let merkle = self.tree.prove((start..end).collect())?;
         Ok(KeyRangeProof {
             entries: entries?,
@@ -663,31 +591,25 @@ mod tests {
         assert_eq!(KeyedEntry::decode(nan.encode()).encode(), nan.encode());
     }
 
+    use crate::blocks::{PAGE_BYTES, PAGE_DIGESTS};
     use crate::pager::testing::BytePager;
+    use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// A paged tree over `dense`'s entries, served `page_entries` to a
+    /// A paged tree over `dense`'s entries, served one block to a
     /// page, with the page cache `cfg`. Reuses the dense digest tree:
     /// proof bytes must be identical regardless of where entries
     /// physically live.
-    fn paged_from_dense(
-        dense: &MerkleBTree,
-        page_entries: usize,
-        cfg: PageCacheCfg,
-    ) -> (MerkleBTree, Arc<BytePager>) {
-        let entries = dense.dense_entries().unwrap().to_vec();
-        let first_keys: Vec<u64> = entries.chunks(page_entries).map(|c| c[0].key).collect();
+    fn paged_from_dense(dense: &MerkleBTree, cfg: PageCacheCfg) -> (MerkleBTree, Arc<BytePager>) {
         let pager = Arc::new(BytePager {
-            bytes: entries.iter().flat_map(|e| e.encode()).collect(),
-            page_len: page_entries * 16,
+            bytes: dense.dense_entries().to_bytes().unwrap(),
+            page_len: PAGE_BYTES,
             clip: usize::MAX,
             faults: Arc::new(AtomicU64::new(0)),
         });
         let paged = MerkleBTree::open_paged(
             Arc::clone(&pager) as Arc<dyn Pager>,
-            entries.len(),
-            page_entries,
-            first_keys,
+            dense.first_keys().to_vec(),
             dense.tree().clone(),
             cfg,
         )
@@ -695,28 +617,28 @@ mod tests {
         (paged, pager)
     }
 
-    fn paged(dense: &MerkleBTree, page_entries: usize) -> (MerkleBTree, Arc<BytePager>) {
-        paged_from_dense(dense, page_entries, PageCacheCfg::default())
+    fn paged(dense: &MerkleBTree) -> (MerkleBTree, Arc<BytePager>) {
+        paged_from_dense(dense, PageCacheCfg::default())
     }
 
     #[test]
     fn paged_btree_matches_dense() {
-        let dense = MerkleBTree::build(sample_entries(200), 8).unwrap();
-        let (paged, pager) = paged(&dense, 16);
-        assert!(paged.is_paged());
+        // Keys 0, 3, ..., 14,997 over 20 entry pages.
+        let dense = MerkleBTree::build(sample_entries(5000), 8).unwrap();
+        let (paged, pager) = paged(&dense);
         assert_eq!(paged.root(), dense.root());
         assert_eq!(paged.len(), dense.len());
         assert_eq!(paged.get(6), dense.get(6));
         assert_eq!(paged.get(7), None);
         assert_eq!(paged.get(597), dense.get(597));
-        let keys = [0u64, 3, 297, 300, 597];
+        let keys = [0u64, 3, 297, 300, 597, 768, 14_997];
         let a = dense.prove_keys(&keys).unwrap();
         let b = paged.prove_keys(&keys).unwrap();
         assert_eq!(a, b);
         assert_eq!(b.reconstruct_root().unwrap(), dense.root());
-        // Lookups touched a strict subset of the 13 entry pages.
+        // Lookups touched a strict subset of the 20 entry pages.
         let faults = pager.faults.load(Ordering::Relaxed);
-        assert!(faults < 13, "faulted {faults} entry pages");
+        assert!(faults < 20, "faulted {faults} entry pages");
         assert!(matches!(
             paged.prove_keys(&[1]),
             Err(MbTreeError::KeyNotFound(1))
@@ -725,13 +647,12 @@ mod tests {
 
     #[test]
     fn paged_btree_rejects_bad_geometry() {
-        let dense = MerkleBTree::build(sample_entries(20), 4).unwrap();
-        let (_, pager) = paged(&dense, 8);
+        // 600 entries: three pages.
+        let dense = MerkleBTree::build(sample_entries(600), 4).unwrap();
+        let (_, pager) = paged(&dense);
         let open = |first_keys: Vec<u64>| {
             MerkleBTree::open_paged(
                 Arc::clone(&pager) as Arc<dyn Pager>,
-                20,
-                8,
                 first_keys,
                 dense.tree().clone(),
                 PageCacheCfg::default(),
@@ -800,7 +721,7 @@ mod tests {
         // A run of genuine entries that simply stops early: positions
         // and digests are honest, but the last key is ≤ hi while leaves
         // remain to the right — the right-bracket check must fire.
-        let entries: Vec<KeyedEntry> = (10..=20).map(|i| t.entry_at(i).unwrap()).collect();
+        let entries: Vec<KeyedEntry> = (10..=20).map(|i| t.entries.read(i).unwrap()).collect();
         let merkle = t.tree().prove((10..=20).collect()).unwrap();
         let honest_but_short = KeyRangeProof {
             entries,
@@ -811,7 +732,7 @@ mod tests {
         let err = honest_but_short.verify(t.root(), 30, 100).unwrap_err();
         assert!(matches!(err, MbTreeError::RangeIncomplete(_)), "{err:?}");
         // Same on the left: run starts past leaf 0 with first key ≥ lo.
-        let entries: Vec<KeyedEntry> = (10..=20).map(|i| t.entry_at(i).unwrap()).collect();
+        let entries: Vec<KeyedEntry> = (10..=20).map(|i| t.entries.read(i).unwrap()).collect();
         let merkle = t.tree().prove((10..=20).collect()).unwrap();
         let missing_left = KeyRangeProof {
             entries,
@@ -824,9 +745,9 @@ mod tests {
 
     #[test]
     fn key_range_proof_paged_matches_dense() {
-        let dense = MerkleBTree::build(sample_entries(200), 8).unwrap();
-        let (paged, pager) = paged(&dense, 16);
-        for (lo, hi) in [(0u64, 597u64), (90, 210), (91, 92), (600, 700)] {
+        let dense = MerkleBTree::build(sample_entries(5000), 8).unwrap();
+        let (paged, pager) = paged(&dense);
+        for (lo, hi) in [(0u64, 14_997u64), (900, 2100), (901, 902), (15_000, 16_000)] {
             let a = dense.prove_key_range(lo, hi).unwrap();
             let b = paged.prove_key_range(lo, hi).unwrap();
             assert_eq!(a, b, "[{lo}, {hi}]");
@@ -835,21 +756,21 @@ mod tests {
                 b.verify(paged.root(), lo, hi).unwrap()
             );
         }
-        // A narrow range must not fault every entry page.
+        // The narrow ranges must not fault every entry page each.
         let faults = pager.faults.load(Ordering::Relaxed);
-        assert!(faults < 4 * 13, "faulted {faults} entry pages");
+        assert!(faults < 2 * 20, "faulted {faults} entry pages");
     }
 
     #[test]
     fn paged_btree_entry_cache_is_bounded() {
-        let dense = MerkleBTree::build(sample_entries(200), 8).unwrap();
+        let dense = MerkleBTree::build(sample_entries(5000), 8).unwrap();
         let evictions = Arc::new(AtomicU64::new(0));
         let cfg = PageCacheCfg {
             capacity: 3,
             evictions: Some(Arc::clone(&evictions)),
         };
-        let (paged, pager) = paged_from_dense(&dense, 8, cfg);
-        for key in (0..200u64).map(|i| i * 3) {
+        let (paged, pager) = paged_from_dense(&dense, cfg);
+        for key in (0..5000u64).map(|i| i * 3) {
             assert_eq!(paged.get(key), dense.get(key), "key {key}");
         }
         let faults = pager.faults.load(Ordering::Relaxed);
@@ -896,25 +817,87 @@ mod tests {
         assert_eq!(batched.root(), single.root());
         assert_eq!(batched.get(30), Some(3.0));
         assert_eq!(
-            batched.all_entries().unwrap(),
-            single.all_entries().unwrap()
+            batched.dense_entries().to_vec().unwrap(),
+            single.dense_entries().to_vec().unwrap()
         );
     }
 
-    #[test]
-    fn paged_btree_is_read_only_but_densifiable() {
-        let dense = MerkleBTree::build(sample_entries(50), 4).unwrap();
-        let (mut paged, _) = paged(&dense, 8);
-        assert!(matches!(
-            paged.update_value(0, 9.0),
-            Err(MbTreeError::Merkle(MerkleError::ReadOnly))
-        ));
-        // Densify → mutate → identical to a dense rebuild.
-        let entries = paged.all_entries().unwrap();
-        assert_eq!(entries, dense.dense_entries().unwrap().to_vec());
-        let mut densified = MerkleBTree::build(entries, 4).unwrap();
-        densified.update_value(0, 9.0).unwrap();
-        assert_eq!(densified.get(0), Some(9.0));
+    /// Which blocks of `b` are resident.
+    fn resident<T>(b: &Blocks<T>) -> Vec<bool> {
+        b.blocks().iter().map(Option::is_some).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// A B-tree opened over a built tree's pages — entry array and
+        /// digest levels — takes the same random `update_values`
+        /// sequence as the built tree and stays equal to it: every
+        /// entry, every level, every key and range proof. Only the
+        /// written entry blocks and the digest blocks on their paths
+        /// become resident.
+        #[test]
+        fn paged_btree_updates_match_the_built_tree(
+            n in 1u32..3000,
+            fanout in 2usize..9,
+            picks in proptest::collection::vec(0u32..u32::MAX, 1..24),
+            rounds in 1usize..4,
+        ) {
+            let mut built = MerkleBTree::build(sample_entries(n), fanout).unwrap();
+            let faults = Arc::new(AtomicU64::new(0));
+            let section = |bytes: Vec<u8>| -> Arc<dyn Pager> {
+                Arc::new(BytePager {
+                    bytes,
+                    page_len: PAGE_BYTES,
+                    clip: usize::MAX,
+                    faults: Arc::clone(&faults),
+                })
+            };
+            let pagers = built
+                .tree()
+                .dense_levels()
+                .iter()
+                .map(|l| section(l.to_bytes().unwrap()))
+                .collect();
+            let cfg = PageCacheCfg::with_capacity(4);
+            let tree = MerkleTree::open_paged(pagers, n as usize, fanout, cfg.clone()).unwrap();
+            let entries = section(built.dense_entries().to_bytes().unwrap());
+            let first_keys = built.first_keys().to_vec();
+            let mut paged = MerkleBTree::open_paged(entries, first_keys, tree, cfg).unwrap();
+            let mut written = BTreeSet::new();
+            for (round, chunk) in picks.chunks(picks.len().div_ceil(rounds)).enumerate() {
+                let updates: Vec<KeyedEntry> = chunk
+                    .iter()
+                    .map(|&p| KeyedEntry { key: (p % n) as u64 * 3, value: (p ^ round as u32) as f64 })
+                    .collect();
+                built.update_values(&updates).unwrap();
+                paged.update_values(&updates).unwrap();
+                written.extend(updates.iter().map(|e| e.key as usize / 3));
+                let keys: Vec<u64> = updates.iter().map(|e| e.key).chain([0, (n as u64 - 1) * 3]).collect();
+                proptest::prop_assert_eq!(paged.prove_keys(&keys).unwrap(), built.prove_keys(&keys).unwrap());
+                let (lo, hi) = (keys[0].min(keys[1]), keys[0].max(keys[1]));
+                proptest::prop_assert_eq!(paged.prove_key_range(lo, hi).unwrap(), built.prove_key_range(lo, hi).unwrap());
+            }
+            proptest::prop_assert_eq!(paged.root(), built.root());
+            proptest::prop_assert_eq!(
+                paged.dense_entries().to_vec().unwrap(),
+                built.dense_entries().to_vec().unwrap()
+            );
+            let mut path: Vec<usize> = written.iter().copied().collect();
+            let entry_blocks: BTreeSet<usize> = path.iter().map(|&i| i / PAGE_ENTRIES).collect();
+            let want: Vec<bool> = (0..(n as usize).div_ceil(PAGE_ENTRIES)).map(|b| entry_blocks.contains(&b)).collect();
+            proptest::prop_assert_eq!(resident(paged.dense_entries()), want);
+            let levels = paged.tree().dense_levels().iter().zip(built.tree().dense_levels());
+            for (lvl, (p, b)) in levels.enumerate() {
+                proptest::prop_assert_eq!(p.to_vec().unwrap(), b.to_vec().unwrap());
+                let blocks: BTreeSet<usize> = path.iter().map(|&i| i / PAGE_DIGESTS).collect();
+                let root = lvl + 1 == paged.height();
+                let want: Vec<bool> = (0..p.blocks().len()).map(|b| root || blocks.contains(&b)).collect();
+                proptest::prop_assert_eq!(resident(p), want, "level {}", lvl);
+                path = path.iter().map(|&i| i / fanout).collect();
+                path.dedup();
+            }
+        }
     }
 
     #[test]

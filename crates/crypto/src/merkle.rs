@@ -12,11 +12,16 @@
 //! Verification reconstructs the root bottom-up from the proven leaf
 //! digests plus the proof entries and compares it against the signed
 //! root.
+//!
+//! A tree has one representation, built or opened over a snapshot:
+//! each level is a [`Blocks`] array whose blocks are resident or not
+//! yet loaded (served through a pager), and updates load what they
+//! write.
 
 use crate::blocks::Blocks;
 use crate::cache::{PageCache, PageCacheCfg};
 use crate::digest::{hash_digests, Digest};
-use crate::pager::{self, Pager};
+use crate::pager::Pager;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -42,8 +47,6 @@ pub enum MerkleError {
     NoLeaves,
     /// A paged tree failed to fault in a page from its backing store.
     Page(String),
-    /// Mutation was attempted on a paged (read-only) tree.
-    ReadOnly,
 }
 
 impl std::fmt::Display for MerkleError {
@@ -77,7 +80,6 @@ impl std::fmt::Display for MerkleError {
             }
             MerkleError::NoLeaves => write!(f, "verification requires at least one proven leaf"),
             MerkleError::Page(m) => write!(f, "paged tree fault failed: {m}"),
-            MerkleError::ReadOnly => write!(f, "paged merkle tree is read-only"),
         }
     }
 }
@@ -259,62 +261,20 @@ fn level_sizes(leaf_count: usize, fanout: usize) -> Vec<usize> {
     sizes
 }
 
-/// Lazily paged tree levels: digests resolve on demand from one
-/// [`Pager`] per level, merk-`Link` style — a page is either resident
-/// (in the bounded LRU [`PageCache`]) or a stub to be faulted from the
-/// backing store. The root is loaded eagerly at open so `root()` stays
-/// infallible.
-#[derive(Debug, Clone)]
-struct PagedLevels {
-    /// One pager per level, leaf level first.
-    pagers: Vec<Arc<dyn Pager>>,
-    /// Logical size of each level, leaf level first.
-    sizes: Vec<usize>,
-    /// Digests per page (all levels; last page of a level may be short).
-    page_digests: usize,
-    /// Resident pages keyed by `(level << 32) | page`, shared across
-    /// clones so every handle sees the same residency bound.
-    cache: Arc<PageCache<Vec<Digest>>>,
-    root: Digest,
-}
-
-impl PagedLevels {
-    fn digest_at(&self, level: usize, index: usize) -> Result<Digest, MerkleError> {
-        let page = index / self.page_digests;
-        let run = pager::fault(
-            &self.cache,
-            ((level as u64) << 32) | page as u64,
-            &*self.pagers[level],
-            self.sizes[level],
-            self.page_digests,
-            page,
-        )?;
-        Ok(run[index % self.page_digests])
-    }
-}
-
-/// Physical representation of the tree levels.
-#[derive(Debug, Clone)]
-enum Repr {
-    /// Every level materialized in memory, as copy-on-write blocks of
-    /// one snapshot page each: a clone shares every block, and an
-    /// update copies only the blocks on its leaves' paths.
-    Dense(Vec<Blocks<Digest>>),
-    /// Levels faulted in page-by-page from a backing store.
-    Paged(PagedLevels),
-}
-
 /// A Merkle hash tree with configurable fanout.
 ///
-/// Built trees ([`MerkleTree::build`]) store every level densely so
-/// multi-leaf proofs are O(result) to assemble. Trees opened over a
-/// snapshot ([`MerkleTree::open_paged`]) keep only the pages a proof
-/// path has touched; they are read-only and hash-identical to the
-/// dense tree they were saved from.
+/// Each level is one [`Blocks`] array of digests. A built tree
+/// ([`MerkleTree::build`]) holds every block resident, so multi-leaf
+/// proofs are O(result) to assemble. A tree opened over a snapshot
+/// ([`MerkleTree::open_paged`]) holds only its root block and serves
+/// the others through its pagers and one bounded page cache; an update
+/// loads the blocks it writes, so either tree can be updated and
+/// snapshotted, and both hash identically.
 #[derive(Debug, Clone)]
 pub struct MerkleTree {
     fanout: usize,
-    repr: Repr,
+    /// Leaf level first; the last level holds the root.
+    levels: Vec<Blocks<Digest>>,
 }
 
 impl MerkleTree {
@@ -333,21 +293,18 @@ impl MerkleTree {
             levels.push(Blocks::from(std::mem::replace(&mut prev, next)));
         }
         levels.push(Blocks::from(prev));
-        Ok(MerkleTree {
-            fanout,
-            repr: Repr::Dense(levels),
-        })
+        Ok(MerkleTree { fanout, levels })
     }
 
-    /// Opens a read-only tree whose levels live in a paged backing
-    /// store, one pager per level (leaf level first), with the page
-    /// cache `cache_cfg` shared by every level. Only the root page is
-    /// faulted eagerly; `prove` faults the pages its proof paths touch.
+    /// Opens a tree whose levels live in a paged backing store, one
+    /// pager per level (leaf level first, one block to a page), with
+    /// the page cache `cache_cfg` shared by every level. Only the root
+    /// block is loaded now; `prove` faults the pages its proof paths
+    /// touch.
     pub fn open_paged(
         pagers: Vec<Arc<dyn Pager>>,
         leaf_count: usize,
         fanout: usize,
-        page_digests: usize,
         cache_cfg: PageCacheCfg,
     ) -> Result<Self, MerkleError> {
         if leaf_count == 0 {
@@ -355,9 +312,6 @@ impl MerkleTree {
         }
         if fanout < 2 {
             return Err(MerkleError::BadFanout(fanout));
-        }
-        if page_digests == 0 {
-            return Err(MerkleError::Page("page_digests must be ≥ 1".into()));
         }
         let sizes = level_sizes(leaf_count, fanout);
         if pagers.len() != sizes.len() {
@@ -367,34 +321,27 @@ impl MerkleTree {
                 sizes.len()
             )));
         }
-        let mut paged = PagedLevels {
-            pagers,
-            sizes,
-            page_digests,
-            cache: Arc::new(PageCache::new(cache_cfg)),
-            root: Digest::ZERO,
-        };
-        paged.root = paged.digest_at(paged.sizes.len() - 1, 0)?;
-        Ok(MerkleTree {
-            fanout,
-            repr: Repr::Paged(paged),
-        })
+        let cache = Arc::new(PageCache::new(cache_cfg));
+        let mut levels: Vec<Blocks<Digest>> = pagers
+            .into_iter()
+            .zip(sizes)
+            .enumerate()
+            .map(|(l, (pager, len))| {
+                Blocks::paged(pager, len, Arc::clone(&cache), (l as u64) << 32)
+            })
+            .collect();
+        levels.last_mut().expect("a tree has a root").load_all()?;
+        Ok(MerkleTree { fanout, levels })
     }
 
     /// The signed root digest.
     pub fn root(&self) -> Digest {
-        match &self.repr {
-            Repr::Dense(levels) => levels.last().unwrap()[0],
-            Repr::Paged(p) => p.root,
-        }
+        self.levels[self.levels.len() - 1][0]
     }
 
     /// Number of leaves.
     pub fn leaf_count(&self) -> usize {
-        match &self.repr {
-            Repr::Dense(levels) => levels[0].len(),
-            Repr::Paged(p) => p.sizes[0],
-        }
+        self.levels[0].len()
     }
 
     /// Tree fanout.
@@ -404,76 +351,34 @@ impl MerkleTree {
 
     /// Tree height in levels (1 for a single leaf).
     pub fn height(&self) -> usize {
-        match &self.repr {
-            Repr::Dense(levels) => levels.len(),
-            Repr::Paged(p) => p.sizes.len(),
-        }
+        self.levels.len()
     }
 
-    /// Whether this tree resolves digests lazily from a backing store.
-    pub fn is_paged(&self) -> bool {
-        matches!(self.repr, Repr::Paged(_))
-    }
-
-    /// The dense level arrays, leaf level first — present only for
-    /// built trees. Snapshot writers use this to serialize levels.
-    pub fn dense_levels(&self) -> Option<&[Blocks<Digest>]> {
-        match &self.repr {
-            Repr::Dense(levels) => Some(levels),
-            Repr::Paged(_) => None,
-        }
+    /// The level arrays, leaf level first. Snapshot writers page them
+    /// out ([`Blocks::to_bytes`]).
+    pub fn dense_levels(&self) -> &[Blocks<Digest>] {
+        &self.levels
     }
 
     /// Digest of leaf `i`.
     ///
-    /// On a paged tree this faults in the leaf's page; a fault failure
+    /// A leaf in an unloaded block faults its page; a fault failure
     /// reports as `None`, same as out-of-range.
     pub fn leaf(&self, i: usize) -> Option<Digest> {
-        match &self.repr {
-            Repr::Dense(levels) => levels[0].get(i).copied(),
-            Repr::Paged(p) => {
-                if i >= p.sizes[0] {
-                    None
-                } else {
-                    p.digest_at(0, i).ok()
-                }
-            }
-        }
+        (i < self.leaf_count())
+            .then(|| self.levels[0].read(i).ok())
+            .flatten()
     }
 
-    /// Total number of digests in the tree (logical count for paged
-    /// trees) — the ADS storage-overhead metric.
+    /// Total number of digests in the tree — the ADS storage-overhead
+    /// metric.
     pub fn total_digests(&self) -> usize {
-        match &self.repr {
-            Repr::Dense(levels) => levels.iter().map(Blocks::len).sum(),
-            Repr::Paged(p) => p.sizes.iter().sum(),
-        }
-    }
-
-    /// Size of level `lvl` in digests.
-    fn level_len(&self, lvl: usize) -> usize {
-        match &self.repr {
-            Repr::Dense(levels) => levels[lvl].len(),
-            Repr::Paged(p) => p.sizes[lvl],
-        }
-    }
-
-    /// Digest stored at `(level, index)`; faults the containing page on
-    /// a paged tree. Callers stay in-shape, so out-of-range indexing on
-    /// a dense tree panics like a slice.
-    fn digest_at(&self, level: usize, index: usize) -> Result<Digest, MerkleError> {
-        match &self.repr {
-            Repr::Dense(levels) => Ok(levels[level][index]),
-            Repr::Paged(p) => p.digest_at(level, index),
-        }
+        self.levels.iter().map(Blocks::len).sum()
     }
 
     /// Replaces the digest of leaf `i` and recomputes the O(log n) path
     /// to the root — the incremental-update primitive for dynamic
     /// networks (an edge-weight change touches two leaves).
-    ///
-    /// Paged trees are read-only snapshots: this returns
-    /// [`MerkleError::ReadOnly`] for them.
     pub fn update_leaf(&mut self, i: usize, digest: Digest) -> Result<(), MerkleError> {
         self.update_leaves(&[(i, digest)])
     }
@@ -481,42 +386,38 @@ impl MerkleTree {
     /// Replaces several leaf digests and recomputes their paths to the
     /// root, hashing each touched interior node once. `leaves` is
     /// sorted by index; a repeated index keeps its last digest. Only
-    /// the blocks holding a written digest are copied, each once, so a
-    /// clone of the tree keeps every other block shared.
-    ///
-    /// Paged trees are read-only snapshots: this returns
-    /// [`MerkleError::ReadOnly`] for them. An out-of-range index
-    /// changes nothing.
+    /// the blocks holding a written digest are loaded (if they were
+    /// not) and copied, each once, so a clone of the tree keeps every
+    /// other block shared, and an unloaded one unloaded. An
+    /// out-of-range index changes nothing.
     pub fn update_leaves(&mut self, leaves: &[(usize, Digest)]) -> Result<(), MerkleError> {
         let fanout = self.fanout;
-        let levels = match &mut self.repr {
-            Repr::Dense(levels) => levels,
-            Repr::Paged(_) => return Err(MerkleError::ReadOnly),
-        };
-        let n = levels[0].len();
+        let n = self.leaf_count();
         if let Some(&(index, _)) = leaves.iter().find(|&&(i, _)| i >= n) {
             return Err(MerkleError::LeafOutOfRange {
                 index,
                 leaf_count: n,
             });
         }
-        levels[0].set_sorted(leaves.iter().copied());
+        self.levels[0].set_sorted(leaves.iter().copied())?;
         let mut touched: Vec<usize> = leaves.iter().map(|&(i, _)| i).collect();
         touched.dedup();
         let mut children = Vec::with_capacity(fanout);
-        for lvl in 0..levels.len() - 1 {
+        for lvl in 0..self.levels.len() - 1 {
             touched = touched.iter().map(|&i| i / fanout).collect();
             touched.dedup();
-            let (below, above) = levels.split_at_mut(lvl + 1);
-            let level = &below[lvl];
-            let parents = touched.iter().map(|&p| {
+            let level = &self.levels[lvl];
+            let mut parents = Vec::with_capacity(touched.len());
+            for &p in &touched {
                 let first = p * fanout;
                 let last = (first + fanout).min(level.len());
                 children.clear();
-                children.extend((first..last).map(|c| level[c]));
-                (p, hash_digests(&children))
-            });
-            above[0].set_sorted(parents);
+                for c in first..last {
+                    children.push(level.read(c)?);
+                }
+                parents.push((p, hash_digests(&children)));
+            }
+            self.levels[lvl + 1].set_sorted(parents)?;
         }
         Ok(())
     }
@@ -526,8 +427,8 @@ impl MerkleTree {
     /// One sorted-vector sweep per level: the covered set stays sorted,
     /// so each parent's covered children form a contiguous run and the
     /// uncovered siblings are emitted in index order without set
-    /// membership queries. On a paged tree only the pages holding
-    /// emitted sibling digests are faulted in.
+    /// membership queries. Only the pages holding emitted sibling
+    /// digests of unloaded blocks are faulted in.
     pub fn prove(&self, leaf_indices: BTreeSet<usize>) -> Result<MerkleProof, MerkleError> {
         let leaf_count = self.leaf_count();
         if leaf_indices.is_empty() {
@@ -544,14 +445,13 @@ impl MerkleTree {
             }
         }
         let mut entries = Vec::new();
-        for lvl in 0..self.height() - 1 {
-            let level_size = self.level_len(lvl);
+        for (lvl, level) in self.levels[..self.levels.len() - 1].iter().enumerate() {
             let mut parents: Vec<usize> = Vec::with_capacity(covered.len());
             let mut i = 0usize;
             while i < covered.len() {
                 let p = covered[i] / self.fanout;
                 let first = p * self.fanout;
-                let last = (first + self.fanout).min(level_size);
+                let last = (first + self.fanout).min(level.len());
                 // Supply digests of the parent's uncovered children
                 // (rule: subtree has no proven leaf, parent's does).
                 for c in first..last {
@@ -561,7 +461,7 @@ impl MerkleTree {
                         entries.push(ProofEntry {
                             level: lvl as u32,
                             index: c as u32,
-                            digest: self.digest_at(lvl, c)?,
+                            digest: level.read(c)?,
                         });
                     }
                 }
@@ -580,7 +480,7 @@ impl MerkleTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocks::PAGE_DIGESTS;
+    use crate::blocks::{PAGE_BYTES, PAGE_DIGESTS};
     use crate::digest::hash_bytes;
 
     fn leaves(n: usize) -> Vec<Digest> {
@@ -643,12 +543,7 @@ mod tests {
     fn paper_figure3_shape_fanout3() {
         // Figure 3b: 36 leaves, fanout 3 → levels 36, 12, 4, 2, 1.
         let tree = MerkleTree::build(leaves(36), 3).unwrap();
-        let sizes: Vec<usize> = tree
-            .dense_levels()
-            .unwrap()
-            .iter()
-            .map(Blocks::len)
-            .collect();
+        let sizes: Vec<usize> = tree.dense_levels().iter().map(Blocks::len).collect();
         assert_eq!(sizes, vec![36, 12, 4, 2, 1]);
     }
 
@@ -858,9 +753,8 @@ mod tests {
     /// The dense levels as plain vectors, for whole-tree comparisons.
     fn level_vecs(tree: &MerkleTree) -> Vec<Vec<Digest>> {
         tree.dense_levels()
-            .unwrap()
             .iter()
-            .map(Blocks::to_vec)
+            .map(|l| l.to_vec().unwrap())
             .collect()
     }
 
@@ -907,13 +801,13 @@ mod tests {
         let mut new = old.clone();
         let writes = [(5usize, hash_bytes(b"a")), (70_000, hash_bytes(b"b"))];
         new.update_leaves(&writes).unwrap();
-        let (a, b) = (old.dense_levels().unwrap(), new.dense_levels().unwrap());
+        let (a, b) = (old.dense_levels(), new.dense_levels());
         let mut path: Vec<usize> = writes.iter().map(|&(i, _)| i).collect();
         for (lvl, (la, lb)) in a.iter().zip(b).enumerate() {
             let written: Vec<usize> = path.iter().map(|&i| i / PAGE_DIGESTS).collect();
             for (blk, (x, y)) in la.blocks().iter().zip(lb.blocks()).enumerate() {
                 assert_eq!(
-                    Arc::ptr_eq(x, y),
+                    Arc::ptr_eq(x.as_ref().unwrap(), y.as_ref().unwrap()),
                     !written.contains(&blk),
                     "level {lvl} block {blk}"
                 );
@@ -938,17 +832,17 @@ mod tests {
     use crate::pager::testing::BytePager;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// One byte pager per level of a dense tree, all counting faults
-    /// into one counter; `clip` caps the bytes each page serves.
-    fn level_pagers(tree: &MerkleTree, page_digests: usize, clip: usize) -> Vec<Arc<BytePager>> {
+    /// One byte pager per level of a built tree, serving real
+    /// snapshot pages, all counting faults into one counter; `clip`
+    /// caps the bytes each page serves.
+    fn level_pagers(tree: &MerkleTree, clip: usize) -> Vec<Arc<BytePager>> {
         let faults = Arc::new(AtomicU64::new(0));
         tree.dense_levels()
-            .unwrap()
             .iter()
             .map(|level| {
                 Arc::new(BytePager {
-                    bytes: level.iter().flat_map(|d| *d.as_bytes()).collect(),
-                    page_len: page_digests * 32,
+                    bytes: level.to_bytes().unwrap(),
+                    page_len: PAGE_BYTES,
                     clip,
                     faults: Arc::clone(&faults),
                 })
@@ -956,32 +850,21 @@ mod tests {
             .collect()
     }
 
-    fn open(
-        pagers: &[Arc<BytePager>],
-        dense: &MerkleTree,
-        pd: usize,
-        cfg: PageCacheCfg,
-    ) -> MerkleTree {
+    fn open(pagers: &[Arc<BytePager>], built: &MerkleTree, cfg: PageCacheCfg) -> MerkleTree {
         let pagers = pagers
             .iter()
             .map(|p| Arc::clone(p) as Arc<dyn Pager>)
             .collect();
-        MerkleTree::open_paged(pagers, dense.leaf_count(), dense.fanout(), pd, cfg).unwrap()
+        MerkleTree::open_paged(pagers, built.leaf_count(), built.fanout(), cfg).unwrap()
     }
 
     #[test]
     fn paged_tree_matches_dense_proofs() {
-        for &(n, f, pd) in &[
-            (36usize, 3usize, 4usize),
-            (100, 16, 8),
-            (64, 2, 128),
-            (1, 2, 4),
-        ] {
+        for &(n, f) in &[(1000usize, 3usize), (5000, 16), (300, 2), (1, 2)] {
             let ls = leaves(n);
             let dense = MerkleTree::build(ls.clone(), f).unwrap();
-            let pagers = level_pagers(&dense, pd, usize::MAX);
-            let paged = open(&pagers, &dense, pd, PageCacheCfg::default());
-            assert!(paged.is_paged());
+            let pagers = level_pagers(&dense, usize::MAX);
+            let paged = open(&pagers, &dense, PageCacheCfg::default());
             assert_eq!(paged.root(), dense.root());
             assert_eq!(paged.height(), dense.height());
             assert_eq!(paged.leaf_count(), dense.leaf_count());
@@ -990,56 +873,60 @@ mod tests {
                 let set: BTreeSet<usize> = proven.iter().copied().collect();
                 let a = dense.prove(set.clone()).unwrap();
                 let b = paged.prove(set).unwrap();
-                assert_eq!(a, b, "n={n} f={f} pd={pd} proven={proven:?}");
+                assert_eq!(a, b, "n={n} f={f} proven={proven:?}");
             }
             assert_eq!(paged.leaf(0), dense.leaf(0));
             assert_eq!(paged.leaf(n), None);
+            assert_eq!(level_vecs(&paged), level_vecs(&dense));
         }
     }
 
     #[test]
     fn paged_tree_faults_only_touched_pages() {
-        // 256 leaves, fanout 2, 8-digest pages: one single-leaf proof
-        // must not fault every leaf page.
-        let ls = leaves(256);
+        // 20,000 leaves, fanout 2: 335 pages over 16 levels. One
+        // single-leaf proof must not fault every leaf page.
+        let ls = leaves(20_000);
         let dense = MerkleTree::build(ls, 2).unwrap();
-        let pagers = level_pagers(&dense, 8, usize::MAX);
+        let pagers = level_pagers(&dense, usize::MAX);
         let faults = Arc::clone(&pagers[0].faults);
-        let paged = open(&pagers, &dense, 8, PageCacheCfg::default());
+        let paged = open(&pagers, &dense, PageCacheCfg::default());
         let after_open = faults.load(Ordering::Relaxed);
         assert_eq!(after_open, 1, "open faults only the root page");
         paged.prove([3usize].into_iter().collect()).unwrap();
         let after_prove = faults.load(Ordering::Relaxed);
-        let total_pages: usize = dense
-            .dense_levels()
-            .unwrap()
-            .iter()
-            .map(|l| l.len().div_ceil(8))
-            .sum();
+        let total_pages: usize = dense.dense_levels().iter().map(|l| l.blocks().len()).sum();
         assert!(
             ((after_prove - after_open) as usize) < total_pages / 2,
             "proof faulted {} of {} pages",
             after_prove - after_open,
             total_pages
         );
-        // Re-proving the same leaf hits the cache: no new faults.
+        // Re-proving the same leaf hits the cache: no new faults, and
+        // no block but the root became resident.
         paged.prove([3usize].into_iter().collect()).unwrap();
         assert_eq!(faults.load(Ordering::Relaxed), after_prove);
+        let resident: usize = paged
+            .dense_levels()
+            .iter()
+            .map(|l| l.blocks().iter().filter(|b| b.is_some()).count())
+            .sum();
+        assert_eq!(resident, 1);
     }
 
     #[test]
     fn paged_tree_cache_is_bounded() {
-        let ls = leaves(256);
+        // 4,096 leaves: 32 leaf pages against an 8-page cache.
+        let ls = leaves(4096);
         let dense = MerkleTree::build(ls, 2).unwrap();
-        let pagers = level_pagers(&dense, 4, usize::MAX);
+        let pagers = level_pagers(&dense, usize::MAX);
         let evictions = Arc::new(AtomicU64::new(0));
         let cfg = PageCacheCfg {
             capacity: 8,
             evictions: Some(Arc::clone(&evictions)),
         };
-        let paged = open(&pagers, &dense, 4, cfg);
+        let paged = open(&pagers, &dense, cfg);
         // Sweep every leaf page — far more pages than the bound.
-        for i in 0..256 {
+        for i in 0..4096 {
             assert!(paged.leaf(i).is_some());
         }
         let faults = pagers[0].faults.load(Ordering::Relaxed);
@@ -1052,19 +939,76 @@ mod tests {
         );
         // Evicted pages re-fault transparently: proofs still match the
         // dense tree.
-        let set: BTreeSet<usize> = [0usize, 255].into_iter().collect();
+        let set: BTreeSet<usize> = [0usize, 4095].into_iter().collect();
         assert_eq!(paged.prove(set.clone()).unwrap(), dense.prove(set).unwrap());
     }
 
-    #[test]
-    fn paged_tree_is_read_only() {
-        let dense = MerkleTree::build(leaves(16), 2).unwrap();
-        let pagers = level_pagers(&dense, 4, usize::MAX);
-        let mut paged = open(&pagers, &dense, 4, PageCacheCfg::default());
-        assert!(matches!(
-            paged.update_leaf(0, hash_bytes(b"x")),
-            Err(MerkleError::ReadOnly)
-        ));
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// A tree opened over a built tree's pages takes the same
+        /// random `update_leaves` sequence as the built tree and stays
+        /// equal to it — every level and every proof — while only the
+        /// blocks on the written leaves' paths become resident: every
+        /// other block still faults.
+        #[test]
+        fn paged_tree_updates_match_the_built_tree(
+            n in 1usize..6000,
+            fanout in 2usize..9,
+            seed in 0u64..u64::MAX,
+            picks in proptest::collection::vec(0usize..usize::MAX, 1..24),
+            rounds in 1usize..4,
+        ) {
+            let mut built = MerkleTree::build(leaves(n), fanout).unwrap();
+            let pagers = level_pagers(&built, usize::MAX);
+            let mut paged = open(&pagers, &built, PageCacheCfg::with_capacity(4));
+            let mut written: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); built.height()];
+            written[built.height() - 1].insert(0);
+            for (round, chunk) in picks.chunks(picks.len().div_ceil(rounds)).enumerate() {
+                let mut set: Vec<usize> = chunk.iter().map(|p| p % n).collect();
+                set.sort_unstable();
+                set.dedup();
+                let writes: Vec<(usize, Digest)> = set
+                    .iter()
+                    .map(|&i| (i, hash_bytes(&(seed ^ (i + round * n) as u64).to_le_bytes())))
+                    .collect();
+                built.update_leaves(&writes).unwrap();
+                paged.update_leaves(&writes).unwrap();
+                let mut path = set;
+                for blocks in written.iter_mut() {
+                    blocks.extend(path.iter().map(|&i| i / PAGE_DIGESTS));
+                    path = path.iter().map(|&i| i / fanout).collect();
+                    path.dedup();
+                }
+                let probe: BTreeSet<usize> = [0, n / 3, n - 1].into_iter().chain(chunk.iter().map(|p| p % n)).collect();
+                proptest::prop_assert_eq!(paged.prove(probe.clone()).unwrap(), built.prove(probe).unwrap());
+            }
+            proptest::prop_assert_eq!(paged.root(), built.root());
+            proptest::prop_assert_eq!(level_vecs(&paged), level_vecs(&built));
+            for (lvl, level) in paged.dense_levels().iter().enumerate() {
+                let resident: BTreeSet<usize> = level
+                    .blocks()
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(b, block)| block.is_some().then_some(b))
+                    .collect();
+                proptest::prop_assert_eq!(&resident, &written[lvl], "level {}", lvl);
+            }
+            // Unloaded blocks still fault: after five other cold leaf
+            // pages pass through the 4-page cache, the first re-faults.
+            let cold: Vec<usize> = (0..n.div_ceil(PAGE_DIGESTS))
+                .filter(|b| !written[0].contains(b))
+                .take(5)
+                .collect();
+            if cold.len() == 5 {
+                for &b in &cold {
+                    paged.leaf(b * PAGE_DIGESTS).unwrap();
+                }
+                let before = pagers[0].faults.load(Ordering::Relaxed);
+                paged.leaf(cold[0] * PAGE_DIGESTS).unwrap();
+                proptest::prop_assert_eq!(pagers[0].faults.load(Ordering::Relaxed), before + 1);
+            }
+        }
     }
 
     #[test]
@@ -1073,9 +1017,9 @@ mod tests {
         // Pages cut to one digest, then to a digest and a byte. The
         // root page (one digest) passes either way, so open succeeds;
         // the first leaf-page fault reports the bad page.
-        for (clip, why) in [(32, "expected 4 records"), (33, "not a multiple of 32")] {
-            let pagers = level_pagers(&dense, 4, clip);
-            let paged = open(&pagers, &dense, 4, PageCacheCfg::default());
+        for (clip, why) in [(32, "expected 16 records"), (33, "not a multiple of 32")] {
+            let pagers = level_pagers(&dense, clip);
+            let paged = open(&pagers, &dense, PageCacheCfg::default());
             let err = paged.prove([0usize].into_iter().collect()).unwrap_err();
             assert!(
                 matches!(&err, MerkleError::Page(m) if m.contains(why)),
@@ -1087,17 +1031,15 @@ mod tests {
             .map(|key| KeyedEntry { key, value: 0.5 })
             .collect();
         let bt = MerkleBTree::build(entries.clone(), 4).unwrap();
-        for (clip, why) in [(16, "expected 8 records"), (17, "not a multiple of 16")] {
+        for (clip, why) in [(16, "expected 20 records"), (17, "not a multiple of 16")] {
             let pager = Arc::new(BytePager {
                 bytes: entries.iter().flat_map(|e| e.encode()).collect(),
-                page_len: 8 * 16,
+                page_len: PAGE_BYTES,
                 clip,
                 faults: Arc::new(AtomicU64::new(0)),
             });
-            let first_keys = entries.chunks(8).map(|c| c[0].key).collect();
             let cfg = PageCacheCfg::default();
-            let paged =
-                MerkleBTree::open_paged(pager, 20, 8, first_keys, bt.tree().clone(), cfg).unwrap();
+            let paged = MerkleBTree::open_paged(pager, vec![0], bt.tree().clone(), cfg).unwrap();
             let err = paged.prove_keys(&[0]).unwrap_err();
             assert!(
                 matches!(&err, MbTreeError::Merkle(MerkleError::Page(m)) if m.contains(why)),
@@ -1105,12 +1047,12 @@ mod tests {
             );
         }
         // A pager list that does not match the tree height is refused.
-        let pagers = level_pagers(&dense, 4, usize::MAX);
+        let pagers = level_pagers(&dense, usize::MAX);
         let short = pagers[1..]
             .iter()
             .map(|p| Arc::clone(p) as Arc<dyn Pager>)
             .collect();
-        let err = MerkleTree::open_paged(short, 16, 2, 4, PageCacheCfg::default()).unwrap_err();
+        let err = MerkleTree::open_paged(short, 16, 2, PageCacheCfg::default()).unwrap_err();
         assert!(matches!(err, MerkleError::Page(_)), "{err:?}");
     }
 }

@@ -3,21 +3,23 @@
 //!
 //! A persistent snapshot (see the `spnet-store` crate) stores each tree
 //! level as fixed-size pages of digests and each Merkle B-tree's entry
-//! array as fixed-size pages of [`crate::mbtree::KeyedEntry`] records.
-//! The tree types in this crate stay storage-agnostic: a paged
-//! [`crate::merkle::MerkleTree`] holds one [`Pager`] per level and a
-//! paged [`crate::mbtree::MerkleBTree`] one for its entry array — the
-//! merk `Link` idea (resolved node vs. on-disk stub), with the page as
-//! the granularity of a fault.
+//! array as fixed-size pages of [`crate::mbtree::KeyedEntry`] records,
+//! one [`Blocks`] block to a page. The tree types in this crate stay
+//! storage-agnostic: a snapshot-loaded [`crate::merkle::MerkleTree`]
+//! gives each level's blocks one [`Pager`] and a loaded
+//! [`crate::mbtree::MerkleBTree`] one for its entry array — the merk
+//! `Link` idea (a child that may not be loaded), with the page as the
+//! granularity of a fault.
 //!
 //! A pager serves one section and returns the raw bytes of one page.
 //! Implementations must verify page integrity themselves (the snapshot
 //! format checks every page against a signed-into-the-root digest
 //! array) and return a typed [`PageError`] instead of panicking on
-//! corrupt or truncated input. Decoding, the shape checks and
-//! residency are the trees' job, done once in one crate-private
-//! routine that serves both record kinds.
+//! corrupt or truncated input. Decoding and the shape checks are done
+//! once, in one crate-private routine that serves both [`Record`]
+//! kinds.
 
+use crate::blocks::Blocks;
 use crate::cache::PageCache;
 use crate::digest::{Digest, DIGEST_LEN};
 use crate::mbtree::KeyedEntry;
@@ -54,17 +56,22 @@ pub trait Pager: Send + Sync + std::fmt::Debug {
 
 /// A fixed-size record packed into pages: a tree digest or a B-tree
 /// entry.
-pub(crate) trait Record: Sized {
+pub trait Record: Copy {
     /// Encoded length in bytes.
     const LEN: usize;
     /// Decodes one `LEN`-byte record.
     fn decode(bytes: &[u8]) -> Self;
+    /// Appends the record's `LEN` bytes to `out`.
+    fn encode(&self, out: &mut Vec<u8>);
 }
 
 impl Record for Digest {
     const LEN: usize = DIGEST_LEN;
     fn decode(bytes: &[u8]) -> Self {
         Digest(bytes.try_into().expect("record is digest-sized"))
+    }
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.as_bytes());
     }
 }
 
@@ -73,23 +80,20 @@ impl Record for KeyedEntry {
     fn decode(bytes: &[u8]) -> Self {
         KeyedEntry::decode(bytes.try_into().expect("record is 16 bytes"))
     }
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&KeyedEntry::encode(self));
+    }
 }
 
-/// Resolves page `page` of a section holding `len` records,
-/// `per_page` to a page: from `cache` under `key` if resident, else
-/// faulted through `pager`, checked against the section's shape,
-/// decoded and inserted.
-pub(crate) fn fault<T: Record>(
-    cache: &PageCache<Vec<T>>,
-    key: u64,
+/// The verified bytes of page `page` of a section holding `len`
+/// records, one block ([`Blocks::BLOCK_LEN`] records) to a page,
+/// checked against the section's shape.
+pub(crate) fn page_bytes<T: Record>(
     pager: &dyn Pager,
     len: usize,
-    per_page: usize,
     page: usize,
-) -> Result<Arc<Vec<T>>, MerkleError> {
-    if let Some(run) = cache.get(key) {
-        return Ok(run);
-    }
+) -> Result<Vec<u8>, MerkleError> {
+    let per_page = Blocks::<T>::BLOCK_LEN;
     if page >= len.div_ceil(per_page) {
         return Err(MerkleError::Page(format!(
             "page {page} outside the tree shape ({len} records)"
@@ -112,10 +116,27 @@ pub(crate) fn fault<T: Record>(
             bytes.len() / T::LEN
         )));
     }
+    Ok(bytes)
+}
+
+/// Resolves page `page` of a section holding `len` records: from
+/// `cache` under `key` if resident, else read through [`page_bytes`],
+/// decoded and inserted.
+pub(crate) fn fault<T: Record>(
+    cache: &PageCache<[T]>,
+    key: u64,
+    pager: &dyn Pager,
+    len: usize,
+    page: usize,
+) -> Result<Arc<[T]>, MerkleError> {
+    if let Some(run) = cache.get(key) {
+        return Ok(run);
+    }
+    let bytes = page_bytes::<T>(pager, len, page)?;
     let run = bytes.chunks_exact(T::LEN).map(T::decode).collect();
     // A concurrent fault may have won the race; either value is the
     // same verified page, so keep whichever landed first.
-    Ok(cache.insert(key, Arc::new(run)))
+    Ok(cache.insert(key, run))
 }
 
 /// A test pager over one section's bytes.

@@ -137,8 +137,9 @@ impl Pager for PagedReader {
 mod tests {
     use super::*;
     use crate::snapshot::SnapshotWriter;
+    use spnet_crypto::blocks::PAGE_BYTES;
     use spnet_crypto::cache::PageCacheCfg;
-    use spnet_crypto::digest::{hash_bytes, Digest, DIGEST_LEN};
+    use spnet_crypto::digest::{hash_bytes, Digest};
     use spnet_crypto::mbtree::{KeyedEntry, MerkleBTree};
     use spnet_crypto::merkle::MerkleTree;
 
@@ -148,22 +149,16 @@ mod tests {
         dir
     }
 
-    /// Writes a dense tree as one paged section per level at `base`.
-    fn write_levels(w: &mut SnapshotWriter, base: u16, tree: &MerkleTree, page_digests: usize) {
-        for (l, level) in tree.dense_levels().unwrap().iter().enumerate() {
-            let bytes: Vec<u8> = level.iter().flat_map(|d| *d.as_bytes()).collect();
-            w.paged(base + l as u16, &bytes, page_digests * DIGEST_LEN)
+    /// Writes a built tree as one paged section per level at `base`.
+    fn write_levels(w: &mut SnapshotWriter, base: u16, tree: &MerkleTree) {
+        for (l, level) in tree.dense_levels().iter().enumerate() {
+            w.paged(base + l as u16, &level.to_bytes().unwrap(), PAGE_BYTES)
                 .unwrap();
         }
     }
 
     /// A paged tree over the level sections at `base`.
-    fn open_levels(
-        store: &NodeStore,
-        base: u16,
-        dense: &MerkleTree,
-        page_digests: usize,
-    ) -> MerkleTree {
+    fn open_levels(store: &NodeStore, base: u16, dense: &MerkleTree) -> MerkleTree {
         let pagers = (0..dense.height())
             .map(|l| Arc::new(store.paged(base + l as u16).unwrap()) as Arc<dyn Pager>)
             .collect();
@@ -171,7 +166,6 @@ mod tests {
             pagers,
             dense.leaf_count(),
             dense.fanout(),
-            page_digests,
             PageCacheCfg::default(),
         )
         .unwrap()
@@ -181,17 +175,15 @@ mod tests {
     fn tree_via_both_backends_matches_dense() {
         let dir = tmpdir("tree");
         let path = dir.join("snapshot.spnet");
-        let leaves: Vec<Digest> = (0u64..300).map(|i| hash_bytes(&i.to_le_bytes())).collect();
+        let leaves: Vec<Digest> = (0u64..3000).map(|i| hash_bytes(&i.to_le_bytes())).collect();
         let dense = MerkleTree::build(leaves, 4).unwrap();
-        let pd = 16usize;
         let mut w = SnapshotWriter::create(&path).unwrap();
-        write_levels(&mut w, 0x0100, &dense, pd);
+        write_levels(&mut w, 0x0100, &dense);
         w.finish().unwrap();
         let total_pages: u64 = dense
             .dense_levels()
-            .unwrap()
             .iter()
-            .map(|l| l.len().div_ceil(pd) as u64)
+            .map(|l| l.blocks().len() as u64)
             .sum();
 
         for backend in [StoreBackend::Mem, StoreBackend::File] {
@@ -205,9 +197,9 @@ mod tests {
                 0
             };
             assert_eq!(at_open, want_at_open, "backend {backend:?}");
-            let paged = open_levels(&store, 0x0100, &dense, pd);
+            let paged = open_levels(&store, 0x0100, &dense);
             assert_eq!(paged.root(), dense.root());
-            let set: std::collections::BTreeSet<usize> = [0usize, 150, 299].into_iter().collect();
+            let set: std::collections::BTreeSet<usize> = [0usize, 1500, 2999].into_iter().collect();
             assert_eq!(
                 paged.prove(set.clone()).unwrap(),
                 dense.prove(set).unwrap(),
@@ -224,35 +216,31 @@ mod tests {
     fn btree_entries_via_entry_pager() {
         let dir = tmpdir("btree");
         let path = dir.join("snapshot.spnet");
-        let entries: Vec<KeyedEntry> = (0..500u64)
+        let entries: Vec<KeyedEntry> = (0..5000u64)
             .map(|i| KeyedEntry {
                 key: i * 2,
                 value: i as f64 * 0.25,
             })
             .collect();
         let dense = MerkleBTree::build(entries.clone(), 8).unwrap();
-        let page_entries = 32usize;
 
         let mut w = SnapshotWriter::create(&path).unwrap();
-        let entry_bytes: Vec<u8> = entries.iter().flat_map(|e| e.encode()).collect();
-        w.paged(0x0035, &entry_bytes, page_entries * 16).unwrap();
-        write_levels(&mut w, 0x0300, dense.tree(), 16);
+        let entry_bytes = dense.dense_entries().to_bytes().unwrap();
+        w.paged(0x0035, &entry_bytes, PAGE_BYTES).unwrap();
+        write_levels(&mut w, 0x0300, dense.tree());
         w.finish().unwrap();
 
         let store = NodeStore::open(&path, StoreBackend::File).unwrap();
-        let tree = open_levels(&store, 0x0300, dense.tree(), 16);
-        let first_keys: Vec<u64> = entries.chunks(page_entries).map(|c| c[0].key).collect();
+        let tree = open_levels(&store, 0x0300, dense.tree());
         let paged = MerkleBTree::open_paged(
             Arc::new(store.paged(0x0035).unwrap()),
-            entries.len(),
-            page_entries,
-            first_keys,
+            dense.first_keys().to_vec(),
             tree,
             PageCacheCfg::default(),
         )
         .unwrap();
         assert_eq!(paged.root(), dense.root());
-        let keys = [0u64, 500, 998];
+        let keys = [0u64, 500, 998, 9998];
         assert_eq!(
             paged.prove_keys(&keys).unwrap(),
             dense.prove_keys(&keys).unwrap()

@@ -519,3 +519,178 @@ fn pinned_epochs_answer_byte_identically_after_updates() {
         );
     }
 }
+
+/// A `File`-loaded package — its trees served page by page from the
+/// snapshot — takes the same update sequence as a `Mem`-loaded one and
+/// as the owner's built package, for every method: it converges on the
+/// fresh publish of the final graph, serves the same answer bytes as
+/// the `Mem`-loaded package, and saves a snapshot identical to it.
+#[test]
+fn file_loaded_packages_update_like_mem_loaded_ones() {
+    let g = grid_network(16, 16, 1.15, 5100);
+    let kp = {
+        let mut rng = StdRng::seed_from_u64(5101);
+        RsaKeyPair::generate(&mut rng, 256)
+    };
+    for method in all_methods() {
+        let p = DataOwner::publish_with_key(&g, &method, &SetupConfig::default(), &kp);
+        let dir = tmpdir(&format!("file-update-{}", method.name()));
+        spnet_core::snapshot::save_package(&p, &dir).unwrap();
+        let mut file = load_package(&dir, StoreBackend::File).unwrap().package;
+        let mut mem = load_package(&dir, StoreBackend::Mem).unwrap().package;
+        let (mut truth, mut mem_truth) = (g.clone(), g.clone());
+        random_updates(&mut file, &mut truth, &kp, 4, 5102);
+        random_updates(&mut mem, &mut mem_truth, &kp, 4, 5102);
+        let fresh = DataOwner::publish_with_key(&truth, &method, &SetupConfig::default(), &kp);
+        assert_signed_state_eq(&file, &fresh.package, method.name());
+        assert_signed_state_eq(&file, &mem, method.name());
+
+        let queries: Vec<(NodeId, NodeId)> = [(0u32, 255u32), (17, 200), (128, 127), (255, 0)]
+            .iter()
+            .map(|&(s, t)| (NodeId(s), NodeId(t)))
+            .collect();
+        let client = Client::new(kp.public_key().clone());
+        let (file_svc, mem_svc) = (SpService::new(file.clone()), SpService::new(mem.clone()));
+        let (fs, ms) = (
+            file_svc.open_session(client.clone()).unwrap(),
+            mem_svc.open_session(client).unwrap(),
+        );
+        for &q in &queries {
+            let a = spnet_core::wire::encode_batch_answer(&fs.answer_batch(&[q]).unwrap());
+            let b = spnet_core::wire::encode_batch_answer(&ms.answer_batch(&[q]).unwrap());
+            assert!(a == b, "{}: answer {q:?} differs by backend", method.name());
+            let got = fs.query(q.0, q.1).unwrap().distance;
+            let want = dijkstra_path(&truth, q.0, q.1).unwrap().distance;
+            assert!(
+                (got - want).abs() <= 1e-6 * want.max(1.0),
+                "{}",
+                method.name()
+            );
+        }
+
+        // The updated File-loaded package snapshots byte-identically to
+        // the Mem-loaded one (its unloaded pages come from the file).
+        let (file_dir, mem_dir) = (dir.join("file"), dir.join("mem"));
+        update_snapshot(&file, kp.public_key(), &file_dir).unwrap();
+        update_snapshot(&mem, kp.public_key(), &mem_dir).unwrap();
+        let read = |d: &std::path::Path| {
+            std::fs::read(d.join(spnet_core::snapshot::SNAPSHOT_FILE)).unwrap()
+        };
+        assert!(
+            read(&file_dir) == read(&mem_dir),
+            "{}: snapshots differ by backend",
+            method.name()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A `File`-backed service refreshes its snapshot after updates while
+/// its epochs keep paging from the file they were loaded from: the
+/// refresh writes a new file and renames it over the old one, so a
+/// session pinned at epoch 0 answers byte-identically afterwards —
+/// also queries whose pages it had not read before the refresh — a
+/// new session serves the new truth, and so does a restart from the
+/// refreshed file on either backend.
+#[test]
+fn file_backed_service_refresh_keeps_pinned_epochs() {
+    let g = grid_network(16, 16, 1.15, 5200);
+    let kp = {
+        let mut rng = StdRng::seed_from_u64(5201);
+        RsaKeyPair::generate(&mut rng, 256)
+    };
+    let client = Client::new(kp.public_key().clone());
+    let answers = |s: &Session, qs: &[(NodeId, NodeId)]| -> Vec<Vec<u8>> {
+        qs.iter()
+            .map(|&q| spnet_core::wire::encode_batch_answer(&s.answer_batch(&[q]).unwrap()))
+            .collect()
+    };
+    for method in all_methods() {
+        let p = DataOwner::publish_with_key(&g, &method, &SetupConfig::default(), &kp);
+        let dir = tmpdir(&format!("file-service-{}", method.name()));
+        spnet_core::snapshot::save_package(&p, &dir).unwrap();
+        // 256 leaves fill two leaf pages of the network tree. The
+        // updates touch nodes of the second page; the first queries
+        // stay in the first, so the epoch-0 session has not read the
+        // rewritten leaf page before the refresh.
+        let pos = |v: NodeId| p.package.ads.position(v) as usize;
+        let first: Vec<(NodeId, NodeId)> = g
+            .edges()
+            .filter(|&(u, v, _)| pos(u) < 32 && pos(v) < 32)
+            .map(|(u, v, _)| (u, v))
+            .take(2)
+            .collect();
+        let far: Vec<(NodeId, NodeId, f64)> = g
+            .edges()
+            .filter(|&(u, v, _)| pos(u) >= 160 && pos(v) >= 160)
+            .take(2)
+            .collect();
+        let later: Vec<(NodeId, NodeId)> = far.iter().map(|&(u, v, _)| (u, v)).collect();
+        let reference = SpService::new(p.package.clone());
+        let reference = reference.open_session(client.clone()).unwrap();
+
+        let service = SpService::builder()
+            .snapshot(&dir, StoreBackend::File)
+            .unwrap()
+            .threads(0)
+            .build();
+        let pinned = service.open_session(client.clone()).unwrap();
+        let before = answers(&pinned, &first);
+        assert_eq!(before, answers(&reference, &first), "{}", method.name());
+
+        let mut truth = g.clone();
+        let mut refreshes = Vec::new();
+        for &(u, v, w) in &far {
+            service.update_edge_weight(&kp, u, v, w * 3.0).unwrap();
+            truth.set_edge_weight(u, v, w * 3.0).unwrap();
+            refreshes.push(service.refresh_shard_snapshot(0, kp.public_key()).unwrap());
+        }
+        assert_eq!(service.epoch(), far.len() as u64);
+        assert_eq!(pinned.epoch(), 0);
+        assert!(
+            answers(&pinned, &first) == before,
+            "{}: epoch-0 answers changed",
+            method.name()
+        );
+        assert!(
+            answers(&pinned, &later) == answers(&reference, &later),
+            "{}: epoch-0 answers on unread pages changed",
+            method.name()
+        );
+        // A service paging from its file never rewrites it in place.
+        assert!(
+            refreshes.iter().all(|r| *r == SnapshotRefresh::FullRewrite),
+            "{}: {refreshes:?}",
+            method.name()
+        );
+
+        let latest = service.open_session(client.clone()).unwrap();
+        let restarts: Vec<Session> = [StoreBackend::File, StoreBackend::Mem]
+            .into_iter()
+            .map(|backend| {
+                SpService::builder()
+                    .snapshot(&dir, backend)
+                    .unwrap()
+                    .threads(0)
+                    .build()
+                    .open_session(client.clone())
+                    .unwrap()
+            })
+            .collect();
+        for &(s, t) in first.iter().chain(&later) {
+            let want = dijkstra_path(&truth, s, t).unwrap().distance;
+            for session in std::iter::once(&latest).chain(&restarts) {
+                let got = session.query(s, t).unwrap().distance;
+                assert!(
+                    (got - want).abs() <= 1e-6 * want.max(1.0),
+                    "{}: {s}→{t} serves {got}, not {want}",
+                    method.name()
+                );
+            }
+        }
+        for restarted in &restarts {
+            assert!(answers(restarted, &later) == answers(&latest, &later));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
