@@ -2,8 +2,8 @@
 //!
 //! Every function prints the figure's table(s) and returns them so the
 //! `figures` binary can also persist CSVs. Expected shapes (what the
-//! paper reports, recorded against our measurements in
-//! `EXPERIMENTS.md`):
+//! paper reports; the tables these functions print are the
+//! measurements to hold them against):
 //!
 //! * Fig 8: DIJ ≫ LDM > HYP > FULL in proof size; FULL ≫ HYP > LDM in
 //!   construction time.
@@ -13,14 +13,16 @@
 //! * Fig 11a: proof grows with fanout; 11b: proof grows with range,
 //!   HYP/FULL gap narrows, LDM/FULL gap widens. The ranges are the
 //!   paper's, rescaled to the generated network's diameter.
-//! * Fig 12: LDM proof shrinks with more landmarks, construction grows
-//!   slightly superlinearly.
+//! * Fig 12: LDM proof shrinks with more landmarks in items,
+//!   construction grows slightly superlinearly. Its bytes need not
+//!   shrink: every tuple carries all c quantised distances.
 //! * Fig 13: HYP proof shrinks with more cells, construction grows
 //!   sublinearly.
 
 use crate::config::HarnessConfig;
 use crate::report::{fmt_f, Table};
 use crate::runner::{run_method, MethodMeasurement};
+use spnet_core::enc::Wire;
 use spnet_graph::algo::dijkstra_sssp;
 use spnet_graph::gen::ALL_DATASETS;
 use spnet_graph::order::ALL_ORDERINGS;
@@ -269,7 +271,7 @@ pub fn fig12(cfg: &HarnessConfig) -> Vec<(String, Table)> {
         let m = run_method(&g, &sub.ldm(), &sub);
         // The paper's mechanism (tighter bounds ⇒ smaller search space)
         // shows in the item count; the byte total also carries the
-        // growing per-tuple vector payload — see EXPERIMENTS.md.
+        // growing per-tuple vector payload (the module comment's Fig 12 note).
         a.row(vec![
             format!("{landmarks}"),
             fmt_f(m.total_kb()),
@@ -436,7 +438,7 @@ pub fn ablation_chain(cfg: &HarnessConfig) -> Vec<(String, Table)> {
     let _ = client;
     for &(s, t) in &workload.pairs {
         let answer = provider.answer(s, t).unwrap();
-        mht_bytes += answer.integrity.size_bytes();
+        mht_bytes += answer.integrity.encoded_len();
         mht_items += answer.integrity.num_items();
         // Time the Merkle reconstruction alone.
         let tuples: Vec<&spnet_core::tuple::ExtendedTuple> =

@@ -6,7 +6,7 @@
 //! (tag, geometry, method parameters), so a provider can neither swap
 //! trees nor lie about parameters like the quantization step λ.
 
-use crate::enc::Encoder;
+use crate::enc::{wire_enum, wire_struct, DecodeError, Decoder, Encoder, Wire};
 use crate::tuple::ExtendedTuple;
 use spnet_crypto::blocks::Blocks;
 use spnet_crypto::digest::{hash_bytes, Digest};
@@ -21,23 +21,25 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdsTag {
     /// The network Merkle tree over extended-tuples.
-    Network = 1,
+    Network,
     /// The FULL method's all-pairs distance tree.
-    Distance = 2,
+    Distance,
     /// The HYP method's hyper-edge weight tree.
-    HyperEdges = 3,
+    HyperEdges,
     /// The HYP method's cell directory (cell id → node count).
-    CellDirectory = 4,
+    CellDirectory,
     /// A signed point-of-interest set (node id → POI payload), used by
     /// the verified k-nearest-POI operator in `spnet-queries`.
-    Poi = 5,
+    Poi,
 }
 
-impl AdsTag {
-    fn code(self) -> u8 {
-        self as u8
-    }
-}
+wire_enum!(AdsTag {
+    1 => Network,
+    2 => Distance,
+    3 => HyperEdges,
+    4 => CellDirectory,
+    5 => Poi,
+});
 
 /// Metadata bound into a root signature.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,17 +56,17 @@ pub struct AdsMeta {
 }
 
 impl AdsMeta {
-    /// The signature pre-image `H(root ∘ meta)`.
+    /// The signature pre-image `H(root ∘ meta)`: the first two fields
+    /// of the [`SignedRoot`] encoding.
     pub fn signing_digest(&self, root: Digest) -> Digest {
         let mut e = Encoder::new();
-        e.put_raw(root.as_bytes());
-        e.put_u8(self.tag.code());
-        e.put_u64(self.leaf_count);
-        e.put_u32(self.fanout);
-        e.put_bytes(&self.params);
-        hash_bytes(e.bytes())
+        e.put(&root);
+        e.put(self);
+        hash_bytes(&e.into_bytes())
     }
 }
+
+wire_struct!(AdsMeta { tag: AdsTag, leaf_count: u64, fanout: u32, params: Vec<u8> });
 
 /// An owner-signed ADS root: root digest + metadata + RSA signature.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,10 +94,24 @@ impl SignedRoot {
     pub fn verify(&self, pk: &RsaPublicKey) -> bool {
         pk.verify(&self.meta.signing_digest(self.root), &self.signature)
     }
+}
 
-    /// Byte size of the signed root when shipped in a proof.
-    pub fn size_bytes(&self) -> usize {
-        32 + 1 + 8 + 4 + 4 + self.meta.params.len() + self.signature.size_bytes()
+wire_struct!(SignedRoot {
+    root: Digest,
+    meta: AdsMeta,
+    signature: RsaSignature
+});
+
+/// Length-prefixed signature bytes.
+impl Wire for RsaSignature {
+    const MIN_LEN: usize = 4;
+
+    fn put(&self, e: &mut Encoder) {
+        e.put_bytes(self.as_bytes());
+    }
+
+    fn take(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(RsaSignature::from_bytes(d.take_bytes()?.to_vec()))
     }
 }
 

@@ -31,6 +31,7 @@
 
 use crate::ads::SignedRoot;
 use crate::client::check_reported_path;
+use crate::enc::Wire;
 use crate::error::{ProviderError, VerifyError};
 use crate::methods::full::FullBatchProof;
 use crate::methods::hyp::HypBatchState;
@@ -83,27 +84,6 @@ pub enum BatchAux {
     },
 }
 
-impl BatchAux {
-    /// Serialized size in bytes of the aux block.
-    pub fn size_bytes(&self) -> usize {
-        match self {
-            BatchAux::Subgraph => 0,
-            BatchAux::Full { proof, signed_root } => proof.size_bytes() + signed_root.size_bytes(),
-            BatchAux::Hyp {
-                hyper,
-                hyper_signed_root,
-                cell_dir,
-                cell_dir_signed_root,
-            } => {
-                hyper.size_bytes()
-                    + hyper_signed_root.size_bytes()
-                    + cell_dir.size_bytes()
-                    + cell_dir_signed_root.size_bytes()
-            }
-        }
-    }
-}
-
 /// A batched answer for `k` queries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchAnswer {
@@ -118,24 +98,6 @@ pub struct BatchAnswer {
     pub integrity: IntegrityProof,
     /// Method-specific pooled hint proofs.
     pub aux: BatchAux,
-}
-
-impl BatchAnswer {
-    /// Total size in bytes (pool tuples + per-query members/paths +
-    /// shared ΓT + method aux).
-    pub fn size_bytes(&self) -> usize {
-        let mut e = crate::enc::Encoder::new();
-        for t in &self.pool {
-            t.encode(&mut e);
-        }
-        let pool_bytes = e.len();
-        let query_bytes: usize = self
-            .queries
-            .iter()
-            .map(|q| q.path.nodes.len() * 4 + 8 + q.members.len() * 4)
-            .sum();
-        pool_bytes + query_bytes + self.integrity.size_bytes() + self.aux.size_bytes()
-    }
 }
 
 impl ServiceProvider {
@@ -303,7 +265,7 @@ impl Client {
                 }
             }
         }
-        let params = MethodParams::decode(&batch.integrity.signed_root.meta.params)
+        let params = MethodParams::from_bytes(&batch.integrity.signed_root.meta.params)
             .map_err(|_| VerifyError::MetaMismatch("undecodable method params"))?;
         if batch.pool.len() != batch.integrity.positions.len() {
             return Err(VerifyError::MalformedIntegrityProof(
@@ -429,10 +391,10 @@ mod tests {
                 .map(|&(s, t)| provider.answer(s, t).unwrap().stats().total_bytes())
                 .sum();
             assert!(
-                batch.size_bytes() < individual,
+                batch.encoded_len() < individual,
                 "{}: batch {} ≥ individual sum {}",
                 method.name(),
-                batch.size_bytes(),
+                batch.encoded_len(),
                 individual
             );
         }

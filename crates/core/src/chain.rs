@@ -29,7 +29,7 @@ fn chain_digest(prev: &Digest, cur: &Digest, next: &Digest) -> Digest {
     e.put_raw(prev.as_bytes());
     e.put_raw(cur.as_bytes());
     e.put_raw(next.as_bytes());
-    hash_bytes(e.bytes())
+    hash_bytes(&e.into_bytes())
 }
 
 /// Owner-side: per-tuple chained signatures over the ADS ordering.
@@ -112,7 +112,7 @@ impl ChainProof {
     pub fn size_bytes(&self) -> usize {
         self.sigs
             .iter()
-            .map(|(_, s)| 4 + s.size_bytes())
+            .map(|(_, s)| 4 + s.as_bytes().len())
             .sum::<usize>()
             + self.boundary.len() * (4 + 32)
     }
@@ -174,6 +174,7 @@ impl ChainProof {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::enc::Wire;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use spnet_graph::gen::grid_network;
@@ -280,10 +281,10 @@ mod tests {
         let (chain_proof, _) = proof_for(&ads, &chained, &nodes);
         let merkle_proof = ads.prove_nodes(nodes.iter().copied()).unwrap();
         assert!(
-            chain_proof.size_bytes() > merkle_proof.size_bytes(),
+            chain_proof.size_bytes() > merkle_proof.encoded_len(),
             "chain {} ≤ merkle {}",
             chain_proof.size_bytes(),
-            merkle_proof.size_bytes()
+            merkle_proof.encoded_len()
         );
     }
 

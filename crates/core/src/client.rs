@@ -10,6 +10,7 @@
 //!    distance and the proven optimum.
 
 use crate::ads::SignedRoot;
+use crate::enc::Wire;
 use crate::error::VerifyError;
 use crate::methods::{MethodParams, PinnedAux, VerifyCtx};
 use crate::proof::{Answer, IntegrityProof, SpProof};
@@ -95,7 +96,7 @@ impl Client {
                 }
             }
         }
-        let params = MethodParams::decode(&answer.integrity.signed_root.meta.params)
+        let params = MethodParams::from_bytes(&answer.integrity.signed_root.meta.params)
             .map_err(|_| VerifyError::MetaMismatch("undecodable method params"))?;
         // Signed method code must match the proof's shape — prevents a
         // malicious provider from downgrading the verification method.

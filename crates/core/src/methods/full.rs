@@ -21,7 +21,7 @@
 
 use crate::ads::{AdsMeta, AdsTag, SignedRoot};
 use crate::batch::{AuxContext, BatchAux, BatchVerifyState};
-use crate::enc::{Decoder, Encoder};
+use crate::enc::Wire;
 use crate::error::{ProviderError, VerifyError};
 use crate::methods::{AuthMethod, MethodConfig, MethodParams, TupleMap, VerifyCtx};
 use crate::owner::{MethodHints, ProviderPackage, SetupConfig};
@@ -311,11 +311,6 @@ impl FullDistanceProof {
         1 + self.row_proof.num_items() + self.top_proof.num_items()
     }
 
-    /// Serialized size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        16 + 4 + 4 + self.row_proof.size_bytes() + self.top_proof.size_bytes()
-    }
-
     /// Client side: checks the proof against the signed distance root
     /// and returns the authenticated `dist(vs, vt)`.
     pub fn verify(&self, vs: NodeId, vt: NodeId, signed_root: &Digest) -> Result<f64, VerifyError> {
@@ -370,15 +365,6 @@ impl FullBatchProof {
             .map(|r| r.entries.len() + r.row_proof.num_items())
             .sum::<usize>()
             + self.top_proof.num_items()
-    }
-
-    /// Serialized size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.rows
-            .iter()
-            .map(|r| 4 + r.entries.len() * 16 + r.row_proof.size_bytes())
-            .sum::<usize>()
-            + self.top_proof.size_bytes()
     }
 
     /// Client side: authenticates every carried entry against the
@@ -542,17 +528,15 @@ impl AuthMethod for FullMethod {
         else {
             return Err(SnapshotError::Corrupt("FULL hints expected"));
         };
-        w.blob(
-            snapshot::SEC_FULL_SIGNED,
-            &snapshot::encode_signed_root(signed_root),
-        )?;
-        let mut e = Encoder::new();
-        e.put_u32(ads.fanout as u32);
-        e.put_u64(ads.top.leaf_count() as u64);
-        e.put_u64(stats.tuples);
-        e.put_f64(stats.seconds);
-        e.put_bool(ads.matrix.is_some());
-        w.blob(snapshot::SEC_FULL_CONFIG, e.bytes())?;
+        w.blob(snapshot::SEC_FULL_SIGNED, &signed_root.to_bytes())?;
+        let config = (
+            ads.fanout as u32,
+            ads.top.leaf_count() as u64,
+            stats.tuples,
+            stats.seconds,
+            ads.matrix.is_some(),
+        );
+        w.blob(snapshot::SEC_FULL_CONFIG, &config.to_bytes())?;
         w.paged(
             snapshot::SEC_FULL_ROWROOTS,
             &ads.top.dense_levels()[0].to_bytes()?,
@@ -573,15 +557,10 @@ impl AuthMethod for FullMethod {
         g: &Graph,
         store: &spnet_store::NodeStore,
     ) -> Result<MethodHints, SnapshotError> {
-        let signed_root = snapshot::decode_signed_root(&store.blob(snapshot::SEC_FULL_SIGNED)?)?;
-        let cfg = store.blob(snapshot::SEC_FULL_CONFIG)?;
-        let mut d = Decoder::new(&cfg);
-        let fanout = d.take_u32()? as usize;
-        let n = d.take_u64()? as usize;
-        let tuples = d.take_u64()?;
-        let seconds = d.take_f64()?;
-        let has_matrix = d.take_bool()?;
-        d.finish()?;
+        let signed_root = SignedRoot::from_bytes(&store.blob(snapshot::SEC_FULL_SIGNED)?)?;
+        let (fanout, n, tuples, seconds, has_matrix) =
+            <(u32, u64, u64, f64, bool)>::from_bytes(&store.blob(snapshot::SEC_FULL_CONFIG)?)?;
+        let (fanout, n) = (fanout as usize, n as usize);
         if n != g.num_nodes() || fanout < 2 {
             return Err(SnapshotError::Corrupt("FULL geometry mismatch"));
         }
@@ -875,7 +854,7 @@ mod tests {
         // Two trees of 256 leaves at fanout 4: 4 levels each, ≤ 3 cover
         // digests per level.
         assert!(proof.num_items() <= 1 + 2 * 4 * 3 + 2);
-        assert!(proof.size_bytes() < 1500, "{}", proof.size_bytes());
+        assert!(proof.encoded_len() < 1500, "{}", proof.encoded_len());
     }
 
     #[test]
@@ -917,12 +896,12 @@ mod tests {
         let batch = ads.prove_batch(&g, &pairs);
         let singles: usize = pairs
             .iter()
-            .map(|&(s, t)| ads.prove(&g, s, t).size_bytes())
+            .map(|&(s, t)| ads.prove(&g, s, t).encoded_len())
             .sum();
         assert!(
-            batch.size_bytes() < singles,
+            batch.encoded_len() < singles,
             "batch {} ≥ single sum {}",
-            batch.size_bytes(),
+            batch.encoded_len(),
             singles
         );
     }

@@ -22,7 +22,7 @@
 
 use crate::ads::{AdsMeta, AdsTag, SignedRoot};
 use crate::batch::{AuxContext, BatchAux, BatchVerifyState};
-use crate::enc::{Decoder, Encoder};
+use crate::enc::Wire;
 use crate::error::{ProviderError, VerifyError};
 use crate::methods::{AuthMethod, MethodConfig, MethodParams, TupleMap, VerifyCtx};
 use crate::owner::{MethodHints, ProviderPackage, SetupConfig};
@@ -857,21 +857,16 @@ impl AuthMethod for HypMethod {
         else {
             return Err(SnapshotError::Corrupt("HYP hints expected"));
         };
-        let mut e = Encoder::new();
-        e.put_u32(h.partition.side());
-        e.put_u32(cell_dir_signed.meta.fanout);
-        e.put_f64(h.build_seconds);
-        e.put_u64(h.hyper_tree.as_ref().map_or(0, |t| t.len() as u64));
-        e.put_u64(h.cell_dir.len() as u64);
-        w.blob(snapshot::SEC_HYP_CONFIG, e.bytes())?;
-        w.blob(
-            snapshot::SEC_HYP_HYPER_SIGNED,
-            &snapshot::encode_signed_root(hyper_signed),
-        )?;
-        w.blob(
-            snapshot::SEC_HYP_DIR_SIGNED,
-            &snapshot::encode_signed_root(cell_dir_signed),
-        )?;
+        let config = (
+            h.partition.side(),
+            cell_dir_signed.meta.fanout,
+            h.build_seconds,
+            h.hyper_tree.as_ref().map_or(0, |t| t.len() as u64),
+            h.cell_dir.len() as u64,
+        );
+        w.blob(snapshot::SEC_HYP_CONFIG, &config.to_bytes())?;
+        w.blob(snapshot::SEC_HYP_HYPER_SIGNED, &hyper_signed.to_bytes())?;
+        w.blob(snapshot::SEC_HYP_DIR_SIGNED, &cell_dir_signed.to_bytes())?;
         if let Some(t) = &h.hyper_tree {
             snapshot::write_btree(
                 w,
@@ -895,22 +890,15 @@ impl AuthMethod for HypMethod {
         g: &Graph,
         store: &spnet_store::NodeStore,
     ) -> Result<MethodHints, SnapshotError> {
-        let cfg = store.blob(snapshot::SEC_HYP_CONFIG)?;
-        let mut d = Decoder::new(&cfg);
-        let side = d.take_u32()?;
-        let fanout = d.take_u32()? as usize;
-        let build_seconds = d.take_f64()?;
-        let hyper_len = d.take_u64()? as usize;
-        let dir_len = d.take_u64()? as usize;
-        d.finish()?;
+        let (side, fanout, build_seconds, hyper_len, dir_len) =
+            <(u32, u32, f64, u64, u64)>::from_bytes(&store.blob(snapshot::SEC_HYP_CONFIG)?)?;
+        let (fanout, hyper_len, dir_len) = (fanout as usize, hyper_len as usize, dir_len as usize);
         if side == 0 || fanout < 2 {
             return Err(SnapshotError::Corrupt("HYP config out of range"));
         }
 
-        let hyper_signed =
-            snapshot::decode_signed_root(&store.blob(snapshot::SEC_HYP_HYPER_SIGNED)?)?;
-        let cell_dir_signed =
-            snapshot::decode_signed_root(&store.blob(snapshot::SEC_HYP_DIR_SIGNED)?)?;
+        let hyper_signed = SignedRoot::from_bytes(&store.blob(snapshot::SEC_HYP_HYPER_SIGNED)?)?;
+        let cell_dir_signed = SignedRoot::from_bytes(&store.blob(snapshot::SEC_HYP_DIR_SIGNED)?)?;
         if hyper_signed.meta.tag != AdsTag::HyperEdges
             || cell_dir_signed.meta.tag != AdsTag::CellDirectory
         {

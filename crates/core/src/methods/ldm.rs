@@ -8,7 +8,7 @@
 //! with the compressed lower bound (Lemmas 3–4) and checks the optimum.
 
 use crate::batch::{AuxContext, BatchAux, BatchVerifyState};
-use crate::enc::{DecodeError, Decoder, Encoder};
+use crate::enc::{wire_enum, DecodeError, Decoder, Encoder, Wire};
 use crate::error::{ProviderError, VerifyError};
 use crate::methods::{AuthMethod, LdmConfig, MethodConfig, MethodParams, TupleMap, VerifyCtx};
 use crate::owner::{MethodHints, ProviderPackage, SetupConfig};
@@ -180,40 +180,27 @@ impl AuthMethod for LdmMethod {
         let cv = &h.vectors;
         let c = cv.num_landmarks();
         let mut e = Encoder::new();
-        e.put_f64(cv.lambda());
-        e.put_f64(cv.xi());
-        e.put_u64(c as u64);
-        e.put_u8(cv.bits());
-        e.put_u64(cv.num_nodes() as u64);
+        e.put(&(cv.lambda(), cv.xi()));
+        e.put(&(c as u64, cv.bits()));
+        e.put(&(cv.num_nodes() as u64));
         for v in 0..cv.num_nodes() as u32 {
             match cv.node_psi(NodeId(v)) {
                 NodePsi::Full(q) => {
-                    e.put_u8(0);
-                    for &x in q.iter() {
-                        e.put_u32(x);
-                    }
+                    e.put(&0u8);
+                    q.iter().for_each(|x| e.put(x));
                 }
                 NodePsi::Compressed { theta, eps } => {
-                    e.put_u8(1);
-                    e.put_u32(theta.0);
-                    e.put_f64(*eps);
+                    e.put(&1u8);
+                    e.put(&(*theta, *eps));
                 }
             }
         }
-        w.blob(snapshot::SEC_LDM_VECTORS, e.bytes())?;
-        let mut b = Encoder::new();
-        b.put_f64(h.build_seconds);
-        w.blob(snapshot::SEC_LDM_BUILD, b.bytes())?;
+        w.blob(snapshot::SEC_LDM_VECTORS, &e.into_bytes())?;
+        w.blob(snapshot::SEC_LDM_BUILD, &h.build_seconds.to_bytes())?;
         let mut l = Encoder::new();
-        l.put_u8(match h.compression {
-            CompressionStrategy::GreedyExact => 0,
-            CompressionStrategy::HilbertSweep => 1,
-        });
-        l.put_u64(h.landmarks.len() as u64);
-        for &lm in &h.landmarks {
-            l.put_u32(lm.0);
-        }
-        w.blob(snapshot::SEC_LDM_LANDMARKS, l.bytes())?;
+        l.put(&(h.compression, h.landmarks.len() as u64));
+        h.landmarks.iter().for_each(|lm| l.put(lm));
+        w.blob(snapshot::SEC_LDM_LANDMARKS, &l.into_bytes())?;
         Ok(())
     }
 
@@ -224,11 +211,9 @@ impl AuthMethod for LdmMethod {
     ) -> Result<MethodHints, SnapshotError> {
         let bytes = store.blob(snapshot::SEC_LDM_VECTORS)?;
         let mut d = Decoder::new(&bytes);
-        let lambda = d.take_f64()?;
-        let xi = d.take_f64()?;
-        let c = d.take_u64()? as usize;
-        let bits = d.take_u8()?;
-        let n = d.take_u64()? as usize;
+        let (lambda, xi) = d.take()?;
+        let (c, bits): (u64, u8) = d.take()?;
+        let (c, n) = (c as usize, d.take::<u64>()? as usize);
         if n != g.num_nodes() {
             return Err(SnapshotError::Corrupt("LDM vector count mismatch"));
         }
@@ -237,48 +222,29 @@ impl AuthMethod for LdmMethod {
         }
         let mut psi = Vec::with_capacity(n);
         for _ in 0..n {
-            match d.take_u8()? {
-                0 => {
-                    let mut q = Vec::with_capacity(c);
-                    for _ in 0..c {
-                        q.push(d.take_u32()?);
-                    }
-                    psi.push(NodePsi::Full(q.into()));
-                }
+            psi.push(match d.take()? {
+                0 => NodePsi::Full(d.take_n(c)?.into()),
                 1 => {
-                    let theta = NodeId(d.take_u32()?);
-                    let eps = d.take_f64()?;
-                    psi.push(NodePsi::Compressed { theta, eps });
+                    let (theta, eps) = d.take()?;
+                    NodePsi::Compressed { theta, eps }
                 }
                 t => return Err(SnapshotError::Decode(DecodeError::BadTag(t))),
-            }
+            });
         }
         d.finish()?;
         let vectors = CompressedVectors::from_parts(lambda, psi, xi, c, bits).ok_or(
             SnapshotError::Corrupt("LDM vectors fail structural validation"),
         )?;
-        let build_bytes = store.blob(snapshot::SEC_LDM_BUILD)?;
-        let mut bd = Decoder::new(&build_bytes);
-        let build_seconds = bd.take_f64()?;
-        bd.finish()?;
+        let build_seconds = f64::from_bytes(&store.blob(snapshot::SEC_LDM_BUILD)?)?;
         let lm_bytes = store.blob(snapshot::SEC_LDM_LANDMARKS)?;
         let mut ld = Decoder::new(&lm_bytes);
-        let compression = match ld.take_u8()? {
-            0 => CompressionStrategy::GreedyExact,
-            1 => CompressionStrategy::HilbertSweep,
-            t => return Err(SnapshotError::Decode(DecodeError::BadTag(t))),
-        };
-        let lm_count = ld.take_u64()? as usize;
-        if lm_count != c {
+        let (compression, lm_count): (CompressionStrategy, u64) = ld.take()?;
+        if lm_count != c as u64 {
             return Err(SnapshotError::Corrupt("LDM landmark list length mismatch"));
         }
-        let mut landmarks = Vec::with_capacity(lm_count);
-        for _ in 0..lm_count {
-            let id = ld.take_u32()?;
-            if id as usize >= n {
-                return Err(SnapshotError::Corrupt("LDM landmark id out of range"));
-            }
-            landmarks.push(NodeId(id));
+        let landmarks: Vec<NodeId> = ld.take_n(c)?;
+        if landmarks.iter().any(|lm| lm.index() >= n) {
+            return Err(SnapshotError::Corrupt("LDM landmark id out of range"));
         }
         ld.finish()?;
         Ok(MethodHints::Ldm(LdmHints {
@@ -364,6 +330,12 @@ impl AuthMethod for LdmMethod {
         verify_subgraph_astar(tuples, vs, vt, Self::lambda(params))
     }
 }
+
+// The snapshot's compression byte.
+wire_enum!(CompressionStrategy {
+    0 => GreedyExact,
+    1 => HilbertSweep,
+});
 
 /// The owner-side LDM hints: compressed quantized landmark vectors.
 #[derive(Debug, Clone)]

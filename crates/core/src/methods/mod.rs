@@ -21,7 +21,7 @@ pub mod ldm;
 
 use crate::ads::SignedRoot;
 use crate::batch::{AuxContext, BatchAnswer, BatchAux, BatchVerifyState};
-use crate::enc::{DecodeError, Decoder, Encoder};
+use crate::enc::wire_enum;
 use crate::error::{ProviderError, VerifyError};
 use crate::owner::{MethodHints, ProviderPackage, SetupConfig};
 use crate::proof::SpProof;
@@ -493,38 +493,15 @@ pub enum MethodParams {
     Hyp,
 }
 
+// The `AdsMeta::params` record.
+wire_enum!(MethodParams {
+    1 => Dij,
+    2 => Full,
+    3 => Ldm { lambda: f64 },
+    4 => Hyp,
+});
+
 impl MethodParams {
-    /// Canonical encoding for `AdsMeta::params`.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        match self {
-            MethodParams::Dij => e.put_u8(1),
-            MethodParams::Full => e.put_u8(2),
-            MethodParams::Ldm { lambda } => {
-                e.put_u8(3);
-                e.put_f64(*lambda);
-            }
-            MethodParams::Hyp => e.put_u8(4),
-        }
-        e.into_bytes()
-    }
-
-    /// Decodes from signed metadata.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut d = Decoder::new(bytes);
-        let out = match d.take_u8()? {
-            1 => MethodParams::Dij,
-            2 => MethodParams::Full,
-            3 => MethodParams::Ldm {
-                lambda: d.take_f64()?,
-            },
-            4 => MethodParams::Hyp,
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        d.finish()?;
-        Ok(out)
-    }
-
     /// The method's lifecycle implementation — how a client that has
     /// authenticated these params dispatches verification.
     pub fn method(&self) -> &'static dyn AuthMethod {
@@ -545,6 +522,7 @@ impl MethodParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::enc::Wire;
 
     #[test]
     fn params_round_trip() {
@@ -554,17 +532,16 @@ mod tests {
             MethodParams::Ldm { lambda: 2.5 },
             MethodParams::Hyp,
         ] {
-            let bytes = p.encode();
-            assert_eq!(MethodParams::decode(&bytes).unwrap(), p);
+            assert_eq!(MethodParams::from_bytes(&p.to_bytes()).unwrap(), p);
         }
     }
 
     #[test]
     fn params_reject_garbage() {
-        assert!(MethodParams::decode(&[]).is_err());
-        assert!(MethodParams::decode(&[99]).is_err());
-        assert!(MethodParams::decode(&[3, 1, 2]).is_err()); // truncated λ
-        assert!(MethodParams::decode(&[1, 0]).is_err()); // trailing byte
+        assert!(MethodParams::from_bytes(&[]).is_err());
+        assert!(MethodParams::from_bytes(&[99]).is_err());
+        assert!(MethodParams::from_bytes(&[3, 1, 2]).is_err()); // truncated λ
+        assert!(MethodParams::from_bytes(&[1, 0]).is_err()); // trailing byte
     }
 
     #[test]

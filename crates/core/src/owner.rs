@@ -2,6 +2,7 @@
 //! (Figure 2, left).
 
 use crate::ads::{NetworkAds, SignedRoot};
+use crate::enc::Wire;
 use crate::methods::full::{DistanceAds, FullBuildStats};
 use crate::methods::hyp::HypHints;
 use crate::methods::ldm::LdmHints;
@@ -194,7 +195,7 @@ impl DataOwner {
             .collect();
 
         let ads = NetworkAds::build(graph, tuples, cfg.ordering, cfg.fanout, cfg.seed);
-        let network_root = SignedRoot::sign(keypair, ads.root(), ads.meta(params.encode()));
+        let network_root = SignedRoot::sign(keypair, ads.root(), ads.meta(params.to_bytes()));
         let construction_seconds = start.elapsed().as_secs_f64();
 
         Published {
@@ -268,7 +269,7 @@ mod tests {
             ..LdmConfig::default()
         }));
         let params =
-            crate::methods::MethodParams::decode(&p.package.network_root.meta.params).unwrap();
+            crate::methods::MethodParams::from_bytes(&p.package.network_root.meta.params).unwrap();
         assert!(matches!(params, crate::methods::MethodParams::Ldm { lambda } if lambda > 0.0));
     }
 

@@ -6,7 +6,7 @@
 //! experiments report (Figures 8a/8b).
 
 use crate::ads::SignedRoot;
-use crate::enc::Encoder;
+use crate::enc::Wire;
 use crate::methods::full::FullDistanceProof;
 use crate::tuple::ExtendedTuple;
 use spnet_crypto::mbtree::KeyedProof;
@@ -31,11 +31,6 @@ impl IntegrityProof {
     /// Number of digest items — the paper's "T-prf" item count.
     pub fn num_items(&self) -> usize {
         self.merkle.num_items()
-    }
-
-    /// Serialized size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.positions.len() * 4 + self.merkle.size_bytes() + self.signed_root.size_bytes()
     }
 }
 
@@ -137,41 +132,6 @@ impl SpProof {
             }
         }
     }
-
-    /// Serialized ΓS size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        match self {
-            SpProof::Subgraph { tuples } => tuple_bytes(tuples),
-            SpProof::Distance {
-                full,
-                signed_root,
-                path_tuples,
-            } => full.size_bytes() + signed_root.size_bytes() + tuple_bytes(path_tuples),
-            SpProof::Hyp {
-                cell_tuples,
-                path_tuples,
-                hyper,
-                hyper_signed_root,
-                cell_dir,
-                cell_dir_signed_root,
-            } => {
-                tuple_bytes(cell_tuples)
-                    + tuple_bytes(path_tuples)
-                    + hyper.size_bytes()
-                    + hyper_signed_root.size_bytes()
-                    + cell_dir.size_bytes()
-                    + cell_dir_signed_root.size_bytes()
-            }
-        }
-    }
-}
-
-fn tuple_bytes(tuples: &[Arc<ExtendedTuple>]) -> usize {
-    let mut e = Encoder::new();
-    for t in tuples {
-        t.encode(&mut e);
-    }
-    e.len()
 }
 
 /// A complete provider answer: the result path and both proofs.
@@ -191,9 +151,9 @@ impl Answer {
         ProofStats {
             s_items: self.sp.num_items(),
             t_items: self.integrity.num_items(),
-            s_bytes: self.sp.size_bytes(),
-            t_bytes: self.integrity.size_bytes(),
-            path_bytes: self.path.nodes.len() * 4 + 8,
+            s_bytes: self.sp.encoded_len(),
+            t_bytes: self.integrity.encoded_len(),
+            path_bytes: self.path.encoded_len(),
         }
     }
 }
@@ -205,16 +165,17 @@ pub struct ProofStats {
     pub s_items: usize,
     /// Digest items in ΓT.
     pub t_items: usize,
-    /// ΓS bytes.
+    /// Encoded length of ΓS.
     pub s_bytes: usize,
-    /// ΓT bytes.
+    /// Encoded length of ΓT.
     pub t_bytes: usize,
-    /// Bytes of the reported path itself.
+    /// Encoded length of the reported path.
     pub path_bytes: usize,
 }
 
 impl ProofStats {
-    /// Total communication overhead in bytes (ΓS + ΓT + path).
+    /// Total communication overhead in bytes (ΓS + ΓT + path): the
+    /// encoded answer less its version byte.
     pub fn total_bytes(&self) -> usize {
         self.s_bytes + self.t_bytes + self.path_bytes
     }

@@ -33,6 +33,7 @@
 use crate::ads::SignedRoot;
 use crate::batch::BatchAux;
 use crate::client::Client;
+use crate::enc::Wire;
 use crate::error::{ProviderError, VerifyError};
 use crate::methods::dij::RADIUS_SLACK;
 use crate::methods::{MethodParams, PinnedAux, VerifyCtx};
@@ -74,16 +75,6 @@ impl RangeAnswer {
     /// Number of claimed members.
     pub fn num_members(&self) -> usize {
         self.members.len()
-    }
-
-    /// Serialized size in bytes (members + pool tuples + ΓT + aux) —
-    /// the certificate cost PERFORMANCE.md §9 reports.
-    pub fn size_bytes(&self) -> usize {
-        let mut e = crate::enc::Encoder::new();
-        for t in &self.pool {
-            t.encode(&mut e);
-        }
-        self.members.len() * 12 + e.len() + self.integrity.size_bytes() + self.aux.size_bytes()
     }
 }
 
@@ -196,7 +187,7 @@ impl Client {
                 }
             }
         }
-        let params = MethodParams::decode(&answer.integrity.signed_root.meta.params)
+        let params = MethodParams::from_bytes(&answer.integrity.signed_root.meta.params)
             .map_err(|_| VerifyError::MetaMismatch("undecodable method params"))?;
         if answer.pool.len() != answer.members.len()
             || answer.pool.len() != answer.integrity.positions.len()

@@ -55,6 +55,7 @@
 use crate::ads::SignedRoot;
 use crate::batch::BatchAnswer;
 use crate::client::Client;
+use crate::enc::Wire;
 use crate::error::{ProviderError, VerifyError};
 use crate::methods::{MethodParams, PinnedAux};
 use crate::par::Scheduler;
@@ -407,7 +408,7 @@ impl SpService {
         if !root.verify(client.public_key()) {
             return Err(SessionError::OpenRejected(VerifyError::BadSignature));
         }
-        let params = MethodParams::decode(&root.meta.params).map_err(|_| {
+        let params = MethodParams::from_bytes(&root.meta.params).map_err(|_| {
             SessionError::OpenRejected(VerifyError::MetaMismatch("undecodable method params"))
         })?;
         // Pin the auxiliary roots now (one RSA verification each, for

@@ -30,11 +30,10 @@
 //! [`SnapshotError`] at load — it can never serve verifying proofs.
 
 use crate::ads::{AdsTag, NetworkAds, SignedRoot};
-use crate::enc::{DecodeError, Decoder, Encoder};
+use crate::enc::{DecodeError, Decoder, Encoder, Wire};
 use crate::methods::MethodParams;
 use crate::owner::{ProviderPackage, Published};
 use crate::tuple::ExtendedTuple;
-use crate::wire::{put_signed_root, take_signed_root};
 use spnet_crypto::cache::PageCacheCfg;
 use spnet_crypto::digest::{Digest, DIGEST_LEN};
 use spnet_crypto::mbtree::{KeyedEntry, MbTreeError, MerkleBTree};
@@ -223,21 +222,6 @@ impl From<std::io::Error> for SnapshotError {
 
 // ---- shared codec helpers -------------------------------------------------
 
-/// Canonical bytes of a [`SignedRoot`] (the proof wire codec).
-pub(crate) fn encode_signed_root(s: &SignedRoot) -> Vec<u8> {
-    let mut e = Encoder::new();
-    put_signed_root(&mut e, s);
-    e.into_bytes()
-}
-
-/// Inverse of [`encode_signed_root`]; rejects trailing bytes.
-pub(crate) fn decode_signed_root(bytes: &[u8]) -> Result<SignedRoot, SnapshotError> {
-    let mut d = Decoder::new(bytes);
-    let s = take_signed_root(&mut d)?;
-    d.finish()?;
-    Ok(s)
-}
-
 /// Unpacks digests from their on-disk byte layout.
 pub(crate) fn digests_from_bytes(bytes: &[u8]) -> Result<Vec<Digest>, SnapshotError> {
     if !bytes.len().is_multiple_of(DIGEST_LEN) {
@@ -398,7 +382,7 @@ fn write_sections(
     let n = pkg.ads.leaf_count();
     w.blob(SEC_GRAPH, &graph_to_bytes(&pkg.graph))?;
     w.blob(SEC_PUBKEY, &public_key.to_bytes())?;
-    w.blob(SEC_NET_SIGNED, &encode_signed_root(&pkg.network_root))?;
+    w.blob(SEC_NET_SIGNED, &pkg.network_root.to_bytes())?;
 
     let order_bytes: Vec<u8> = pkg
         .ads
@@ -409,11 +393,11 @@ fn write_sections(
     w.blob(SEC_NET_ORDER, &order_bytes)?;
 
     let mut e = Encoder::new();
-    e.put_u64(n as u64);
+    e.put(&(n as u64));
     for v in 0..n as u32 {
-        pkg.ads.tuple(NodeId(v)).encode(&mut e);
+        e.put(pkg.ads.tuple(NodeId(v)));
     }
-    w.blob(SEC_NET_TUPLES, e.bytes())?;
+    w.blob(SEC_NET_TUPLES, &e.into_bytes())?;
 
     write_tree(w, SEC_NET_TREE, pkg.ads.tree())?;
     pkg.hints.method().snapshot_hints(&pkg.hints, w)
@@ -504,7 +488,7 @@ pub fn load_package(dir: &Path, backend: StoreBackend) -> Result<LoadedSnapshot,
     let graph = graph_from_bytes(&store.blob(SEC_GRAPH)?)?;
     let public_key = RsaPublicKey::from_bytes(&store.blob(SEC_PUBKEY)?)
         .ok_or(SnapshotError::Corrupt("undecodable owner public key"))?;
-    let network_root = decode_signed_root(&store.blob(SEC_NET_SIGNED)?)?;
+    let network_root = SignedRoot::from_bytes(&store.blob(SEC_NET_SIGNED)?)?;
     if network_root.meta.tag != AdsTag::Network {
         return Err(SnapshotError::Corrupt("network root carries a foreign tag"));
     }
@@ -520,13 +504,13 @@ pub fn load_package(dir: &Path, backend: StoreBackend) -> Result<LoadedSnapshot,
 
     let tuple_bytes = store.blob(SEC_NET_TUPLES)?;
     let mut d = Decoder::new(&tuple_bytes);
-    let count = d.take_u64()? as usize;
+    let count = d.take::<u64>()? as usize;
     if count != graph.num_nodes() || count != order.len() {
         return Err(SnapshotError::Corrupt("tuple count mismatch"));
     }
     let mut tuples = Vec::with_capacity(count);
     for i in 0..count {
-        let t = ExtendedTuple::decode(&mut d)?;
+        let t: ExtendedTuple = d.take()?;
         if t.id != NodeId(i as u32) {
             return Err(SnapshotError::Corrupt("tuples out of node-id order"));
         }
@@ -562,7 +546,7 @@ pub fn load_package(dir: &Path, backend: StoreBackend) -> Result<LoadedSnapshot,
         return Err(SnapshotError::BadSignature("network root"));
     }
 
-    let params = MethodParams::decode(&network_root.meta.params)?;
+    let params = MethodParams::from_bytes(&network_root.meta.params)?;
     let method = params.method();
     let hints = method.load_hints(&graph, &store)?;
     for root in hints.aux_roots() {
@@ -595,7 +579,7 @@ pub fn save_poi_set(
     std::fs::create_dir_all(dir)?;
     let path = dir.join(POI_FILE);
     let mut w = SnapshotWriter::create(&path)?;
-    w.blob(SEC_POI_SIGNED, &encode_signed_root(signed))?;
+    w.blob(SEC_POI_SIGNED, &signed.to_bytes())?;
     write_btree(&mut w, tree, SEC_POI_ENTRIES, SEC_POI_KEYS, SEC_POI_TREE)?;
     w.finish()?;
     Ok(path)
@@ -618,7 +602,7 @@ pub struct LoadedPoiSet {
 /// Loads a POI set written by [`save_poi_set`].
 pub fn load_poi_set(dir: &Path, backend: StoreBackend) -> Result<LoadedPoiSet, SnapshotError> {
     let store = NodeStore::open(&dir.join(POI_FILE), backend)?;
-    let signed = decode_signed_root(&store.blob(SEC_POI_SIGNED)?)?;
+    let signed = SignedRoot::from_bytes(&store.blob(SEC_POI_SIGNED)?)?;
     if signed.meta.tag != AdsTag::Poi {
         return Err(SnapshotError::Corrupt("POI root carries a foreign tag"));
     }

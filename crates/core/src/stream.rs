@@ -9,7 +9,7 @@
 //!
 //! * [`AnswerStream`] — a lazy provider-side iterator over encoded
 //!   [`StreamFrame`]s (`Header`, `Chunk`…, `End`), each chunk a
-//!   [`BatchAnswer`](crate::batch::BatchAnswer) over the next slice of
+//!   [`BatchAnswer`] over the next slice of
 //!   queries;
 //! * [`StreamVerifier`] — a client-side state machine fed one frame at
 //!   a time, yielding the verified answers of each chunk and enforcing
@@ -23,18 +23,56 @@
 //! end to end); a networked deployment ships the frames instead.
 
 use crate::ads::SignedRoot;
+use crate::batch::BatchAnswer;
 use crate::client::Client;
-use crate::enc::DecodeError;
+use crate::enc::{DecodeError, Wire};
 use crate::error::{ProviderError, VerifyError};
 use crate::methods::PinnedAux;
 use crate::provider::ServiceProvider;
-use crate::wire::{decode_frame, encode_frame, StreamFrame};
+use crate::wire;
 use spnet_graph::{NodeId, Path};
 use std::ops::Range;
 
 /// Default queries per pooled chunk ([`ServiceProvider::answer_stream`]
 /// callers can override).
 pub const DEFAULT_CHUNK_LEN: usize = 16;
+
+/// One frame of a streaming batch answer.
+///
+/// A stream is `Header`, then `Chunk`s covering contiguous query
+/// ranges in order, then `End`. Each frame is independently encoded
+/// (version byte + frame tag + payload), so a transport can ship them
+/// as separate messages; the [`crate::stream::StreamVerifier`]
+/// enforces the framing protocol and rejects truncation, reordering,
+/// duplication and count mismatches with typed errors.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StreamFrame {
+    /// Opens a stream: how many queries it will answer, the provider's
+    /// chunking, and the method's wire code (cross-checked against the
+    /// signed params of every chunk).
+    Header {
+        /// Total queries the stream will cover.
+        total_queries: u32,
+        /// Nominal queries per chunk (the last chunk may be smaller).
+        chunk_len: u32,
+        /// The serving method's wire code.
+        method_code: u8,
+    },
+    /// One pooled batch answer covering queries
+    /// `start .. start + batch.queries.len()`.
+    Chunk {
+        /// Index of the first query this chunk answers.
+        start: u32,
+        /// The chunk's pooled batch answer (boxed: a chunk dwarfs the
+        /// fixed-size header/end frames).
+        batch: Box<BatchAnswer>,
+    },
+    /// Closes a stream; binds the chunk count.
+    End {
+        /// Number of chunk frames the stream carried.
+        total_chunks: u32,
+    },
+}
 
 /// Why a stream was rejected.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,7 +176,7 @@ impl Framer {
         match self.stage {
             Stage::Header => {
                 self.stage = Stage::Body;
-                Some(Ok(encode_frame(&StreamFrame::Header {
+                Some(Ok(wire::encode(&StreamFrame::Header {
                     total_queries: self.total as u32,
                     chunk_len: self.chunk_len as u32,
                     method_code: self.method_code,
@@ -161,7 +199,7 @@ impl Framer {
                 }
                 None => {
                     self.stop();
-                    Some(Ok(encode_frame(&StreamFrame::End {
+                    Some(Ok(wire::encode(&StreamFrame::End {
                         total_chunks: self.chunks,
                     })))
                 }
@@ -184,7 +222,7 @@ pub(crate) fn chunk_frame(
     queries: &[(NodeId, NodeId)],
 ) -> Result<Vec<u8>, ProviderError> {
     let batch = provider.answer_batch_impl(queries)?;
-    Ok(encode_frame(&StreamFrame::Chunk {
+    Ok(wire::encode(&StreamFrame::Chunk {
         start: start as u32,
         batch: Box::new(batch),
     }))
@@ -201,7 +239,7 @@ pub struct AnswerStream<'a> {
 
 impl ServiceProvider {
     /// Serves `queries` as a lazy stream of encoded frames: a header,
-    /// one pooled [`BatchAnswer`](crate::batch::BatchAnswer) chunk per
+    /// one pooled [`BatchAnswer`] chunk per
     /// `chunk_len` queries (the last chunk may be smaller), and an end
     /// frame. `chunk_len` is clamped to at least 1.
     pub fn answer_stream<'a>(
@@ -301,7 +339,7 @@ impl<'a> StreamVerifier<'a> {
         if self.done {
             return Err(StreamError::Protocol("frame after end of stream"));
         }
-        match decode_frame(frame)? {
+        match wire::decode(frame)? {
             StreamFrame::Header {
                 total_queries,
                 chunk_len,
@@ -348,9 +386,10 @@ impl<'a> StreamVerifier<'a> {
                 // verification: the signed params' method must be the
                 // one the header announced (a header lie is caught on
                 // the first chunk, before any RSA/Merkle work).
-                let params =
-                    crate::methods::MethodParams::decode(&batch.integrity.signed_root.meta.params)
-                        .map_err(|_| VerifyError::MetaMismatch("undecodable method params"))?;
+                let params = crate::methods::MethodParams::from_bytes(
+                    &batch.integrity.signed_root.meta.params,
+                )
+                .map_err(|_| VerifyError::MetaMismatch("undecodable method params"))?;
                 if params.code() != method_code {
                     return Err(StreamError::Protocol(
                         "chunk method differs from stream header",
@@ -517,7 +556,7 @@ mod tests {
         let mut v = StreamVerifier::new(&client, &qs);
         v.feed(&frames[0]).unwrap();
         v.feed(&frames[1]).unwrap();
-        let end = encode_frame(&StreamFrame::End { total_chunks: 1 });
+        let end = wire::encode(&StreamFrame::End { total_chunks: 1 });
         assert_eq!(
             v.feed(&end),
             Err(StreamError::Truncated {

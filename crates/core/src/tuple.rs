@@ -12,7 +12,7 @@
 //! A tuple's digest is the SHA-256 of its canonical encoding; the
 //! Merkle tree over ordered tuple digests is the network ADS.
 
-use crate::enc::{DecodeError, Decoder, Encoder};
+use crate::enc::{wire_struct, DecodeError, Decoder, Encoder, Wire};
 use spnet_crypto::digest::{hash_bytes, Digest};
 use spnet_graph::landmark::{CompressedVectors, NodePsi};
 use spnet_graph::partition::GridPartition;
@@ -56,10 +56,14 @@ fn pack_bits(q: &[u32], bits: u8) -> Vec<u8> {
     out
 }
 
-/// Unpacks `n` little-endian `bits`-bit values from bytes.
+/// Unpacks `n` little-endian `bits`-bit values from bytes; the padding
+/// bits of the last byte must be zero, so one vector has one encoding.
 fn unpack_bits(bytes: &[u8], n: usize, bits: u8) -> Option<Vec<u32>> {
     let total_bits = n * bits as usize;
-    if bytes.len() != total_bits.div_ceil(8) {
+    let used = total_bits % 8; // bits used in the last byte, 0 = all
+    if bytes.len() != total_bits.div_ceil(8)
+        || bytes.last().is_some_and(|&b| used != 0 && b >> used != 0)
+    {
         return None;
     }
     let mut out = Vec::with_capacity(n);
@@ -103,11 +107,12 @@ pub struct ExtendedTuple {
     pub cell: Option<CellInfo>,
 }
 
-impl ExtendedTuple {
-    /// Smallest canonical encoding: id, coordinates, an empty adjacency
-    /// list and the two absent-payload tags.
-    pub const MIN_ENCODED_LEN: usize = 4 + 8 + 8 + 4 + 1 + 1;
+wire_struct!(CellInfo {
+    cell: u32,
+    is_border: bool
+});
 
+impl ExtendedTuple {
     /// The base tuple of Eq. 1 for node `v` of `g`.
     pub fn base(g: &Graph, v: NodeId) -> Self {
         let (x, y) = g.coords(v);
@@ -147,102 +152,9 @@ impl ExtendedTuple {
         t
     }
 
-    /// Canonical encoding (digest pre-image and wire form).
-    pub fn encode(&self, e: &mut Encoder) {
-        e.put_u32(self.id.0);
-        e.put_f64(self.x);
-        e.put_f64(self.y);
-        e.put_u32(self.adj.len() as u32);
-        for &(v, w) in &self.adj {
-            e.put_u32(v.0);
-            e.put_f64(w);
-        }
-        match &self.psi {
-            None => e.put_u8(0),
-            Some(PsiPayload::Full { bits, q }) => {
-                e.put_u8(1);
-                e.put_u8(*bits);
-                e.put_u32(q.len() as u32);
-                e.put_raw(&pack_bits(q, *bits));
-            }
-            Some(PsiPayload::Ref { theta, eps }) => {
-                e.put_u8(2);
-                e.put_u32(theta.0);
-                e.put_f64(*eps);
-            }
-        }
-        match &self.cell {
-            None => e.put_u8(0),
-            Some(ci) => {
-                e.put_u8(1);
-                e.put_u32(ci.cell);
-                e.put_bool(ci.is_border);
-            }
-        }
-    }
-
-    /// Decodes one tuple from the cursor.
-    pub fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let id = NodeId(d.take_u32()?);
-        let x = d.take_f64()?;
-        let y = d.take_f64()?;
-        let deg = d.take_len(4 + 8)?; // neighbour id + weight
-        let mut adj = Vec::with_capacity(deg);
-        for _ in 0..deg {
-            adj.push((NodeId(d.take_u32()?), d.take_f64()?));
-        }
-        let psi = match d.take_u8()? {
-            0 => None,
-            1 => {
-                let bits = d.take_u8()?;
-                if !(1..=31).contains(&bits) {
-                    return Err(DecodeError::BadTag(bits));
-                }
-                let c = d.take_u32()? as usize;
-                if c > 1 << 20 {
-                    return Err(DecodeError::LengthOverflow(c as u64));
-                }
-                let n_bytes = (c * bits as usize).div_ceil(8);
-                let raw = d.take_raw(n_bytes)?;
-                let q = unpack_bits(raw, c, bits).ok_or(DecodeError::BadTag(1))?;
-                Some(PsiPayload::Full { bits, q })
-            }
-            2 => Some(PsiPayload::Ref {
-                theta: NodeId(d.take_u32()?),
-                eps: d.take_f64()?,
-            }),
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        let cell = match d.take_u8()? {
-            0 => None,
-            1 => Some(CellInfo {
-                cell: d.take_u32()?,
-                is_border: d.take_bool()?,
-            }),
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        Ok(ExtendedTuple {
-            id,
-            x,
-            y,
-            adj,
-            psi,
-            cell,
-        })
-    }
-
-    /// Size of the canonical encoding in bytes.
-    pub fn size_bytes(&self) -> usize {
-        let mut e = Encoder::new();
-        self.encode(&mut e);
-        e.len()
-    }
-
-    /// The digest `H(Φ(v))`.
+    /// The digest `H(Φ(v))` of the canonical encoding.
     pub fn digest(&self) -> Digest {
-        let mut e = Encoder::new();
-        self.encode(&mut e);
-        hash_bytes(e.bytes())
+        hash_bytes(&self.to_bytes())
     }
 
     /// Weight of the edge to `v`, if adjacent.
@@ -252,6 +164,72 @@ impl ExtendedTuple {
             .ok()
             .map(|i| self.adj[i].1)
     }
+}
+
+/// Φ(v) in Eq. 1/4/7 order: id, coordinates, adjacency, then the LDM
+/// payload (tag 0 none, 1 full vector, 2 reference) and the HYP cell
+/// attributes. The digest pre-image and the wire form.
+impl Wire for ExtendedTuple {
+    const MIN_LEN: usize = 4 + 8 + 8 + 4 + 1 + 1;
+
+    fn put(&self, e: &mut Encoder) {
+        e.put(&self.id);
+        e.put(&self.x);
+        e.put(&self.y);
+        e.put(&self.adj);
+        match &self.psi {
+            None => e.put(&0u8),
+            Some(PsiPayload::Full { bits, q }) => {
+                e.put(&1u8);
+                e.put(bits);
+                e.put(&(q.len() as u32));
+                e.put_raw(&pack_bits(q, *bits));
+            }
+            Some(PsiPayload::Ref { theta, eps }) => {
+                e.put(&2u8);
+                e.put(theta);
+                e.put(eps);
+            }
+        }
+        e.put(&self.cell);
+    }
+
+    fn take(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(ExtendedTuple {
+            id: d.take()?,
+            x: d.take()?,
+            y: d.take()?,
+            adj: d.take()?,
+            psi: take_psi(d)?,
+            cell: d.take()?,
+        })
+    }
+}
+
+/// The LDM payload: its tag, and for a full vector the bit width, the
+/// entry count and the packed entries.
+fn take_psi(d: &mut Decoder<'_>) -> Result<Option<PsiPayload>, DecodeError> {
+    Ok(match d.take()? {
+        0 => None,
+        1 => {
+            let bits: u8 = d.take()?;
+            if !(1..=31).contains(&bits) {
+                return Err(DecodeError::BadTag(bits));
+            }
+            let c = d.take::<u32>()? as usize;
+            if c > 1 << 20 {
+                return Err(DecodeError::LengthOverflow(c as u64));
+            }
+            let raw = d.take_raw((c * bits as usize).div_ceil(8))?;
+            let q = unpack_bits(raw, c, bits).ok_or(DecodeError::BadTag(1))?;
+            Some(PsiPayload::Full { bits, q })
+        }
+        2 => Some(PsiPayload::Ref {
+            theta: d.take()?,
+            eps: d.take()?,
+        }),
+        t => return Err(DecodeError::BadTag(t)),
+    })
 }
 
 #[cfg(test)]
@@ -287,12 +265,7 @@ mod tests {
         let g = sample_graph();
         for v in g.nodes().take(10) {
             let t = ExtendedTuple::base(&g, v);
-            let mut e = Encoder::new();
-            t.encode(&mut e);
-            let bytes = e.into_bytes();
-            let mut d = Decoder::new(&bytes);
-            let back = ExtendedTuple::decode(&mut d).unwrap();
-            d.finish().unwrap();
+            let back = ExtendedTuple::from_bytes(&t.to_bytes()).unwrap();
             assert_eq!(back, t);
         }
     }
@@ -310,12 +283,7 @@ mod tests {
                 ExtendedTuple::with_psi(&g, v, &cv),
                 ExtendedTuple::with_cell(&g, v, &part),
             ] {
-                let mut e = Encoder::new();
-                t.encode(&mut e);
-                let bytes = e.into_bytes();
-                let mut d = Decoder::new(&bytes);
-                let back = ExtendedTuple::decode(&mut d).unwrap();
-                d.finish().unwrap();
+                let back = ExtendedTuple::from_bytes(&t.to_bytes()).unwrap();
                 assert_eq!(back, t);
             }
         }
@@ -393,28 +361,33 @@ mod tests {
     fn size_accounting_positive_and_monotone() {
         let g = sample_graph();
         let t = ExtendedTuple::base(&g, NodeId(0));
-        let s0 = t.size_bytes();
+        let s0 = t.encoded_len();
         assert!(s0 >= 4 + 8 + 8 + 4 + 2);
         let mut t2 = t.clone();
         t2.psi = Some(PsiPayload::Full {
             bits: 12,
             q: vec![0; 16],
         });
-        assert!(t2.size_bytes() > s0, "psi payload adds bytes");
+        assert!(t2.encoded_len() > s0, "psi payload adds bytes");
         let mut t3 = t.clone();
         t3.psi = Some(PsiPayload::Ref {
             theta: NodeId(1),
             eps: 0.5,
         });
         assert!(
-            t3.size_bytes() < t2.size_bytes(),
+            t3.encoded_len() < t2.encoded_len(),
             "compression shrinks tuples"
         );
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        let mut d = Decoder::new(&[0xFF; 3]);
-        assert!(ExtendedTuple::decode(&mut d).is_err());
+        assert!(ExtendedTuple::from_bytes(&[0xFF; 3]).is_err());
+        // Padding bits of a packed vector are zero: 3 × 4 bits in 2 bytes.
+        assert_eq!(
+            unpack_bits(&pack_bits(&[1, 2, 3], 4), 3, 4),
+            Some(vec![1, 2, 3])
+        );
+        assert_eq!(unpack_bits(&[0x21, 0x13], 3, 4), None);
     }
 }

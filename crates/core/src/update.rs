@@ -38,6 +38,7 @@
 //! graph would produce.
 
 use crate::ads::SignedRoot;
+use crate::enc::Wire;
 use crate::methods::{ChangeDists, DirtySet, EdgeChange};
 use crate::owner::ProviderPackage;
 use spnet_crypto::rsa::RsaKeyPair;
@@ -152,7 +153,7 @@ pub fn update_edge_weight(
     // replacement, which takes the params slot a fresh publish of the
     // updated graph would sign.
     let meta = match &dirty.new_params {
-        Some(p) => package.ads.meta(p.encode()),
+        Some(p) => package.ads.meta(p.to_bytes()),
         None => package.network_root.meta.clone(),
     };
     package.network_root = SignedRoot::sign(keypair, package.ads.root(), meta);

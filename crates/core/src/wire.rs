@@ -1,29 +1,44 @@
-//! Wire format: complete serialization of provider answers.
+//! Wire format: every byte a client receives.
 //!
-//! Everything a client receives — the reported path, ΓS and ΓT — can be
-//! encoded to bytes and decoded back. This is what an actual deployment
-//! transmits, and it makes the proof-size figures exact: the harness's
-//! byte counts equal `encode_answer(..).len()` (asserted by tests).
+//! Each payload type — the reported path, ΓS, ΓT, batch, range and
+//! stream frames — is described by one [`Wire`] impl: a field list for
+//! a struct, a variant list for a tagged enum. The same impls
+//! write the snapshot's signed roots and records, and hash the tuple
+//! and signed-root pre-images. The format rules, once:
 //!
-//! Every top-level payload (answer, batch answer, stream frame) opens
-//! with an explicit format-version byte ([`WIRE_VERSION`]); decoding a
-//! payload from a different format fails with the typed
-//! [`DecodeError::UnsupportedVersion`] instead of a misleading
-//! truncation error. Streaming batch serving reuses the
-//! [`BatchAnswer`] encoding inside [`StreamFrame::Chunk`] frames.
+//! * Integers and floats are little-endian at fixed width; an `f64` is
+//!   its IEEE-754 bit pattern, so every encoding is bitwise canonical.
+//! * A sequence is a `u32` count and its elements; the decoder holds the
+//!   count against the remaining input ([`Decoder::take_len`] with the
+//!   element's [`Wire::MIN_LEN`]) before it reserves anything.
+//! * An `Option` is tag 0, or tag 1 and the value. An enum is a tag
+//!   byte (listed at its impl) and its variant's fields; an unknown tag
+//!   fails with [`DecodeError::BadTag`].
+//! * Every top-level payload opens with the [`WIRE_VERSION`] byte:
+//!   another version fails with the typed
+//!   [`DecodeError::UnsupportedVersion`] instead of a misleading
+//!   truncation, and a payload must be consumed exactly
+//!   ([`DecodeError::TrailingBytes`]).
+//! * Sizes are encoded lengths: every proof size the figures and the
+//!   benchmark report is [`Wire::encoded_len`] of the part it names, so
+//!   `encode_answer(a).len() == 1 + a.stats().total_bytes()`.
+//!
+//! Streaming batch serving reuses the [`BatchAnswer`] encoding inside
+//! [`StreamFrame::Chunk`] frames.
 
-use crate::ads::{AdsMeta, AdsTag, SignedRoot};
+use crate::ads::SignedRoot;
 use crate::batch::{BatchAnswer, BatchAux, BatchQueryProof};
-use crate::enc::{DecodeError, Decoder, Encoder};
+use crate::enc::{wire_enum, wire_struct, DecodeError, Decoder, Encoder, Wire};
 use crate::methods::full::{FullBatchProof, FullDistanceProof, FullRowProof};
 use crate::proof::{Answer, IntegrityProof, SpProof};
 use crate::queries::RangeAnswer;
+use crate::stream::StreamFrame;
 use crate::tuple::ExtendedTuple;
-use spnet_crypto::digest::{Digest, DIGEST_LEN};
+use spnet_crypto::digest::Digest;
 use spnet_crypto::mbtree::{KeyRangeProof, KeyedEntry, KeyedProof};
 use spnet_crypto::merkle::{MerkleProof, ProofEntry};
-use spnet_crypto::rsa::RsaSignature;
 use spnet_graph::{NodeId, Path};
+use std::sync::Arc;
 
 /// The wire format version this build encodes and accepts.
 ///
@@ -31,619 +46,158 @@ use spnet_graph::{NodeId, Path};
 /// added the explicit leading version byte and the streaming frames.
 pub const WIRE_VERSION: u8 = 2;
 
-// Smallest encodings of the repeated elements: what `Decoder::take_len`
-// holds a length prefix against before anything is reserved for it.
-/// `u64` key + `f64` value.
-const KEYED_ENTRY_LEN: usize = 16;
-/// Level + index + digest.
-const PROOF_ENTRY_LEN: usize = 8 + DIGEST_LEN;
-/// A Merkle proof with no entries (leaf count, fanout, entry count).
-const MERKLE_MIN: usize = 12;
-/// An empty path (node count + distance) plus an empty member list.
-const BATCH_QUERY_MIN: usize = 12 + 4;
-/// Source + an empty entry list + an empty row proof.
-const FULL_ROW_MIN: usize = 8 + MERKLE_MIN;
-
-/// Emits the leading version byte of every top-level payload.
-fn put_version(e: &mut Encoder) {
-    e.put_u8(WIRE_VERSION);
+/// A top-level payload: the version byte, then the encoding of `v`.
+pub fn encode<T: Wire>(v: &T) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.put(&WIRE_VERSION);
+    e.put(v);
+    e.into_bytes()
 }
 
-/// Consumes and checks the leading version byte.
-fn take_version(d: &mut Decoder<'_>) -> Result<(), DecodeError> {
-    match d.take_u8()? {
-        WIRE_VERSION => Ok(()),
-        v => Err(DecodeError::UnsupportedVersion(v)),
+/// Decodes a top-level payload: checks the version byte and requires
+/// every byte to be consumed.
+pub fn decode<T: Wire>(bytes: &[u8]) -> Result<T, DecodeError> {
+    let mut d = Decoder::new(bytes);
+    match d.take()? {
+        WIRE_VERSION => {}
+        v => return Err(DecodeError::UnsupportedVersion(v)),
     }
+    let v = d.take()?;
+    d.finish()?;
+    Ok(v)
 }
 
 /// Encodes a full answer into bytes.
 pub fn encode_answer(a: &Answer) -> Vec<u8> {
-    let mut e = Encoder::new();
-    put_version(&mut e);
-    put_path(&mut e, &a.path);
-    put_sp(&mut e, &a.sp);
-    put_integrity(&mut e, &a.integrity);
-    e.into_bytes()
+    encode(a)
 }
 
 /// Decodes an answer from bytes, requiring full consumption.
 pub fn decode_answer(bytes: &[u8]) -> Result<Answer, DecodeError> {
-    let mut d = Decoder::new(bytes);
-    take_version(&mut d)?;
-    let path = take_path(&mut d)?;
-    let sp = take_sp(&mut d)?;
-    let integrity = take_integrity(&mut d)?;
-    d.finish()?;
-    Ok(Answer {
-        path,
-        sp,
-        integrity,
-    })
+    decode(bytes)
 }
 
 /// Encodes a batched answer into bytes.
 pub fn encode_batch_answer(b: &BatchAnswer) -> Vec<u8> {
-    let mut e = Encoder::new();
-    put_version(&mut e);
-    put_batch_body(&mut e, b);
-    e.into_bytes()
-}
-
-/// The version-less batch payload (shared with stream chunk frames).
-fn put_batch_body(e: &mut Encoder, b: &BatchAnswer) {
-    e.put_u32(b.queries.len() as u32);
-    for q in &b.queries {
-        put_path(e, &q.path);
-        e.put_u32(q.members.len() as u32);
-        for m in &q.members {
-            e.put_u32(*m);
-        }
-    }
-    put_tuples(e, &b.pool);
-    put_integrity(e, &b.integrity);
-    put_batch_aux(e, &b.aux);
+    encode(b)
 }
 
 /// Decodes a batched answer from bytes, requiring full consumption.
 pub fn decode_batch_answer(bytes: &[u8]) -> Result<BatchAnswer, DecodeError> {
-    let mut d = Decoder::new(bytes);
-    take_version(&mut d)?;
-    let b = take_batch_body(&mut d)?;
-    d.finish()?;
-    Ok(b)
-}
-
-/// The version-less batch payload (shared with stream chunk frames).
-fn take_batch_body(d: &mut Decoder<'_>) -> Result<BatchAnswer, DecodeError> {
-    let k = d.take_len(BATCH_QUERY_MIN)?;
-    let mut queries = Vec::with_capacity(k);
-    for _ in 0..k {
-        let path = take_path(d)?;
-        let m = d.take_len(4)?;
-        let mut members = Vec::with_capacity(m);
-        for _ in 0..m {
-            members.push(d.take_u32()?);
-        }
-        queries.push(BatchQueryProof { path, members });
-    }
-    let pool = take_tuples(d)?;
-    let integrity = take_integrity(d)?;
-    let aux = take_batch_aux(d)?;
-    Ok(BatchAnswer {
-        pool,
-        queries,
-        integrity,
-        aux,
-    })
+    decode(bytes)
 }
 
 /// Encodes a range answer (claimed members + pooled tuples + ΓT +
 /// method aux) into bytes.
 pub fn encode_range_answer(a: &RangeAnswer) -> Vec<u8> {
-    let mut e = Encoder::new();
-    put_version(&mut e);
-    e.put_u32(a.source.0);
-    e.put_f64(a.radius);
-    e.put_u32(a.members.len() as u32);
-    for &(v, d) in &a.members {
-        e.put_u32(v.0);
-        e.put_f64(d);
-    }
-    put_tuples(&mut e, &a.pool);
-    put_integrity(&mut e, &a.integrity);
-    put_batch_aux(&mut e, &a.aux);
-    e.into_bytes()
+    encode(a)
 }
 
 /// Decodes a range answer from bytes, requiring full consumption.
 pub fn decode_range_answer(bytes: &[u8]) -> Result<RangeAnswer, DecodeError> {
-    let mut d = Decoder::new(bytes);
-    take_version(&mut d)?;
-    let source = NodeId(d.take_u32()?);
-    let radius = d.take_f64()?;
-    let n = d.take_len(4 + 8)?; // node id + distance
-    let mut members = Vec::with_capacity(n);
-    for _ in 0..n {
-        members.push((NodeId(d.take_u32()?), d.take_f64()?));
-    }
-    let pool = take_tuples(&mut d)?;
-    let integrity = take_integrity(&mut d)?;
-    let aux = take_batch_aux(&mut d)?;
-    d.finish()?;
-    Ok(RangeAnswer {
-        source,
-        radius,
-        members,
-        pool,
-        integrity,
-        aux,
-    })
+    decode(bytes)
 }
 
-// --- streaming frames --------------------------------------------------
+wire_enum!(StreamFrame {
+    1 => Header { total_queries: u32, chunk_len: u32, method_code: u8 },
+    2 => Chunk { start: u32, batch: Box<BatchAnswer> },
+    3 => End { total_chunks: u32 },
+});
 
-/// One frame of a streaming batch answer.
-///
-/// A stream is `Header`, then `Chunk`s covering contiguous query
-/// ranges in order, then `End`. Each frame is independently encoded
-/// (version byte + frame tag + payload), so a transport can ship them
-/// as separate messages; the [`crate::stream::StreamVerifier`]
-/// enforces the framing protocol and rejects truncation, reordering,
-/// duplication and count mismatches with typed errors.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamFrame {
-    /// Opens a stream: how many queries it will answer, the provider's
-    /// chunking, and the method's wire code (cross-checked against the
-    /// signed params of every chunk).
-    Header {
-        /// Total queries the stream will cover.
-        total_queries: u32,
-        /// Nominal queries per chunk (the last chunk may be smaller).
-        chunk_len: u32,
-        /// The serving method's wire code.
-        method_code: u8,
+wire_struct!(Answer {
+    path: Path,
+    sp: SpProof,
+    integrity: IntegrityProof
+});
+wire_struct!(Path { nodes: Vec<NodeId>, distance: f64 });
+wire_struct!(BatchAnswer {
+    queries: Vec<BatchQueryProof>,
+    pool: Vec<Arc<ExtendedTuple>>,
+    integrity: IntegrityProof,
+    aux: BatchAux,
+});
+wire_struct!(BatchQueryProof { path: Path, members: Vec<u32> });
+wire_struct!(RangeAnswer {
+    source: NodeId,
+    radius: f64,
+    members: Vec<(NodeId, f64)>,
+    pool: Vec<Arc<ExtendedTuple>>,
+    integrity: IntegrityProof,
+    aux: BatchAux,
+});
+wire_struct!(IntegrityProof {
+    positions: Vec<u32>,
+    merkle: MerkleProof,
+    signed_root: SignedRoot,
+});
+wire_struct!(MerkleProof { leaf_count: u32, fanout: u32, entries: Vec<ProofEntry> });
+wire_struct!(ProofEntry {
+    level: u32,
+    index: u32,
+    digest: Digest
+});
+wire_struct!(KeyRangeProof { entries: Vec<KeyedEntry>, first: u32, merkle: MerkleProof });
+wire_struct!(FullDistanceProof {
+    entry: KeyedEntry,
+    row_index: u32,
+    row_proof: MerkleProof,
+    top_index: u32,
+    top_proof: MerkleProof,
+});
+wire_struct!(FullBatchProof { rows: Vec<FullRowProof>, top_proof: MerkleProof });
+wire_struct!(FullRowProof { source: u32, entries: Vec<KeyedEntry>, row_proof: MerkleProof });
+
+/// One count for the parallel `entries` and `positions`, the entries,
+/// the positions, then the cover.
+impl Wire for KeyedProof {
+    const MIN_LEN: usize = 4 + MerkleProof::MIN_LEN;
+
+    fn put(&self, e: &mut Encoder) {
+        e.put(&(self.entries.len() as u32));
+        self.entries.iter().for_each(|x| e.put(x));
+        self.positions.iter().for_each(|x| e.put(x));
+        e.put(&self.merkle);
+    }
+
+    fn take(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let n = d.take_len(KeyedEntry::MIN_LEN + u32::MIN_LEN)?;
+        Ok(KeyedProof {
+            entries: d.take_n(n)?,
+            positions: d.take_n(n)?,
+            merkle: d.take()?,
+        })
+    }
+}
+
+// ΓS: DIJ and LDM ship a subgraph, FULL a distance, HYP both.
+wire_enum!(SpProof {
+    1 => Subgraph { tuples: Vec<Arc<ExtendedTuple>> },
+    2 => Distance {
+        full: FullDistanceProof,
+        signed_root: SignedRoot,
+        path_tuples: Vec<Arc<ExtendedTuple>>,
     },
-    /// One pooled batch answer covering queries
-    /// `start .. start + batch.queries.len()`.
-    Chunk {
-        /// Index of the first query this chunk answers.
-        start: u32,
-        /// The chunk's pooled batch answer (boxed: a chunk dwarfs the
-        /// fixed-size header/end frames).
-        batch: Box<BatchAnswer>,
+    3 => Hyp {
+        cell_tuples: Vec<Arc<ExtendedTuple>>,
+        path_tuples: Vec<Arc<ExtendedTuple>>,
+        hyper: KeyedProof,
+        hyper_signed_root: SignedRoot,
+        cell_dir: KeyedProof,
+        cell_dir_signed_root: SignedRoot,
     },
-    /// Closes a stream; binds the chunk count.
-    End {
-        /// Number of chunk frames the stream carried.
-        total_chunks: u32,
+});
+
+// A batch's method block.
+wire_enum!(BatchAux {
+    1 => Subgraph,
+    2 => Full { proof: FullBatchProof, signed_root: SignedRoot },
+    3 => Hyp {
+        hyper: KeyedProof,
+        hyper_signed_root: SignedRoot,
+        cell_dir: KeyedProof,
+        cell_dir_signed_root: SignedRoot,
     },
-}
-
-const FRAME_HEADER: u8 = 1;
-const FRAME_CHUNK: u8 = 2;
-const FRAME_END: u8 = 3;
-
-/// Encodes one stream frame into bytes.
-pub fn encode_frame(f: &StreamFrame) -> Vec<u8> {
-    let mut e = Encoder::new();
-    put_version(&mut e);
-    match f {
-        StreamFrame::Header {
-            total_queries,
-            chunk_len,
-            method_code,
-        } => {
-            e.put_u8(FRAME_HEADER);
-            e.put_u32(*total_queries);
-            e.put_u32(*chunk_len);
-            e.put_u8(*method_code);
-        }
-        StreamFrame::Chunk { start, batch } => {
-            e.put_u8(FRAME_CHUNK);
-            e.put_u32(*start);
-            put_batch_body(&mut e, batch);
-        }
-        StreamFrame::End { total_chunks } => {
-            e.put_u8(FRAME_END);
-            e.put_u32(*total_chunks);
-        }
-    }
-    e.into_bytes()
-}
-
-/// Decodes one stream frame from bytes, requiring full consumption.
-pub fn decode_frame(bytes: &[u8]) -> Result<StreamFrame, DecodeError> {
-    let mut d = Decoder::new(bytes);
-    take_version(&mut d)?;
-    let frame = match d.take_u8()? {
-        FRAME_HEADER => StreamFrame::Header {
-            total_queries: d.take_u32()?,
-            chunk_len: d.take_u32()?,
-            method_code: d.take_u8()?,
-        },
-        FRAME_CHUNK => StreamFrame::Chunk {
-            start: d.take_u32()?,
-            batch: Box::new(take_batch_body(&mut d)?),
-        },
-        FRAME_END => StreamFrame::End {
-            total_chunks: d.take_u32()?,
-        },
-        t => return Err(DecodeError::BadTag(t)),
-    };
-    d.finish()?;
-    Ok(frame)
-}
-
-// --- path -------------------------------------------------------------
-
-fn put_path(e: &mut Encoder, p: &Path) {
-    e.put_u32(p.nodes.len() as u32);
-    for v in &p.nodes {
-        e.put_u32(v.0);
-    }
-    e.put_f64(p.distance);
-}
-
-fn take_path(d: &mut Decoder<'_>) -> Result<Path, DecodeError> {
-    let n = d.take_len(4)?;
-    let mut nodes = Vec::with_capacity(n);
-    for _ in 0..n {
-        nodes.push(NodeId(d.take_u32()?));
-    }
-    Ok(Path {
-        nodes,
-        distance: d.take_f64()?,
-    })
-}
-
-// --- digests / signatures / merkle -------------------------------------
-
-fn put_digest(e: &mut Encoder, d: &Digest) {
-    e.put_raw(d.as_bytes());
-}
-
-fn take_digest(d: &mut Decoder<'_>) -> Result<Digest, DecodeError> {
-    let raw = d.take_raw(DIGEST_LEN)?;
-    let mut out = [0u8; DIGEST_LEN];
-    out.copy_from_slice(raw);
-    Ok(Digest(out))
-}
-
-fn put_merkle(e: &mut Encoder, m: &MerkleProof) {
-    e.put_u32(m.leaf_count);
-    e.put_u32(m.fanout);
-    e.put_u32(m.entries.len() as u32);
-    for entry in &m.entries {
-        e.put_u32(entry.level);
-        e.put_u32(entry.index);
-        put_digest(e, &entry.digest);
-    }
-}
-
-fn take_merkle(d: &mut Decoder<'_>) -> Result<MerkleProof, DecodeError> {
-    let leaf_count = d.take_u32()?;
-    let fanout = d.take_u32()?;
-    let n = d.take_len(PROOF_ENTRY_LEN)?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(ProofEntry {
-            level: d.take_u32()?,
-            index: d.take_u32()?,
-            digest: take_digest(d)?,
-        });
-    }
-    Ok(MerkleProof {
-        entries,
-        leaf_count,
-        fanout,
-    })
-}
-
-/// Emits a signed ADS root (also used by higher-level crates — e.g.
-/// `spnet-queries`' POI certificates — to compose their own payloads).
-pub fn put_signed_root(e: &mut Encoder, s: &SignedRoot) {
-    put_digest(e, &s.root);
-    e.put_u8(match s.meta.tag {
-        AdsTag::Network => 1,
-        AdsTag::Distance => 2,
-        AdsTag::HyperEdges => 3,
-        AdsTag::CellDirectory => 4,
-        AdsTag::Poi => 5,
-    });
-    e.put_u64(s.meta.leaf_count);
-    e.put_u32(s.meta.fanout);
-    e.put_bytes(&s.meta.params);
-    e.put_bytes(s.signature.as_bytes());
-}
-
-/// Consumes a signed ADS root (counterpart of [`put_signed_root`]).
-pub fn take_signed_root(d: &mut Decoder<'_>) -> Result<SignedRoot, DecodeError> {
-    let root = take_digest(d)?;
-    let tag = match d.take_u8()? {
-        1 => AdsTag::Network,
-        2 => AdsTag::Distance,
-        3 => AdsTag::HyperEdges,
-        4 => AdsTag::CellDirectory,
-        5 => AdsTag::Poi,
-        t => return Err(DecodeError::BadTag(t)),
-    };
-    let leaf_count = d.take_u64()?;
-    let fanout = d.take_u32()?;
-    let params = d.take_bytes()?.to_vec();
-    let signature = RsaSignature::from_bytes(d.take_bytes()?.to_vec());
-    Ok(SignedRoot {
-        root,
-        meta: AdsMeta {
-            tag,
-            leaf_count,
-            fanout,
-            params,
-        },
-        signature,
-    })
-}
-
-fn put_keyed(e: &mut Encoder, k: &KeyedProof) {
-    e.put_u32(k.entries.len() as u32);
-    for entry in &k.entries {
-        e.put_u64(entry.key);
-        e.put_f64(entry.value);
-    }
-    for pos in &k.positions {
-        e.put_u32(*pos);
-    }
-    put_merkle(e, &k.merkle);
-}
-
-fn take_keyed(d: &mut Decoder<'_>) -> Result<KeyedProof, DecodeError> {
-    let n = d.take_len(KEYED_ENTRY_LEN + 4)?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(KeyedEntry {
-            key: d.take_u64()?,
-            value: d.take_f64()?,
-        });
-    }
-    let mut positions = Vec::with_capacity(n);
-    for _ in 0..n {
-        positions.push(d.take_u32()?);
-    }
-    Ok(KeyedProof {
-        entries,
-        positions,
-        merkle: take_merkle(d)?,
-    })
-}
-
-/// Emits a contiguous key-range completeness proof (the certificate
-/// shape `spnet-queries`' POI directory ships).
-pub fn put_key_range_proof(e: &mut Encoder, k: &KeyRangeProof) {
-    e.put_u32(k.entries.len() as u32);
-    for entry in &k.entries {
-        e.put_u64(entry.key);
-        e.put_f64(entry.value);
-    }
-    e.put_u32(k.first);
-    put_merkle(e, &k.merkle);
-}
-
-/// Consumes a key-range proof (counterpart of [`put_key_range_proof`]).
-pub fn take_key_range_proof(d: &mut Decoder<'_>) -> Result<KeyRangeProof, DecodeError> {
-    let n = d.take_len(KEYED_ENTRY_LEN)?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(KeyedEntry {
-            key: d.take_u64()?,
-            value: d.take_f64()?,
-        });
-    }
-    let first = d.take_u32()?;
-    Ok(KeyRangeProof {
-        entries,
-        first,
-        merkle: take_merkle(&mut *d)?,
-    })
-}
-
-// --- tuples -------------------------------------------------------------
-
-fn put_tuples(e: &mut Encoder, ts: &[std::sync::Arc<ExtendedTuple>]) {
-    e.put_u32(ts.len() as u32);
-    for t in ts {
-        t.encode(e);
-    }
-}
-
-fn take_tuples(d: &mut Decoder<'_>) -> Result<Vec<std::sync::Arc<ExtendedTuple>>, DecodeError> {
-    let n = d.take_len(ExtendedTuple::MIN_ENCODED_LEN)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(std::sync::Arc::new(ExtendedTuple::decode(d)?));
-    }
-    Ok(out)
-}
-
-// --- ΓS -------------------------------------------------------------
-
-fn put_sp(e: &mut Encoder, sp: &SpProof) {
-    match sp {
-        SpProof::Subgraph { tuples } => {
-            e.put_u8(1);
-            put_tuples(e, tuples);
-        }
-        SpProof::Distance {
-            full,
-            signed_root,
-            path_tuples,
-        } => {
-            e.put_u8(2);
-            e.put_u64(full.entry.key);
-            e.put_f64(full.entry.value);
-            e.put_u32(full.row_index);
-            put_merkle(e, &full.row_proof);
-            e.put_u32(full.top_index);
-            put_merkle(e, &full.top_proof);
-            put_signed_root(e, signed_root);
-            put_tuples(e, path_tuples);
-        }
-        SpProof::Hyp {
-            cell_tuples,
-            path_tuples,
-            hyper,
-            hyper_signed_root,
-            cell_dir,
-            cell_dir_signed_root,
-        } => {
-            e.put_u8(3);
-            put_tuples(e, cell_tuples);
-            put_tuples(e, path_tuples);
-            put_keyed(e, hyper);
-            put_signed_root(e, hyper_signed_root);
-            put_keyed(e, cell_dir);
-            put_signed_root(e, cell_dir_signed_root);
-        }
-    }
-}
-
-fn take_sp(d: &mut Decoder<'_>) -> Result<SpProof, DecodeError> {
-    match d.take_u8()? {
-        1 => Ok(SpProof::Subgraph {
-            tuples: take_tuples(d)?,
-        }),
-        2 => {
-            let entry = KeyedEntry {
-                key: d.take_u64()?,
-                value: d.take_f64()?,
-            };
-            let row_index = d.take_u32()?;
-            let row_proof = take_merkle(d)?;
-            let top_index = d.take_u32()?;
-            let top_proof = take_merkle(d)?;
-            let signed_root = take_signed_root(d)?;
-            let path_tuples = take_tuples(d)?;
-            Ok(SpProof::Distance {
-                full: FullDistanceProof {
-                    entry,
-                    row_index,
-                    row_proof,
-                    top_index,
-                    top_proof,
-                },
-                signed_root,
-                path_tuples,
-            })
-        }
-        3 => Ok(SpProof::Hyp {
-            cell_tuples: take_tuples(d)?,
-            path_tuples: take_tuples(d)?,
-            hyper: take_keyed(d)?,
-            hyper_signed_root: take_signed_root(d)?,
-            cell_dir: take_keyed(d)?,
-            cell_dir_signed_root: take_signed_root(d)?,
-        }),
-        t => Err(DecodeError::BadTag(t)),
-    }
-}
-
-// --- batch aux --------------------------------------------------------
-
-fn put_batch_aux(e: &mut Encoder, aux: &BatchAux) {
-    match aux {
-        BatchAux::Subgraph => e.put_u8(1),
-        BatchAux::Full { proof, signed_root } => {
-            e.put_u8(2);
-            e.put_u32(proof.rows.len() as u32);
-            for row in &proof.rows {
-                e.put_u32(row.source);
-                e.put_u32(row.entries.len() as u32);
-                for entry in &row.entries {
-                    e.put_u64(entry.key);
-                    e.put_f64(entry.value);
-                }
-                put_merkle(e, &row.row_proof);
-            }
-            put_merkle(e, &proof.top_proof);
-            put_signed_root(e, signed_root);
-        }
-        BatchAux::Hyp {
-            hyper,
-            hyper_signed_root,
-            cell_dir,
-            cell_dir_signed_root,
-        } => {
-            e.put_u8(3);
-            put_keyed(e, hyper);
-            put_signed_root(e, hyper_signed_root);
-            put_keyed(e, cell_dir);
-            put_signed_root(e, cell_dir_signed_root);
-        }
-    }
-}
-
-fn take_batch_aux(d: &mut Decoder<'_>) -> Result<BatchAux, DecodeError> {
-    match d.take_u8()? {
-        1 => Ok(BatchAux::Subgraph),
-        2 => {
-            let n = d.take_len(FULL_ROW_MIN)?;
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                let source = d.take_u32()?;
-                let m = d.take_len(KEYED_ENTRY_LEN)?;
-                let mut entries = Vec::with_capacity(m);
-                for _ in 0..m {
-                    entries.push(KeyedEntry {
-                        key: d.take_u64()?,
-                        value: d.take_f64()?,
-                    });
-                }
-                let row_proof = take_merkle(d)?;
-                rows.push(FullRowProof {
-                    source,
-                    entries,
-                    row_proof,
-                });
-            }
-            let top_proof = take_merkle(d)?;
-            let signed_root = take_signed_root(d)?;
-            Ok(BatchAux::Full {
-                proof: FullBatchProof { rows, top_proof },
-                signed_root,
-            })
-        }
-        3 => Ok(BatchAux::Hyp {
-            hyper: take_keyed(d)?,
-            hyper_signed_root: take_signed_root(d)?,
-            cell_dir: take_keyed(d)?,
-            cell_dir_signed_root: take_signed_root(d)?,
-        }),
-        t => Err(DecodeError::BadTag(t)),
-    }
-}
-
-// --- ΓT -------------------------------------------------------------
-
-fn put_integrity(e: &mut Encoder, i: &IntegrityProof) {
-    e.put_u32(i.positions.len() as u32);
-    for p in &i.positions {
-        e.put_u32(*p);
-    }
-    put_merkle(e, &i.merkle);
-    put_signed_root(e, &i.signed_root);
-}
-
-fn take_integrity(d: &mut Decoder<'_>) -> Result<IntegrityProof, DecodeError> {
-    let n = d.take_len(4)?;
-    let mut positions = Vec::with_capacity(n);
-    for _ in 0..n {
-        positions.push(d.take_u32()?);
-    }
-    Ok(IntegrityProof {
-        positions,
-        merkle: take_merkle(d)?,
-        signed_root: take_signed_root(d)?,
-    })
-}
+});
 
 #[cfg(test)]
 mod tests {
@@ -703,18 +257,20 @@ mod tests {
 
     #[test]
     fn wire_size_close_to_stats_accounting() {
-        // The stats accounting (per-component) and the actual wire
-        // bytes agree within framing overhead (< 5% + 64 bytes).
+        // Every size is an encoded length: the stats account for every
+        // byte of the answer but its version byte.
         for method in all_methods() {
             let (answer, _) = answers_for(method.clone());
-            let wire = encode_answer(&answer).len();
-            let stats = answer.stats().total_bytes();
-            let tolerance = stats / 20 + 64;
-            assert!(
-                wire.abs_diff(stats) <= tolerance,
-                "{}: wire {wire} vs stats {stats}",
+            let stats = answer.stats();
+            assert_eq!(
+                encode_answer(&answer).len(),
+                1 + stats.total_bytes(),
+                "{}",
                 method.name()
             );
+            assert_eq!(stats.path_bytes, 4 + 4 * answer.path.nodes.len() + 8);
+            let merkle = &answer.integrity.merkle;
+            assert_eq!(merkle.encoded_len(), 12 + 40 * merkle.entries.len());
         }
     }
 
@@ -778,6 +334,7 @@ mod tests {
         for method in all_methods() {
             let (_, batch, _) = batch_for(method.clone());
             let bytes = encode_batch_answer(&batch);
+            assert_eq!(batch.encoded_len() + 1, bytes.len());
             let back = decode_batch_answer(&bytes).unwrap();
             assert_eq!(back, batch, "{}", method.name());
         }
@@ -863,10 +420,10 @@ mod tests {
             decode_batch_answer(&bbytes),
             Err(DecodeError::UnsupportedVersion(0))
         );
-        let mut fbytes = encode_frame(&StreamFrame::End { total_chunks: 3 });
+        let mut fbytes = encode(&StreamFrame::End { total_chunks: 3 });
         fbytes[0] = 7;
         assert_eq!(
-            decode_frame(&fbytes),
+            decode::<StreamFrame>(&fbytes),
             Err(DecodeError::UnsupportedVersion(7))
         );
     }
@@ -885,6 +442,7 @@ mod tests {
         for method in all_methods() {
             let (answer, client) = range_for(method.clone());
             let bytes = encode_range_answer(&answer);
+            assert_eq!(answer.encoded_len() + 1, bytes.len());
             let back = decode_range_answer(&bytes).unwrap();
             assert_eq!(back, answer, "{}", method.name());
             client
@@ -919,19 +477,17 @@ mod tests {
             .collect();
         let tree = MerkleBTree::build(entries, 4).unwrap();
         let proof = tree.prove_key_range(9, 60).unwrap();
-        let mut e = Encoder::new();
-        put_key_range_proof(&mut e, &proof);
-        let bytes = e.into_bytes();
-        let mut d = Decoder::new(&bytes);
-        let back = take_key_range_proof(&mut d).unwrap();
-        d.finish().unwrap();
+        let bytes = proof.to_bytes();
+        let back = KeyRangeProof::from_bytes(&bytes).unwrap();
         assert_eq!(back, proof);
         let got = back.verify(tree.root(), 9, 60).unwrap();
         // Keys are multiples of 3; [9, 60] holds 9, 12, …, 60.
         assert_eq!(got.len(), 18);
         for cut in [0usize, 2, bytes.len() / 2, bytes.len() - 1] {
-            let mut d = Decoder::new(&bytes[..cut]);
-            assert!(take_key_range_proof(&mut d).is_err(), "cut at {cut}");
+            assert!(
+                KeyRangeProof::from_bytes(&bytes[..cut]).is_err(),
+                "cut at {cut}"
+            );
         }
     }
 
@@ -951,22 +507,28 @@ mod tests {
             StreamFrame::End { total_chunks: 1 },
         ];
         for f in &frames {
-            let bytes = encode_frame(f);
-            assert_eq!(&decode_frame(&bytes).unwrap(), f);
+            let bytes = encode(f);
+            assert_eq!(&decode::<StreamFrame>(&bytes).unwrap(), f);
             // Truncations never alias to a valid frame.
             for cut in [0usize, 1, bytes.len() / 2, bytes.len() - 1] {
-                assert!(decode_frame(&bytes[..cut]).is_err(), "cut at {cut}");
+                assert!(
+                    decode::<StreamFrame>(&bytes[..cut]).is_err(),
+                    "cut at {cut}"
+                );
             }
             let mut long = bytes.clone();
             long.push(0);
             assert!(matches!(
-                decode_frame(&long),
+                decode::<StreamFrame>(&long),
                 Err(DecodeError::TrailingBytes(1))
             ));
         }
         // An unknown frame tag is rejected.
-        let mut bytes = encode_frame(&StreamFrame::End { total_chunks: 0 });
+        let mut bytes = encode(&StreamFrame::End { total_chunks: 0 });
         bytes[1] = 42;
-        assert!(matches!(decode_frame(&bytes), Err(DecodeError::BadTag(42))));
+        assert!(matches!(
+            decode::<StreamFrame>(&bytes),
+            Err(DecodeError::BadTag(42))
+        ));
     }
 }

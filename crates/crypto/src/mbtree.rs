@@ -130,11 +130,6 @@ impl KeyedProof {
         self.merkle.num_items()
     }
 
-    /// Byte size: entries (16B each) + positions (4B) + Merkle part.
-    pub fn size_bytes(&self) -> usize {
-        self.entries.len() * 16 + self.positions.len() * 4 + self.merkle.size_bytes()
-    }
-
     /// Reconstructs the root from the carried entries.
     pub fn reconstruct_root(&self) -> Result<Digest, MbTreeError> {
         let pairs: Vec<(usize, Digest)> = self
@@ -181,11 +176,6 @@ impl KeyRangeProof {
     /// Number of digest items in the Merkle part.
     pub fn num_items(&self) -> usize {
         self.merkle.num_items()
-    }
-
-    /// Byte size: run entries (16B each) + 4B start position + Merkle.
-    pub fn size_bytes(&self) -> usize {
-        self.entries.len() * 16 + 4 + self.merkle.size_bytes()
     }
 
     /// Total leaf count of the proven tree. The caller must check this

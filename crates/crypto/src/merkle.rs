@@ -120,12 +120,6 @@ impl MerkleProof {
         self.entries.len()
     }
 
-    /// Serialized size in bytes: each entry is a (level, index, digest)
-    /// triple, plus the 8-byte geometry header.
-    pub fn size_bytes(&self) -> usize {
-        8 + self.entries.len() * (4 + 4 + 32)
-    }
-
     /// Reconstructs the root digest from proven `(leaf_index, digest)`
     /// pairs plus this proof's entries.
     ///
@@ -712,9 +706,12 @@ mod tests {
     fn proof_size_accounting() {
         let tree = MerkleTree::build(leaves(64), 2).unwrap();
         let p = tree.prove([0usize].into_iter().collect()).unwrap();
-        // 64 leaves, fanout 2 → 6 sibling digests.
+        // 64 leaves, fanout 2 → one sibling digest on each of 6 levels.
+        // (Its wire size is the core codec's: `wire::tests`.)
         assert_eq!(p.num_items(), 6);
-        assert_eq!(p.size_bytes(), 8 + 6 * 40);
+        let mut levels: Vec<u32> = p.entries.iter().map(|e| e.level).collect();
+        levels.sort_unstable();
+        assert_eq!(levels, (0..6).collect::<Vec<u32>>());
     }
 
     #[test]

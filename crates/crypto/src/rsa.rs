@@ -77,11 +77,6 @@ impl RsaSignature {
         &self.0
     }
 
-    /// Size in bytes, as counted in proof-size experiments.
-    pub fn size_bytes(&self) -> usize {
-        self.0.len()
-    }
-
     /// Reconstructs a signature from raw bytes (e.g. decoded proofs).
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
         RsaSignature(bytes)
@@ -362,8 +357,8 @@ mod tests {
     fn signature_size_close_to_modulus() {
         let kp = keypair(9);
         let sig = kp.sign(&hash_bytes(b"x"));
-        assert!(sig.size_bytes() <= 32); // 256-bit modulus
-        assert!(sig.size_bytes() >= 28); // overwhelmingly likely
+        assert!(sig.as_bytes().len() <= 32); // 256-bit modulus
+        assert!(sig.as_bytes().len() >= 28); // overwhelmingly likely
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! The paper's ADS uses SHA-1; we substitute SHA-256 (stronger, same
 //! role). The digest width (32 bytes) is a constant factor in all
-//! reported proof sizes and is recorded in `EXPERIMENTS.md`.
+//! reported proof sizes; the module comment of
+//! `crates/bench/src/experiments.rs` lists the expected shapes.
 
 use crate::digest::Digest;
 

@@ -50,14 +50,6 @@ pub struct KnnAnswer {
     pub batch: BatchAnswer,
 }
 
-impl KnnAnswer {
-    /// Serialized certificate size in bytes (what PERFORMANCE.md §9
-    /// reports): POI root + completeness proof + pooled batch.
-    pub fn size_bytes(&self) -> usize {
-        self.poi_signed.size_bytes() + self.poi_proof.size_bytes() + self.batch.size_bytes()
-    }
-}
-
 /// The batch queries a directory induces: `(source, poi)` per POI, in
 /// directory order. Client and provider derive this independently —
 /// the pair list itself is never trusted from the wire.

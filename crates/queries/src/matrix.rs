@@ -31,14 +31,6 @@ pub struct MatrixAnswer {
     pub batch: BatchAnswer,
 }
 
-impl MatrixAnswer {
-    /// Serialized certificate size in bytes: the pooled batch plus the
-    /// echoed shape.
-    pub fn size_bytes(&self) -> usize {
-        (self.sources.len() + self.targets.len()) * 4 + self.batch.size_bytes()
-    }
-}
-
 /// A verified distance matrix: every cell's value is proven optimal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistanceMatrix {

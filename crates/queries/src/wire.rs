@@ -1,96 +1,76 @@
-//! Wire codecs for the query-operator answers.
+//! Wire codecs for the query-operator answers: one [`Wire`] impl per
+//! answer, under the format rules of [`spnet_core::wire`].
 //!
-//! Composes the core wire format: the POI certificate reuses the core
-//! signed-root and key-range-proof codecs, and the pooled batch is
-//! embedded as one length-prefixed [`spnet_core::wire`] payload —
-//! decoding re-runs the core decoder, so the embedded batch inherits
-//! its version check, length caps and full-consumption discipline.
-//! (The range answer's codec lives in the core crate next to its
-//! operator: [`spnet_core::wire::encode_range_answer`].)
+//! The pooled batch is embedded as one length-prefixed, versioned core
+//! payload ([`wire::encode`]), so decoding it re-runs the core's version
+//! check, length caps and full-consumption discipline. (The range
+//! answer's codec lives in the core crate next to its operator.)
 
 use crate::knn::KnnAnswer;
 use crate::matrix::MatrixAnswer;
-use spnet_core::enc::{DecodeError, Decoder, Encoder};
-use spnet_core::wire::{
-    decode_batch_answer, encode_batch_answer, put_key_range_proof, put_signed_root,
-    take_key_range_proof, take_signed_root, WIRE_VERSION,
-};
-use spnet_graph::NodeId;
+use spnet_core::ads::SignedRoot;
+use spnet_core::enc::{DecodeError, Decoder, Encoder, Wire};
+use spnet_core::wire;
+use spnet_crypto::mbtree::KeyRangeProof;
 
-fn put_version(e: &mut Encoder) {
-    e.put_u8(WIRE_VERSION);
+/// `k`, the POI root and its completeness proof, then the nested batch.
+impl Wire for KnnAnswer {
+    const MIN_LEN: usize = 4 + SignedRoot::MIN_LEN + KeyRangeProof::MIN_LEN + 4;
+
+    fn put(&self, e: &mut Encoder) {
+        e.put(&self.k);
+        e.put(&self.poi_signed);
+        e.put(&self.poi_proof);
+        e.put_bytes(&wire::encode(&self.batch));
+    }
+
+    fn take(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(KnnAnswer {
+            k: d.take()?,
+            poi_signed: d.take()?,
+            poi_proof: d.take()?,
+            batch: wire::decode(d.take_bytes()?)?,
+        })
+    }
 }
 
-fn take_version(d: &mut Decoder<'_>) -> Result<(), DecodeError> {
-    match d.take_u8()? {
-        WIRE_VERSION => Ok(()),
-        v => Err(DecodeError::UnsupportedVersion(v)),
+/// The echoed sources and targets, then the nested batch.
+impl Wire for MatrixAnswer {
+    const MIN_LEN: usize = 4 + 4 + 4;
+
+    fn put(&self, e: &mut Encoder) {
+        e.put(&self.sources);
+        e.put(&self.targets);
+        e.put_bytes(&wire::encode(&self.batch));
+    }
+
+    fn take(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(MatrixAnswer {
+            sources: d.take()?,
+            targets: d.take()?,
+            batch: wire::decode(d.take_bytes()?)?,
+        })
     }
 }
 
 /// Encodes a k-nearest-POI answer into bytes.
 pub fn encode_knn_answer(a: &KnnAnswer) -> Vec<u8> {
-    let mut e = Encoder::new();
-    put_version(&mut e);
-    e.put_u32(a.k);
-    put_signed_root(&mut e, &a.poi_signed);
-    put_key_range_proof(&mut e, &a.poi_proof);
-    e.put_bytes(&encode_batch_answer(&a.batch));
-    e.into_bytes()
+    wire::encode(a)
 }
 
 /// Decodes a k-nearest-POI answer, requiring full consumption.
 pub fn decode_knn_answer(bytes: &[u8]) -> Result<KnnAnswer, DecodeError> {
-    let mut d = Decoder::new(bytes);
-    take_version(&mut d)?;
-    let k = d.take_u32()?;
-    let poi_signed = take_signed_root(&mut d)?;
-    let poi_proof = take_key_range_proof(&mut d)?;
-    let batch = decode_batch_answer(d.take_bytes()?)?;
-    d.finish()?;
-    Ok(KnnAnswer {
-        k,
-        poi_signed,
-        poi_proof,
-        batch,
-    })
+    wire::decode(bytes)
 }
 
 /// Encodes a distance-matrix answer into bytes.
 pub fn encode_matrix_answer(a: &MatrixAnswer) -> Vec<u8> {
-    let mut e = Encoder::new();
-    put_version(&mut e);
-    e.put_u32(a.sources.len() as u32);
-    for s in &a.sources {
-        e.put_u32(s.0);
-    }
-    e.put_u32(a.targets.len() as u32);
-    for t in &a.targets {
-        e.put_u32(t.0);
-    }
-    e.put_bytes(&encode_batch_answer(&a.batch));
-    e.into_bytes()
+    wire::encode(a)
 }
 
 /// Decodes a distance-matrix answer, requiring full consumption.
 pub fn decode_matrix_answer(bytes: &[u8]) -> Result<MatrixAnswer, DecodeError> {
-    let mut d = Decoder::new(bytes);
-    take_version(&mut d)?;
-    let ns = d.take_len(4)?;
-    let sources = (0..ns)
-        .map(|_| Ok(NodeId(d.take_u32()?)))
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    let nt = d.take_len(4)?;
-    let targets = (0..nt)
-        .map(|_| Ok(NodeId(d.take_u32()?)))
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    let batch = decode_batch_answer(d.take_bytes()?)?;
-    d.finish()?;
-    Ok(MatrixAnswer {
-        sources,
-        targets,
-        batch,
-    })
+    wire::decode(bytes)
 }
 
 #[cfg(test)]
@@ -103,6 +83,7 @@ mod tests {
     use spnet_core::prelude::*;
     use spnet_crypto::rsa::RsaKeyPair;
     use spnet_graph::gen::grid_network;
+    use spnet_graph::NodeId;
 
     fn session_and_pois() -> (SpService, RsaKeyPair, PoiSet) {
         let g = grid_network(8, 8, 1.15, 2500);
@@ -126,6 +107,7 @@ mod tests {
             .unwrap();
         let answer = session.answer_knn(&pois, NodeId(0), 2).unwrap();
         let bytes = encode_knn_answer(&answer);
+        assert_eq!(answer.encoded_len() + 1, bytes.len());
         let back = decode_knn_answer(&bytes).unwrap();
         assert_eq!(back, answer);
         let nearest = session.verify_knn(NodeId(0), 2, &back).unwrap();
@@ -151,6 +133,7 @@ mod tests {
         let targets = [NodeId(54), NodeId(63), NodeId(32)];
         let answer = session.answer_matrix(&sources, &targets).unwrap();
         let bytes = encode_matrix_answer(&answer);
+        assert_eq!(answer.encoded_len() + 1, bytes.len());
         let back = decode_matrix_answer(&bytes).unwrap();
         assert_eq!(back, answer);
         let m = session.verify_matrix(&sources, &targets, &back).unwrap();

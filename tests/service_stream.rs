@@ -7,8 +7,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spnet_core::prelude::*;
+use spnet_core::stream::StreamFrame;
 use spnet_core::stream::StreamVerifier;
-use spnet_core::wire::{decode_frame, encode_frame, StreamFrame};
+use spnet_core::wire::{decode, encode};
 use spnet_crypto::rsa::RsaKeyPair;
 use spnet_graph::algo::dijkstra_path;
 use spnet_graph::gen::grid_network;
@@ -153,8 +154,8 @@ proptest! {
         let qs = as_nodes(&QUERIES[..3]);
         for frame in provider.answer_stream(&qs, chunk) {
             let bytes = frame.unwrap();
-            let decoded = decode_frame(&bytes).unwrap();
-            prop_assert_eq!(encode_frame(&decoded), bytes);
+            let decoded = decode::<StreamFrame>(&bytes).unwrap();
+            prop_assert_eq!(encode(&decoded), bytes);
         }
     }
 }
@@ -250,7 +251,7 @@ fn truncated_streams_rejected_for_every_method() {
         let mut verifier = StreamVerifier::new(&client, &qs);
         verifier.feed(&frames[0]).unwrap();
         verifier.feed(&frames[1]).unwrap();
-        let forged_end = encode_frame(&StreamFrame::End { total_chunks: 1 });
+        let forged_end = encode(&StreamFrame::End { total_chunks: 1 });
         assert!(
             matches!(
                 verifier.feed(&forged_end),
