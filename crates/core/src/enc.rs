@@ -1,10 +1,10 @@
 //! Canonical binary encoding: the [`Wire`] trait and the bounded
 //! [`Encoder`]/[`Decoder`] pair it writes and reads through.
 //!
-//! Every byte that enters a digest, a proof, a snapshot record or a
-//! proof-size measurement is written by exactly one [`Wire`] impl, so
-//! an encoding, its decoder, its bounds and its size cannot disagree.
-//! The format rules are stated once, in [`crate::wire`].
+//! Every proof payload, signed pre-image and snapshot record has
+//! exactly one [`Wire`] impl, so its encoding, its decoder, its bounds
+//! and its size cannot disagree. The format rules are stated once, in
+//! [`crate::wire`].
 
 use spnet_crypto::digest::{Digest, DIGEST_LEN};
 use spnet_crypto::mbtree::KeyedEntry;
