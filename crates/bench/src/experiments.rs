@@ -22,7 +22,7 @@
 use crate::config::HarnessConfig;
 use crate::report::{fmt_f, Table};
 use crate::runner::{run_method, MethodMeasurement};
-use spnet_core::enc::Wire;
+use spnet_bytes::enc::Wire;
 use spnet_graph::algo::dijkstra_sssp;
 use spnet_graph::gen::ALL_DATASETS;
 use spnet_graph::order::ALL_ORDERINGS;

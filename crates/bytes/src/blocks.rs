@@ -11,9 +11,8 @@
 //! "retain what is shared, copy the path to what changed".
 //!
 //! A block holds one [`PAGE_BYTES`] snapshot page of records: 128
-//! digests ([`PAGE_DIGESTS`]) or 256 B-tree entries
-//! ([`PAGE_ENTRIES`]). The record count per block is a power of two, so
-//! indexing is a shift and a mask.
+//! 32-byte digests or 256 16-byte B-tree entries. The record count per
+//! block is a power of two, so indexing is a shift and a mask.
 //!
 //! A built array is resident. An array opened over a snapshot section
 //! starts with no block loaded, like Merk's `Link`
@@ -23,20 +22,13 @@
 //! it as above.
 
 use crate::cache::PageCache;
-use crate::digest::DIGEST_LEN;
-use crate::merkle::MerkleError;
-use crate::pager::{self, Pager, Record};
+use crate::enc::{Encoder, Wire};
+use crate::pager::{self, PageError, Pager};
 use std::ops::Index;
 use std::sync::Arc;
 
 /// Bytes per snapshot page, and per in-memory block.
 pub const PAGE_BYTES: usize = 4096;
-
-/// Digests per snapshot page (tree levels).
-pub const PAGE_DIGESTS: usize = PAGE_BYTES / DIGEST_LEN;
-
-/// Merkle B-tree entries per snapshot page (16-byte records).
-pub const PAGE_ENTRIES: usize = PAGE_BYTES / 16;
 
 /// An array of `T` stored as reference-counted blocks of
 /// [`Blocks::BLOCK_LEN`] records (the last block may be short).
@@ -59,11 +51,7 @@ struct Pages<T> {
     cache: Arc<PageCache<[T]>>,
     /// Cache key of page 0; page `p` is cached under `key + p`.
     key: u64,
-    /// [`pager::fault`] for the record type.
-    fault: Fault<T>,
 }
-
-type Fault<T> = fn(&PageCache<[T]>, u64, &dyn Pager, usize, usize) -> Result<Arc<[T]>, MerkleError>;
 
 impl<T> Blocks<T> {
     /// Records per block: the largest power of two whose records fit
@@ -95,15 +83,15 @@ impl<T> Blocks<T> {
     pub fn blocks(&self) -> &[Option<Arc<[T]>>] {
         &self.blocks
     }
+}
 
+/// Reads and writes: a block that is not resident is a page of `Wire`
+/// records, decoded by the one fault routine of [`crate::pager`].
+impl<T: Wire + Clone> Blocks<T> {
     /// Applies `f` to block `b`: the resident one, else the page
     /// through the cache. Leaves the block as it was.
     #[inline]
-    pub(crate) fn with_block<R>(
-        &self,
-        b: usize,
-        f: impl FnOnce(&[T]) -> R,
-    ) -> Result<R, MerkleError> {
+    pub fn with_block<R>(&self, b: usize, f: impl FnOnce(&[T]) -> R) -> Result<R, PageError> {
         match &self.blocks[b] {
             Some(block) => Ok(f(block)),
             None => Ok(f(&self.fault(b)?)),
@@ -111,13 +99,13 @@ impl<T> Blocks<T> {
     }
 
     /// The page of unloaded block `b`, through the cache.
-    fn fault(&self, b: usize) -> Result<Arc<[T]>, MerkleError> {
+    fn fault(&self, b: usize) -> Result<Arc<[T]>, PageError> {
         let p = self.pages.as_ref().expect("a built array has every block");
-        (p.fault)(&p.cache, p.key + b as u64, &*p.pager, self.len, b)
+        pager::fault(&p.cache, p.key + b as u64, &*p.pager, self.len, b)
     }
 
     /// Makes block `b` resident.
-    fn load(&mut self, b: usize) -> Result<&mut Arc<[T]>, MerkleError> {
+    fn load(&mut self, b: usize) -> Result<&mut Arc<[T]>, PageError> {
         if self.blocks[b].is_none() {
             self.blocks[b] = Some(self.fault(b)?);
         }
@@ -126,19 +114,17 @@ impl<T> Blocks<T> {
 
     /// Makes every block resident: one page read each for the blocks
     /// not yet loaded.
-    pub(crate) fn load_all(&mut self) -> Result<(), MerkleError> {
+    pub fn load_all(&mut self) -> Result<(), PageError> {
         (0..self.blocks.len()).try_for_each(|b| self.load(b).map(drop))
     }
-}
 
-impl<T: Clone> Blocks<T> {
     /// Record `i`. A record of an unloaded block is read through the
     /// page cache; the block stays unloaded.
     ///
     /// # Panics
     /// Panics if `i` is out of range.
     #[inline]
-    pub(crate) fn read(&self, i: usize) -> Result<T, MerkleError> {
+    pub fn read(&self, i: usize) -> Result<T, PageError> {
         assert!(i < self.len, "record {i} out of range ({})", self.len);
         self.with_block(i >> Self::SHIFT, |block| block[i & Self::MASK].clone())
     }
@@ -153,7 +139,7 @@ impl<T: Clone> Blocks<T> {
     pub fn set_sorted(
         &mut self,
         slots: impl IntoIterator<Item = (usize, T)>,
-    ) -> Result<(), MerkleError> {
+    ) -> Result<(), PageError> {
         let mut slots = slots.into_iter().peekable();
         while let Some(&(first, _)) = slots.peek() {
             assert!(
@@ -172,45 +158,33 @@ impl<T: Clone> Blocks<T> {
 
     /// The records as one vector (unloaded blocks read through the
     /// page cache).
-    pub fn to_vec(&self) -> Result<Vec<T>, MerkleError> {
+    pub fn to_vec(&self) -> Result<Vec<T>, PageError> {
         (0..self.len).map(|i| self.read(i)).collect()
     }
-}
 
-impl<T: Record> Blocks<T> {
     /// An array of `len` records over one snapshot section, one block
     /// to a page, with no block loaded. Faulted pages are cached in
     /// `cache` under `key + page`.
-    pub(crate) fn paged(
-        pager: Arc<dyn Pager>,
-        len: usize,
-        cache: Arc<PageCache<[T]>>,
-        key: u64,
-    ) -> Self {
+    pub fn paged(pager: Arc<dyn Pager>, len: usize, cache: Arc<PageCache<[T]>>, key: u64) -> Self {
         Blocks {
             blocks: vec![None; len.div_ceil(Self::BLOCK_LEN)],
             len,
-            pages: Some(Pages {
-                pager,
-                cache,
-                key,
-                fault: pager::fault::<T>,
-            }),
+            pages: Some(Pages { pager, cache, key }),
         }
     }
 
     /// The records' snapshot bytes, page after page: a resident block
     /// encoded, an unloaded one as its pager's verified bytes.
-    pub fn to_bytes(&self) -> Result<Vec<u8>, MerkleError> {
-        let mut out = Vec::with_capacity(self.len * T::LEN);
+    pub fn to_bytes(&self) -> Result<Vec<u8>, PageError> {
+        let mut e = Encoder::new();
         for (b, block) in self.blocks.iter().enumerate() {
             match (block, &self.pages) {
-                (Some(block), _) => block.iter().for_each(|r| r.encode(&mut out)),
-                (None, Some(p)) => out.extend(pager::page_bytes::<T>(&*p.pager, self.len, b)?),
+                (Some(block), _) => block.iter().for_each(|r| e.put(r)),
+                (None, Some(p)) => e.put_raw(&pager::page_bytes::<T>(&*p.pager, self.len, b)?),
                 (None, None) => unreachable!("a built array has every block"),
             }
         }
-        Ok(out)
+        Ok(e.into_bytes())
     }
 }
 
@@ -269,15 +243,12 @@ impl<T> Index<usize> for Blocks<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::digest::Digest;
-    use crate::mbtree::KeyedEntry;
 
     #[test]
     fn a_block_is_one_page() {
-        assert_eq!(Blocks::<Digest>::BLOCK_LEN, PAGE_DIGESTS);
-        assert_eq!(PAGE_DIGESTS, 128);
-        assert_eq!(Blocks::<KeyedEntry>::BLOCK_LEN, PAGE_ENTRIES);
-        assert_eq!(PAGE_ENTRIES, 256);
+        // Digest-sized and B-tree-entry-sized records.
+        assert_eq!(Blocks::<[u8; 32]>::BLOCK_LEN, 128);
+        assert_eq!(Blocks::<(u64, f64)>::BLOCK_LEN, 256);
         // Pointer-sized records: 512 handles to a page.
         assert_eq!(Blocks::<Arc<u8>>::BLOCK_LEN, 512);
     }
@@ -332,9 +303,7 @@ mod tests {
         use crate::pager::testing::BytePager;
         use std::sync::atomic::{AtomicU64, Ordering};
 
-        let records: Vec<KeyedEntry> = (0..1000u64)
-            .map(|key| KeyedEntry { key, value: 0.5 })
-            .collect();
+        let records: Vec<(u64, f64)> = (0..1000u64).map(|key| (key, 0.5)).collect();
         let built = Blocks::from(&records[..]);
         let pager = Arc::new(BytePager {
             bytes: built.to_bytes().unwrap(),
@@ -352,10 +321,7 @@ mod tests {
         assert_eq!(pager.faults.load(Ordering::Relaxed), 1);
         assert!(paged.blocks().iter().all(Option::is_none));
         // A write loads its block (a cache hit here) and only that one.
-        let new = KeyedEntry {
-            key: 600,
-            value: 9.0,
-        };
+        let new = (600, 9.0);
         paged.set_sorted([(600, new)]).unwrap();
         let resident: Vec<bool> = paged.blocks().iter().map(Option::is_some).collect();
         assert_eq!(resident, [false, false, true, false]);

@@ -1,8 +1,7 @@
 //! The one bounded LRU of the workspace.
 //!
-//! A snapshot-loaded [`crate::merkle::MerkleTree`] or
-//! [`crate::mbtree::MerkleBTree`] serves each block it has not loaded
-//! through a [`crate::pager::Pager`]; a [`PageCache`] bounds how many
+//! A snapshot-loaded Merkle tree or B-tree serves each block it has
+//! not loaded through a [`crate::pager::Pager`]; a [`PageCache`] bounds how many
 //! of those faulted pages stay resident: at most `capacity` pages, the
 //! least-recently-used one dropped on overflow. Evicted pages are
 //! simply re-faulted (and re-validated) on the next touch — correctness

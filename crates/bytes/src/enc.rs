@@ -1,14 +1,27 @@
 //! Canonical binary encoding: the [`Wire`] trait and the bounded
 //! [`Encoder`]/[`Decoder`] pair it writes and reads through.
 //!
-//! Every proof payload, signed pre-image and snapshot record has
-//! exactly one [`Wire`] impl, so its encoding, its decoder, its bounds
-//! and its size cannot disagree. The format rules are stated once, in
-//! [`crate::wire`].
+//! Every proof payload, signed pre-image and snapshot record — a page
+//! of digests or B-tree entries, the store's header and section table,
+//! the owner's public key — has exactly one [`Wire`] impl, beside its
+//! type, so its encoding, its decoder, its bounds and its size cannot
+//! disagree. Snapshot records follow the same rules as wire payloads:
+//!
+//! * Integers and floats are little-endian at fixed width; an `f64` is
+//!   its IEEE-754 bit pattern, so every encoding is bitwise canonical.
+//! * A sequence is a `u32` count and its elements; the decoder holds the
+//!   count against the remaining input ([`Decoder::take_len`] with the
+//!   element's [`Wire::MIN_LEN`]) before it reserves anything. An
+//!   array whose length its container already knows (a snapshot page
+//!   or section) carries no count: [`put_array`] and [`take_array`].
+//! * An `Option` is tag 0, or tag 1 and the value. An enum is a tag
+//!   byte (listed at its impl) and its variant's fields; an unknown tag
+//!   fails with [`DecodeError::BadTag`], a value outside its type's
+//!   domain with [`DecodeError::Invalid`].
+//! * A decode consumes its input exactly ([`DecodeError::TrailingBytes`]).
+//!
+//! A wire payload adds one leading version byte (`spnet_core::wire`).
 
-use spnet_crypto::digest::{Digest, DIGEST_LEN};
-use spnet_crypto::mbtree::KeyedEntry;
-use spnet_graph::NodeId;
 use std::sync::Arc;
 
 /// Errors raised while decoding.
@@ -23,9 +36,11 @@ pub enum DecodeError {
     /// An enum discriminant was invalid.
     BadTag(u8),
     /// The payload declares a wire format version this build does not
-    /// speak (see [`crate::wire::WIRE_VERSION`]) — distinct from
+    /// speak (see `spnet_core::wire::WIRE_VERSION`) — distinct from
     /// truncation so peers can negotiate instead of retrying.
     UnsupportedVersion(u8),
+    /// A well-formed encoding of a value its type rejects.
+    Invalid(&'static str),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -43,6 +58,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::UnsupportedVersion(v) => {
                 write!(f, "unsupported wire format version {v}")
             }
+            DecodeError::Invalid(what) => write!(f, "invalid value: {what}"),
         }
     }
 }
@@ -69,7 +85,7 @@ pub trait Wire: Sized {
         self.to_bytes().len()
     }
 
-    /// The bare encoding (no version byte; see [`crate::wire::encode`]).
+    /// The bare encoding (no version byte).
     fn to_bytes(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         self.put(&mut e);
@@ -89,6 +105,7 @@ pub trait Wire: Sized {
 /// `put`, `take` and `MIN_LEN` are all generated from it, so they
 /// cannot drift apart (a listed type that is not the field's type does
 /// not compile). Tuple-struct fields are named by index.
+#[macro_export]
 macro_rules! wire_struct {
     ($t:ty { $($f:tt: $ft:ty),+ $(,)? }) => {
         impl $crate::enc::Wire for $t {
@@ -106,11 +123,11 @@ macro_rules! wire_struct {
         }
     };
 }
-pub(crate) use wire_struct;
 
 /// Implements [`Wire`] for a tagged enum from one variant list: each
 /// variant's tag byte, then its fields in wire order. An unlisted tag
 /// fails with [`DecodeError::BadTag`].
+#[macro_export]
 macro_rules! wire_enum {
     ($t:ident { $($tag:literal => $v:ident $({ $($f:ident: $ft:ty),+ $(,)? })?),+ $(,)? }) => {
         impl $crate::enc::Wire for $t {
@@ -136,7 +153,6 @@ macro_rules! wire_enum {
         }
     };
 }
-pub(crate) use wire_enum;
 
 /// Append-only canonical encoder.
 #[derive(Debug, Default, Clone)]
@@ -300,15 +316,6 @@ impl<const N: usize> Wire for [u8; N] {
     }
 }
 
-wire_struct!(NodeId { 0: u32 });
-wire_struct!(Digest {
-    0: [u8; DIGEST_LEN]
-});
-wire_struct!(KeyedEntry {
-    key: u64,
-    value: f64
-});
-
 /// The fields in order, with no framing.
 macro_rules! wire_tuple {
     ($($i:tt $a:ident),+) => {
@@ -376,6 +383,30 @@ macro_rules! wire_pointer {
 }
 wire_pointer!(Arc, Box);
 
+/// Encodes fixed-width records back to back, with no count: the
+/// container (a snapshot page or section) already knows the length.
+pub fn put_array<T: Wire>(records: &[T]) -> Vec<u8> {
+    let mut e = Encoder {
+        buf: Vec::with_capacity(records.len() * T::MIN_LEN),
+    };
+    records.iter().for_each(|r| e.put(r));
+    e.into_bytes()
+}
+
+/// Decodes what [`put_array`] wrote: `bytes.len() / T::MIN_LEN`
+/// records of a type whose every encoding is `MIN_LEN` bytes. A ragged
+/// tail fails with [`DecodeError::TrailingBytes`] before any decode.
+pub fn take_array<T: Wire>(bytes: &[u8]) -> Result<Vec<T>, DecodeError> {
+    let ragged = bytes.len() % T::MIN_LEN;
+    if ragged != 0 {
+        return Err(DecodeError::TrailingBytes(ragged));
+    }
+    let mut d = Decoder::new(bytes);
+    let records = d.take_n(bytes.len() / T::MIN_LEN)?;
+    d.finish()?;
+    Ok(records)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,11 +448,8 @@ mod tests {
 
     #[test]
     fn round_trip_containers() {
-        type T = (Vec<(NodeId, f64)>, (Option<Box<u32>>, Option<Arc<bool>>));
-        let v: T = (
-            vec![(NodeId(7), 1.5), (NodeId(9), -0.0)],
-            (Some(Box::new(5)), None),
-        );
+        type T = (Vec<(u32, f64)>, (Option<Box<u32>>, Option<Arc<bool>>));
+        let v: T = (vec![(7, 1.5), (9, -0.0)], (Some(Box::new(5)), None));
         let bytes = v.to_bytes();
         // Count + two (u32, f64) pairs, tag + u32, tag.
         assert_eq!(bytes.len(), 4 + 2 * 12 + 5 + 1);
@@ -434,6 +462,22 @@ mod tests {
             Vec::<u64>::from_bytes(&[3, 0, 0, 0, 1, 2]),
             Err(DecodeError::LengthOverflow(3))
         );
+    }
+
+    #[test]
+    fn unprefixed_arrays_round_trip_and_reject_ragged_tails() {
+        let v: Vec<(u32, f64)> = vec![(1, 0.5), (2, f64::NAN), (3, -0.0)];
+        let bytes = put_array(&v);
+        assert_eq!(bytes.len(), 3 * 12);
+        let back: Vec<(u32, f64)> = take_array(&bytes).unwrap();
+        assert_eq!(put_array(&back), bytes);
+        assert_eq!(take_array::<u64>(&[]), Ok(vec![]));
+        assert_eq!(
+            take_array::<(u32, f64)>(&bytes[..13]),
+            Err(DecodeError::TrailingBytes(1))
+        );
+        // A variable-width record whose count disagrees with MIN_LEN.
+        assert!(take_array::<Option<u8>>(&[1, 7]).is_err());
     }
 
     #[test]

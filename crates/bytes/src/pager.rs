@@ -3,27 +3,23 @@
 //!
 //! A persistent snapshot (see the `spnet-store` crate) stores each tree
 //! level as fixed-size pages of digests and each Merkle B-tree's entry
-//! array as fixed-size pages of [`crate::mbtree::KeyedEntry`] records,
-//! one [`Blocks`] block to a page. The tree types in this crate stay
-//! storage-agnostic: a snapshot-loaded [`crate::merkle::MerkleTree`]
-//! gives each level's blocks one [`Pager`] and a loaded
-//! [`crate::mbtree::MerkleBTree`] one for its entry array — the merk
-//! `Link` idea (a child that may not be loaded), with the page as the
-//! granularity of a fault.
+//! array as fixed-size pages of keyed entries, one [`Blocks`] block to
+//! a page. The tree types stay storage-agnostic: a snapshot-loaded
+//! Merkle tree gives each level's blocks one [`Pager`] and a loaded
+//! B-tree one for its entry array — the merk `Link` idea (a child that
+//! may not be loaded), with the page as the granularity of a fault.
 //!
 //! A pager serves one section and returns the raw bytes of one page.
 //! Implementations must verify page integrity themselves (the snapshot
 //! format checks every page against a signed-into-the-root digest
 //! array) and return a typed [`PageError`] instead of panicking on
-//! corrupt or truncated input. Decoding and the shape checks are done
-//! once, in one crate-private routine that serves both [`Record`]
-//! kinds.
+//! corrupt or truncated input. A page holds [`Wire`] records of a
+//! fixed [`Wire::MIN_LEN`]; the shape checks and the decode are done
+//! once, here.
 
 use crate::blocks::Blocks;
 use crate::cache::PageCache;
-use crate::digest::{Digest, DIGEST_LEN};
-use crate::mbtree::KeyedEntry;
-use crate::merkle::MerkleError;
+use crate::enc::{take_array, Wire};
 use std::sync::Arc;
 
 /// Errors raised while faulting a page from a backing store.
@@ -54,66 +50,33 @@ pub trait Pager: Send + Sync + std::fmt::Debug {
     fn read_page(&self, page: u32) -> Result<Vec<u8>, PageError>;
 }
 
-/// A fixed-size record packed into pages: a tree digest or a B-tree
-/// entry.
-pub trait Record: Copy {
-    /// Encoded length in bytes.
-    const LEN: usize;
-    /// Decodes one `LEN`-byte record.
-    fn decode(bytes: &[u8]) -> Self;
-    /// Appends the record's `LEN` bytes to `out`.
-    fn encode(&self, out: &mut Vec<u8>);
-}
-
-impl Record for Digest {
-    const LEN: usize = DIGEST_LEN;
-    fn decode(bytes: &[u8]) -> Self {
-        Digest(bytes.try_into().expect("record is digest-sized"))
-    }
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self.as_bytes());
-    }
-}
-
-impl Record for KeyedEntry {
-    const LEN: usize = 16;
-    fn decode(bytes: &[u8]) -> Self {
-        KeyedEntry::decode(bytes.try_into().expect("record is 16 bytes"))
-    }
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&KeyedEntry::encode(self));
-    }
-}
-
 /// The verified bytes of page `page` of a section holding `len`
 /// records, one block ([`Blocks::BLOCK_LEN`] records) to a page,
 /// checked against the section's shape.
-pub(crate) fn page_bytes<T: Record>(
+pub(crate) fn page_bytes<T: Wire>(
     pager: &dyn Pager,
     len: usize,
     page: usize,
-) -> Result<Vec<u8>, MerkleError> {
+) -> Result<Vec<u8>, PageError> {
     let per_page = Blocks::<T>::BLOCK_LEN;
     if page >= len.div_ceil(per_page) {
-        return Err(MerkleError::Page(format!(
+        return Err(PageError::Corrupt(format!(
             "page {page} outside the tree shape ({len} records)"
         )));
     }
-    let bytes = pager
-        .read_page(page as u32)
-        .map_err(|e| MerkleError::Page(e.to_string()))?;
-    if !bytes.len().is_multiple_of(T::LEN) {
-        return Err(MerkleError::Page(format!(
+    let bytes = pager.read_page(page as u32)?;
+    if !bytes.len().is_multiple_of(T::MIN_LEN) {
+        return Err(PageError::Corrupt(format!(
             "page {page} holds {} bytes (not a multiple of {})",
             bytes.len(),
-            T::LEN
+            T::MIN_LEN
         )));
     }
     let expected = (len - page * per_page).min(per_page);
-    if bytes.len() / T::LEN != expected {
-        return Err(MerkleError::Page(format!(
+    if bytes.len() / T::MIN_LEN != expected {
+        return Err(PageError::Corrupt(format!(
             "page {page}: expected {expected} records, got {}",
-            bytes.len() / T::LEN
+            bytes.len() / T::MIN_LEN
         )));
     }
     Ok(bytes)
@@ -122,18 +85,20 @@ pub(crate) fn page_bytes<T: Record>(
 /// Resolves page `page` of a section holding `len` records: from
 /// `cache` under `key` if resident, else read through [`page_bytes`],
 /// decoded and inserted.
-pub(crate) fn fault<T: Record>(
+pub(crate) fn fault<T: Wire>(
     cache: &PageCache<[T]>,
     key: u64,
     pager: &dyn Pager,
     len: usize,
     page: usize,
-) -> Result<Arc<[T]>, MerkleError> {
+) -> Result<Arc<[T]>, PageError> {
     if let Some(run) = cache.get(key) {
         return Ok(run);
     }
     let bytes = page_bytes::<T>(pager, len, page)?;
-    let run = bytes.chunks_exact(T::LEN).map(T::decode).collect();
+    let run = take_array::<T>(&bytes)
+        .map_err(|e| PageError::Corrupt(format!("page {page}: {e}")))?
+        .into();
     // A concurrent fault may have won the race; either value is the
     // same verified page, so keep whichever landed first.
     Ok(cache.insert(key, run))

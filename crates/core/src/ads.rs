@@ -6,9 +6,10 @@
 //! (tag, geometry, method parameters), so a provider can neither swap
 //! trees nor lie about parameters like the quantization step λ.
 
-use crate::enc::{wire_enum, wire_struct, DecodeError, Decoder, Encoder, Wire};
 use crate::tuple::ExtendedTuple;
-use spnet_crypto::blocks::Blocks;
+use spnet_bytes::blocks::Blocks;
+use spnet_bytes::enc::Encoder;
+use spnet_bytes::{wire_enum, wire_struct};
 use spnet_crypto::digest::{hash_bytes, Digest};
 use spnet_crypto::merkle::{MerkleError, MerkleProof, MerkleTree};
 use spnet_crypto::rsa::{RsaKeyPair, RsaPublicKey, RsaSignature};
@@ -101,19 +102,6 @@ wire_struct!(SignedRoot {
     meta: AdsMeta,
     signature: RsaSignature
 });
-
-/// Length-prefixed signature bytes.
-impl Wire for RsaSignature {
-    const MIN_LEN: usize = 4;
-
-    fn put(&self, e: &mut Encoder) {
-        e.put_bytes(self.as_bytes());
-    }
-
-    fn take(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(RsaSignature::from_bytes(d.take_bytes()?.to_vec()))
-    }
-}
 
 /// The network ADS: ordering + Merkle tree + per-node tuples.
 ///
@@ -249,8 +237,8 @@ impl NetworkAds {
             .collect();
         leaves.sort_by_key(|&(pos, _)| pos);
         self.tree.update_leaves(&leaves)?;
-        self.tuples
-            .set_sorted(tuples.into_iter().map(|t| (t.id.index(), Arc::new(t))))
+        let tuples = tuples.into_iter().map(|t| (t.id.index(), Arc::new(t)));
+        Ok(self.tuples.set_sorted(tuples)?)
     }
 
     /// Builds the Merkle cover proof for a set of nodes.
@@ -287,7 +275,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use spnet_crypto::blocks::PAGE_DIGESTS;
+    const PAGE_DIGESTS: usize = Blocks::<Digest>::BLOCK_LEN;
     use spnet_graph::gen::grid_network;
 
     fn ads(fanout: usize, ordering: NodeOrdering) -> (Graph, NetworkAds) {

@@ -31,7 +31,6 @@
 
 use crate::ads::SignedRoot;
 use crate::client::check_reported_path;
-use crate::enc::Wire;
 use crate::error::{ProviderError, VerifyError};
 use crate::methods::full::FullBatchProof;
 use crate::methods::hyp::HypBatchState;
@@ -40,6 +39,7 @@ use crate::proof::IntegrityProof;
 use crate::provider::ServiceProvider;
 use crate::tuple::ExtendedTuple;
 use crate::Client;
+use spnet_bytes::enc::Wire;
 use spnet_crypto::digest::Digest;
 use spnet_crypto::mbtree::KeyedProof;
 use spnet_graph::algo::dijkstra_path;

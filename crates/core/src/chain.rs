@@ -15,9 +15,9 @@
 //! the MHT pays a few shared digests.
 
 use crate::ads::NetworkAds;
-use crate::enc::Encoder;
 use crate::error::VerifyError;
 use crate::tuple::ExtendedTuple;
+use spnet_bytes::enc::Encoder;
 use spnet_crypto::digest::{hash_bytes, Digest};
 use spnet_crypto::rsa::{RsaKeyPair, RsaPublicKey, RsaSignature};
 use spnet_graph::NodeId;
@@ -174,9 +174,9 @@ impl ChainProof {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enc::Wire;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use spnet_bytes::enc::Wire;
     use spnet_graph::gen::grid_network;
     use spnet_graph::order::NodeOrdering;
     use spnet_graph::Graph;

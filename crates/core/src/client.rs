@@ -10,11 +10,11 @@
 //!    distance and the proven optimum.
 
 use crate::ads::SignedRoot;
-use crate::enc::Wire;
 use crate::error::VerifyError;
 use crate::methods::{MethodParams, PinnedAux, VerifyCtx};
 use crate::proof::{Answer, IntegrityProof, SpProof};
 use crate::tuple::ExtendedTuple;
+use spnet_bytes::enc::Wire;
 use spnet_crypto::digest::Digest;
 use spnet_crypto::rsa::RsaPublicKey;
 use spnet_graph::path::close;

@@ -66,7 +66,6 @@ pub mod ads;
 pub mod batch;
 pub mod chain;
 pub mod client;
-pub mod enc;
 pub mod error;
 pub mod methods;
 pub mod owner;

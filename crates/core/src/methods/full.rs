@@ -21,14 +21,14 @@
 
 use crate::ads::{AdsMeta, AdsTag, SignedRoot};
 use crate::batch::{AuxContext, BatchAux, BatchVerifyState};
-use crate::enc::Wire;
 use crate::error::{ProviderError, VerifyError};
 use crate::methods::{AuthMethod, MethodConfig, MethodParams, TupleMap, VerifyCtx};
 use crate::owner::{MethodHints, ProviderPackage, SetupConfig};
 use crate::proof::SpProof;
 use crate::snapshot::{self, SnapshotError};
 use crate::tuple::ExtendedTuple;
-use spnet_crypto::cache::{PageCache, PageCacheCfg};
+use spnet_bytes::cache::{PageCache, PageCacheCfg};
+use spnet_bytes::enc::{put_array, take_array, Wire};
 use spnet_crypto::digest::Digest;
 use spnet_crypto::mbtree::{composite_key, split_key, KeyedEntry};
 use spnet_crypto::merkle::{MerkleProof, MerkleTree};
@@ -546,8 +546,7 @@ impl AuthMethod for FullMethod {
         // Dijkstra sum in different orders, and row digests hash the
         // exact f64 bit patterns.
         if let Some(m) = &ads.matrix {
-            let raw: Vec<u8> = m.raw().iter().flat_map(|d| d.to_le_bytes()).collect();
-            w.paged(snapshot::SEC_FULL_MATRIX, &raw, 4096)?;
+            w.paged(snapshot::SEC_FULL_MATRIX, &put_array(m.raw()), 4096)?;
         }
         Ok(())
     }
@@ -564,20 +563,15 @@ impl AuthMethod for FullMethod {
         if n != g.num_nodes() || fanout < 2 {
             return Err(SnapshotError::Corrupt("FULL geometry mismatch"));
         }
-        let row_roots =
-            snapshot::digests_from_bytes(&store.paged_all(snapshot::SEC_FULL_ROWROOTS)?)?;
+        let row_roots: Vec<Digest> = take_array(&store.paged_all(snapshot::SEC_FULL_ROWROOTS)?)?;
         if row_roots.len() != n {
             return Err(SnapshotError::Corrupt("FULL row-root count mismatch"));
         }
         let matrix = if has_matrix {
-            let raw = store.paged_all(snapshot::SEC_FULL_MATRIX)?;
-            if raw.len() != n * n * 8 {
+            let data: Vec<f64> = take_array(&store.paged_all(snapshot::SEC_FULL_MATRIX)?)?;
+            if data.len() != n * n {
                 return Err(SnapshotError::Corrupt("FULL matrix size mismatch"));
             }
-            let data: Vec<f64> = raw
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("chunk is 8 bytes")))
-                .collect();
             Some(
                 DistanceMatrix::from_raw(n, data)
                     .ok_or(SnapshotError::Corrupt("FULL matrix shape"))?,

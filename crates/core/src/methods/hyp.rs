@@ -22,13 +22,13 @@
 
 use crate::ads::{AdsMeta, AdsTag, SignedRoot};
 use crate::batch::{AuxContext, BatchAux, BatchVerifyState};
-use crate::enc::Wire;
 use crate::error::{ProviderError, VerifyError};
 use crate::methods::{AuthMethod, MethodConfig, MethodParams, TupleMap, VerifyCtx};
 use crate::owner::{MethodHints, ProviderPackage, SetupConfig};
 use crate::proof::SpProof;
 use crate::snapshot::{self, SnapshotError};
 use crate::tuple::ExtendedTuple;
+use spnet_bytes::enc::Wire;
 use spnet_crypto::mbtree::{composite_key, KeyedEntry, KeyedProof, MbTreeError, MerkleBTree};
 use spnet_crypto::rsa::RsaKeyPair;
 use spnet_graph::partition::GridPartition;

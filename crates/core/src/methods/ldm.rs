@@ -8,13 +8,13 @@
 //! with the compressed lower bound (Lemmas 3–4) and checks the optimum.
 
 use crate::batch::{AuxContext, BatchAux, BatchVerifyState};
-use crate::enc::{wire_enum, DecodeError, Decoder, Encoder, Wire};
 use crate::error::{ProviderError, VerifyError};
 use crate::methods::{AuthMethod, LdmConfig, MethodConfig, MethodParams, TupleMap, VerifyCtx};
 use crate::owner::{MethodHints, ProviderPackage, SetupConfig};
 use crate::proof::SpProof;
 use crate::snapshot::{self, SnapshotError};
 use crate::tuple::{ExtendedTuple, PsiPayload};
+use spnet_bytes::enc::{DecodeError, Decoder, Encoder, Wire};
 use spnet_crypto::rsa::RsaKeyPair;
 use spnet_graph::landmark::{
     repair_row, select_landmarks, CompressedVectors, CompressionStrategy, LandmarkVectors, NodePsi,
@@ -330,12 +330,6 @@ impl AuthMethod for LdmMethod {
         verify_subgraph_astar(tuples, vs, vt, Self::lambda(params))
     }
 }
-
-// The snapshot's compression byte.
-wire_enum!(CompressionStrategy {
-    0 => GreedyExact,
-    1 => HilbertSweep,
-});
 
 /// The owner-side LDM hints: compressed quantized landmark vectors.
 #[derive(Debug, Clone)]

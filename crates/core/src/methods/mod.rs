@@ -21,11 +21,11 @@ pub mod ldm;
 
 use crate::ads::SignedRoot;
 use crate::batch::{AuxContext, BatchAnswer, BatchAux, BatchVerifyState};
-use crate::enc::wire_enum;
 use crate::error::{ProviderError, VerifyError};
 use crate::owner::{MethodHints, ProviderPackage, SetupConfig};
 use crate::proof::SpProof;
 use crate::tuple::ExtendedTuple;
+use spnet_bytes::wire_enum;
 use spnet_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use spnet_graph::landmark::{CompressionStrategy, LandmarkStrategy};
 use spnet_graph::{Graph, NodeId, Path};
@@ -522,7 +522,7 @@ impl MethodParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enc::Wire;
+    use spnet_bytes::enc::Wire;
 
     #[test]
     fn params_round_trip() {

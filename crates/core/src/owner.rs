@@ -2,13 +2,13 @@
 //! (Figure 2, left).
 
 use crate::ads::{NetworkAds, SignedRoot};
-use crate::enc::Wire;
 use crate::methods::full::{DistanceAds, FullBuildStats};
 use crate::methods::hyp::HypHints;
 use crate::methods::ldm::LdmHints;
 use crate::methods::{dij, full, hyp, ldm, AuthMethod, MethodConfig};
 use crate::tuple::ExtendedTuple;
 use rand::Rng;
+use spnet_bytes::enc::Wire;
 use spnet_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use spnet_graph::order::NodeOrdering;
 use spnet_graph::Graph;

@@ -6,9 +6,9 @@
 //! experiments report (Figures 8a/8b).
 
 use crate::ads::SignedRoot;
-use crate::enc::Wire;
 use crate::methods::full::FullDistanceProof;
 use crate::tuple::ExtendedTuple;
+use spnet_bytes::enc::Wire;
 use spnet_crypto::mbtree::KeyedProof;
 use spnet_crypto::merkle::MerkleProof;
 use spnet_graph::Path;

@@ -33,13 +33,13 @@
 use crate::ads::SignedRoot;
 use crate::batch::BatchAux;
 use crate::client::Client;
-use crate::enc::Wire;
 use crate::error::{ProviderError, VerifyError};
 use crate::methods::dij::RADIUS_SLACK;
 use crate::methods::{MethodParams, PinnedAux, VerifyCtx};
 use crate::proof::IntegrityProof;
 use crate::provider::ServiceProvider;
 use crate::tuple::ExtendedTuple;
+use spnet_bytes::enc::Wire;
 use spnet_crypto::digest::Digest;
 use spnet_graph::ofloat::OrderedF64;
 use spnet_graph::path::close;

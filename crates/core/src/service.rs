@@ -55,7 +55,6 @@
 use crate::ads::SignedRoot;
 use crate::batch::BatchAnswer;
 use crate::client::Client;
-use crate::enc::Wire;
 use crate::error::{ProviderError, VerifyError};
 use crate::methods::{MethodParams, PinnedAux};
 use crate::par::Scheduler;
@@ -63,6 +62,7 @@ use crate::provider::ServiceProvider;
 use crate::snapshot::{self, SnapshotError, SnapshotRefresh};
 use crate::stream::{chunk_frame, Framer, StreamError, StreamVerifier, DEFAULT_CHUNK_LEN};
 use crate::update::{self, UpdateError};
+use spnet_bytes::enc::Wire;
 use spnet_crypto::rsa::RsaKeyPair;
 use spnet_graph::{NodeId, Path};
 use spnet_store::StoreBackend;

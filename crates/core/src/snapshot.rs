@@ -30,15 +30,15 @@
 //! [`SnapshotError`] at load — it can never serve verifying proofs.
 
 use crate::ads::{AdsTag, NetworkAds, SignedRoot};
-use crate::enc::{DecodeError, Decoder, Encoder, Wire};
 use crate::methods::MethodParams;
 use crate::owner::{ProviderPackage, Published};
 use crate::tuple::ExtendedTuple;
-use spnet_crypto::cache::PageCacheCfg;
-use spnet_crypto::digest::{Digest, DIGEST_LEN};
-use spnet_crypto::mbtree::{KeyedEntry, MbTreeError, MerkleBTree};
+use spnet_bytes::cache::PageCacheCfg;
+use spnet_bytes::enc::{put_array, take_array, DecodeError, Decoder, Encoder, Wire};
+use spnet_bytes::pager::{PageError, Pager};
+use spnet_crypto::digest::Digest;
+use spnet_crypto::mbtree::{KeyedEntry, MbTreeError, MerkleBTree, PAGE_ENTRIES};
 use spnet_crypto::merkle::{MerkleError, MerkleTree};
-use spnet_crypto::pager::Pager;
 use spnet_crypto::rsa::RsaPublicKey;
 use spnet_graph::io::{graph_from_bytes, graph_to_bytes, IoError};
 use spnet_graph::NodeId;
@@ -52,9 +52,8 @@ pub const SNAPSHOT_FILE: &str = "snapshot.spnet";
 /// Bytes per page of a persisted Merkle level (128 digests) or B-tree
 /// entry array (256 [`KeyedEntry`] records). A page is also the block
 /// a tree holds, resident or not yet loaded
-/// ([`spnet_crypto::blocks`]).
-pub use spnet_crypto::blocks::PAGE_BYTES;
-use spnet_crypto::blocks::PAGE_ENTRIES;
+/// ([`spnet_bytes::blocks`]).
+pub use spnet_bytes::blocks::PAGE_BYTES;
 
 /// Residency bound (in pages) of each paged structure opened over a
 /// lazy store: faulted pages beyond this are evicted LRU and simply
@@ -202,6 +201,12 @@ impl From<MerkleError> for SnapshotError {
     }
 }
 
+impl From<PageError> for SnapshotError {
+    fn from(e: PageError) -> Self {
+        SnapshotError::Merkle(e.into())
+    }
+}
+
 impl From<MbTreeError> for SnapshotError {
     fn from(e: MbTreeError) -> Self {
         SnapshotError::MbTree(e)
@@ -220,20 +225,7 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-// ---- shared codec helpers -------------------------------------------------
-
-/// Unpacks digests from their on-disk byte layout.
-pub(crate) fn digests_from_bytes(bytes: &[u8]) -> Result<Vec<Digest>, SnapshotError> {
-    if !bytes.len().is_multiple_of(DIGEST_LEN) {
-        return Err(SnapshotError::Corrupt(
-            "digest array length is not a multiple of the digest size",
-        ));
-    }
-    Ok(bytes
-        .chunks_exact(DIGEST_LEN)
-        .map(|c| Digest(c.try_into().expect("chunk is digest-sized")))
-        .collect())
-}
+// ---- shared helpers -------------------------------------------------------
 
 /// Number of Merkle levels (leaves included) for `leaf_count` leaves.
 fn tree_height(leaf_count: usize, fanout: usize) -> usize {
@@ -290,12 +282,7 @@ pub(crate) fn write_btree(
     tree_base: u16,
 ) -> Result<(), SnapshotError> {
     w.paged(entries_id, &bt.dense_entries().to_bytes()?, PAGE_BYTES)?;
-    let key_bytes: Vec<u8> = bt
-        .first_keys()
-        .iter()
-        .flat_map(|k| k.to_le_bytes())
-        .collect();
-    w.blob(keys_id, &key_bytes)?;
+    w.blob(keys_id, &put_array(bt.first_keys()))?;
     write_tree(w, tree_base, bt.tree())
 }
 
@@ -312,14 +299,10 @@ pub(crate) fn load_btree(
 ) -> Result<MerkleBTree, SnapshotError> {
     if store.is_lazy() {
         let tree = load_tree_paged(store, tree_base, len, fanout)?;
-        let key_bytes = store.blob(keys_id)?;
-        if key_bytes.len() % 8 != 0 || key_bytes.len() / 8 != len.div_ceil(PAGE_ENTRIES) {
+        let first_keys: Vec<u64> = take_array(&store.blob(keys_id)?)?;
+        if first_keys.len() != len.div_ceil(PAGE_ENTRIES) {
             return Err(SnapshotError::Corrupt("first-keys array length mismatch"));
         }
-        let first_keys: Vec<u64> = key_bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk is 8 bytes")))
-            .collect();
         Ok(MerkleBTree::open_paged(
             Arc::new(store.paged(entries_id)?),
             first_keys,
@@ -327,14 +310,10 @@ pub(crate) fn load_btree(
             store_cache_cfg(store),
         )?)
     } else {
-        let bytes = store.paged_all(entries_id)?;
-        if bytes.len() != len * 16 {
+        let entries: Vec<KeyedEntry> = take_array(&store.paged_all(entries_id)?)?;
+        if entries.len() != len {
             return Err(SnapshotError::Corrupt("entry array length mismatch"));
         }
-        let entries: Vec<KeyedEntry> = bytes
-            .chunks_exact(16)
-            .map(|c| KeyedEntry::decode(c.try_into().expect("chunk is 16 bytes")))
-            .collect();
         Ok(MerkleBTree::build(entries, fanout)?)
     }
 }
@@ -384,13 +363,7 @@ fn write_sections(
     w.blob(SEC_PUBKEY, &public_key.to_bytes())?;
     w.blob(SEC_NET_SIGNED, &pkg.network_root.to_bytes())?;
 
-    let order_bytes: Vec<u8> = pkg
-        .ads
-        .order()
-        .iter()
-        .flat_map(|v| v.0.to_le_bytes())
-        .collect();
-    w.blob(SEC_NET_ORDER, &order_bytes)?;
+    w.blob(SEC_NET_ORDER, &put_array(pkg.ads.order()))?;
 
     let mut e = Encoder::new();
     e.put(&(n as u64));
@@ -486,21 +459,13 @@ pub fn load_package(dir: &Path, backend: StoreBackend) -> Result<LoadedSnapshot,
     let store = NodeStore::open(&dir.join(SNAPSHOT_FILE), backend)?;
 
     let graph = graph_from_bytes(&store.blob(SEC_GRAPH)?)?;
-    let public_key = RsaPublicKey::from_bytes(&store.blob(SEC_PUBKEY)?)
-        .ok_or(SnapshotError::Corrupt("undecodable owner public key"))?;
+    let public_key = RsaPublicKey::from_bytes(&store.blob(SEC_PUBKEY)?)?;
     let network_root = SignedRoot::from_bytes(&store.blob(SEC_NET_SIGNED)?)?;
     if network_root.meta.tag != AdsTag::Network {
         return Err(SnapshotError::Corrupt("network root carries a foreign tag"));
     }
 
-    let order_bytes = store.blob(SEC_NET_ORDER)?;
-    if order_bytes.len() % 4 != 0 {
-        return Err(SnapshotError::Corrupt("ragged order array"));
-    }
-    let order: Vec<NodeId> = order_bytes
-        .chunks_exact(4)
-        .map(|c| NodeId(u32::from_le_bytes(c.try_into().expect("chunk is 4 bytes"))))
-        .collect();
+    let order: Vec<NodeId> = take_array(&store.blob(SEC_NET_ORDER)?)?;
 
     let tuple_bytes = store.blob(SEC_NET_TUPLES)?;
     let mut d = Decoder::new(&tuple_bytes);
@@ -643,13 +608,16 @@ mod tests {
         assert_eq!(tree_height(81, 3), 5); // 81,27,9,3,1
     }
 
+    /// A level's page bytes read back through the one array decoder.
     #[test]
     fn digest_bytes_round_trip() {
+        use spnet_crypto::digest::DIGEST_LEN;
         let ds: Vec<Digest> = (0u8..5).map(|i| Digest([i; DIGEST_LEN])).collect();
-        let bytes = spnet_crypto::blocks::Blocks::from(&ds[..])
+        let bytes = spnet_bytes::blocks::Blocks::from(&ds[..])
             .to_bytes()
             .unwrap();
-        assert_eq!(digests_from_bytes(&bytes).unwrap(), ds);
-        assert!(digests_from_bytes(&bytes[..DIGEST_LEN + 1]).is_err());
+        assert_eq!(bytes, put_array(&ds));
+        assert_eq!(take_array::<Digest>(&bytes).unwrap(), ds);
+        assert!(take_array::<Digest>(&bytes[..DIGEST_LEN + 1]).is_err());
     }
 }

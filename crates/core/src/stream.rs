@@ -25,11 +25,11 @@
 use crate::ads::SignedRoot;
 use crate::batch::BatchAnswer;
 use crate::client::Client;
-use crate::enc::{DecodeError, Wire};
 use crate::error::{ProviderError, VerifyError};
 use crate::methods::PinnedAux;
 use crate::provider::ServiceProvider;
 use crate::wire;
+use spnet_bytes::enc::{DecodeError, Wire};
 use spnet_graph::{NodeId, Path};
 use std::ops::Range;
 

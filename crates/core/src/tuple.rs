@@ -12,7 +12,8 @@
 //! A tuple's digest is the SHA-256 of its canonical encoding; the
 //! Merkle tree over ordered tuple digests is the network ADS.
 
-use crate::enc::{wire_struct, DecodeError, Decoder, Encoder, Wire};
+use spnet_bytes::enc::{DecodeError, Decoder, Encoder, Wire};
+use spnet_bytes::wire_struct;
 use spnet_crypto::digest::{hash_bytes, Digest};
 use spnet_graph::landmark::{CompressedVectors, NodePsi};
 use spnet_graph::partition::GridPartition;

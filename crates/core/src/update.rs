@@ -19,7 +19,7 @@
 //! the previous epochs serving), and that clone is cheap: the package's
 //! large arrays are held as reference-counted blocks or rows — tree
 //! levels, B-tree entries and tuple handles in blocks of one snapshot
-//! page ([`spnet_crypto::blocks`]), LDM's exact landmark rows one row
+//! page ([`spnet_bytes::blocks`]), LDM's exact landmark rows one row
 //! each, the graph's topology behind one handle. A clone bumps
 //! reference counts; the repair copies only the blocks and rows it
 //! writes, so an epoch costs its repair, and two epochs share every
@@ -38,9 +38,9 @@
 //! graph would produce.
 
 use crate::ads::SignedRoot;
-use crate::enc::Wire;
 use crate::methods::{ChangeDists, DirtySet, EdgeChange};
 use crate::owner::ProviderPackage;
+use spnet_bytes::enc::Wire;
 use spnet_crypto::rsa::RsaKeyPair;
 use spnet_graph::search::with_thread_workspace;
 use spnet_graph::NodeId;

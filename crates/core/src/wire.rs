@@ -1,24 +1,13 @@
 //! Wire format: every byte a client receives.
 //!
 //! Each payload type — the reported path, ΓS, ΓT, batch, range and
-//! stream frames — is described by one [`Wire`] impl: a field list for
-//! a struct, a variant list for a tagged enum. The same impls
-//! write the snapshot's signed roots and records, and hash the tuple
-//! and signed-root pre-images. The format rules, once:
+//! stream frames — is described by one [`Wire`] impl, whose format
+//! rules `spnet_bytes::enc` states once. On top of them:
 //!
-//! * Integers and floats are little-endian at fixed width; an `f64` is
-//!   its IEEE-754 bit pattern, so every encoding is bitwise canonical.
-//! * A sequence is a `u32` count and its elements; the decoder holds the
-//!   count against the remaining input ([`Decoder::take_len`] with the
-//!   element's [`Wire::MIN_LEN`]) before it reserves anything.
-//! * An `Option` is tag 0, or tag 1 and the value. An enum is a tag
-//!   byte (listed at its impl) and its variant's fields; an unknown tag
-//!   fails with [`DecodeError::BadTag`].
 //! * Every top-level payload opens with the [`WIRE_VERSION`] byte:
 //!   another version fails with the typed
 //!   [`DecodeError::UnsupportedVersion`] instead of a misleading
-//!   truncation, and a payload must be consumed exactly
-//!   ([`DecodeError::TrailingBytes`]).
+//!   truncation, and a payload must be consumed exactly.
 //! * Sizes are encoded lengths: every proof size the figures and the
 //!   benchmark report is [`Wire::encoded_len`] of the part it names, so
 //!   `encode_answer(a).len() == 1 + a.stats().total_bytes()`.
@@ -28,15 +17,15 @@
 
 use crate::ads::SignedRoot;
 use crate::batch::{BatchAnswer, BatchAux, BatchQueryProof};
-use crate::enc::{wire_enum, wire_struct, DecodeError, Decoder, Encoder, Wire};
 use crate::methods::full::{FullBatchProof, FullDistanceProof, FullRowProof};
 use crate::proof::{Answer, IntegrityProof, SpProof};
 use crate::queries::RangeAnswer;
 use crate::stream::StreamFrame;
 use crate::tuple::ExtendedTuple;
-use spnet_crypto::digest::Digest;
-use spnet_crypto::mbtree::{KeyRangeProof, KeyedEntry, KeyedProof};
-use spnet_crypto::merkle::{MerkleProof, ProofEntry};
+use spnet_bytes::enc::{DecodeError, Decoder, Encoder, Wire};
+use spnet_bytes::{wire_enum, wire_struct};
+use spnet_crypto::mbtree::{KeyedEntry, KeyedProof};
+use spnet_crypto::merkle::MerkleProof;
 use spnet_graph::{NodeId, Path};
 use std::sync::Arc;
 
@@ -109,7 +98,6 @@ wire_struct!(Answer {
     sp: SpProof,
     integrity: IntegrityProof
 });
-wire_struct!(Path { nodes: Vec<NodeId>, distance: f64 });
 wire_struct!(BatchAnswer {
     queries: Vec<BatchQueryProof>,
     pool: Vec<Arc<ExtendedTuple>>,
@@ -130,13 +118,6 @@ wire_struct!(IntegrityProof {
     merkle: MerkleProof,
     signed_root: SignedRoot,
 });
-wire_struct!(MerkleProof { leaf_count: u32, fanout: u32, entries: Vec<ProofEntry> });
-wire_struct!(ProofEntry {
-    level: u32,
-    index: u32,
-    digest: Digest
-});
-wire_struct!(KeyRangeProof { entries: Vec<KeyedEntry>, first: u32, merkle: MerkleProof });
 wire_struct!(FullDistanceProof {
     entry: KeyedEntry,
     row_index: u32,
@@ -146,28 +127,6 @@ wire_struct!(FullDistanceProof {
 });
 wire_struct!(FullBatchProof { rows: Vec<FullRowProof>, top_proof: MerkleProof });
 wire_struct!(FullRowProof { source: u32, entries: Vec<KeyedEntry>, row_proof: MerkleProof });
-
-/// One count for the parallel `entries` and `positions`, the entries,
-/// the positions, then the cover.
-impl Wire for KeyedProof {
-    const MIN_LEN: usize = 4 + MerkleProof::MIN_LEN;
-
-    fn put(&self, e: &mut Encoder) {
-        e.put(&(self.entries.len() as u32));
-        self.entries.iter().for_each(|x| e.put(x));
-        self.positions.iter().for_each(|x| e.put(x));
-        e.put(&self.merkle);
-    }
-
-    fn take(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let n = d.take_len(KeyedEntry::MIN_LEN + u32::MIN_LEN)?;
-        Ok(KeyedProof {
-            entries: d.take_n(n)?,
-            positions: d.take_n(n)?,
-            merkle: d.take()?,
-        })
-    }
-}
 
 // ΓS: DIJ and LDM ship a subgraph, FULL a distance, HYP both.
 wire_enum!(SpProof {
@@ -208,6 +167,7 @@ mod tests {
     use crate::Client;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use spnet_crypto::mbtree::KeyRangeProof;
     use spnet_graph::gen::grid_network;
 
     fn answers_for(method: MethodConfig) -> (Answer, Client) {

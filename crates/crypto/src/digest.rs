@@ -14,6 +14,10 @@ pub const DIGEST_LEN: usize = 32;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Digest(pub [u8; DIGEST_LEN]);
 
+spnet_bytes::wire_struct!(Digest {
+    0: [u8; DIGEST_LEN]
+});
+
 impl Digest {
     /// The all-zero digest; used as a sentinel, never produced by SHA-256
     /// on any known input.

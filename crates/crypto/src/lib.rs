@@ -20,9 +20,12 @@
 //!   subtree rule (Section III-B of the paper).
 //! * [`mbtree`] — a keyed Merkle B-tree used for materialized distance
 //!   tuples (the FULL method) and hyper-edge weights (the HYP method).
-//! * [`blocks`] — the copy-on-write block array both trees store their
-//!   records in, one snapshot page per block, each resident or not yet
-//!   loaded, so epochs share every block an update does not write.
+//!
+//! Both trees store their records in `spnet_bytes::blocks::Blocks`
+//! arrays, one snapshot page per block, each resident or not yet
+//! loaded, so epochs share every block an update does not write. Every
+//! type here that goes on the wire or into a snapshot carries its one
+//! `spnet_bytes::enc::Wire` impl beside its definition.
 //!
 //! # Security disclaimer
 //!
@@ -49,12 +52,9 @@
 //! ```
 
 mod bigint;
-pub mod blocks;
-pub mod cache;
 pub mod digest;
 pub mod mbtree;
 pub mod merkle;
-pub mod pager;
 mod prime;
 pub mod rsa;
 pub mod sha256;
@@ -62,3 +62,33 @@ pub mod sha256;
 pub use digest::Digest;
 pub use merkle::{MerkleProof, MerkleTree};
 pub use rsa::{RsaKeyPair, RsaPublicKey, RsaSignature};
+
+/// A test pager over one section's bytes.
+#[cfg(test)]
+pub(crate) mod testing {
+    use spnet_bytes::pager::{PageError, Pager};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// Serves `bytes` in pages of `page_len` bytes, cut to at most
+    /// `clip` bytes each, and counts every page it serves in `faults`.
+    #[derive(Debug)]
+    pub(crate) struct BytePager {
+        pub bytes: Vec<u8>,
+        pub page_len: usize,
+        pub clip: usize,
+        pub faults: Arc<AtomicU64>,
+    }
+
+    impl Pager for BytePager {
+        fn read_page(&self, page: u32) -> Result<Vec<u8>, PageError> {
+            let start = page as usize * self.page_len;
+            if start >= self.bytes.len() {
+                return Err(PageError::Corrupt(format!("page {page} out of range")));
+            }
+            self.faults.fetch_add(1, Ordering::Relaxed);
+            let end = (start + self.page_len.min(self.clip)).min(self.bytes.len());
+            Ok(self.bytes[start..end].to_vec())
+        }
+    }
+}

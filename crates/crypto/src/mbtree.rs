@@ -12,11 +12,13 @@
 //! entries are one [`Blocks`] array, resident or served page by page
 //! from a snapshot, and updatable either way.
 
-use crate::blocks::{Blocks, PAGE_ENTRIES};
-use crate::cache::{PageCache, PageCacheCfg};
 use crate::digest::{hash_bytes, Digest};
 use crate::merkle::{MerkleError, MerkleProof, MerkleTree};
-use crate::pager::Pager;
+use spnet_bytes::blocks::Blocks;
+use spnet_bytes::cache::{PageCache, PageCacheCfg};
+use spnet_bytes::enc::{DecodeError, Decoder, Encoder, Wire};
+use spnet_bytes::pager::{PageError, Pager};
+use spnet_bytes::wire_struct;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -29,28 +31,23 @@ pub struct KeyedEntry {
     pub value: f64,
 }
 
+wire_struct!(KeyedEntry {
+    key: u64,
+    value: f64
+});
+
+/// Entries per snapshot page (one [`Blocks`] block).
+pub const PAGE_ENTRIES: usize = Blocks::<KeyedEntry>::BLOCK_LEN;
+
 impl KeyedEntry {
-    /// Canonical 16-byte encoding: key LE ∘ value bits LE.
-    pub fn encode(&self) -> [u8; 16] {
-        let mut out = [0u8; 16];
-        out[..8].copy_from_slice(&self.key.to_le_bytes());
-        out[8..].copy_from_slice(&self.value.to_bits().to_le_bytes());
-        out
-    }
-
-    /// Digest binding key and value.
+    /// Digest binding key and value: the hash of the entry's 16-byte
+    /// encoding, assembled on the stack (FULL hashes |V|² of these at
+    /// publish and on every row repair). A test pins it to `to_bytes`.
     pub fn digest(&self) -> Digest {
-        hash_bytes(&self.encode())
-    }
-
-    /// Inverse of [`KeyedEntry::encode`].
-    pub fn decode(bytes: [u8; 16]) -> KeyedEntry {
-        let key = u64::from_le_bytes(bytes[..8].try_into().unwrap());
-        let bits = u64::from_le_bytes(bytes[8..].try_into().unwrap());
-        KeyedEntry {
-            key,
-            value: f64::from_bits(bits),
-        }
+        let mut pre = [0u8; 16];
+        pre[..8].copy_from_slice(&self.key.to_le_bytes());
+        pre[8..].copy_from_slice(&self.value.to_le_bytes());
+        hash_bytes(&pre)
     }
 }
 
@@ -112,6 +109,12 @@ impl From<MerkleError> for MbTreeError {
     }
 }
 
+impl From<PageError> for MbTreeError {
+    fn from(e: PageError) -> Self {
+        MbTreeError::Merkle(e.into())
+    }
+}
+
 /// A membership proof for a set of keyed entries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KeyedProof {
@@ -122,6 +125,28 @@ pub struct KeyedProof {
     pub positions: Vec<u32>,
     /// Merkle cover digests.
     pub merkle: MerkleProof,
+}
+
+/// One count for the parallel `entries` and `positions`, the entries,
+/// the positions, then the cover.
+impl Wire for KeyedProof {
+    const MIN_LEN: usize = 4 + MerkleProof::MIN_LEN;
+
+    fn put(&self, e: &mut Encoder) {
+        e.put(&(self.entries.len() as u32));
+        self.entries.iter().for_each(|x| e.put(x));
+        self.positions.iter().for_each(|x| e.put(x));
+        e.put(&self.merkle);
+    }
+
+    fn take(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let n = d.take_len(KeyedEntry::MIN_LEN + u32::MIN_LEN)?;
+        Ok(KeyedProof {
+            entries: d.take_n(n)?,
+            positions: d.take_n(n)?,
+            merkle: d.take()?,
+        })
+    }
 }
 
 impl KeyedProof {
@@ -171,6 +196,8 @@ pub struct KeyRangeProof {
     /// Merkle cover digests for the run.
     pub merkle: MerkleProof,
 }
+
+wire_struct!(KeyRangeProof { entries: Vec<KeyedEntry>, first: u32, merkle: MerkleProof });
 
 impl KeyRangeProof {
     /// Number of digest items in the Merkle part.
@@ -431,11 +458,12 @@ impl MerkleBTree {
         let hi_idx = self.partition_point(|k| k <= hi)?;
         let start = lo_idx.saturating_sub(1);
         let end = (hi_idx + 1).min(len); // exclusive
-        let entries: Result<Vec<KeyedEntry>, MerkleError> =
-            (start..end).map(|i| self.entries.read(i)).collect();
+        let entries = (start..end)
+            .map(|i| self.entries.read(i))
+            .collect::<Result<_, _>>()?;
         let merkle = self.tree.prove((start..end).collect())?;
         Ok(KeyRangeProof {
-            entries: entries?,
+            entries,
             first: start as u32,
             merkle,
         })
@@ -568,21 +596,53 @@ mod tests {
         assert_ne!(e1.digest(), e3.digest());
     }
 
+    /// The fixed-record contract pages and unprefixed arrays rely on:
+    /// every value of a paged record type encodes to exactly `MIN_LEN`
+    /// bytes and decodes back bit for bit, NaN payloads and −0.0
+    /// included; and the entry digest's stack pre-image is the entry's
+    /// encoding. (`NodeId`'s row is in `spnet-graph`'s `ids` tests.)
     #[test]
-    fn encode_decode_round_trip() {
-        for e in sample_entries(20) {
-            assert_eq!(KeyedEntry::decode(e.encode()), e);
+    fn fixed_records_encode_at_min_len() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        fn check<T: Wire + std::fmt::Debug>(v: &T, bits: impl Fn(&T) -> Vec<u8>) {
+            assert_eq!(v.encoded_len(), T::MIN_LEN, "{v:?}");
+            let back = T::from_bytes(&v.to_bytes()).unwrap();
+            assert_eq!(bits(&back), bits(v), "{v:?}");
         }
-        let nan = KeyedEntry {
-            key: 7,
-            value: f64::NAN,
-        };
-        // Bit-level round trip even for non-finite payloads.
-        assert_eq!(KeyedEntry::decode(nan.encode()).encode(), nan.encode());
+        let mut rng = StdRng::seed_from_u64(0xF1CED);
+        let mut floats = vec![
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+        ];
+        floats.extend((0..64).map(|_| f64::from_bits(rng.next_u64())));
+        floats.push(f64::from_bits(0x7FF0_0000_0000_0001)); // signalling NaN
+        for (i, &value) in floats.iter().enumerate() {
+            let key = rng.next_u64();
+            let e = KeyedEntry { key, value };
+            check(&e, |e| e.to_bytes());
+            assert_eq!(e.digest(), hash_bytes(&e.to_bytes()), "{e:?}");
+            check(&hash_bytes(&key.to_le_bytes()), |d| d.0.to_vec());
+            check(&key, |k| k.to_le_bytes().to_vec());
+            check(&value, |v| v.to_bits().to_le_bytes().to_vec());
+            assert_eq!(
+                f64::from_bytes(&value.to_bytes()).unwrap().to_bits(),
+                value.to_bits(),
+                "{i}"
+            );
+        }
+        for e in sample_entries(20) {
+            assert_eq!(KeyedEntry::from_bytes(&e.to_bytes()), Ok(e));
+        }
     }
 
-    use crate::blocks::{PAGE_BYTES, PAGE_DIGESTS};
-    use crate::pager::testing::BytePager;
+    use crate::testing::BytePager;
+    use spnet_bytes::blocks::PAGE_BYTES;
     use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -880,7 +940,7 @@ mod tests {
             let levels = paged.tree().dense_levels().iter().zip(built.tree().dense_levels());
             for (lvl, (p, b)) in levels.enumerate() {
                 proptest::prop_assert_eq!(p.to_vec().unwrap(), b.to_vec().unwrap());
-                let blocks: BTreeSet<usize> = path.iter().map(|&i| i / PAGE_DIGESTS).collect();
+                let blocks: BTreeSet<usize> = path.iter().map(|&i| i / Blocks::<Digest>::BLOCK_LEN).collect();
                 let root = lvl + 1 == paged.height();
                 let want: Vec<bool> = (0..p.blocks().len()).map(|b| root || blocks.contains(&b)).collect();
                 proptest::prop_assert_eq!(resident(p), want, "level {}", lvl);

@@ -18,10 +18,11 @@
 //! yet loaded (served through a pager), and updates load what they
 //! write.
 
-use crate::blocks::Blocks;
-use crate::cache::{PageCache, PageCacheCfg};
 use crate::digest::{hash_digests, Digest};
-use crate::pager::Pager;
+use spnet_bytes::blocks::Blocks;
+use spnet_bytes::cache::{PageCache, PageCacheCfg};
+use spnet_bytes::pager::{PageError, Pager};
+use spnet_bytes::wire_struct;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -86,6 +87,12 @@ impl std::fmt::Display for MerkleError {
 
 impl std::error::Error for MerkleError {}
 
+impl From<PageError> for MerkleError {
+    fn from(e: PageError) -> Self {
+        MerkleError::Page(e.to_string())
+    }
+}
+
 /// One digest supplied by the prover, addressed by its tree position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProofEntry {
@@ -96,6 +103,12 @@ pub struct ProofEntry {
     /// Digest stored at that slot.
     pub digest: Digest,
 }
+
+wire_struct!(ProofEntry {
+    level: u32,
+    index: u32,
+    digest: Digest
+});
 
 /// A multi-leaf Merkle proof.
 ///
@@ -112,6 +125,8 @@ pub struct MerkleProof {
     /// Tree fanout.
     pub fanout: u32,
 }
+
+wire_struct!(MerkleProof { leaf_count: u32, fanout: u32, entries: Vec<ProofEntry> });
 
 impl MerkleProof {
     /// Number of digests in the proof — the paper's "number of items in
@@ -474,7 +489,9 @@ impl MerkleTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocks::{PAGE_BYTES, PAGE_DIGESTS};
+    use spnet_bytes::blocks::PAGE_BYTES;
+
+    const PAGE_DIGESTS: usize = Blocks::<Digest>::BLOCK_LEN;
     use crate::digest::hash_bytes;
 
     fn leaves(n: usize) -> Vec<Digest> {
@@ -826,7 +843,7 @@ mod tests {
     }
 
     use crate::mbtree::{KeyedEntry, MbTreeError, MerkleBTree};
-    use crate::pager::testing::BytePager;
+    use crate::testing::BytePager;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// One byte pager per level of a built tree, serving real
@@ -1030,7 +1047,7 @@ mod tests {
         let bt = MerkleBTree::build(entries.clone(), 4).unwrap();
         for (clip, why) in [(16, "expected 20 records"), (17, "not a multiple of 16")] {
             let pager = Arc::new(BytePager {
-                bytes: entries.iter().flat_map(|e| e.encode()).collect(),
+                bytes: spnet_bytes::enc::put_array(&entries),
                 page_len: PAGE_BYTES,
                 clip,
                 faults: Arc::new(AtomicU64::new(0)),

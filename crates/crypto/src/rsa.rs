@@ -12,6 +12,7 @@ use crate::bigint::{BigUint, Montgomery};
 use crate::digest::Digest;
 use crate::prime::random_prime;
 use rand::Rng;
+use spnet_bytes::enc::{DecodeError, Decoder, Encoder, Wire};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -37,7 +38,7 @@ pub fn signing_ops() -> u64 {
 /// build (PERFORMANCE.md §13).
 pub const DEFAULT_MODULUS_BITS: usize = 512;
 
-/// Largest modulus [`RsaPublicKey::from_bytes`] accepts. Decoding builds
+/// Largest modulus a decoded [`RsaPublicKey`] may have. Decoding builds
 /// the key's Montgomery context, which is quadratic in the modulus
 /// length, so a length read from a file is bounded first.
 const MAX_MODULUS_BITS: usize = 16_384;
@@ -80,6 +81,19 @@ impl RsaSignature {
     /// Reconstructs a signature from raw bytes (e.g. decoded proofs).
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
         RsaSignature(bytes)
+    }
+}
+
+/// Length-prefixed signature bytes.
+impl Wire for RsaSignature {
+    const MIN_LEN: usize = 4;
+
+    fn put(&self, e: &mut Encoder) {
+        e.put_bytes(self.as_bytes());
+    }
+
+    fn take(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(RsaSignature(d.take_bytes()?.to_vec()))
     }
 }
 
@@ -181,48 +195,39 @@ impl RsaPublicKey {
     pub fn modulus_bits(&self) -> usize {
         self.modulus_bits
     }
+}
 
-    /// Canonical encoding for persistence:
-    /// `modulus_bits u32 LE ∘ n_len u32 LE ∘ n BE ∘ e_len u32 LE ∘ e BE`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let n = self.n.modulus().to_bytes_be();
-        let e = self.e.to_bytes_be();
-        let mut out = Vec::with_capacity(12 + n.len() + e.len());
-        out.extend_from_slice(&(self.modulus_bits as u32).to_le_bytes());
-        out.extend_from_slice(&(n.len() as u32).to_le_bytes());
-        out.extend_from_slice(&n);
-        out.extend_from_slice(&(e.len() as u32).to_le_bytes());
-        out.extend_from_slice(&e);
-        out
+/// `modulus_bits u32 ∘ n ∘ e`, each number length-prefixed big-endian
+/// bytes with no leading zero. Decoding rejects, as
+/// [`DecodeError::Invalid`], a key no generation produces: a modulus
+/// outside 64..=16384 bits or not of the stated bit length, an even
+/// modulus, an even exponent or one below 3.
+impl Wire for RsaPublicKey {
+    const MIN_LEN: usize = 12;
+
+    fn put(&self, e: &mut Encoder) {
+        e.put(&(self.modulus_bits as u32));
+        e.put_bytes(&self.n.modulus().to_bytes_be());
+        e.put_bytes(&self.e.to_bytes_be());
     }
 
-    /// Inverse of [`RsaPublicKey::to_bytes`]. Returns `None` on any
-    /// structural mismatch (truncation, trailing bytes, wrong bit
-    /// count, a modulus outside 64..=16384 bits) and on numbers no key
-    /// generation produces: an even modulus, an even exponent or one
-    /// below 3.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let take_u32 = |b: &[u8], at: usize| -> Option<u32> {
-            Some(u32::from_le_bytes(b.get(at..at + 4)?.try_into().ok()?))
-        };
-        let modulus_bits = take_u32(bytes, 0)? as usize;
-        let n_len = take_u32(bytes, 4)? as usize;
-        let n_bytes = bytes.get(8..8 + n_len)?;
-        let e_at = 8 + n_len;
-        let e_len = take_u32(bytes, e_at)? as usize;
-        let e_bytes = bytes.get(e_at + 4..e_at + 4 + e_len)?;
-        if bytes.len() != e_at + 4 + e_len {
-            return None;
+    fn take(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let modulus_bits = d.take::<u32>()? as usize;
+        let (n, e) = (d.take_bytes()?, d.take_bytes()?);
+        if !(64..=MAX_MODULUS_BITS).contains(&modulus_bits) {
+            return Err(DecodeError::Invalid("RSA modulus size"));
         }
-        let n = BigUint::from_bytes_be(n_bytes);
-        let e = BigUint::from_bytes_be(e_bytes);
-        if n.bit_len() != modulus_bits || !(64..=MAX_MODULUS_BITS).contains(&modulus_bits) {
-            return None;
+        if n.first() == Some(&0) || e.first() == Some(&0) {
+            return Err(DecodeError::Invalid("RSA number with a leading zero byte"));
         }
-        if n.is_even() || e.is_even() || e < BigUint::from_u64(3) {
-            return None;
+        let (n, e) = (BigUint::from_bytes_be(n), BigUint::from_bytes_be(e));
+        if n.bit_len() != modulus_bits || n.is_even() {
+            return Err(DecodeError::Invalid("RSA modulus"));
         }
-        Some(RsaPublicKey {
+        if e.is_even() || e < BigUint::from_u64(3) {
+            return Err(DecodeError::Invalid("RSA exponent"));
+        }
+        Ok(RsaPublicKey {
             n: Montgomery::new(&n),
             e,
             modulus_bits,
@@ -329,11 +334,11 @@ mod tests {
         let d = hash_bytes(b"root");
         assert!(back.verify(&d, &kp.sign(&d)));
         // Truncation and trailing garbage are rejected.
-        assert!(RsaPublicKey::from_bytes(&bytes[..bytes.len() - 1]).is_none());
+        assert!(RsaPublicKey::from_bytes(&bytes[..bytes.len() - 1]).is_err());
         let mut extra = bytes.clone();
         extra.push(0);
-        assert!(RsaPublicKey::from_bytes(&extra).is_none());
-        assert!(RsaPublicKey::from_bytes(&[]).is_none());
+        assert!(RsaPublicKey::from_bytes(&extra).is_err());
+        assert!(RsaPublicKey::from_bytes(&[]).is_err());
     }
 
     #[test]
@@ -372,19 +377,19 @@ mod tests {
             f(&mut b);
             RsaPublicKey::from_bytes(&b)
         };
-        assert!(mutated(&|_| ()).is_some());
+        assert!(mutated(&|_| ()).is_ok());
         // Even modulus: would otherwise reach `Montgomery::new` and panic.
-        assert!(mutated(&|b| b[n_low] &= !1).is_none());
+        assert!(mutated(&|b| b[n_low] &= !1).is_err());
         // e = 65536 (even), e = 1 and e = 0 written as three bytes, then
         // as their shortest encodings.
-        assert!(mutated(&|b| b[e_at + 2] = 0).is_none());
-        assert!(mutated(&|b| b[e_at] = 0).is_none());
-        assert!(mutated(&|b| b[e_at..].fill(0)).is_none());
+        assert!(mutated(&|b| b[e_at + 2] = 0).is_err());
+        assert!(mutated(&|b| b[e_at] = 0).is_err());
+        assert!(mutated(&|b| b[e_at..].fill(0)).is_err());
         for e in [&[][..], &[1], &[2]] {
             let mut b = bytes[..e_at - 4].to_vec();
             b.extend_from_slice(&(e.len() as u32).to_le_bytes());
             b.extend_from_slice(e);
-            assert!(RsaPublicKey::from_bytes(&b).is_none(), "e = {e:?}");
+            assert!(RsaPublicKey::from_bytes(&b).is_err(), "e = {e:?}");
         }
         // A 16385-bit odd modulus, well-formed otherwise.
         let mut huge = vec![0xFFu8; 2049];
@@ -393,9 +398,13 @@ mod tests {
         b.extend_from_slice(&(huge.len() as u32).to_le_bytes());
         b.extend_from_slice(&huge);
         b.extend_from_slice(&bytes[e_at - 4..]);
-        assert!(RsaPublicKey::from_bytes(&b).is_none());
-        // e = 3 is a legitimate exponent.
-        assert!(mutated(&|b| b[e_at..].copy_from_slice(&[0, 0, 3])).is_some());
+        assert!(RsaPublicKey::from_bytes(&b).is_err());
+        // e = 3 is a legitimate exponent, in its one encoding: behind
+        // leading zero bytes it is refused.
+        assert!(mutated(&|b| b[e_at..].copy_from_slice(&[0, 0, 3])).is_err());
+        let mut b = bytes[..e_at - 4].to_vec();
+        b.extend_from_slice(&[1, 0, 0, 0, 3]);
+        assert!(RsaPublicKey::from_bytes(&b).is_ok());
     }
 
     #[test]

@@ -9,6 +9,8 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeId(pub u32);
 
+spnet_bytes::wire_struct!(NodeId { 0: u32 });
+
 impl NodeId {
     /// The identifier as a `usize` index.
     #[inline]
@@ -54,5 +56,21 @@ mod tests {
     #[test]
     fn ordering_is_numeric() {
         assert!(NodeId(2) < NodeId(10));
+    }
+
+    /// `NodeId`'s row of the fixed-record contract (the others are in
+    /// `spnet-crypto`'s `mbtree` tests): every id encodes to `MIN_LEN`
+    /// bytes and back.
+    #[test]
+    fn encodes_at_min_len() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use spnet_bytes::enc::Wire;
+        let mut rng = StdRng::seed_from_u64(0x1D5);
+        let seeded = (0..64).map(|_| rng.next_u32());
+        for v in [0, 1, 0x8000_0000, u32::MAX].into_iter().chain(seeded) {
+            let id = NodeId(v);
+            assert_eq!(id.encoded_len(), NodeId::MIN_LEN);
+            assert_eq!(NodeId::from_bytes(&id.to_bytes()), Ok(id));
+        }
     }
 }

@@ -37,6 +37,12 @@ pub enum CompressionStrategy {
     HilbertSweep,
 }
 
+// The snapshot's compression byte.
+spnet_bytes::wire_enum!(CompressionStrategy {
+    0 => GreedyExact,
+    1 => HilbertSweep,
+});
+
 /// Per-node compressed representation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodePsi {

@@ -13,6 +13,8 @@ pub struct Path {
     pub distance: f64,
 }
 
+spnet_bytes::wire_struct!(Path { nodes: Vec<NodeId>, distance: f64 });
+
 impl Path {
     /// A single-node path of distance zero.
     pub fn trivial(v: NodeId) -> Self {

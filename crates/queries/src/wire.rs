@@ -8,8 +8,8 @@
 
 use crate::knn::KnnAnswer;
 use crate::matrix::MatrixAnswer;
+use spnet_bytes::enc::{DecodeError, Decoder, Encoder, Wire};
 use spnet_core::ads::SignedRoot;
-use spnet_core::enc::{DecodeError, Decoder, Encoder, Wire};
 use spnet_core::wire;
 use spnet_crypto::mbtree::KeyRangeProof;
 

@@ -52,6 +52,13 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+/// A header or table record that does not decode is corrupt metadata.
+impl From<spnet_bytes::enc::DecodeError> for StoreError {
+    fn from(e: spnet_bytes::enc::DecodeError) -> Self {
+        StoreError::Corrupt(e.to_string())
+    }
+}
+
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         StoreError::Io(e.to_string())

@@ -9,7 +9,7 @@
 //!   digests, typed [`StoreError`]s for every corruption mode).
 //! * [`node_store`] — the [`NodeStore`]: one open snapshot plus its
 //!   fault and eviction counters. Its [`PagedReader`]s are the
-//!   `spnet-crypto` pagers behind `MerkleTree::open_paged` and
+//!   `spnet-bytes` pagers behind `MerkleTree::open_paged` and
 //!   `MerkleBTree::open_paged`, so a proof touches only the pages on
 //!   its path. The [`StoreBackend`] it was opened with picks what the
 //!   loaders build: `Mem` verifies every section at open and builds
@@ -29,6 +29,6 @@ pub mod snapshot;
 pub use error::StoreError;
 pub use node_store::{NodeStore, StoreBackend};
 pub use snapshot::{
-    PagedReader, SectionUpdate, Snapshot, SnapshotUpdater, SnapshotWriter, UpdateStats,
-    SECTION_ALIGN, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    Header, PagedReader, SectionEntry, SectionUpdate, Snapshot, SnapshotUpdater, SnapshotWriter,
+    UpdateStats, SECTION_ALIGN, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };

@@ -3,7 +3,7 @@
 //! A store opens the snapshot's header and section table and hands out
 //! verified section readers: [`NodeStore::blob`] for blob sections and
 //! [`NodeStore::paged`] for paged ones. A [`PagedReader`] is the
-//! `spnet-crypto` [`Pager`] of its section, so a paged `MerkleTree` or
+//! `spnet-bytes` [`Pager`] of its section, so a paged `MerkleTree` or
 //! `MerkleBTree` faults its pages straight from the file. Every
 //! verified page read counts in [`NodeStore::fault_count`]; the page
 //! caches layered over the store count their evictions in
@@ -16,7 +16,7 @@
 
 use crate::error::StoreError;
 use crate::snapshot::{PagedReader, Snapshot};
-use spnet_crypto::pager::{PageError, Pager};
+use spnet_bytes::pager::{PageError, Pager};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -137,8 +137,8 @@ impl Pager for PagedReader {
 mod tests {
     use super::*;
     use crate::snapshot::SnapshotWriter;
-    use spnet_crypto::blocks::PAGE_BYTES;
-    use spnet_crypto::cache::PageCacheCfg;
+    use spnet_bytes::blocks::PAGE_BYTES;
+    use spnet_bytes::cache::PageCacheCfg;
     use spnet_crypto::digest::{hash_bytes, Digest};
     use spnet_crypto::mbtree::{KeyedEntry, MerkleBTree};
     use spnet_crypto::merkle::MerkleTree;

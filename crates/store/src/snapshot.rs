@@ -2,11 +2,14 @@
 //! sections with a versioned header and per-section integrity digests.
 //!
 //! ```text
-//! offset 0        header (24 B): magic ∘ version ∘ reserved ∘
-//!                                section_count u32 ∘ table_offset u64
+//! offset 0        Header
 //! offset 4096·k   section payloads, each aligned to 4096
-//! table_offset    section table: 64 B per section
+//! table_offset    section table: one SectionEntry per section
 //! ```
+//!
+//! [`Header`] and [`SectionEntry`] are the two records that define the
+//! layout; like every other snapshot record they are `Wire` structs
+//! (`spnet_bytes::enc`), so their field lists are the byte layout.
 //!
 //! Two section kinds:
 //!
@@ -23,6 +26,8 @@
 //! [`StoreError::BadMagic`] rather than a torn-but-plausible snapshot.
 
 use crate::error::StoreError;
+use spnet_bytes::enc::{put_array, take_array, Wire};
+use spnet_bytes::wire_struct;
 use spnet_crypto::digest::{hash_bytes, Digest, DIGEST_LEN};
 use std::fs::File;
 use std::io::{Seek, SeekFrom, Write};
@@ -38,10 +43,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SPNSTORE";
 pub const SNAPSHOT_VERSION: u8 = 1;
 
 /// Fixed header length in bytes.
-pub const HEADER_LEN: u64 = 24;
-
-/// Bytes per section-table entry.
-pub const TABLE_ENTRY_LEN: usize = 64;
+pub const HEADER_LEN: u64 = Header::MIN_LEN as u64;
 
 /// Section payloads start on these boundaries.
 pub const SECTION_ALIGN: u64 = 4096;
@@ -53,9 +55,31 @@ const MAX_SECTIONS: u32 = 1 << 16;
 const KIND_BLOB: u8 = 0;
 const KIND_PAGED: u8 = 1;
 
-#[derive(Debug, Clone, Copy)]
-struct SectionMeta {
+/// The file header at offset 0 (24 bytes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    magic: [u8; 8],
+    version: u8,
+    reserved: [u8; 3],
+    section_count: u32,
+    table_offset: u64,
+}
+
+wire_struct!(Header {
+    magic: [u8; 8],
+    version: u8,
+    reserved: [u8; 3],
+    section_count: u32,
+    table_offset: u64,
+});
+
+/// One section-table entry (64 bytes): where a section lies and the
+/// checksum that verifies it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SectionEntry {
+    id: u16,
     kind: u8,
+    reserved: u8,
     page_len: u32,
     offset: u64,
     len: u64,
@@ -63,7 +87,20 @@ struct SectionMeta {
     checksum: Digest,
 }
 
-impl SectionMeta {
+wire_struct!(SectionEntry {
+    id: u16,
+    kind: u8,
+    reserved: u8,
+    page_len: u32,
+    offset: u64,
+    len: u64,
+    data_len: u64,
+    checksum: Digest,
+});
+
+impl SectionEntry {
+    /// Length of a paged section's digest array (`data_len ≤ len` is
+    /// checked at open).
     fn digests_len(&self) -> u64 {
         self.len - self.data_len
     }
@@ -112,7 +149,7 @@ enum Sink {
     File {
         file: File,
         pos: u64,
-        entries: Vec<(u16, SectionMeta)>,
+        entries: Vec<SectionEntry>,
     },
     /// In-memory capture for [`SnapshotUpdater`] diffing — same
     /// section code path, no file touched.
@@ -158,7 +195,7 @@ impl SnapshotWriter {
 
     fn check_new_id(&self, id: u16) -> Result<(), StoreError> {
         let taken = match &self.sink {
-            Sink::File { entries, .. } => entries.iter().any(|&(eid, _)| eid == id),
+            Sink::File { entries, .. } => entries.iter().any(|s| s.id == id),
             Sink::Collect { sections } => sections.iter().any(|s| s.id == id),
         };
         if taken {
@@ -174,18 +211,18 @@ impl SnapshotWriter {
             Sink::File { file, pos, entries } => {
                 let offset = align_file(file, pos)?;
                 file.write_all(bytes)?;
-                *pos += bytes.len() as u64;
-                entries.push((
+                let len = bytes.len() as u64;
+                *pos += len;
+                entries.push(SectionEntry {
                     id,
-                    SectionMeta {
-                        kind: KIND_BLOB,
-                        page_len: 0,
-                        offset,
-                        len: bytes.len() as u64,
-                        data_len: bytes.len() as u64,
-                        checksum: hash_bytes(bytes),
-                    },
-                ));
+                    kind: KIND_BLOB,
+                    reserved: 0,
+                    page_len: 0,
+                    offset,
+                    len,
+                    data_len: len,
+                    checksum: hash_bytes(bytes),
+                });
             }
             Sink::Collect { sections } => sections.push(SectionUpdate {
                 id,
@@ -212,17 +249,16 @@ impl SnapshotWriter {
                 file.write_all(&digest_array)?;
                 file.write_all(bytes)?;
                 *pos += (digest_array.len() + bytes.len()) as u64;
-                entries.push((
+                entries.push(SectionEntry {
                     id,
-                    SectionMeta {
-                        kind: KIND_PAGED,
-                        page_len: page_len as u32,
-                        offset,
-                        len: (digest_array.len() + bytes.len()) as u64,
-                        data_len: bytes.len() as u64,
-                        checksum: hash_bytes(&digest_array),
-                    },
-                ));
+                    kind: KIND_PAGED,
+                    reserved: 0,
+                    page_len: page_len as u32,
+                    offset,
+                    len: (digest_array.len() + bytes.len()) as u64,
+                    data_len: bytes.len() as u64,
+                    checksum: hash_bytes(&digest_array),
+                });
             }
             Sink::Collect { sections } => sections.push(SectionUpdate {
                 id,
@@ -248,21 +284,19 @@ impl SnapshotWriter {
             ));
         };
         let table_offset = align_file(&mut file, &mut pos)?;
-        for &(id, m) in &entries {
-            file.write_all(&encode_table_entry(id, &m))?;
-            pos += TABLE_ENTRY_LEN as u64;
-        }
-        let total = pos;
-        let mut header = [0u8; HEADER_LEN as usize];
-        header[0..8].copy_from_slice(&SNAPSHOT_MAGIC);
-        header[8] = SNAPSHOT_VERSION;
-        // header[9..12] reserved
-        header[12..16].copy_from_slice(&(entries.len() as u32).to_le_bytes());
-        header[16..24].copy_from_slice(&table_offset.to_le_bytes());
+        let table = put_array(&entries);
+        file.write_all(&table)?;
+        let header = Header {
+            magic: SNAPSHOT_MAGIC,
+            version: SNAPSHOT_VERSION,
+            reserved: [0; 3],
+            section_count: entries.len() as u32,
+            table_offset,
+        };
         file.seek(SeekFrom::Start(0))?;
-        file.write_all(&header)?;
+        file.write_all(&header.to_bytes())?;
         file.sync_all()?;
-        Ok(total)
+        Ok(pos + table.len() as u64)
     }
 
     /// Drains a collector writer's captured sections, in call order.
@@ -296,20 +330,6 @@ fn page_digests(bytes: &[u8], page_len: usize) -> Vec<u8> {
         digest_array.extend_from_slice(hash_bytes(page).as_bytes());
     }
     digest_array
-}
-
-/// Serializes one 64-byte section-table entry.
-fn encode_table_entry(id: u16, m: &SectionMeta) -> [u8; TABLE_ENTRY_LEN] {
-    let mut entry = [0u8; TABLE_ENTRY_LEN];
-    entry[0..2].copy_from_slice(&id.to_le_bytes());
-    entry[2] = m.kind;
-    // entry[3] reserved
-    entry[4..8].copy_from_slice(&m.page_len.to_le_bytes());
-    entry[8..16].copy_from_slice(&m.offset.to_le_bytes());
-    entry[16..24].copy_from_slice(&m.len.to_le_bytes());
-    entry[24..32].copy_from_slice(&m.data_len.to_le_bytes());
-    entry[32..64].copy_from_slice(m.checksum.as_bytes());
-    entry
 }
 
 /// A verified lazy reader over one paged section.
@@ -375,80 +395,68 @@ impl PagedReader {
 #[derive(Debug)]
 pub struct Snapshot {
     file: Arc<File>,
-    sections: Vec<(u16, SectionMeta)>,
+    sections: Vec<SectionEntry>,
 }
 
 /// Parses and validates a snapshot's header and section table.
 /// Returns the sections (table order) and the table offset.
-fn parse_snapshot(file: &File) -> Result<(Vec<(u16, SectionMeta)>, u64), StoreError> {
+fn parse_snapshot(file: &File) -> Result<(Vec<SectionEntry>, u64), StoreError> {
     let file_len = file.metadata()?.len();
     if file_len < HEADER_LEN {
         return Err(StoreError::Truncated);
     }
-    let mut header = [0u8; HEADER_LEN as usize];
-    file.read_exact_at(&mut header, 0)?;
-    if header[0..8] != SNAPSHOT_MAGIC {
+    let mut raw = [0u8; HEADER_LEN as usize];
+    file.read_exact_at(&mut raw, 0)?;
+    let header = Header::from_bytes(&raw)?;
+    if header.magic != SNAPSHOT_MAGIC {
         return Err(StoreError::BadMagic);
     }
-    if header[8] != SNAPSHOT_VERSION {
-        return Err(StoreError::UnsupportedVersion(header[8]));
+    if header.version != SNAPSHOT_VERSION {
+        return Err(StoreError::UnsupportedVersion(header.version));
     }
-    let section_count = u32::from_le_bytes(header[12..16].try_into().unwrap());
-    let table_offset = u64::from_le_bytes(header[16..24].try_into().unwrap());
-    if section_count > MAX_SECTIONS {
+    if header.section_count > MAX_SECTIONS {
         return Err(StoreError::Corrupt(format!(
-            "absurd section count {section_count}"
+            "absurd section count {}",
+            header.section_count
         )));
     }
-    let table_len = section_count as u64 * TABLE_ENTRY_LEN as u64;
-    if table_offset < HEADER_LEN
-        || table_offset
+    let table_len = header.section_count as u64 * SectionEntry::MIN_LEN as u64;
+    if header.table_offset < HEADER_LEN
+        || header
+            .table_offset
             .checked_add(table_len)
             .is_none_or(|end| end > file_len)
     {
         return Err(StoreError::Truncated);
     }
     let mut table = vec![0u8; table_len as usize];
-    file.read_exact_at(&mut table, table_offset)?;
-    let mut sections: Vec<(u16, SectionMeta)> = Vec::with_capacity(section_count as usize);
-    for raw in table.chunks_exact(TABLE_ENTRY_LEN) {
-        let id = u16::from_le_bytes(raw[0..2].try_into().unwrap());
-        let kind = raw[2];
-        let page_len = u32::from_le_bytes(raw[4..8].try_into().unwrap());
-        let offset = u64::from_le_bytes(raw[8..16].try_into().unwrap());
-        let len = u64::from_le_bytes(raw[16..24].try_into().unwrap());
-        let data_len = u64::from_le_bytes(raw[24..32].try_into().unwrap());
-        let checksum = Digest(raw[32..64].try_into().unwrap());
-        if sections.iter().any(|&(eid, _)| eid == id) {
+    file.read_exact_at(&mut table, header.table_offset)?;
+    let sections: Vec<SectionEntry> = take_array(&table)?;
+    for (i, s) in sections.iter().enumerate() {
+        let id = s.id;
+        if sections[..i].iter().any(|e| e.id == id) {
             return Err(StoreError::DuplicateSection(id));
         }
-        let meta = SectionMeta {
-            kind,
-            page_len,
-            offset,
-            len,
-            data_len,
-            checksum,
-        };
-        if offset < HEADER_LEN || offset.checked_add(len).is_none_or(|end| end > file_len) {
+        if s.offset < HEADER_LEN || s.offset.checked_add(s.len).is_none_or(|end| end > file_len) {
             return Err(StoreError::Truncated);
         }
-        match kind {
+        match s.kind {
             KIND_BLOB => {
-                if page_len != 0 || data_len != len {
+                if s.page_len != 0 || s.data_len != s.len {
                     return Err(StoreError::Corrupt(format!(
                         "blob section {id:#06x} with paged geometry"
                     )));
                 }
             }
             KIND_PAGED => {
-                if page_len == 0 {
+                if s.page_len == 0 {
                     return Err(StoreError::Corrupt(format!(
                         "paged section {id:#06x} with zero page length"
                     )));
                 }
-                let expect_digests = meta.num_pages() * DIGEST_LEN as u64;
-                if len != expect_digests + data_len {
+                let total = (s.num_pages().checked_mul(DIGEST_LEN as u64))
+                    .and_then(|digests| digests.checked_add(s.data_len));
+                if s.data_len > s.len || total != Some(s.len) {
                     return Err(StoreError::Corrupt(format!(
                         "paged section {id:#06x} length mismatch"
                     )));
@@ -460,9 +468,8 @@ fn parse_snapshot(file: &File) -> Result<(Vec<(u16, SectionMeta)>, u64), StoreEr
                 )));
             }
         }
-        sections.push((id, meta));
     }
-    Ok((sections, table_offset))
+    Ok((sections, header.table_offset))
 }
 
 impl Snapshot {
@@ -477,22 +484,22 @@ impl Snapshot {
         })
     }
 
-    fn meta(&self, id: u16) -> Result<SectionMeta, StoreError> {
+    fn meta(&self, id: u16) -> Result<SectionEntry, StoreError> {
         self.sections
             .iter()
-            .find(|&&(eid, _)| eid == id)
-            .map(|&(_, m)| m)
+            .find(|s| s.id == id)
+            .copied()
             .ok_or(StoreError::MissingSection(id))
     }
 
     /// Ids of all sections in the snapshot, in file order.
     pub fn section_ids(&self) -> Vec<u16> {
-        self.sections.iter().map(|&(id, _)| id).collect()
+        self.sections.iter().map(|s| s.id).collect()
     }
 
     /// Whether a section exists.
     pub fn has(&self, id: u16) -> bool {
-        self.sections.iter().any(|&(eid, _)| eid == id)
+        self.sections.iter().any(|s| s.id == id)
     }
 
     /// Reads and verifies a blob section.
@@ -527,10 +534,7 @@ impl Snapshot {
         if hash_bytes(&digest_array) != m.checksum {
             return Err(StoreError::ChecksumMismatch("page digest array"));
         }
-        let digests = digest_array
-            .chunks_exact(DIGEST_LEN)
-            .map(|c| Digest(c.try_into().unwrap()))
-            .collect();
+        let digests = take_array(&digest_array)?;
         Ok(PagedReader {
             file: Arc::clone(&self.file),
             base: m.offset + m.digests_len(),
@@ -578,7 +582,7 @@ pub struct UpdateStats {
 #[derive(Debug)]
 pub struct SnapshotUpdater {
     file: File,
-    sections: Vec<(u16, SectionMeta)>,
+    sections: Vec<SectionEntry>,
     table_offset: u64,
     stats: UpdateStats,
 }
@@ -605,10 +609,10 @@ impl SnapshotUpdater {
     /// Bytes available to section `idx` before the next section (or
     /// the table) begins.
     fn capacity(&self, idx: usize) -> u64 {
-        let start = self.sections[idx].1.offset;
+        let start = self.sections[idx].offset;
         self.sections
             .iter()
-            .map(|&(_, m)| m.offset)
+            .map(|s| s.offset)
             .filter(|&o| o > start)
             .chain(std::iter::once(self.table_offset))
             .min()
@@ -636,9 +640,9 @@ impl SnapshotUpdater {
             let idx = self
                 .sections
                 .iter()
-                .position(|&(eid, _)| eid == s.id)
+                .position(|e| e.id == s.id)
                 .ok_or(StoreError::MissingSection(s.id))?;
-            let m = self.sections[idx].1;
+            let m = self.sections[idx];
             if m.kind != s.kind {
                 return Err(StoreError::WrongKind {
                     id: s.id,
@@ -654,7 +658,7 @@ impl SnapshotUpdater {
     }
 
     fn apply_blob(&mut self, idx: usize, s: &SectionUpdate) -> Result<(), StoreError> {
-        let m = self.sections[idx].1;
+        let m = self.sections[idx];
         let checksum = hash_bytes(&s.payload);
         if checksum == m.checksum && s.payload.len() as u64 == m.len {
             return Ok(());
@@ -668,7 +672,7 @@ impl SnapshotUpdater {
             )));
         }
         self.file.write_all_at(&s.payload, m.offset)?;
-        let m = &mut self.sections[idx].1;
+        let m = &mut self.sections[idx];
         m.len = s.payload.len() as u64;
         m.data_len = m.len;
         m.checksum = checksum;
@@ -678,7 +682,7 @@ impl SnapshotUpdater {
     }
 
     fn apply_paged(&mut self, idx: usize, s: &SectionUpdate) -> Result<(), StoreError> {
-        let m = self.sections[idx].1;
+        let m = self.sections[idx];
         let digest_array = page_digests(&s.payload, s.page_len as usize);
         let num_pages = s.payload.len().div_ceil(s.page_len.max(1) as usize);
         self.stats.pages_total += num_pages;
@@ -697,7 +701,7 @@ impl SnapshotUpdater {
             self.file.write_all_at(&digest_array, m.offset)?;
             self.file
                 .write_all_at(&s.payload, m.offset + digest_array.len() as u64)?;
-            let m = &mut self.sections[idx].1;
+            let m = &mut self.sections[idx];
             m.page_len = s.page_len;
             m.len = total;
             m.data_len = s.payload.len() as u64;
@@ -723,7 +727,7 @@ impl SnapshotUpdater {
         }
         if dirty > 0 {
             self.file.write_all_at(&digest_array, m.offset)?;
-            self.sections[idx].1.checksum = hash_bytes(&digest_array);
+            self.sections[idx].checksum = hash_bytes(&digest_array);
             self.stats.sections_rewritten += 1;
             self.stats.pages_rewritten += dirty;
             self.stats.bytes_written += digest_array.len() as u64;
@@ -734,11 +738,8 @@ impl SnapshotUpdater {
     /// Rewrites the section table, restores the header magic, and
     /// syncs. Returns what the update touched.
     pub fn finish(self) -> Result<UpdateStats, StoreError> {
-        let mut table = Vec::with_capacity(self.sections.len() * TABLE_ENTRY_LEN);
-        for &(id, ref m) in &self.sections {
-            table.extend_from_slice(&encode_table_entry(id, m));
-        }
-        self.file.write_all_at(&table, self.table_offset)?;
+        self.file
+            .write_all_at(&put_array(&self.sections), self.table_offset)?;
         self.file.sync_data()?;
         self.file.write_all_at(&SNAPSHOT_MAGIC, 0)?;
         self.file.sync_all()?;
@@ -892,14 +893,47 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A paged entry whose `num_pages · 32 + data_len` wraps to `len`:
+    /// `page_len = 1` and `data_len = len · 33⁻¹ mod 2⁶⁴`. Unchecked,
+    /// this overflowed at open (debug) or passed it and later sized a
+    /// digest array of `len − data_len` wrapped (release).
+    #[test]
+    fn overflowing_paged_geometry_fails_typed() {
+        let dir = tmpdir("overflow");
+        let path = dir.join("snapshot.spnet");
+        write_sample(&path);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let header = Header::from_bytes(&bytes[..HEADER_LEN as usize]).unwrap();
+        let at = header.table_offset as usize + SectionEntry::MIN_LEN;
+        let mut entry = SectionEntry::from_bytes(&bytes[at..at + SectionEntry::MIN_LEN]).unwrap();
+        assert_eq!(entry.kind, KIND_PAGED);
+        let inv33 = (0..6).fold(1u64, |x, _| {
+            x.wrapping_mul(2u64.wrapping_sub(33u64.wrapping_mul(x)))
+        });
+        assert_eq!(33u64.wrapping_mul(inv33), 1);
+        entry.page_len = 1;
+        entry.data_len = entry.len.wrapping_mul(inv33);
+        assert_eq!(entry.data_len.wrapping_mul(33), entry.len);
+        bytes[at..at + SectionEntry::MIN_LEN].copy_from_slice(&entry.to_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(Snapshot::open(&path), Err(StoreError::Corrupt(_))));
+        // A paged entry whose payload claims more than the section.
+        entry.page_len = 512;
+        entry.data_len = entry.len + 1;
+        bytes[at..at + SectionEntry::MIN_LEN].copy_from_slice(&entry.to_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(Snapshot::open(&path), Err(StoreError::Corrupt(_))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn sections_are_page_aligned() {
         let dir = tmpdir("align");
         let path = dir.join("snapshot.spnet");
         write_sample(&path);
         let snap = Snapshot::open(&path).unwrap();
-        for &(_, m) in &snap.sections {
-            assert_eq!(m.offset % SECTION_ALIGN, 0);
+        for s in &snap.sections {
+            assert_eq!(s.offset % SECTION_ALIGN, 0);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

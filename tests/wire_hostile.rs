@@ -1,6 +1,7 @@
 //! Hostile bytes: every top-level decoder, and the stream verifier,
 //! against truncated and randomly edited copies of honest payloads, for
-//! all four methods.
+//! all four methods; and `Snapshot::open` against a saved snapshot with
+//! its header and section table cut or edited.
 //!
 //! For each payload, every proper prefix must fail with a typed error,
 //! and each seeded edit of one to four bytes must either fail typed or
@@ -10,10 +11,12 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use spnet_bytes::enc::take_array;
+use spnet_bytes::enc::{DecodeError, Wire};
 use spnet_core::ads::SignedRoot;
-use spnet_core::enc::{DecodeError, Wire};
 use spnet_core::methods::{LdmConfig, MethodConfig, MethodParams};
 use spnet_core::prelude::*;
+use spnet_core::snapshot::save_package;
 use spnet_core::stream::{StreamFrame, StreamVerifier};
 use spnet_core::tuple::ExtendedTuple;
 use spnet_core::wire;
@@ -23,6 +26,9 @@ use spnet_graph::NodeId;
 use spnet_queries::knn::KnnAnswer;
 use spnet_queries::matrix::MatrixAnswer;
 use spnet_queries::{PoiSet, SessionQueries};
+use spnet_store::{Header, SectionEntry, Snapshot, StoreError};
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
 
 /// Random edits per payload.
 const EDITS: usize = 96;
@@ -97,6 +103,8 @@ fn every_decoder_rejects_prefixes_and_never_aliases_edits() {
     let keypair = RsaKeyPair::generate(&mut StdRng::seed_from_u64(4101), 256);
     let pois = PoiSet::publish(&keypair, &[(NodeId(5), 1.0), (NodeId(30), 2.0)]).unwrap();
     let queries = [(NodeId(0), NodeId(35)), (NodeId(6), NodeId(29))];
+    let mut rng = StdRng::seed_from_u64(4100);
+    hostile_record("owner public key", keypair.public_key(), &mut rng);
     for (i, method) in methods().iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(4102 + i as u64);
         let name = method.name();
@@ -176,4 +184,76 @@ fn hostile_stream(
             }
         }
     }
+}
+
+/// Every section of `snap`, read and verified.
+fn read_section(snap: &Snapshot, id: u16) -> Result<Vec<u8>, StoreError> {
+    match snap.blob(id) {
+        Err(StoreError::WrongKind { .. }) => {
+            snap.paged(id, Arc::new(AtomicU64::new(0)))?.read_all()
+        }
+        blob => blob,
+    }
+}
+
+/// A saved DIJ snapshot with its header and section table cut or
+/// edited: every cut fails `Snapshot::open` typed; every edit fails it
+/// typed or opens a snapshot whose every section read returns the
+/// honest bytes of some section or fails typed.
+#[test]
+fn snapshot_open_rejects_cut_and_edited_header_and_table() {
+    let g = grid_network(6, 6, 1.15, 4100);
+    let keypair = RsaKeyPair::generate(&mut StdRng::seed_from_u64(4101), 256);
+    let p = DataOwner::publish_with_key(&g, &MethodConfig::Dij, &SetupConfig::default(), &keypair);
+    let dir = std::env::temp_dir().join(format!("spnet-hostile-store-{}", std::process::id()));
+    let path = save_package(&p, &dir).unwrap();
+    let file = std::fs::read(&path).unwrap();
+    let snap = Snapshot::open(&path).unwrap();
+    let honest: Vec<Vec<u8>> = snap
+        .section_ids()
+        .iter()
+        .map(|&id| read_section(&snap, id).unwrap())
+        .collect();
+
+    // The two records, as bare decoders; the table closes the file.
+    let mut rng = StdRng::seed_from_u64(4110);
+    let header = Header::from_bytes(&file[..Header::MIN_LEN]).unwrap();
+    hostile_record("store header", &header, &mut rng);
+    let table_at = file.len() - honest.len() * SectionEntry::MIN_LEN;
+    for entry in take_array::<SectionEntry>(&file[table_at..]).unwrap() {
+        hostile_record("section table entry", &entry, &mut rng);
+    }
+
+    // Every cut inside the table, then inside the header.
+    let cuts = (table_at..file.len())
+        .rev()
+        .chain((0..Header::MIN_LEN).rev());
+    let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    for cut in cuts {
+        f.set_len(cut as u64).unwrap();
+        assert!(Snapshot::open(&path).is_err(), "cut at {cut} opened");
+    }
+
+    // Seeded edits of one to four header or table bytes.
+    let region: Vec<usize> = (0..Header::MIN_LEN).chain(table_at..file.len()).collect();
+    for _ in 0..4 * EDITS {
+        let mut evil = file.clone();
+        for _ in 0..rng.random_range(1..=4usize) {
+            let i = region[rng.random_range(0..region.len())];
+            evil[i] ^= rng.random_range(1..=255u8);
+        }
+        std::fs::write(&path, &evil).unwrap();
+        let Ok(snap) = Snapshot::open(&path) else {
+            continue;
+        };
+        for id in snap.section_ids() {
+            if let Ok(bytes) = read_section(&snap, id) {
+                assert!(
+                    honest.contains(&bytes),
+                    "section {id:#06x} read unverified bytes"
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
