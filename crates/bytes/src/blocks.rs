@@ -176,7 +176,7 @@ impl<T: Wire + Clone> Blocks<T> {
     /// The records' snapshot bytes, page after page: a resident block
     /// encoded, an unloaded one as its pager's verified bytes.
     pub fn to_bytes(&self) -> Result<Vec<u8>, PageError> {
-        let mut e = Encoder::new();
+        let mut e = Encoder::with_capacity(self.len * T::MIN_LEN);
         for (b, block) in self.blocks.iter().enumerate() {
             match (block, &self.pages) {
                 (Some(block), _) => block.iter().for_each(|r| e.put(r)),

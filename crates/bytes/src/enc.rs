@@ -111,10 +111,12 @@ macro_rules! wire_struct {
         impl $crate::enc::Wire for $t {
             const MIN_LEN: usize = 0 $(+ <$ft as $crate::enc::Wire>::MIN_LEN)+;
 
+            #[inline]
             fn put(&self, e: &mut $crate::enc::Encoder) {
                 $(e.put::<$ft>(&self.$f);)+
             }
 
+            #[inline]
             fn take(
                 d: &mut $crate::enc::Decoder<'_>,
             ) -> Result<Self, $crate::enc::DecodeError> {
@@ -133,6 +135,7 @@ macro_rules! wire_enum {
         impl $crate::enc::Wire for $t {
             const MIN_LEN: usize = 1;
 
+            #[inline]
             fn put(&self, e: &mut $crate::enc::Encoder) {
                 match self {
                     $($t::$v $({ $($f),+ })? => {
@@ -142,6 +145,7 @@ macro_rules! wire_enum {
                 }
             }
 
+            #[inline]
             fn take(
                 d: &mut $crate::enc::Decoder<'_>,
             ) -> Result<Self, $crate::enc::DecodeError> {
@@ -162,11 +166,21 @@ pub struct Encoder {
 
 impl Encoder {
     /// A fresh empty encoder.
+    #[inline]
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// An empty encoder with room for `bytes` bytes.
+    #[inline]
+    pub fn with_capacity(bytes: usize) -> Self {
+        Encoder {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Consumes the encoder, returning the bytes.
+    #[inline]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
@@ -177,12 +191,14 @@ impl Encoder {
     }
 
     /// Raw bytes with a u32 length prefix.
+    #[inline]
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put(&(v.len() as u32));
         self.put_raw(v);
     }
 
     /// Raw bytes with no prefix (fixed-width fields like digests).
+    #[inline]
     pub fn put_raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
@@ -197,16 +213,19 @@ pub struct Decoder<'a> {
 
 impl<'a> Decoder<'a> {
     /// Wraps a byte slice.
+    #[inline]
     pub fn new(data: &'a [u8]) -> Self {
         Decoder { data, pos: 0 }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
 
     /// Fails unless the input was fully consumed.
+    #[inline]
     pub fn finish(self) -> Result<(), DecodeError> {
         if self.remaining() == 0 {
             Ok(())
@@ -230,6 +249,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Length-prefixed bytes (bounded at 1 GiB to catch corruption).
+    #[inline]
     pub fn take_bytes(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.take::<u32>()? as u64;
         if len > 1 << 30 {
@@ -242,6 +262,7 @@ impl<'a> Decoder<'a> {
     /// to at least `min_elem_bytes`. Rejects counts above 2²⁴ and counts
     /// the remaining input cannot hold, so a hostile prefix fails here
     /// rather than in the `Vec::with_capacity` that follows it.
+    #[inline]
     pub fn take_len(&mut self, min_elem_bytes: usize) -> Result<usize, DecodeError> {
         let n = self.take::<u32>()? as usize;
         if n > 1 << 24 || n.saturating_mul(min_elem_bytes) > self.remaining() {
@@ -251,6 +272,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Fixed-width raw bytes.
+    #[inline]
     pub fn take_raw(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.remaining() < n {
             return Err(DecodeError::UnexpectedEnd {
@@ -273,10 +295,12 @@ macro_rules! wire_le {
         impl Wire for $t {
             const MIN_LEN: usize = std::mem::size_of::<$t>();
 
+            #[inline]
             fn put(&self, e: &mut Encoder) {
                 e.put_raw(&self.to_le_bytes());
             }
 
+            #[inline]
             fn take(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
                 let raw = d.take_raw(Self::MIN_LEN)?;
                 Ok(<$t>::from_le_bytes(raw.try_into().expect("MIN_LEN bytes")))
@@ -290,10 +314,12 @@ wire_le!(u8, u16, u32, u64, f64);
 impl Wire for bool {
     const MIN_LEN: usize = 1;
 
+    #[inline]
     fn put(&self, e: &mut Encoder) {
         e.put(&u8::from(*self));
     }
 
+    #[inline]
     fn take(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         match d.take()? {
             0 => Ok(false),
@@ -386,9 +412,7 @@ wire_pointer!(Arc, Box);
 /// Encodes fixed-width records back to back, with no count: the
 /// container (a snapshot page or section) already knows the length.
 pub fn put_array<T: Wire>(records: &[T]) -> Vec<u8> {
-    let mut e = Encoder {
-        buf: Vec::with_capacity(records.len() * T::MIN_LEN),
-    };
+    let mut e = Encoder::with_capacity(records.len() * T::MIN_LEN);
     records.iter().for_each(|r| e.put(r));
     e.into_bytes()
 }

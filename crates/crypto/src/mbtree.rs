@@ -132,6 +132,7 @@ pub struct KeyedProof {
 impl Wire for KeyedProof {
     const MIN_LEN: usize = 4 + MerkleProof::MIN_LEN;
 
+    #[inline]
     fn put(&self, e: &mut Encoder) {
         e.put(&(self.entries.len() as u32));
         self.entries.iter().for_each(|x| e.put(x));
@@ -139,6 +140,7 @@ impl Wire for KeyedProof {
         e.put(&self.merkle);
     }
 
+    #[inline]
     fn take(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let n = d.take_len(KeyedEntry::MIN_LEN + u32::MIN_LEN)?;
         Ok(KeyedProof {

@@ -88,10 +88,12 @@ impl RsaSignature {
 impl Wire for RsaSignature {
     const MIN_LEN: usize = 4;
 
+    #[inline]
     fn put(&self, e: &mut Encoder) {
         e.put_bytes(self.as_bytes());
     }
 
+    #[inline]
     fn take(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         Ok(RsaSignature(d.take_bytes()?.to_vec()))
     }
